@@ -111,11 +111,16 @@ class RunConfig:
         return opts
 
 
+def _read_json(path: str) -> dict:
+    with open(path) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ConfigError(["config"], f"{path}: expected a JSON object")
+    return doc
+
+
 def _load_config(args) -> RunConfig:
-    doc = {}
-    if args.config:
-        with open(args.config) as fh:
-            doc = json.load(fh)
+    doc = _read_json(args.config) if args.config else {}
     doc.setdefault("params", {})
     for name in ("N", "s", "lambda1", "lambda2", "alpha", "beta", "nu"):
         v = getattr(args, name, None)
@@ -124,8 +129,13 @@ def _load_config(args) -> RunConfig:
     if getattr(args, "h", None):
         doc["params"]["h_profile"] = _parse_h(args.h)
     if getattr(args, "grid", None):
-        r_min, r_max, n = args.grid.split(",")
-        doc["grid"] = {"r_min": float(r_min), "r_max": float(r_max), "n_nodes": int(n)}
+        try:
+            r_min, r_max, n = args.grid.split(",")
+            doc["grid"] = {"r_min": float(r_min), "r_max": float(r_max),
+                           "n_nodes": int(n)}
+        except ValueError:
+            raise ConfigError(["grid"], f"--grid expects r_min,r_max,n_nodes, "
+                                        f"got {args.grid!r}") from None
     if getattr(args, "output_dir", None):
         doc["output_dir"] = args.output_dir
     if getattr(args, "seed", None) is not None:
@@ -249,8 +259,7 @@ def _cmd_lemma(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    with open(args.config) as fh:
-        doc = json.load(fh)
+    doc = _read_json(args.config)
     sweep = doc.get("sweep")
     if not sweep:
         raise ConfigError(["sweep"], "sweep config requires a 'sweep' section")
@@ -378,10 +387,8 @@ def run_command(argv=None) -> int:
         return EXIT_VALIDATION
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except HsvarError as exc:
+    except (HsvarError, OSError, json.JSONDecodeError) as exc:
+        # unreadable or malformed input files land here as well
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

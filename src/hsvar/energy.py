@@ -19,6 +19,10 @@ scaling direction:
 
 whose zero set (minus the origin) is the natural constraint: constrained
 critical points are free critical points.
+
+Every functional here is algebra over the integrals of a state, which
+:func:`integrals` computes in one pass over the grid (with the gradient when
+asked), given the weight vectors of a :class:`Weights`.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 
 from .errors import GridMismatchError, InvalidParameterError, PreconditionError
 from .grid import RadialFunction, RadialGrid, gradient_seminorm, weighted_lp
-from .operators import PairMetric, kinetic_gradient
+from .operators import PairMetric
 from .params import ProblemParams
 
 
@@ -78,6 +82,126 @@ class EnergyBreakdown:
                  "hs_u", "hs_v", "coupling", "total")}
 
 
+class Weights:
+    """Weight vectors of the integrals kernel for one (grid, params).
+
+    ``wrs = w r^-s`` and ``whrs = w h r^-s`` weigh the critical and coupling
+    integrals, ``wr2 = w r^-2`` the Hardy integral, and ``cc = cell_w/dt^2``
+    the Dirichlet cells.  Callers build one per solver call and reuse it for
+    every state they evaluate; the public functions below build their own.
+    """
+
+    __slots__ = ("grid", "params", "wrs", "whrs", "wr2", "cc")
+
+    def __init__(self, grid: RadialGrid, params: ProblemParams):
+        self.grid = grid
+        self.params = params
+        self.wrs = grid.w / grid.r ** params.s
+        self.whrs = self.wrs * params.h_profile(grid.r)
+        self.wr2 = grid.w / grid.r ** 2
+        self.cc = grid.cell_w / grid.dt ** 2
+
+
+@dataclass(frozen=True)
+class Integrals:
+    """The integrals of one state, and the functionals as algebra over them.
+
+    ``A`` is the squared pair norm, ``B`` the sum of the critical integrals
+    and ``C`` the coupling integral.  All three are homogeneous under
+    positive rescaling, of degrees 2, p and q = alpha + beta, so the
+    functionals of ``t * (u, v)`` follow from the integrals of ``(u, v)``.
+    ``gu``, ``gv`` hold the coefficient-space gradient when it was asked for.
+    """
+
+    params: ProblemParams
+    A: float
+    B: float
+    C: float
+    kinetic_u: float
+    kinetic_v: float
+    hardy_u: float
+    hardy_v: float
+    hs_u: float
+    hs_v: float
+    gu: np.ndarray | None = None
+    gv: np.ndarray | None = None
+
+    def energy(self, t: float = 1.0) -> float:
+        """J(t u, t v) = t^2 A/2 - t^p B/p - nu t^q C."""
+        pr = self.params
+        p, q = pr.crit_exp, pr.alpha + pr.beta
+        return 0.5 * t * t * self.A - t ** p * self.B / p - pr.nu * t ** q * self.C
+
+    def residual(self, t: float = 1.0) -> float:
+        """Psi(t u, t v) = t^2 A - t^p B - nu q t^q C."""
+        pr = self.params
+        p, q = pr.crit_exp, pr.alpha + pr.beta
+        return t * t * self.A - t ** p * self.B - pr.nu * q * t ** q * self.C
+
+
+def integrals(wt: Weights, u: np.ndarray, v: np.ndarray, positive: bool = False,
+              grad: bool = False) -> Integrals:
+    """One pass over the grid: every integral of (u, v), and the gradient.
+
+    ``positive`` selects the truncated functional (positive parts in the
+    nonlinear terms).  With ``grad`` the gradient of that functional is
+    returned as well (see :func:`gradient_coefficients`); it reuses the power
+    arrays, since x^(a-1) x = x^a.
+    """
+    pr = wt.params
+    p, a, b, nu = pr.crit_exp, pr.alpha, pr.beta, pr.nu
+    du, dv = u[1:] - u[:-1], v[1:] - v[:-1]
+    kinetic_u, kinetic_v = float(wt.cc @ (du * du)), float(wt.cc @ (dv * dv))
+    hardy_u, hardy_v = float(wt.wr2 @ (u * u)), float(wt.wr2 @ (v * v))
+    if positive:
+        au, av = np.maximum(u, 0.0), np.maximum(v, 0.0)
+    else:
+        au, av = np.abs(u), np.abs(v)
+    if grad:
+        fu, fv = _power(au, p - 1), _power(av, p - 1)
+        ua1, vb1 = _power(au, a - 1), _power(av, b - 1)
+        up, vp, ua, vb = fu * au, fv * av, ua1 * au, vb1 * av
+    else:
+        up, vp, ua, vb = _power(au, p), _power(av, p), _power(au, a), _power(av, b)
+    hs_u, hs_v = float(wt.wrs @ up), float(wt.wrs @ vp)
+    coupling = float(wt.whrs @ (ua * vb))
+    A = (kinetic_u - pr.lambda1 * hardy_u) + (kinetic_v - pr.lambda2 * hardy_v)
+    gu = gv = None
+    if grad:
+        cu, cv = ua1 * vb, ua * vb1
+        if not positive:
+            fu, fv = np.copysign(fu, u), np.copysign(fv, v)
+            cu, cv = np.copysign(cu, u), np.copysign(cv, v)
+        gu = _component_gradient(wt, du, u, pr.lambda1, fu, nu * a * cu)
+        gv = _component_gradient(wt, dv, v, pr.lambda2, fv, nu * b * cv)
+    return Integrals(pr, A, hs_u + hs_v, coupling, kinetic_u, kinetic_v,
+                     hardy_u, hardy_v, hs_u, hs_v, gu, gv)
+
+
+def _power(x: np.ndarray, e: float) -> np.ndarray:
+    # pow() takes about four times longer on zeros than on other values, so
+    # an identically zero component (a one-component state) skips it
+    return x ** e if x.any() else np.zeros_like(x)
+
+
+def _component_gradient(wt: Weights, du, u, lam, f, c) -> np.ndarray:
+    # first variation of 1/2 ||u||_lam^2 - 1/p int f u - (coupling) along
+    # node functions; boundary slots zeroed (Dirichlet collars)
+    y = wt.cc * du
+    g = -(lam * wt.wr2 * u + wt.wrs * f + wt.whrs * c)
+    g[:-1] -= y
+    g[1:] += y
+    g[0] = g[-1] = 0.0
+    return g
+
+
+def pair_integrals(pair: StatePair, params: ProblemParams, positive: bool = False,
+                   grad: bool = False) -> Integrals:
+    """:func:`integrals` of a pair, with weights built for this call."""
+    return integrals(Weights(pair.grid, params), pair.u.values, pair.v.values,
+                     positive, grad)
+
+
 def lambda_norm_sq(u: RadialFunction, lam: float) -> float:
     """Squared shifted norm  int |grad u|^2 - lam int u^2/r^2."""
     grid = u.grid
@@ -88,40 +212,20 @@ def lambda_norm_sq(u: RadialFunction, lam: float) -> float:
 
 def pair_norm_sq(pair: StatePair, params: ProblemParams) -> float:
     """Squared product-space norm ||u||_{lam1}^2 + ||v||_{lam2}^2."""
-    return (lambda_norm_sq(pair.u, params.lambda1)
-            + lambda_norm_sq(pair.v, params.lambda2))
+    return pair_integrals(pair, params).A
 
 
 def _terms(pair: StatePair, params: ProblemParams, positive: bool):
-    """All integral terms; `positive` selects truncated (u+, v+) powers."""
-    grid = pair.grid
-    u, v = pair.u.values, pair.v.values
-    if positive:
-        au, av = np.maximum(u, 0.0), np.maximum(v, 0.0)
-    else:
-        au, av = np.abs(u), np.abs(v)
-    p, s = params.crit_exp, params.s
-    rs = grid.r ** s
-    hs_u = float(np.dot(grid.w, au ** p / rs))
-    hs_v = float(np.dot(grid.w, av ** p / rs))
-    hvals = params.h_profile(grid.r)
-    coupling = float(np.dot(grid.w, hvals * au ** params.alpha * av ** params.beta / rs))
-    return hs_u, hs_v, coupling
+    """Critical and coupling integrals; `positive` selects truncated powers."""
+    I = pair_integrals(pair, params, positive)
+    return I.hs_u, I.hs_v, I.C
 
 
 def energy(pair: StatePair, params: ProblemParams) -> EnergyBreakdown:
     """Evaluate the functional term by term."""
-    grid = pair.grid
-    kin_u = gradient_seminorm(grid, pair.u)
-    kin_v = gradient_seminorm(grid, pair.v)
-    har_u = weighted_lp(grid, pair.u, 2.0, 2.0)
-    har_v = weighted_lp(grid, pair.v, 2.0, 2.0)
-    hs_u, hs_v, coupling = _terms(pair, params, positive=False)
-    p = params.crit_exp
-    total = (0.5 * (kin_u - params.lambda1 * har_u)
-             + 0.5 * (kin_v - params.lambda2 * har_v)
-             - (hs_u + hs_v) / p - params.nu * coupling)
-    return EnergyBreakdown(kin_u, kin_v, har_u, har_v, hs_u, hs_v, coupling, total)
+    I = pair_integrals(pair, params)
+    return EnergyBreakdown(I.kinetic_u, I.kinetic_v, I.hardy_u, I.hardy_v,
+                           I.hs_u, I.hs_v, I.C, I.energy())
 
 
 def energy_positive(pair: StatePair, params: ProblemParams) -> float:
@@ -130,21 +234,12 @@ def energy_positive(pair: StatePair, params: ProblemParams) -> float:
     Coincides with ``energy(...).total`` on nonnegative pairs; for states
     with negative excursions only the quadratic norm sees them.
     """
-    hs_u, hs_v, coupling = _terms(pair, params, positive=True)
-    return (0.5 * pair_norm_sq(pair, params)
-            - (hs_u + hs_v) / params.crit_exp - params.nu * coupling)
+    return pair_integrals(pair, params, positive=True).energy()
 
 
 def nehari_residual(pair: StatePair, params: ProblemParams, positive: bool = False) -> float:
     """Constraint functional Psi; zero on the natural constraint set."""
-    hs_u, hs_v, coupling = _terms(pair, params, positive)
-    return (pair_norm_sq(pair, params) - hs_u - hs_v
-            - params.nu * (params.alpha + params.beta) * coupling)
-
-
-def _signed_power(x: np.ndarray, q: float) -> np.ndarray:
-    # |x|^(q-1) sign(x); continuous at 0 for q > 1 and exactly 0 there.
-    return np.sign(x) * np.abs(x) ** (q - 1)
+    return pair_integrals(pair, params, positive).residual()
 
 
 def gradient_coefficients(pair: StatePair, params: ProblemParams,
@@ -156,28 +251,8 @@ def gradient_coefficients(pair: StatePair, params: ProblemParams,
     product of the returned arrays with (phi, psi) node values equals the
     directional derivative of the energy along (phi, psi).
     """
-    grid = pair.grid
-    u, v = pair.u.values, pair.v.values
-    p, s, alpha, beta, nu = (params.crit_exp, params.s,
-                             params.alpha, params.beta, params.nu)
-    rs = grid.r ** s
-    hvals = params.h_profile(grid.r)
-    if positive:
-        au, av = np.maximum(u, 0.0), np.maximum(v, 0.0)
-        fu, fv = au ** (p - 1), av ** (p - 1)
-        cu = au ** (alpha - 1) * av ** beta
-        cv = au ** alpha * av ** (beta - 1)
-    else:
-        fu, fv = _signed_power(u, p), _signed_power(v, p)
-        cu = _signed_power(u, alpha) * np.abs(v) ** beta
-        cv = np.abs(u) ** alpha * _signed_power(v, beta)
-    gu = (kinetic_gradient(grid, u) - params.lambda1 * grid.w * u / grid.r ** 2
-          - grid.w * fu / rs - nu * alpha * grid.w * hvals * cu / rs)
-    gv = (kinetic_gradient(grid, v) - params.lambda2 * grid.w * v / grid.r ** 2
-          - grid.w * fv / rs - nu * beta * grid.w * hvals * cv / rs)
-    gu[0] = gu[-1] = 0.0
-    gv[0] = gv[-1] = 0.0
-    return gu, gv
+    I = pair_integrals(pair, params, positive, grad=True)
+    return I.gu, I.gv
 
 
 def gradient(pair: StatePair, params: ProblemParams) -> StatePair:
@@ -207,10 +282,9 @@ def gradient_dual_norm(pair: StatePair, params: ProblemParams,
     """
     if metric is None:
         metric = PairMetric(pair.grid, params.lambda1, params.lambda2)
-    gu, gv = gradient_coefficients(pair, params, positive=positive)
-    dual = metric.dual_norm(gu, gv)
-    denom = np.sqrt(max(pair_norm_sq(pair, params), 1e-300))
-    return dual, dual / denom
+    I = pair_integrals(pair, params, positive, grad=True)
+    dual = metric.dual_norm(I.gu, I.gv)
+    return dual, dual / np.sqrt(max(I.A, 1e-300))
 
 
 def second_variation_diag(pair: StatePair, params: ProblemParams,
@@ -221,11 +295,10 @@ def second_variation_diag(pair: StatePair, params: ProblemParams,
     with ``a + b`` the coupling exponent; strictly negative on the
     constraint set, which makes it a natural constraint.
     """
-    nsq = pair_norm_sq(pair, params)
-    res = nehari_residual(pair, params)
-    if abs(res) > tol * max(nsq, 1e-300):
+    I = pair_integrals(pair, params)
+    res = I.residual()
+    if abs(res) > tol * max(I.A, 1e-300):
         raise PreconditionError(
-            f"pair is off the constraint set: |Psi|/||.||^2 = {abs(res) / nsq:.3e}")
-    hs_u, hs_v, _ = _terms(pair, params, positive=False)
+            f"pair is off the constraint set: |Psi|/||.||^2 = {abs(res) / I.A:.3e}")
     q = params.alpha + params.beta
-    return (2.0 - q) * nsq + (q - params.crit_exp) * (hs_u + hs_v)
+    return (2.0 - q) * I.A + (q - params.crit_exp) * I.B

@@ -18,7 +18,7 @@ import numpy as np
 
 from .energy import StatePair
 from .errors import ConfigError
-from .grid import RadialFunction, RadialGrid, build_grid
+from .grid import RadialFunction, RadialGrid
 
 SCHEMA_VERSION = 1
 _FMT = "%.17g"
@@ -26,10 +26,6 @@ _FMT = "%.17g"
 
 def grid_to_dict(grid: RadialGrid) -> dict:
     return grid.header()
-
-
-def grid_from_dict(d: dict) -> RadialGrid:
-    return build_grid(int(d["N"]), float(d["r_min"]), float(d["r_max"]), int(d["n_nodes"]))
 
 
 def radial_function_to_csv(path: str, f: RadialFunction) -> None:

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import StatePair, _terms, lambda_norm_sq, nehari_residual, pair_norm_sq
+from .energy import (Integrals, StatePair, Weights, integrals, lambda_norm_sq,
+                     pair_integrals)
 from .errors import DegenerateInputError, NoProjectionError, PreconditionError
 from .grid import RadialFunction, weighted_lp
 from .params import ProblemParams
@@ -40,7 +41,12 @@ class ProjectionResult:
 
 def _solve_scale(A: float, B: float, C: float, p: float, q: float,
                  nu: float, tol: float) -> tuple[float, tuple[float, float]]:
-    """Root of A = t^(p-2) B + nu q t^(q-2) C; returns (t, bracket)."""
+    """Root of A = t^(p-2) B + nu q t^(q-2) C; returns (t, bracket).
+
+    Raises :class:`NoProjectionError` when no bracket is found within 200
+    expansions on either side (or an expansion overflows), or when the root
+    is not finite.
+    """
     nuqC = nu * q * C
 
     def resid(t: float) -> float:
@@ -48,14 +54,21 @@ def _solve_scale(A: float, B: float, C: float, p: float, q: float,
 
     t0 = (A / (B + nuqC + 1.0)) ** (1.0 / (p - 2.0))
     lo, hi = 1e-3 * t0, 1e3 * t0
-    for _ in range(200):
-        if resid(lo) <= 0:
-            break
-        lo *= 0.125
-    for _ in range(200):
-        if resid(hi) >= 0:
-            break
-        hi *= 8.0
+    try:
+        for _ in range(200):
+            if resid(lo) <= 0:
+                break
+            lo *= 0.125
+        else:
+            raise NoProjectionError(f"no lower bracket for the scale below {lo:.3e}")
+        for _ in range(200):
+            if resid(hi) >= 0:
+                break
+            hi *= 8.0
+        else:
+            raise NoProjectionError(f"no upper bracket for the scale above {hi:.3e}")
+    except OverflowError as exc:
+        raise NoProjectionError("scale bracket overflowed") from exc
     bracket = (lo, hi)
 
     # bisection in log t until Newton is safe
@@ -82,7 +95,31 @@ def _solve_scale(A: float, B: float, C: float, p: float, q: float,
         else:
             lo = t_new
         t = t_new
+    if not (math.isfinite(t) and t > 0):
+        raise NoProjectionError(f"scale onto the constraint set is not finite: {t}")
     return t, bracket
+
+
+def _scale(I: Integrals, tol: float) -> tuple[float, tuple[float, float]]:
+    """Scale t putting t (u, v) on the constraint set, from the integrals of (u, v)."""
+    if not I.A > 0:
+        raise DegenerateInputError(
+            "pair has nonpositive energy-space norm (inadmissible state)")
+    if I.B <= 0 and I.C <= 0:
+        raise NoProjectionError("all nonlinear integrals vanish; no rescaling exists")
+    pr = I.params
+    return _solve_scale(I.A, I.B, I.C, pr.crit_exp, pr.alpha + pr.beta, pr.nu, tol)
+
+
+def project_arrays(wt: Weights, u: np.ndarray, v: np.ndarray, tol: float = 1e-12,
+                   positive: bool = False) -> tuple[float, Integrals]:
+    """Projection of raw node arrays: the scale t and the integrals of (u, v).
+
+    ``t (u, v)`` lies on the constraint set; its energy and norm follow by
+    homogeneity (``I.energy(t)``, ``t^2 I.A``) without another grid pass.
+    """
+    I = integrals(wt, u, v, positive)
+    return _scale(I, tol)[0], I
 
 
 def project(pair: StatePair, params: ProblemParams, tol: float = 1e-12,
@@ -96,21 +133,10 @@ def project(pair: StatePair, params: ProblemParams, tol: float = 1e-12,
     """
     if pair.is_zero():
         raise DegenerateInputError("cannot project the zero pair")
-    A = pair_norm_sq(pair, params)
-    if not A > 0:
-        raise DegenerateInputError(
-            "pair has nonpositive energy-space norm (inadmissible state)")
-    hs_u, hs_v, coupling = _terms(pair, params, positive=positive)
-    B = hs_u + hs_v
-    if B <= 0 and coupling <= 0:
-        raise NoProjectionError("all nonlinear integrals vanish; no rescaling exists")
-    q = params.alpha + params.beta
-    t, bracket = _solve_scale(A, B, coupling, params.crit_exp, q, params.nu, tol)
-    projected = pair.scaled(t)
-    residual = (t * t * A - t ** params.crit_exp * B
-                - params.nu * q * t ** q * coupling)
-    return ProjectionResult(t_star=t, projected=projected,
-                            residual=residual, bracket=bracket)
+    I = pair_integrals(pair, params, positive)
+    t, bracket = _scale(I, tol)
+    return ProjectionResult(t_star=t, projected=pair.scaled(t),
+                            residual=I.residual(t), bracket=bracket)
 
 
 def project_decoupled(u: RadialFunction, lam: float, s: float,
@@ -147,12 +173,10 @@ def constrained_energy(pair: StatePair, params: ProblemParams,
 
     which must agree with the direct evaluation to rounding accuracy.
     """
-    nsq = pair_norm_sq(pair, params)
-    psi = nehari_residual(pair, params)
-    if abs(psi) > tol * max(nsq, 1e-300):
+    I = pair_integrals(pair, params)
+    psi = I.residual()
+    if abs(psi) > tol * max(I.A, 1e-300):
         raise PreconditionError(
-            f"pair is off the constraint set: |Psi|/||.||^2 = {abs(psi) / nsq:.3e}")
-    hs_u, hs_v, coupling = _terms(pair, params, positive=False)
-    value = ((2.0 - params.s) / (2.0 * (params.N - params.s)) * (hs_u + hs_v)
-             + params.nu * (params.alpha + params.beta - 2.0) / 2.0 * coupling)
-    return value
+            f"pair is off the constraint set: |Psi|/||.||^2 = {abs(psi) / I.A:.3e}")
+    return ((2.0 - params.s) / (2.0 * (params.N - params.s)) * I.B
+            + params.nu * (params.alpha + params.beta - 2.0) / 2.0 * I.C)

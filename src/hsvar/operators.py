@@ -2,31 +2,21 @@
 
 The truncation radii act as Dirichlet collars: variations are tested against
 functions vanishing at the first and last node, so every operator here lives
-on the ``n - 2`` interior degrees of freedom.  Coefficients span many orders
-of magnitude across the window; factorizations therefore work on the
-symmetrically Jacobi-scaled matrix, which keeps the banded Cholesky solve
-accurate, and one step of iterative refinement guards the result.
+on the ``n - 2`` interior degrees of freedom, where the quadratic form is a
+symmetric tridiagonal matrix.  Its coefficients span many orders of magnitude
+across the window, so it is factorized after symmetric Jacobi scaling (unit
+diagonal), with LAPACK's LDL^T routines for SPD tridiagonal matrices
+(``dpttrf``/``dpttrs``).  The scaled factorization is accurate relative to the
+scaled matrix, not to each unscaled row; one step of iterative refinement
+against the unscaled matrix removes that loss, which is why it stays.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cholesky_banded, cho_solve_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .grid import RadialGrid
-
-
-def kinetic_gradient(grid: RadialGrid, u: np.ndarray) -> np.ndarray:
-    """Coefficient-space gradient of half the Dirichlet form.
-
-    Returns ``g`` with ``g . phi`` equal to the first variation of
-    ``0.5 * int |grad u|^2`` along ``phi`` (all nodes; callers mask the ends).
-    """
-    y = grid.cell_w * np.diff(u) / grid.dt ** 2
-    out = np.zeros_like(u)
-    out[:-1] -= y
-    out[1:] += y
-    return out
 
 
 class LambdaOperator:
@@ -47,24 +37,20 @@ class LambdaOperator:
         hardy = grid.w[1:-1] / grid.r[1:-1] ** 2
         self._off = -cc[1:-1]
         shrink = 1.0
-        while True:
+        while shrink >= 0.5:
             self._main = kin - shrink * lam * hardy
             if np.all(self._main > 0):
                 scale = 1.0 / np.sqrt(self._main)
-                ab = np.zeros((2, grid.n - 2))
-                ab[0, 1:] = self._off * scale[1:] * scale[:-1]
-                ab[1, :] = 1.0
-                try:
-                    self._factor = cholesky_banded(ab)
+                d, e, info = dpttrf(np.ones(grid.n - 2),
+                                    self._off * scale[1:] * scale[:-1])
+                if info == 0:
+                    self._d, self._e = d, e
                     self._scale = scale
                     self.shrink = shrink
                     return
-                except np.linalg.LinAlgError:
-                    pass
             shrink *= 0.95
-            if shrink < 0.5:
-                raise np.linalg.LinAlgError(
-                    "interior operator could not be regularized to SPD")
+        raise np.linalg.LinAlgError(
+            "interior operator could not be regularized to SPD")
 
     def apply(self, d: np.ndarray) -> np.ndarray:
         out = self._main * d
@@ -72,12 +58,16 @@ class LambdaOperator:
         out[1:] += self._off * d[:-1]
         return out
 
+    def _scaled_solve(self, rhs: np.ndarray) -> np.ndarray:
+        s = self._scale
+        return s * dpttrs(self._d, self._e, s * rhs)[0]
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve (Q - lam*H) d = rhs on the interior, with one refinement pass."""
-        s = self._scale
-        d = s * cho_solve_banded((self._factor, False), s * rhs)
-        resid = rhs - self.apply(d)
-        d += s * cho_solve_banded((self._factor, False), s * resid)
+        if not rhs.any():
+            return np.zeros_like(rhs)     # a zero component stays zero
+        d = self._scaled_solve(rhs)
+        d += self._scaled_solve(rhs - self.apply(d))
         return d
 
 

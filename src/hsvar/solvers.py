@@ -31,13 +31,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closed_forms import critical_level, exact_solution, separability_check
-from .energy import (StatePair, _terms, energy, energy_positive,
-                     gradient_coefficients, lambda_norm_sq, nehari_residual,
-                     pair_norm_sq)
+from .energy import (StatePair, Weights, integrals, lambda_norm_sq,
+                     pair_integrals)
 from .errors import (DegenerateInputError, DegeneratePathError, HsvarError,
                      InvalidParameterError, PreconditionError)
 from .grid import RadialFunction, RadialGrid, reference_grid
-from .nehari import project, project_decoupled
+from .nehari import _solve_scale, project_arrays, project_decoupled
 from .operators import PairMetric
 from .params import ProblemParams
 
@@ -168,55 +167,54 @@ def _levels(params: ProblemParams) -> dict:
 # ---------------------------------------------------------------------------
 
 def _descend(params: ProblemParams, pair: StatePair, metric: PairMetric,
-             opts: DescentOptions, frozen_mask=None):
+             opts: DescentOptions):
     """Projected preconditioned descent on the truncated constraint set.
 
-    Returns (pair, energy, iterations, rel_grad, trace, converged).
-    ``frozen_mask`` optionally pins one component (used by path deformation
-    to keep endpoint structure; None updates both).
+    Returns (pair, energy, iterations, rel_grad, trace, converged).  The loop
+    runs on node arrays; a candidate's energy and norm after projection come
+    from its integrals before projection, by homogeneity.
     """
-    proj = project(pair, params, tol=opts.tol_nehari, positive=True)
-    pair = proj.projected
-    E = energy_positive(pair, params)
+    grid = pair.grid
+    wt = Weights(grid, params)
+    t, I = project_arrays(wt, pair.u.values, pair.v.values, opts.tol_nehari,
+                          positive=True)
+    u, v = t * pair.u.values, t * pair.v.values
+    E, nsq = I.energy(t), t * t * I.A
     trace = [E]
     step = opts.step0
-    grid = pair.grid
     rel_g = math.inf
     last_drop = 0
     for it in range(opts.max_iter):
-        gu, gv = gradient_coefficients(pair, params, positive=True)
-        du, dv, slope = metric.direction(gu, gv)
-        nsq = pair_norm_sq(pair, params)
+        g = integrals(wt, u, v, positive=True, grad=True)
+        du, dv, slope = metric.direction(g.gu, g.gv)
         rel_g = math.sqrt(slope) / math.sqrt(max(nsq, 1e-300))
-        if rel_g <= opts.tol_grad:
-            return pair, E, it, rel_g, trace, True
-        if it - last_drop > opts.stall_window:
-            return pair, E, it, rel_g, trace, False
+        if rel_g <= opts.tol_grad or it - last_drop > opts.stall_window:
+            break
         accepted = False
         st = step
         for _ in range(opts.max_backtracks):
-            cand = StatePair(
-                RadialFunction(grid, pair.u.values - st * du),
-                RadialFunction(grid, pair.v.values - st * dv))
+            cu, cv = u - st * du, v - st * dv
             try:
-                cand = project(cand, params, tol=opts.tol_nehari,
-                               positive=True).projected
+                t, I = project_arrays(wt, cu, cv, opts.tol_nehari, positive=True)
             except HsvarError:
                 st *= 0.5
                 continue
-            E_cand = energy_positive(cand, params)
+            E_cand = I.energy(t)
             if E_cand <= E - opts.armijo * st * slope:
                 accepted = True
                 break
             st *= 0.5
         if not accepted:
-            return pair, E, it, rel_g, trace, False
+            break
         if E - E_cand > 1e-15 * (abs(E) + 1.0):
             last_drop = it
-        pair, E = cand, E_cand
+        u, v, E, nsq = t * cu, t * cv, E_cand, t * t * I.A
         trace.append(E)
         step = min(st * 1.5, opts.step_max)
-    return pair, E, opts.max_iter, rel_g, trace, rel_g <= opts.tol_grad
+    else:
+        it = opts.max_iter
+    pair = StatePair(RadialFunction(grid, u), RadialFunction(grid, v))
+    return pair, E, it, rel_g, trace, rel_g <= opts.tol_grad
 
 
 def ground_state(params: ProblemParams, init: StatePair,
@@ -233,18 +231,16 @@ def ground_state(params: ProblemParams, init: StatePair,
     metric = PairMetric(init.grid, params.lambda1, params.lambda2)
     pair, E, iters, rel_g, trace, converged = _descend(params, init, metric, opts)
 
-    res = nehari_residual(pair, params, positive=True)
-    nsq = pair_norm_sq(pair, params)
-    hs_u, hs_v, _ = _terms(pair, params, positive=True)
+    I = pair_integrals(pair, params, positive=True)
     levels = _levels(params)
     levels["below_min_semitrivial"] = bool(E < levels["min_level"])
-    levels["crit_integral_u"] = hs_u
-    levels["crit_integral_v"] = hs_v
-    coupled = hs_u > 1e-6 and hs_v > 1e-6
+    levels["crit_integral_u"] = I.hs_u
+    levels["crit_integral_v"] = I.hs_v
+    coupled = I.hs_u > 1e-6 and I.hs_v > 1e-6
     classification = "coupled" if coupled else "semitrivial_like"
     return SolverReport(
         kind="ground_state", params=params.to_dict(), energy=E,
-        gradient_norm=rel_g, nehari_residual=abs(res) / max(nsq, 1e-300),
+        gradient_norm=rel_g, nehari_residual=abs(I.residual()) / max(I.A, 1e-300),
         iterations=iters, converged=converged, level_diagnostics=levels,
         profiles=pair, classification=classification,
         trace=trace[-200:],
@@ -261,15 +257,14 @@ def escalate_nu(params: ProblemParams, grid: RadialGrid,
     """
     z1 = extremal_pair(params, grid, "first").u
     z2 = extremal_pair(params, grid, "second").v
-    couple = StatePair(z1, z2)
+    # the integrals of the couple do not depend on nu; the projected
+    # couple's follow by homogeneity
+    I = integrals(Weights(grid, params), z1.values, z2.values, positive=True)
+    q = params.alpha + params.beta
     nu = nu_start
     for _ in range(max_doublings):
-        trial = ProblemParams(params.N, params.s, params.lambda1, params.lambda2,
-                              params.alpha, params.beta, nu, params.h_profile)
-        proj = project(couple, trial, positive=True).projected
-        nsq = pair_norm_sq(proj, trial)
-        _, _, coupling = _terms(proj, trial, positive=True)
-        if trial.nu * (trial.alpha + trial.beta) * coupling > 0.5 * nsq:
+        t, _ = _solve_scale(I.A, I.B, I.C, params.crit_exp, q, nu, 1e-12)
+        if nu * q * t ** q * I.C > 0.5 * t * t * I.A:
             return nu
         nu *= 2.0
     return nu
@@ -295,21 +290,20 @@ class PathState:
         return float(self.energies.max())
 
 
-def _initial_path(params: ProblemParams, grid: RadialGrid, K: int) -> PathState:
+def _initial_path(wt: Weights, K: int) -> PathState:
     """Explicit interpolating path ((1-t)^(1/2) z1, t^(1/2) z2), rescaled."""
-    z1 = extremal_pair(params, grid, "first").u
-    z2 = extremal_pair(params, grid, "second").v
-    zero = RadialFunction.zero(grid)
+    z1 = extremal_pair(wt.params, wt.grid, "first").u.values
+    z2 = extremal_pair(wt.params, wt.grid, "second").v.values
     nodes, energies = [], []
     for k in range(K + 1):
         tk = k / K
-        u = z1.scaled(math.sqrt(1.0 - tk)) if tk < 1 else zero
-        v = z2.scaled(math.sqrt(tk)) if tk > 0 else zero
-        pair = StatePair(u, v)
+        u, v = math.sqrt(1.0 - tk) * z1, math.sqrt(tk) * z2
         if 0 < k < K:
-            pair = project(pair, params, positive=True).projected
-        nodes.append(pair)
-        energies.append(energy_positive(pair, params))
+            t, I = project_arrays(wt, u, v, positive=True)
+        else:
+            t, I = 1.0, integrals(wt, u, v, positive=True)
+        nodes.append(_pair(wt.grid, t * u, t * v))
+        energies.append(I.energy(t))
     return PathState(nodes=nodes, energies=np.asarray(energies))
 
 
@@ -336,16 +330,20 @@ def interpolation_bound(params: ProblemParams, grid: RadialGrid,
     return float(g.max()), g
 
 
-def _pair_grad_norm(pair: StatePair, params, metric) -> float:
-    """Relative dual-norm gradient of the truncated functional at a pair."""
-    gu, gv = gradient_coefficients(pair, params, positive=True)
-    nsq = pair_norm_sq(pair, params)
-    _, _, slope = metric.direction(gu, gv)
-    return math.sqrt(max(slope, 0.0)) / math.sqrt(max(nsq, 1e-300))
+def _pair(grid: RadialGrid, u: np.ndarray, v: np.ndarray) -> StatePair:
+    return StatePair(RadialFunction(grid, u), RadialFunction(grid, v))
 
 
-def _redistribute(nodes, energies, params, grid):
+def _pair_grad_norm(wt: Weights, metric: PairMetric, u, v) -> float:
+    """Relative dual-norm gradient of the truncated functional at (u, v)."""
+    g = integrals(wt, u, v, positive=True, grad=True)
+    _, _, slope = metric.direction(g.gu, g.gv)
+    return math.sqrt(max(slope, 0.0)) / math.sqrt(max(g.A, 1e-300))
+
+
+def _redistribute(nodes, energies, wt: Weights):
     """Equal-arclength resampling of a sub-chain; endpoints kept exact."""
+    grid = wt.grid
     m = len(nodes) - 1
     if m < 2:
         return list(nodes), list(energies)
@@ -362,26 +360,23 @@ def _redistribute(nodes, energies, params, grid):
         theta = (s_t - arc[j]) / max(arc[j + 1] - arc[j], 1e-300)
         u = (1 - theta) * us[j] + theta * us[j + 1]
         v = (1 - theta) * vs[j] + theta * vs[j + 1]
-        cand = StatePair(RadialFunction(grid, u), RadialFunction(grid, v))
-        cand = project(cand, params, positive=True).projected
-        out_nodes.append(cand)
-        out_energies.append(energy_positive(cand, params))
+        t, I = project_arrays(wt, u, v, positive=True)
+        out_nodes.append(_pair(grid, t * u, t * v))
+        out_energies.append(I.energy(t))
     out_nodes.append(nodes[-1])
     out_energies.append(energies[-1])
     return out_nodes, out_energies
 
 
-def _reparametrize(path: PathState, params, grid, anchor: int) -> PathState:
+def _reparametrize(path: PathState, wt: Weights, anchor: int) -> PathState:
     """Equal-arclength resampling on each side of the anchored crest node.
 
     Keeps the chain sampled near the barrier without discarding the climbing
     node's progress; without redistribution, downhill moves let neighbor
     spacing grow and the discrete maximum dodge the barrier.
     """
-    ln, le = _redistribute(path.nodes[:anchor + 1], path.energies[:anchor + 1],
-                           params, grid)
-    rn, re_ = _redistribute(path.nodes[anchor:], path.energies[anchor:],
-                            params, grid)
+    ln, le = _redistribute(path.nodes[:anchor + 1], path.energies[:anchor + 1], wt)
+    rn, re_ = _redistribute(path.nodes[anchor:], path.energies[anchor:], wt)
     return PathState(nodes=ln + rn[1:], energies=np.asarray(le + re_[1:]))
 
 
@@ -410,7 +405,8 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
             "matching exponent >= 2 in the same orientation")
 
     K = opts.n_path_nodes
-    path = _initial_path(params, grid, K)
+    wt = Weights(grid, params)
+    path = _initial_path(wt, K)
     initial_max = path.max_energy
     g_max, _ = interpolation_bound(params, grid)
 
@@ -423,11 +419,12 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
     sweeps_done = 0
     for sweep in range(opts.max_sweeps):
         if sweep > 0:
-            path = _reparametrize(path, params, grid, path.argmax)
+            path = _reparametrize(path, wt, path.argmax)
         k_max = path.argmax
         if k_max in (0, K):
             raise DegeneratePathError("path maximum collapsed onto an endpoint")
-        gnorm_trace.append(_pair_grad_norm(path.nodes[k_max], params, metric))
+        top = path.nodes[k_max]
+        gnorm_trace.append(_pair_grad_norm(wt, metric, top.u.values, top.v.values))
         if gnorm_trace[-1] <= opts.crest_grad_tol:
             break
 
@@ -437,7 +434,8 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
                 continue
             node = path.nodes[k]
             E_node = path.energies[k]
-            gu, gv = gradient_coefficients(node, params, positive=True)
+            g = integrals(wt, node.u.values, node.v.values, positive=True, grad=True)
+            gu, gv = g.gu, g.gv
             du, dv, slope = metric.direction(gu, gv)
             tau_u = path.nodes[k + 1].u.values - path.nodes[k - 1].u.values
             tau_v = path.nodes[k + 1].v.values - path.nodes[k - 1].v.values
@@ -461,29 +459,23 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
                             + float(gv[1:-1] @ dv[1:-1]), 0.0)
             st = dop.step0
             for _ in range(dop.max_backtracks):
-                cand = StatePair(
-                    RadialFunction(grid, node.u.values - st * du),
-                    RadialFunction(grid, node.v.values - st * dv))
+                cu, cv = node.u.values - st * du, node.v.values - st * dv
                 try:
-                    cand = project(cand, params, tol=dop.tol_nehari,
-                                   positive=True).projected
+                    t, I = project_arrays(wt, cu, cv, dop.tol_nehari, positive=True)
                 except HsvarError:
                     st *= 0.5
                     continue
+                cu, cv, E_cand = t * cu, t * cv, I.energy(t)
                 if climbing:
                     # acceptance for the climbing node: its gradient shrinks
-                    if _pair_grad_norm(cand, params, metric) < gnorm_trace[-1]:
-                        path.nodes[k] = cand
-                        path.energies[k] = energy_positive(cand, params)
-                        improved = True
-                        break
+                    ok = _pair_grad_norm(wt, metric, cu, cv) < gnorm_trace[-1]
                 else:
-                    E_cand = energy_positive(cand, params)
-                    if E_cand <= E_node - dop.armijo * st * slope:
-                        path.nodes[k] = cand
-                        path.energies[k] = E_cand
-                        improved = True
-                        break
+                    ok = E_cand <= E_node - dop.armijo * st * slope
+                if ok:
+                    path.nodes[k] = _pair(grid, cu, cv)
+                    path.energies[k] = E_cand
+                    improved = True
+                    break
                 st *= 0.5
         sweeps_done = sweep + 1
         if path.max_energy < best_max:
@@ -494,8 +486,7 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
             break
 
     crest = best_crest
-    res = nehari_residual(crest, params, positive=True)
-    nsq = pair_norm_sq(crest, params)
+    I = integrals(wt, crest.u.values, crest.v.values, positive=True)
     levels = _levels(params)
     levels["endpoint_energies"] = [float(path.energies[0]), float(path.energies[-1])]
     levels["initial_path_max"] = initial_max
@@ -504,7 +495,7 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
         kind="mountain_pass", params=params.to_dict(),
         energy=best_max,
         gradient_norm=gnorm_trace[-1] if gnorm_trace else math.inf,
-        nehari_residual=abs(res) / max(nsq, 1e-300),
+        nehari_residual=abs(I.residual()) / max(I.A, 1e-300),
         iterations=sweeps_done,
         converged=bool(gnorm_trace and gnorm_trace[-1] <= gnorm_trace[0]),
         level_diagnostics=levels, profiles=crest,
@@ -557,10 +548,16 @@ def semitrivial_probe(params: ProblemParams, which: str,
     z = RadialFunction(grid, exact_solution(work.N, host_lam, work.s, 1.0, grid.r))
     z = project_decoupled(z, host_lam, work.s).projected
     zero = RadialFunction.zero(grid)
-    base_pair = StatePair(zero, z)
-    base = energy(base_pair, work).total
+    wt = Weights(grid, work)
+    host = integrals(wt, zero.values, z.values)
+    base = host.energy()
     floor = opts.noise_floor * (1.0 + abs(base))
-    host_nsq = pair_norm_sq(base_pair, work)
+    host_nsq = host.A
+
+    def delta(u, v):
+        """Energy of the projected (u, v) minus the base level."""
+        t, I = project_arrays(wt, u, v)
+        return I.energy(t) - base
 
     rng = np.random.default_rng(opts.seed)
 
@@ -574,12 +571,7 @@ def semitrivial_probe(params: ProblemParams, which: str,
     ladder = list(opts.amplitudes)
 
     def run_directed(phi, amps):
-        ds = []
-        for t in amps:
-            cand = StatePair(phi.scaled(t), z)
-            proj = project(cand, work, positive=False).projected
-            ds.append(energy(proj, work).total - base)
-        return ds
+        return [delta(t * phi.values, z.values) for t in amps]
 
     for k in range(opts.n_directions):
         phi = scaled_direction()
@@ -599,12 +591,7 @@ def semitrivial_probe(params: ProblemParams, which: str,
     for k in range(opts.n_directions):
         phi = scaled_direction()
         psi = scaled_direction()
-        ds = []
-        for t in ladder:
-            cand = StatePair(phi.scaled(t),
-                             RadialFunction(grid, z.values + t * psi.values))
-            proj = project(cand, work, positive=False).projected
-            ds.append(energy(proj, work).total - base)
+        ds = [delta(t * phi.values, z.values + t * psi.values) for t in ladder]
         sign = _resolved_sign(ladder, ds, floor)
         evidence.append(("perturbed", k, sign))
         deltas_log[f"perturbed_{k}"] = ds

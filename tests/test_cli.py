@@ -151,6 +151,25 @@ def test_validation_error_exit_code(tmp_path, capsys):
     assert "lambda1" in err
 
 
+@pytest.mark.parametrize("argv,content", [
+    (["classify", "--config", "{missing}"], None),
+    (["classify", "--config", "{cfg}"], "{not json"),
+    (["classify", "--config", "{cfg}"], "[1, 2]"),
+    (["sweep", "--config", "{cfg}"], "{not json"),
+    (["ground-state", "--N", "4", "--grid", "4,1e-6"], None),
+    (["ground-state", "--N", "4", "--grid", "1e-6,1e6,many"], None),
+])
+def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv, content):
+    cfg = tmp_path / "bad.json"
+    if content is not None:
+        cfg.write_text(content)
+    argv = [a.format(missing=tmp_path / "nonexistent.json", cfg=cfg) for a in argv]
+    code = run_command(argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_critical_coupling_constant_h_rejected_without_flag(tmp_path, capsys):
     # alpha + beta at the critical exponent with a non-vanishing weight
     cfg = write_config(tmp_path, params={"alpha": 1.5, "beta": 1.5, "nu": 0.1})

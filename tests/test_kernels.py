@@ -1,0 +1,216 @@
+"""The fused integrals kernel and the tridiagonal metric solve against
+per-term and dense references."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hsvar import (HProfile, ProblemParams, RadialFunction, StatePair,
+                   energy, energy_positive, hardy_constant)
+from hsvar.energy import Weights, gradient_coefficients, integrals
+from hsvar.grid import gradient_seminorm, weighted_lp
+from hsvar.operators import LambdaOperator
+from hsvar.solvers import compact_bump
+from conftest import cached_grid, smooth_bump
+
+REL = 1e-13
+
+
+# ---------------------------------------------------------------------------
+# reference: one formula per term, one grid pass per term
+# ---------------------------------------------------------------------------
+
+def ref_terms(pair, params, positive):
+    grid = pair.grid
+    u, v = pair.u.values, pair.v.values
+    if positive:
+        au, av = np.maximum(u, 0.0), np.maximum(v, 0.0)
+    else:
+        au, av = np.abs(u), np.abs(v)
+    p, rs = params.crit_exp, grid.r ** params.s
+    hvals = params.h_profile(grid.r)
+    return {
+        "kinetic_u": gradient_seminorm(grid, pair.u),
+        "kinetic_v": gradient_seminorm(grid, pair.v),
+        "hardy_u": weighted_lp(grid, pair.u, 2.0, 2.0),
+        "hardy_v": weighted_lp(grid, pair.v, 2.0, 2.0),
+        "hs_u": float(np.dot(grid.w, au ** p / rs)),
+        "hs_v": float(np.dot(grid.w, av ** p / rs)),
+        "coupling": float(np.dot(grid.w, hvals * au ** params.alpha
+                                 * av ** params.beta / rs)),
+    }
+
+
+def ref_gradient(pair, params, positive):
+    grid = pair.grid
+    u, v = pair.u.values, pair.v.values
+    p, alpha, beta, nu = params.crit_exp, params.alpha, params.beta, params.nu
+    rs = grid.r ** params.s
+    hvals = params.h_profile(grid.r)
+
+    def signed_power(x, q):
+        return np.sign(x) * np.abs(x) ** (q - 1)
+
+    def kinetic(x):
+        y = grid.cell_w * np.diff(x) / grid.dt ** 2
+        out = np.zeros_like(x)
+        out[:-1] -= y
+        out[1:] += y
+        return out
+
+    if positive:
+        au, av = np.maximum(u, 0.0), np.maximum(v, 0.0)
+        fu, fv = au ** (p - 1), av ** (p - 1)
+        cu = au ** (alpha - 1) * av ** beta
+        cv = au ** alpha * av ** (beta - 1)
+    else:
+        fu, fv = signed_power(u, p), signed_power(v, p)
+        cu = signed_power(u, alpha) * np.abs(v) ** beta
+        cv = np.abs(u) ** alpha * signed_power(v, beta)
+    gu = (kinetic(u) - params.lambda1 * grid.w * u / grid.r ** 2
+          - grid.w * fu / rs - nu * alpha * grid.w * hvals * cu / rs)
+    gv = (kinetic(v) - params.lambda2 * grid.w * v / grid.r ** 2
+          - grid.w * fv / rs - nu * beta * grid.w * hvals * cv / rs)
+    gu[0] = gu[-1] = gv[0] = gv[-1] = 0.0
+    return gu, gv
+
+
+CASES = {
+    "decoupled": ProblemParams(4, 1.0, 0.3, 0.5, 1.4, 1.4, 0.0),
+    "coupled_bump_h": ProblemParams(4, 1.0, 0.3, 0.5, 1.4, 1.6, 0.8,
+                                    h_profile=HProfile("bump", p_exp=2, q_exp=3)),
+    "n3_constant_h": ProblemParams(3, 0.5, 0.1, 0.15, 2.2, 2.2, 0.5,
+                                   h_profile=HProfile("constant", c=1.7)),
+}
+
+
+def states(params, seed):
+    """A signed pair, a nonnegative pair and a one-component pair (v = 0)."""
+    grid = cached_grid(params.N)
+    rng = np.random.default_rng(seed)
+    signed = StatePair(smooth_bump(grid, rng), smooth_bump(grid, rng))
+    positive = StatePair(
+        RadialFunction(grid, np.abs(smooth_bump(grid, rng).values)),
+        RadialFunction(grid, np.abs(smooth_bump(grid, rng).values)))
+    one = StatePair(positive.u, RadialFunction.zero(grid))
+    return {"signed": signed, "positive": positive, "v_zero": one}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("positive", [False, True])
+def test_fused_integrals_match_per_term_formulas(case, positive):
+    params = CASES[case]
+    for seed in range(3):
+        for name, pair in states(params, seed).items():
+            wt = Weights(pair.grid, params)
+            got = integrals(wt, pair.u.values, pair.v.values, positive)
+            ref = ref_terms(pair, params, positive)
+            for key, val in ref.items():
+                mine = got.C if key == "coupling" else getattr(got, key)
+                assert mine == pytest.approx(val, rel=REL, abs=0.0), (name, key)
+            A = ((ref["kinetic_u"] - params.lambda1 * ref["hardy_u"])
+                 + (ref["kinetic_v"] - params.lambda2 * ref["hardy_v"]))
+            assert got.A == pytest.approx(A, rel=REL), name
+            assert got.B == pytest.approx(ref["hs_u"] + ref["hs_v"], rel=REL, abs=0.0)
+            if name == "v_zero":
+                assert got.hs_v == got.C == got.kinetic_v == 0.0
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("positive", [False, True])
+def test_fused_gradient_matches_per_term_formulas(case, positive):
+    params = CASES[case]
+    for seed in range(3):
+        for name, pair in states(params, seed).items():
+            wt = Weights(pair.grid, params)
+            with_grad = integrals(wt, pair.u.values, pair.v.values, positive, grad=True)
+            without = integrals(wt, pair.u.values, pair.v.values, positive)
+            for mine, ref in zip((with_grad.gu, with_grad.gv),
+                                 ref_gradient(pair, params, positive)):
+                scale = np.max(np.abs(ref))
+                assert np.max(np.abs(mine - ref)) <= REL * scale, name
+            # the power arrays reused for the gradient give the same integrals
+            for key in ("A", "B", "C"):
+                assert getattr(with_grad, key) == pytest.approx(
+                    getattr(without, key), rel=REL, abs=0.0), (name, key)
+            gu, gv = gradient_coefficients(pair, params, positive=positive)
+            assert np.array_equal(gu, with_grad.gu) and np.array_equal(gv, with_grad.gv)
+
+
+def test_energy_breakdown_matches_per_term_formulas():
+    params = CASES["coupled_bump_h"]
+    pair = states(params, 7)["signed"]
+    ref = ref_terms(pair, params, positive=False)
+    bd = energy(pair, params)
+    for key, val in ref.items():
+        assert getattr(bd, key) == pytest.approx(val, rel=REL, abs=0.0)
+    total = (0.5 * (ref["kinetic_u"] - params.lambda1 * ref["hardy_u"])
+             + 0.5 * (ref["kinetic_v"] - params.lambda2 * ref["hardy_v"])
+             - (ref["hs_u"] + ref["hs_v"]) / params.crit_exp
+             - params.nu * ref["coupling"])
+    assert bd.total == pytest.approx(total, rel=REL)
+
+
+# ---------------------------------------------------------------------------
+# homogeneity: J(t x) from the integrals of x
+# ---------------------------------------------------------------------------
+
+bump = st.tuples(st.floats(math.log(0.05), math.log(20.0)),   # center
+                 st.floats(1.0, 2.5),                          # half width
+                 st.floats(0.3, 1.5))                          # amplitude
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=st.floats(0.1, 10.0), bu=bump, bv=bump, nu=st.floats(0.0, 2.0),
+       flip=st.booleans())
+def test_energy_along_ray_is_homogeneous(t, bu, bv, nu, flip):
+    params = ProblemParams(4, 1.0, 0.3, 0.5, 1.4, 1.6, nu,
+                           h_profile=HProfile("bump", p_exp=2, q_exp=3))
+    grid = cached_grid(4)
+    u = compact_bump(grid.t, *bu)
+    v = compact_bump(grid.t, *bv) * (-1.0 if flip else 1.0)
+    I = integrals(Weights(grid, params), u, v, positive=True)
+    direct = energy_positive(StatePair(RadialFunction(grid, t * u),
+                                       RadialFunction(grid, t * v)), params)
+    p, q = params.crit_exp, params.alpha + params.beta
+    size = 0.5 * t * t * I.A + t ** p * I.B / p + nu * t ** q * I.C
+    assert abs(I.energy(t) - direct) <= 1e-12 * size
+
+
+# ---------------------------------------------------------------------------
+# tridiagonal metric solve against a dense solve
+# ---------------------------------------------------------------------------
+
+def assembled_interior(grid, lam):
+    cc = grid.cell_w / grid.dt ** 2
+    main = cc[:-1] + cc[1:] - lam * grid.w[1:-1] / grid.r[1:-1] ** 2
+    return np.diag(main) - np.diag(cc[1:-1], 1) - np.diag(cc[1:-1], -1)
+
+
+@pytest.mark.parametrize("N,lam_frac", [(3, 0.9), (4, 0.3), (4, 1.05), (5, 0.9)])
+def test_tridiagonal_solve_matches_dense(N, lam_frac):
+    # 512 nodes keep the dense matrix small; lam_frac > 1 exercises the
+    # Hardy back-off, which the factorization reports through info > 0
+    grid = cached_grid(N, n_nodes=512)
+    lam = lam_frac * hardy_constant(N)
+    op = LambdaOperator(grid, lam)
+    assert (op.shrink < 1.0) == (lam_frac > 1.0)
+    M = assembled_interior(grid, op.shrink * lam)
+    rng = np.random.default_rng(N)
+    rhs = grid.w[1:-1] * (compact_bump(grid.t, rng.uniform(-2, 2), 2.0, 1.0)[1:-1]
+                          + 1e-3 * rng.normal(size=grid.n - 2))
+    d = op.solve(rhs)
+    assert np.linalg.norm(M @ d - rhs) <= 1e-10 * np.linalg.norm(rhs)
+    # the unscaled dense solve loses digits to the coefficients' range, so
+    # the dense reference is solved with the same Jacobi scaling
+    s = 1.0 / np.sqrt(np.diag(M))
+    dense = s * np.linalg.solve(M * s[:, None] * s[None, :], s * rhs)
+    assert np.linalg.norm(d - dense) <= 1e-10 * np.linalg.norm(dense)
+    assert not np.any(op.solve(np.zeros(grid.n - 2)))
+
+
+def test_operator_without_spd_regularization_raises():
+    with pytest.raises(np.linalg.LinAlgError):
+        LambdaOperator(cached_grid(4, n_nodes=512), 2.0 * hardy_constant(4))

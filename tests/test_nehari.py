@@ -7,6 +7,7 @@ from hsvar import (DegenerateInputError, HProfile, NoProjectionError,
                    PreconditionError, ProblemParams, RadialFunction, StatePair,
                    constrained_energy, critical_level, energy, exact_solution,
                    pair_norm_sq, project, project_decoupled)
+from hsvar.nehari import _solve_scale
 from conftest import smooth_bump
 
 
@@ -72,6 +73,15 @@ class TestProject:
         pair = StatePair(u, RadialFunction.zero(grid4))
         with pytest.raises(NoProjectionError):
             project(pair, params4(nu=1.0), positive=True)
+
+    @pytest.mark.parametrize("A,B,C,p,q,nu", [
+        (1.0, 1e-300, 0.0, 3.0, 2.6, 0.0),     # upper bracket never closes
+        (1e-300, 1e300, 0.0, 3.0, 2.6, 0.0),   # lower bracket never closes
+        (1.0, 5e-324, 0.0, 6.0, 2.6, 0.0),     # t^(p-2) overflows first
+    ])
+    def test_scale_solver_fails_loudly(self, A, B, C, p, q, nu):
+        with pytest.raises(NoProjectionError):
+            _solve_scale(A, B, C, p, q, nu, 1e-12)
 
     def test_scalar_equation_monotone_in_t(self, grid4):
         # the root map residual is strictly increasing in t, so uniqueness

@@ -127,11 +127,3 @@ def test_radial_function_validation(grid4):
     bad[5] = np.inf
     with pytest.raises(InvalidParameterError):
         RadialFunction(grid4, bad)
-
-
-def test_derivative_of_power_law(grid4):
-    u = RadialFunction(grid4, grid4.r ** -0.5)
-    du = u.derivative()
-    expected = -0.5 * grid4.r ** -1.5
-    inner = (grid4.r > 1e-4) & (grid4.r < 1e4)
-    assert np.allclose(du[inner], expected[inner], rtol=1e-4)
