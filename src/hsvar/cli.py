@@ -217,7 +217,7 @@ def _cmd_ground_state(args) -> int:
     report = ground_state(cfg.params, _initial_pair(cfg, grid), cfg.descent_options())
     run_dir = hio.persist_run(cfg.output_dir, report, grid)
     _print({"run_dir": run_dir, "energy": report.energy,
-            "converged": report.converged,
+            "converged": report.converged, "stop_reason": report.stop_reason,
             "classification": report.classification})
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
@@ -228,7 +228,7 @@ def _cmd_mountain_pass(args) -> int:
     report = mountain_pass(cfg.params, grid, cfg.path_options())
     run_dir = hio.persist_run(cfg.output_dir, report, grid)
     _print({"run_dir": run_dir, "energy": report.energy,
-            "converged": report.converged})
+            "converged": report.converged, "stop_reason": report.stop_reason})
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 

@@ -110,7 +110,9 @@ class Integrals:
     and ``C`` the coupling integral.  All three are homogeneous under
     positive rescaling, of degrees 2, p and q = alpha + beta, so the
     functionals of ``t * (u, v)`` follow from the integrals of ``(u, v)``.
-    ``gu``, ``gv`` hold the coefficient-space gradient when it was asked for.
+    When the gradient was asked for, ``L``, ``F`` and ``G`` hold its linear,
+    critical and coupling parts (rows u, v), of degrees 1, p - 1 and q - 1;
+    ``G`` is None when the coupling vanishes identically.
     """
 
     params: ProblemParams
@@ -123,8 +125,9 @@ class Integrals:
     hardy_v: float
     hs_u: float
     hs_v: float
-    gu: np.ndarray | None = None
-    gv: np.ndarray | None = None
+    L: np.ndarray | None = None
+    F: np.ndarray | None = None
+    G: np.ndarray | None = None
 
     def energy(self, t: float = 1.0) -> float:
         """J(t u, t v) = t^2 A/2 - t^p B/p - nu t^q C."""
@@ -138,6 +141,17 @@ class Integrals:
         p, q = pr.crit_exp, pr.alpha + pr.beta
         return t * t * self.A - t ** p * self.B - pr.nu * q * t ** q * self.C
 
+    def gradient(self, t: float = 1.0) -> np.ndarray:
+        """Coefficient-space gradient at t (u, v): t L + t^(p-1) F + t^(q-1) G.
+
+        Rows are the u and v components (see :func:`gradient_coefficients`).
+        """
+        pr = self.params
+        g = t * self.L + t ** (pr.crit_exp - 1.0) * self.F
+        if self.G is not None:
+            g += t ** (pr.alpha + pr.beta - 1.0) * self.G
+        return g
+
 
 def integrals(wt: Weights, u: np.ndarray, v: np.ndarray, positive: bool = False,
               grad: bool = False) -> Integrals:
@@ -145,11 +159,12 @@ def integrals(wt: Weights, u: np.ndarray, v: np.ndarray, positive: bool = False,
 
     ``positive`` selects the truncated functional (positive parts in the
     nonlinear terms).  With ``grad`` the gradient of that functional is
-    returned as well (see :func:`gradient_coefficients`); it reuses the power
-    arrays, since x^(a-1) x = x^a.
+    returned as well, split into its homogeneous parts (see
+    :meth:`Integrals.gradient`); it reuses the power arrays, since
+    x^(a-1) x = x^a.
     """
     pr = wt.params
-    p, a, b, nu = pr.crit_exp, pr.alpha, pr.beta, pr.nu
+    p, a, b = pr.crit_exp, pr.alpha, pr.beta
     du, dv = u[1:] - u[:-1], v[1:] - v[:-1]
     kinetic_u, kinetic_v = float(wt.cc @ (du * du)), float(wt.cc @ (dv * dv))
     hardy_u, hardy_v = float(wt.wr2 @ (u * u)), float(wt.wr2 @ (v * v))
@@ -157,25 +172,40 @@ def integrals(wt: Weights, u: np.ndarray, v: np.ndarray, positive: bool = False,
         au, av = np.maximum(u, 0.0), np.maximum(v, 0.0)
     else:
         au, av = np.abs(u), np.abs(v)
+    # alpha, beta > 1: the coupling and both of its gradient parts vanish
+    # exactly when either component does, so a one-component state skips them
+    coupled = _coupled(au, av)
     if grad:
         fu, fv = _power(au, p - 1), _power(av, p - 1)
-        ua1, vb1 = _power(au, a - 1), _power(av, b - 1)
-        up, vp, ua, vb = fu * au, fv * av, ua1 * au, vb1 * av
+        up, vp = fu * au, fv * av
     else:
-        up, vp, ua, vb = _power(au, p), _power(av, p), _power(au, a), _power(av, b)
+        up, vp = _power(au, p), _power(av, p)
+    coupling = 0.0
+    if coupled:
+        if grad:
+            ua1, vb1 = au ** (a - 1), av ** (b - 1)
+            ua, vb = ua1 * au, vb1 * av
+        else:
+            ua, vb = au ** a, av ** b
+        coupling = float(wt.whrs @ (ua * vb))
     hs_u, hs_v = float(wt.wrs @ up), float(wt.wrs @ vp)
-    coupling = float(wt.whrs @ (ua * vb))
     A = (kinetic_u - pr.lambda1 * hardy_u) + (kinetic_v - pr.lambda2 * hardy_v)
-    gu = gv = None
+    L = F = G = None
     if grad:
-        cu, cv = ua1 * vb, ua * vb1
-        if not positive:
-            fu, fv = np.copysign(fu, u), np.copysign(fv, v)
-            cu, cv = np.copysign(cu, u), np.copysign(cv, v)
-        gu = _component_gradient(wt, du, u, pr.lambda1, fu, nu * a * cu)
-        gv = _component_gradient(wt, dv, v, pr.lambda2, fv, nu * b * cv)
+        signs = None if positive else (u, v)
+        L = np.empty((2, u.size))
+        _linear_part(wt, du, u, pr.lambda1, L[0])
+        _linear_part(wt, dv, v, pr.lambda2, L[1])
+        F = _nonlinear_part(-wt.wrs, (fu, fv), signs)
+        if coupled:
+            G = _nonlinear_part(-pr.nu * wt.whrs, (a * ua1 * vb, b * ua * vb1),
+                                signs)
     return Integrals(pr, A, hs_u + hs_v, coupling, kinetic_u, kinetic_v,
-                     hardy_u, hardy_v, hs_u, hs_v, gu, gv)
+                     hardy_u, hardy_v, hs_u, hs_v, L, F, G)
+
+
+def _coupled(au: np.ndarray, av: np.ndarray) -> bool:
+    return bool(au.any() and av.any())
 
 
 def _power(x: np.ndarray, e: float) -> np.ndarray:
@@ -184,14 +214,25 @@ def _power(x: np.ndarray, e: float) -> np.ndarray:
     return x ** e if x.any() else np.zeros_like(x)
 
 
-def _component_gradient(wt: Weights, du, u, lam, f, c) -> np.ndarray:
-    # first variation of 1/2 ||u||_lam^2 - 1/p int f u - (coupling) along
-    # node functions; boundary slots zeroed (Dirichlet collars)
+def _linear_part(wt: Weights, du, u, lam, out: np.ndarray) -> None:
+    # first variation of 1/2 ||u||_lam^2 along node functions; boundary
+    # slots zeroed (Dirichlet collars)
     y = wt.cc * du
-    g = -(lam * wt.wr2 * u + wt.wrs * f + wt.whrs * c)
-    g[:-1] -= y
-    g[1:] += y
-    g[0] = g[-1] = 0.0
+    np.multiply(-lam * wt.wr2, u, out=out)
+    out[:-1] -= y
+    out[1:] += y
+    out[0] = out[-1] = 0.0
+
+
+def _nonlinear_part(w: np.ndarray, factors, signs) -> np.ndarray:
+    # w f for both components, f taking the sign of the component unless the
+    # functional is truncated; boundary slots zeroed
+    g = np.empty((2, w.size))
+    for k, f in enumerate(factors):
+        if signs is not None:
+            f = np.copysign(f, signs[k], out=f)
+        np.multiply(w, f, out=g[k])
+    g[:, 0] = g[:, -1] = 0.0
     return g
 
 
@@ -251,8 +292,8 @@ def gradient_coefficients(pair: StatePair, params: ProblemParams,
     product of the returned arrays with (phi, psi) node values equals the
     directional derivative of the energy along (phi, psi).
     """
-    I = pair_integrals(pair, params, positive, grad=True)
-    return I.gu, I.gv
+    gu, gv = pair_integrals(pair, params, positive, grad=True).gradient()
+    return gu, gv
 
 
 def gradient(pair: StatePair, params: ProblemParams) -> StatePair:
@@ -283,7 +324,7 @@ def gradient_dual_norm(pair: StatePair, params: ProblemParams,
     if metric is None:
         metric = PairMetric(pair.grid, params.lambda1, params.lambda2)
     I = pair_integrals(pair, params, positive, grad=True)
-    dual = metric.dual_norm(I.gu, I.gv)
+    dual = metric.dual_norm(*I.gradient())
     return dual, dual / np.sqrt(max(I.A, 1e-300))
 
 

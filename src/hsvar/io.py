@@ -79,14 +79,22 @@ _RUN_RE = re.compile(r"^run-(\d{6})$")
 
 
 def next_run_dir(output_dir: str) -> str:
-    """Allocate the next run-NNNNNN directory under output_dir."""
+    """Allocate the next run-NNNNNN directory under output_dir.
+
+    A run racing this one may take the number first; the directory is then
+    created under the next free number.
+    """
     os.makedirs(output_dir, exist_ok=True)
     existing = [int(m.group(1)) for name in os.listdir(output_dir)
                 if (m := _RUN_RE.match(name))]
     run_id = max(existing, default=0) + 1
-    path = os.path.join(output_dir, f"run-{run_id:06d}")
-    os.makedirs(path)
-    return path
+    while True:
+        path = os.path.join(output_dir, f"run-{run_id:06d}")
+        try:
+            os.mkdir(path)
+            return path
+        except FileExistsError:
+            run_id += 1
 
 
 def persist_run(output_dir: str, report, grid: RadialGrid) -> str:

@@ -112,13 +112,14 @@ def _scale(I: Integrals, tol: float) -> tuple[float, tuple[float, float]]:
 
 
 def project_arrays(wt: Weights, u: np.ndarray, v: np.ndarray, tol: float = 1e-12,
-                   positive: bool = False) -> tuple[float, Integrals]:
+                   positive: bool = False, grad: bool = False) -> tuple[float, Integrals]:
     """Projection of raw node arrays: the scale t and the integrals of (u, v).
 
-    ``t (u, v)`` lies on the constraint set; its energy and norm follow by
-    homogeneity (``I.energy(t)``, ``t^2 I.A``) without another grid pass.
+    ``t (u, v)`` lies on the constraint set; its energy, norm and (with
+    ``grad``) gradient follow by homogeneity (``I.energy(t)``, ``t^2 I.A``,
+    ``I.gradient(t)``) without another grid pass.
     """
-    I = integrals(wt, u, v, positive)
+    I = integrals(wt, u, v, positive, grad)
     return _scale(I, tol)[0], I
 
 

@@ -14,7 +14,13 @@ rescaled onto the truncated constraint set, and deformation sweeps
 redistribute the chain, relax the neighbors of the maximum node
 transversally, and let the maximum node climb toward the barrier.  Every
 sweep's chain is an admissible discrete path, so the smallest chain maximum
-seen is a non-increasing estimate of the min-max level.
+seen is a non-increasing estimate of the min-max level; it is
+``converged`` once the crest's relative gradient is within ``crest_grad_tol``.
+
+The descent and the moving path nodes share one line search, at one grid
+pass per trial.  It stops once the step in the metric, relative to the
+state, falls to sqrt(eps): the climbing node's test (its gradient shrinks)
+fails at every step in most sweeps.
 
 The variational character of the one-component couples is probed
 numerically: directed two-parameter rescalings and random perturbations are
@@ -26,7 +32,7 @@ amplitude that rises above the noise floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -35,12 +41,13 @@ from .energy import (StatePair, Weights, integrals, lambda_norm_sq,
                      pair_integrals)
 from .errors import (DegenerateInputError, DegeneratePathError, HsvarError,
                      InvalidParameterError, PreconditionError)
-from .grid import RadialFunction, RadialGrid, reference_grid
+from .grid import RadialFunction, RadialGrid, reference_grid, weighted_lp
 from .nehari import _solve_scale, project_arrays, project_decoupled
 from .operators import PairMetric
 from .params import ProblemParams
 
 RADIAL_NOTE = "radial ansatz: all states are radial profiles on a truncated window"
+SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -90,26 +97,15 @@ class SolverReport:
     level_diagnostics: dict
     profiles: StatePair
     classification: str | None = None
+    stop_reason: str | None = None
     trace: list = field(default_factory=list)
     extra: dict = field(default_factory=dict)
     note: str = RADIAL_NOTE
 
     def to_dict(self) -> dict:
-        d = {
-            "kind": self.kind,
-            "params": self.params,
-            "energy": self.energy,
-            "gradient_norm": self.gradient_norm,
-            "nehari_residual": self.nehari_residual,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "level_diagnostics": self.level_diagnostics,
-            "classification": self.classification,
-            "trace": list(self.trace),
-            "extra": self.extra,
-            "note": self.note,
-        }
-        return d
+        """Every field but the profiles, which are persisted as CSV."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "profiles"}
 
 
 # ---------------------------------------------------------------------------
@@ -166,55 +162,79 @@ def _levels(params: ProblemParams) -> dict:
 # ground state
 # ---------------------------------------------------------------------------
 
+def _rel_grad(slope: float, nsq: float) -> float:
+    """Dual-norm gradient relative to the pair norm, from g M^-1 g and ||x||^2."""
+    return math.sqrt(slope) / math.sqrt(max(nsq, 1e-300))
+
+
+def _line_search(wt: Weights, u, v, du, dv, step: float, slope: float,
+                 nsq: float, opts: DescentOptions, E: float, accept=None,
+                 grad: bool = False):
+    """Backtracking along -(du, dv) from (u, v), one grid pass per trial.
+
+    A trial is projected from its integrals I (with the gradient parts when
+    ``grad``) and returned as ``(st, t, I, t cu, t cv)`` once ``accept(st,
+    t, I)`` holds, by default the Armijo decrease from ``E``.  None after
+    ``max_backtracks`` halvings or once the relative step in the metric,
+    ``st sqrt(slope / nsq)``, is at most sqrt(eps).
+    """
+    if accept is None:
+        def accept(st, t, I):
+            return I.energy(t) <= E - opts.armijo * st * slope
+    st, rel = step, _rel_grad(slope, nsq)
+    for _ in range(opts.max_backtracks):
+        cu, cv = u - st * du, v - st * dv
+        try:
+            t, I = project_arrays(wt, cu, cv, opts.tol_nehari, positive=True,
+                                  grad=grad)
+        except HsvarError:
+            pass
+        else:
+            if accept(st, t, I):
+                return st, t, I, t * cu, t * cv
+        st *= 0.5
+        if st * rel <= SQRT_EPS:
+            break
+    return None
+
+
 def _descend(params: ProblemParams, pair: StatePair, metric: PairMetric,
              opts: DescentOptions):
     """Projected preconditioned descent on the truncated constraint set.
 
-    Returns (pair, energy, iterations, rel_grad, trace, converged).  The loop
-    runs on node arrays; a candidate's energy and norm after projection come
-    from its integrals before projection, by homogeneity.
+    Returns (pair, energy, iterations, rel_grad, trace, stop_reason).  The
+    loop runs on node arrays; an accepted trial's energy, norm and gradient
+    after projection come from its integrals before projection, by
+    homogeneity, so an iteration makes one grid pass per trial.
     """
     grid = pair.grid
     wt = Weights(grid, params)
     t, I = project_arrays(wt, pair.u.values, pair.v.values, opts.tol_nehari,
-                          positive=True)
+                          positive=True, grad=True)
     u, v = t * pair.u.values, t * pair.v.values
-    E, nsq = I.energy(t), t * t * I.A
+    E, nsq, g = I.energy(t), t * t * I.A, I.gradient(t)
     trace = [E]
-    step = opts.step0
-    rel_g = math.inf
-    last_drop = 0
+    step, last_drop = opts.step0, 0
+    rel_g, stop = math.inf, "max_iter"
     for it in range(opts.max_iter):
-        g = integrals(wt, u, v, positive=True, grad=True)
-        du, dv, slope = metric.direction(g.gu, g.gv)
-        rel_g = math.sqrt(slope) / math.sqrt(max(nsq, 1e-300))
+        du, dv, slope = metric.direction(*g)
+        rel_g = _rel_grad(slope, nsq)
         if rel_g <= opts.tol_grad or it - last_drop > opts.stall_window:
+            stop = "tolerance" if rel_g <= opts.tol_grad else "stall"
             break
-        accepted = False
-        st = step
-        for _ in range(opts.max_backtracks):
-            cu, cv = u - st * du, v - st * dv
-            try:
-                t, I = project_arrays(wt, cu, cv, opts.tol_nehari, positive=True)
-            except HsvarError:
-                st *= 0.5
-                continue
-            E_cand = I.energy(t)
-            if E_cand <= E - opts.armijo * st * slope:
-                accepted = True
-                break
-            st *= 0.5
-        if not accepted:
+        found = _line_search(wt, u, v, du, dv, step, slope, nsq, opts, E, grad=True)
+        if found is None:
+            stop = "line_search"
             break
-        if E - E_cand > 1e-15 * (abs(E) + 1.0):
+        st, t, I, u, v = found
+        if E - I.energy(t) > 1e-15 * (abs(E) + 1.0):
             last_drop = it
-        u, v, E, nsq = t * cu, t * cv, E_cand, t * t * I.A
+        E, nsq, g = I.energy(t), t * t * I.A, I.gradient(t)
         trace.append(E)
         step = min(st * 1.5, opts.step_max)
     else:
         it = opts.max_iter
-    pair = StatePair(RadialFunction(grid, u), RadialFunction(grid, v))
-    return pair, E, it, rel_g, trace, rel_g <= opts.tol_grad
+    return _pair(grid, u, v), E, it, rel_g, trace, stop
 
 
 def ground_state(params: ProblemParams, init: StatePair,
@@ -229,20 +249,19 @@ def ground_state(params: ProblemParams, init: StatePair,
     if init.is_zero():
         raise DegenerateInputError("ground_state requires a nonzero initial pair")
     metric = PairMetric(init.grid, params.lambda1, params.lambda2)
-    pair, E, iters, rel_g, trace, converged = _descend(params, init, metric, opts)
+    pair, E, iters, rel_g, trace, stop = _descend(params, init, metric, opts)
 
     I = pair_integrals(pair, params, positive=True)
     levels = _levels(params)
-    levels["below_min_semitrivial"] = bool(E < levels["min_level"])
-    levels["crit_integral_u"] = I.hs_u
-    levels["crit_integral_v"] = I.hs_v
-    coupled = I.hs_u > 1e-6 and I.hs_v > 1e-6
-    classification = "coupled" if coupled else "semitrivial_like"
+    levels.update(below_min_semitrivial=bool(E < levels["min_level"]),
+                  crit_integral_u=I.hs_u, crit_integral_v=I.hs_v)
+    classification = ("coupled" if I.hs_u > 1e-6 and I.hs_v > 1e-6
+                      else "semitrivial_like")
     return SolverReport(
         kind="ground_state", params=params.to_dict(), energy=E,
         gradient_norm=rel_g, nehari_residual=abs(I.residual()) / max(I.A, 1e-300),
-        iterations=iters, converged=converged, level_diagnostics=levels,
-        profiles=pair, classification=classification,
+        iterations=iters, converged=stop == "tolerance", level_diagnostics=levels,
+        profiles=pair, classification=classification, stop_reason=stop,
         trace=trace[-200:],
         extra={"monotone": bool(all(b <= a + 1e-12 * (abs(a) + 1.0)
                                     for a, b in zip(trace, trace[1:])))})
@@ -255,11 +274,10 @@ def escalate_nu(params: ProblemParams, grid: RadialGrid,
     The size threshold for coupling dominance is evaluated on the projected
     couple of the two one-component profiles.
     """
-    z1 = extremal_pair(params, grid, "first").u
-    z2 = extremal_pair(params, grid, "second").v
     # the integrals of the couple do not depend on nu; the projected
     # couple's follow by homogeneity
-    I = integrals(Weights(grid, params), z1.values, z2.values, positive=True)
+    I = integrals(Weights(grid, params), extremal_pair(params, grid, "first").u.values,
+                  extremal_pair(params, grid, "second").v.values, positive=True)
     q = params.alpha + params.beta
     nu = nu_start
     for _ in range(max_doublings):
@@ -317,12 +335,9 @@ def interpolation_bound(params: ProblemParams, grid: RadialGrid,
     where S1, S2 are the critical integrals of the two rescaled profiles.
     Its maximum sits at t = 1/2 and equals the sum of the two levels.
     """
-    from .grid import weighted_lp
     p, s, N = params.crit_exp, params.s, params.N
-    z1 = extremal_pair(params, grid, "first").u
-    z2 = extremal_pair(params, grid, "second").v
-    S1 = weighted_lp(grid, z1, p, s)
-    S2 = weighted_lp(grid, z2, p, s)
+    S1 = weighted_lp(grid, extremal_pair(params, grid, "first").u, p, s)
+    S2 = weighted_lp(grid, extremal_pair(params, grid, "second").v, p, s)
     ts = np.linspace(0.0, 1.0, samples)[1:-1]
     lin = (1 - ts) * S1 + ts * S2
     curv = (1 - ts) ** (p / 2) * S1 + ts ** (p / 2) * S2
@@ -334,11 +349,17 @@ def _pair(grid: RadialGrid, u: np.ndarray, v: np.ndarray) -> StatePair:
     return StatePair(RadialFunction(grid, u), RadialFunction(grid, v))
 
 
-def _pair_grad_norm(wt: Weights, metric: PairMetric, u, v) -> float:
-    """Relative dual-norm gradient of the truncated functional at (u, v)."""
-    g = integrals(wt, u, v, positive=True, grad=True)
-    _, _, slope = metric.direction(g.gu, g.gv)
-    return math.sqrt(max(slope, 0.0)) / math.sqrt(max(g.A, 1e-300))
+def _pair_grad_norm(metric: PairMetric, I, t: float = 1.0) -> float:
+    """Relative dual-norm gradient at t (u, v), from the integrals I of (u, v)."""
+    _, _, slope = metric.direction(*I.gradient(t))
+    return _rel_grad(slope, t * t * I.A)
+
+
+def _node_direction(wt: Weights, metric: PairMetric, node: StatePair):
+    """Integrals, gradient and metric direction of a path node."""
+    I = integrals(wt, node.u.values, node.v.values, positive=True, grad=True)
+    g = I.gradient()
+    return (I, *g, *metric.direction(*g))
 
 
 def _redistribute(nodes, energies, wt: Weights):
@@ -407,47 +428,45 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
     K = opts.n_path_nodes
     wt = Weights(grid, params)
     path = _initial_path(wt, K)
-    initial_max = path.max_energy
     g_max, _ = interpolation_bound(params, grid)
 
     metric = PairMetric(grid, params.lambda1, params.lambda2)
     dop = opts.descent
-    best_max = path.max_energy
-    best_crest = path.nodes[path.argmax]
+    best_max, best_crest = path.max_energy, path.nodes[path.argmax]
     c_trace = [best_max]
     gnorm_trace = []
-    sweeps_done = 0
+    stop = "max_sweeps"
     for sweep in range(opts.max_sweeps):
         if sweep > 0:
             path = _reparametrize(path, wt, path.argmax)
         k_max = path.argmax
         if k_max in (0, K):
             raise DegeneratePathError("path maximum collapsed onto an endpoint")
-        top = path.nodes[k_max]
-        gnorm_trace.append(_pair_grad_norm(wt, metric, top.u.values, top.v.values))
-        if gnorm_trace[-1] <= opts.crest_grad_tol:
+        # the crest's gradient and direction serve its climb below as well
+        top = _node_direction(wt, metric, path.nodes[k_max])
+        gnorm = _rel_grad(top[-1], top[0].A)
+        gnorm_trace.append(gnorm)
+        if gnorm <= opts.crest_grad_tol:
+            stop = "tolerance"
             break
+
+        def climbs(st, t, J):
+            # the climbing node is accepted when its gradient shrinks
+            return _pair_grad_norm(metric, J, t) < gnorm
 
         improved = False
         for k in (k_max - 1, k_max, k_max + 1):
             if k in (0, K):
                 continue
-            node = path.nodes[k]
-            E_node = path.energies[k]
-            g = integrals(wt, node.u.values, node.v.values, positive=True, grad=True)
-            gu, gv = g.gu, g.gv
-            du, dv, slope = metric.direction(gu, gv)
+            node, climbing = path.nodes[k], k == k_max
+            I, gu, gv, du, dv, slope = top if climbing else _node_direction(
+                wt, metric, node)
             tau_u = path.nodes[k + 1].u.values - path.nodes[k - 1].u.values
             tau_v = path.nodes[k + 1].v.values - path.nodes[k - 1].v.values
             tmt = (float(tau_u[1:-1] @ metric.op1.apply(tau_u[1:-1]))
                    + float(tau_v[1:-1] @ metric.op2.apply(tau_v[1:-1])))
-            coef = 0.0
-            if tmt > 0:
-                coef = (float(gu[1:-1] @ tau_u[1:-1])
-                        + float(gv[1:-1] @ tau_v[1:-1])) / tmt
-            du = du.copy()
-            dv = dv.copy()
-            climbing = k == k_max
+            coef = (float(gu[1:-1] @ tau_u[1:-1])
+                    + float(gv[1:-1] @ tau_v[1:-1])) / tmt if tmt > 0 else 0.0
             # the maximum node climbs: the along-path gradient component is
             # reversed so the node ascends the path direction while relaxing
             # transversally; neighbors relax transversally only
@@ -457,48 +476,37 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
             if not climbing:
                 slope = max(float(gu[1:-1] @ du[1:-1])
                             + float(gv[1:-1] @ dv[1:-1]), 0.0)
-            st = dop.step0
-            for _ in range(dop.max_backtracks):
-                cu, cv = node.u.values - st * du, node.v.values - st * dv
-                try:
-                    t, I = project_arrays(wt, cu, cv, dop.tol_nehari, positive=True)
-                except HsvarError:
-                    st *= 0.5
-                    continue
-                cu, cv, E_cand = t * cu, t * cv, I.energy(t)
-                if climbing:
-                    # acceptance for the climbing node: its gradient shrinks
-                    ok = _pair_grad_norm(wt, metric, cu, cv) < gnorm_trace[-1]
-                else:
-                    ok = E_cand <= E_node - dop.armijo * st * slope
-                if ok:
-                    path.nodes[k] = _pair(grid, cu, cv)
-                    path.energies[k] = E_cand
-                    improved = True
-                    break
-                st *= 0.5
-        sweeps_done = sweep + 1
+            # neighbors take the Armijo test; the climbing node's step floor
+            # uses its unmodified slope
+            found = _line_search(wt, node.u.values, node.v.values, du, dv,
+                                 dop.step0, slope, I.A, dop, path.energies[k],
+                                 climbs if climbing else None, grad=climbing)
+            if found is not None:
+                _, t, J, cu, cv = found
+                path.nodes[k] = _pair(grid, cu, cv)
+                path.energies[k] = J.energy(t)
+                improved = True
         if path.max_energy < best_max:
             best_max = path.max_energy
             best_crest = path.nodes[path.argmax]
         c_trace.append(best_max)
         if not improved:
+            stop = "no_improvement"
             break
 
-    crest = best_crest
-    I = integrals(wt, crest.u.values, crest.v.values, positive=True)
+    I = integrals(wt, best_crest.u.values, best_crest.v.values, positive=True)
     levels = _levels(params)
     levels["endpoint_energies"] = [float(path.energies[0]), float(path.energies[-1])]
-    levels["initial_path_max"] = initial_max
+    levels["initial_path_max"] = c_trace[0]
     levels["interpolation_bound_max"] = g_max
     return SolverReport(
         kind="mountain_pass", params=params.to_dict(),
         energy=best_max,
         gradient_norm=gnorm_trace[-1] if gnorm_trace else math.inf,
         nehari_residual=abs(I.residual()) / max(I.A, 1e-300),
-        iterations=sweeps_done,
-        converged=bool(gnorm_trace and gnorm_trace[-1] <= gnorm_trace[0]),
-        level_diagnostics=levels, profiles=crest,
+        iterations=len(c_trace) - 1,
+        converged=stop == "tolerance", stop_reason=stop,
+        level_diagnostics=levels, profiles=best_crest,
         trace=c_trace,
         extra={"gradient_norm_trace": gnorm_trace,
                "crest_index": path.argmax,
@@ -544,15 +552,12 @@ def semitrivial_probe(params: ProblemParams, which: str,
     swapped = which == "first"
     work = params.swapped() if swapped else params
 
-    host_lam = work.lambda2
-    z = RadialFunction(grid, exact_solution(work.N, host_lam, work.s, 1.0, grid.r))
-    z = project_decoupled(z, host_lam, work.s).projected
+    z = extremal_pair(work, grid, "second").v
     zero = RadialFunction.zero(grid)
     wt = Weights(grid, work)
     host = integrals(wt, zero.values, z.values)
     base = host.energy()
     floor = opts.noise_floor * (1.0 + abs(base))
-    host_nsq = host.A
 
     def delta(u, v):
         """Energy of the projected (u, v) minus the base level."""
@@ -564,25 +569,22 @@ def semitrivial_probe(params: ProblemParams, which: str,
     def scaled_direction():
         phi = random_bump(grid, rng)
         nphi = math.sqrt(lambda_norm_sq(phi, work.lambda1))
-        return phi.scaled(opts.direction_scale * math.sqrt(host_nsq) / nphi)
+        return phi.scaled(opts.direction_scale * math.sqrt(host.A) / nphi)
 
     evidence = []     # (family, direction index, sign)
     deltas_log = {}
     ladder = list(opts.amplitudes)
 
-    def run_directed(phi, amps):
-        return [delta(t * phi.values, z.values) for t in amps]
-
     for k in range(opts.n_directions):
         phi = scaled_direction()
         amps = list(ladder)
-        ds = run_directed(phi, amps)
+        ds = [delta(t * phi.values, z.values) for t in amps]
         sign = _resolved_sign(amps, ds, floor)
         # extend the ladder adaptively when the leading order is unresolved
         t_next = amps[-1] / math.sqrt(10.0)
         while sign == 0 and t_next >= opts.extend_to:
             amps.append(t_next)
-            ds.extend(run_directed(phi, [t_next]))
+            ds.append(delta(t_next * phi.values, z.values))
             sign = _resolved_sign(amps, ds, floor)
             t_next /= math.sqrt(10.0)
         evidence.append(("directed", k, sign))
@@ -596,13 +598,9 @@ def semitrivial_probe(params: ProblemParams, which: str,
         evidence.append(("perturbed", k, sign))
         deltas_log[f"perturbed_{k}"] = ds
 
-    signs = [sgn for _, _, sgn in evidence]
-    if any(sgn < 0 for sgn in signs):
-        classification = "saddle"
-    elif all(sgn > 0 for sgn in signs):
-        classification = "local_min"
-    else:
-        classification = "inconclusive"
+    least = min((sgn for _, _, sgn in evidence), default=1)
+    classification = ("saddle" if least < 0 else
+                      "local_min" if least > 0 else "inconclusive")
 
     levels = _levels(params)
     levels["base_level"] = base

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from hsvar import StatePair, build_grid, energy, exact_solution
+from hsvar import io as hio
 from hsvar.cli import run_command
 from hsvar.grid import RadialFunction
 from hsvar.io import pair_from_csv, pair_to_csv
@@ -92,6 +93,7 @@ def test_ground_state_run_persists_and_reloads(tmp_path, capsys):
     report = json.loads(open(os.path.join(run_dir, "report.json")).read())
     assert report["schema"] == 1
     assert report["kind"] == "ground_state"
+    assert report["stop_reason"] == "tolerance"
     grid = build_grid(4, **GRID)
     pair = pair_from_csv(os.path.join(run_dir, "profiles.csv"), grid)
     pr = ProblemParams.from_dict(report["params"])
@@ -275,5 +277,15 @@ def test_mountain_pass_cli(tmp_path, capsys):
     assert code in (0, 3)
     report = json.loads(open(os.path.join(out["run_dir"], "report.json")).read())
     assert report["kind"] == "mountain_pass"
+    assert (code == 0) == (report["stop_reason"] == "tolerance")
     lv = report["level_diagnostics"]
     assert lv["level_1"] < report["energy"] < 3 * lv["level_2"]
+
+
+def test_next_run_dir_retries_when_the_listing_is_stale(tmp_path, monkeypatch):
+    out = str(tmp_path / "runs")
+    hio.next_run_dir(out)
+    hio.next_run_dir(out)
+    # a concurrent run created both directories after this one listed
+    monkeypatch.setattr(hio.os, "listdir", lambda path: [])
+    assert os.path.basename(hio.next_run_dir(out)) == "run-000003"

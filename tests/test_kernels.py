@@ -1,6 +1,7 @@
 """The fused integrals kernel and the tridiagonal metric solve against
 per-term and dense references."""
 
+import importlib
 import math
 
 import numpy as np
@@ -127,7 +128,7 @@ def test_fused_gradient_matches_per_term_formulas(case, positive):
             wt = Weights(pair.grid, params)
             with_grad = integrals(wt, pair.u.values, pair.v.values, positive, grad=True)
             without = integrals(wt, pair.u.values, pair.v.values, positive)
-            for mine, ref in zip((with_grad.gu, with_grad.gv),
+            for mine, ref in zip(with_grad.gradient(),
                                  ref_gradient(pair, params, positive)):
                 scale = np.max(np.abs(ref))
                 assert np.max(np.abs(mine - ref)) <= REL * scale, name
@@ -136,7 +137,7 @@ def test_fused_gradient_matches_per_term_formulas(case, positive):
                 assert getattr(with_grad, key) == pytest.approx(
                     getattr(without, key), rel=REL, abs=0.0), (name, key)
             gu, gv = gradient_coefficients(pair, params, positive=positive)
-            assert np.array_equal(gu, with_grad.gu) and np.array_equal(gv, with_grad.gv)
+            assert np.array_equal(np.stack([gu, gv]), with_grad.gradient())
 
 
 def test_energy_breakdown_matches_per_term_formulas():
@@ -177,6 +178,50 @@ def test_energy_along_ray_is_homogeneous(t, bu, bv, nu, flip):
     p, q = params.crit_exp, params.alpha + params.beta
     size = 0.5 * t * t * I.A + t ** p * I.B / p + nu * t ** q * I.C
     assert abs(I.energy(t) - direct) <= 1e-12 * size
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=st.floats(0.1, 10.0), bu=bump, bv=bump,
+       nu=st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
+       signed=st.booleans(), positive=st.booleans(), v_zero=st.booleans())
+def test_gradient_along_ray_is_homogeneous(t, bu, bv, nu, signed, positive, v_zero):
+    params = ProblemParams(4, 1.0, 0.3, 0.5, 1.4, 1.6, nu,
+                           h_profile=HProfile("bump", p_exp=2, q_exp=3))
+    grid = cached_grid(4)
+    wt = Weights(grid, params)
+    u = compact_bump(grid.t, *bu)
+    v = np.zeros_like(u) if v_zero else compact_bump(grid.t, *bv)
+    if signed:
+        u = u - compact_bump(grid.t, bu[0] + 1.0, bu[1], 0.5 * bu[2])
+        v = -v
+    ray = integrals(wt, u, v, positive, grad=True).gradient(t)
+    direct = integrals(wt, t * u, t * v, positive, grad=True).gradient()
+    assert np.linalg.norm(ray - direct) <= 1e-12 * np.linalg.norm(direct)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("positive", [False, True])
+def test_one_component_skip_is_exact(monkeypatch, case, positive):
+    # alpha, beta > 1: the skipped coupling powers of a state with a zero
+    # component are exactly zero, so skipping them changes no result
+    params = CASES[case]
+    energy_mod = importlib.import_module("hsvar.energy")
+    for seed in range(2):
+        one = states(params, seed)["v_zero"]
+        for u, v in ((one.u.values, one.v.values), (one.v.values, one.u.values)):
+            wt = Weights(one.grid, params)
+            skipped = integrals(wt, u, v, positive, grad=True)
+            assert skipped.G is None
+            with monkeypatch.context() as m:
+                m.setattr(energy_mod, "_coupled", lambda au, av: True)
+                full = integrals(wt, u, v, positive, grad=True)
+            assert full.G is not None
+            for key in ("A", "B", "C", "kinetic_u", "kinetic_v", "hardy_u",
+                        "hardy_v", "hs_u", "hs_v"):
+                assert getattr(skipped, key) == getattr(full, key), key
+            for t in (1.0, 0.3, 2.5):
+                assert skipped.energy(t) == full.energy(t)
+                assert np.array_equal(skipped.gradient(t), full.gradient(t))
 
 
 # ---------------------------------------------------------------------------

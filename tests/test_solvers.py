@@ -1,5 +1,7 @@
 """Solver behavior: descent, escalation, min-max path, probes."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,10 @@ from hsvar import (DegenerateInputError, DescentOptions, PathOptions,
                    RadialFunction, StatePair, critical_level, escalate_nu,
                    extremal_pair, ground_state, interpolation_bound,
                    mountain_pass, semitrivial_probe)
+from hsvar import solvers
+from hsvar.energy import Weights
+from hsvar.nehari import project_arrays
+from hsvar.operators import PairMetric
 from conftest import cached_grid, smooth_bump
 
 
@@ -35,6 +41,7 @@ class TestGroundState:
         assert rep.nehari_residual <= 1e-8
         assert np.all(rep.profiles.u.values >= 0)
         assert np.all(rep.profiles.v.values >= 0)
+        assert rep.converged and rep.stop_reason == "tolerance"
 
     def test_zero_init_rejected(self):
         grid = small_grid(4)
@@ -50,6 +57,7 @@ class TestGroundState:
                            DescentOptions(tol_grad=1e-14, max_iter=5))
         assert not rep.converged
         assert rep.iterations <= 5
+        assert rep.stop_reason == "max_iter"
 
     def test_large_nu_produces_coupled_state_below_levels(self):
         grid = small_grid(4)
@@ -113,6 +121,51 @@ class TestMountainPass:
         assert gtrace[-1] < gtrace[0]
         assert np.all(rep.profiles.u.values >= 0)
         assert np.all(rep.profiles.v.values >= 0)
+
+    def test_short_run_reports_max_sweeps_unconverged(self):
+        rep = mountain_pass(self.params(), small_grid(4),
+                            PathOptions(n_path_nodes=8, max_sweeps=3))
+        assert rep.stop_reason == "max_sweeps"
+        assert rep.iterations == 3
+        assert not rep.converged
+        assert rep.gradient_norm > PathOptions().crest_grad_tol
+
+    def test_converged_means_crest_gradient_within_tolerance(self):
+        rep = mountain_pass(self.params(), small_grid(4),
+                            PathOptions(n_path_nodes=8, max_sweeps=3,
+                                        crest_grad_tol=1.0))
+        assert rep.stop_reason == "tolerance" and rep.converged
+        assert rep.gradient_norm <= 1.0
+        assert rep.iterations == 0
+
+
+class TestLineSearch:
+    def test_no_acceptable_step_stops_at_the_metric_floor(self, monkeypatch):
+        # an ascent direction on the constraint set: the projected energy
+        # rises to first order, so no trial passes the Armijo test
+        pr = ProblemParams(4, 1.0, 0.3, 0.5, 1.4, 1.4, 1.0)
+        grid = small_grid(4)
+        wt = Weights(grid, pr)
+        z1 = extremal_pair(pr, grid, "first").u.values
+        z2 = extremal_pair(pr, grid, "second").v.values
+        t, I = project_arrays(wt, z1, z2, positive=True, grad=True)
+        u, v, E, nsq = t * z1, t * z2, I.energy(t), t * t * I.A
+        metric = PairMetric(grid, pr.lambda1, pr.lambda2)
+        du, dv, slope = metric.direction(*I.gradient(t))
+        opts = DescentOptions()
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return project_arrays(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "project_arrays", counted)
+        found = solvers._line_search(wt, u, v, -du, -dv, opts.step0, slope, nsq,
+                                     opts, E)
+        assert found is None
+        rel = math.sqrt(slope / nsq)
+        bound = math.ceil(math.log2(opts.step0 * rel / solvers.SQRT_EPS)) + 1
+        assert len(calls) <= bound < opts.max_backtracks
 
 
 class TestSemitrivialProbe:
