@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -47,6 +47,27 @@ EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
 
 
+# what a missing (KeyError) or malformed field of a JSON document raises
+_MALFORMED = (KeyError, AttributeError, TypeError, ValueError)
+
+
+def _config_error(what: str, exc: Exception) -> ConfigError:
+    if isinstance(exc, KeyError):
+        return ConfigError([str(exc)], f"missing {what} field: {exc}")
+    return ConfigError([what], f"malformed {what}: {exc}")
+
+
+@contextmanager
+def _parsing(what: str):
+    """Report a missing or malformed field of ``what`` as a ConfigError."""
+    try:
+        yield
+    except HsvarError:
+        raise
+    except _MALFORMED as exc:
+        raise _config_error(what, exc) from None
+
+
 @dataclass
 class RunConfig:
     params: ProblemParams
@@ -58,19 +79,22 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
+        # a plain try, not _parsing: a classify sweep parses one config per
+        # row (~40 us), and the context manager costs ~2.5 us a call
         try:
-            params = ProblemParams.from_dict(doc["params"])
-        except KeyError as exc:
-            raise ConfigError([str(exc)], f"missing config field: {exc}")
-        g = doc.get("grid", {})
-        grid = (float(g.get("r_min", REFERENCE_R_MIN)),
-                float(g.get("r_max", REFERENCE_R_MAX)),
-                int(g.get("n_nodes", REFERENCE_N_NODES)))
-        cfg = cls(params=params, grid=grid,
-                  solver=dict(doc.get("solver", {})),
-                  output_dir=doc.get("output_dir", "runs"),
-                  seed=int(doc.get("seed", 0)),
-                  small_nu=bool(doc.get("small_nu", False)))
+            g = doc.get("grid", {})
+            cfg = cls(params=ProblemParams.from_dict(doc["params"]),
+                      grid=(float(g.get("r_min", REFERENCE_R_MIN)),
+                            float(g.get("r_max", REFERENCE_R_MAX)),
+                            int(g.get("n_nodes", REFERENCE_N_NODES))),
+                      solver=dict(doc.get("solver", {})),
+                      output_dir=doc.get("output_dir", "runs"),
+                      seed=int(doc.get("seed", 0)),
+                      small_nu=bool(doc.get("small_nu", False)))
+        except HsvarError:
+            raise
+        except _MALFORMED as exc:
+            raise _config_error("config", exc) from None
         cfg.validate()
         return cfg
 
@@ -90,24 +114,27 @@ class RunConfig:
 
     def descent_options(self) -> DescentOptions:
         opts = DescentOptions()
-        for k in ("tol_grad", "tol_nehari", "max_iter", "step0"):
-            if k in self.solver:
-                setattr(opts, k, type(getattr(opts, k))(self.solver[k]))
+        with _parsing("solver"):
+            for k in ("tol_grad", "tol_nehari", "max_iter", "step0"):
+                if k in self.solver:
+                    setattr(opts, k, type(getattr(opts, k))(self.solver[k]))
         return opts
 
     def path_options(self) -> PathOptions:
         opts = PathOptions(descent=self.descent_options())
-        for k in ("n_path_nodes", "max_sweeps"):
-            if k in self.solver:
-                setattr(opts, k, int(self.solver[k]))
+        with _parsing("solver"):
+            for k in ("n_path_nodes", "max_sweeps"):
+                if k in self.solver:
+                    setattr(opts, k, int(self.solver[k]))
         return opts
 
     def probe_options(self) -> ProbeOptions:
         opts = ProbeOptions(seed=self.seed)
-        if "probe_ladder" in self.solver:
-            opts.amplitudes = tuple(float(x) for x in self.solver["probe_ladder"])
-        if "n_probe_dirs" in self.solver:
-            opts.n_directions = int(self.solver["n_probe_dirs"])
+        with _parsing("solver"):
+            if "probe_ladder" in self.solver:
+                opts.amplitudes = tuple(float(x) for x in self.solver["probe_ladder"])
+            if "n_probe_dirs" in self.solver:
+                opts.n_directions = int(self.solver["n_probe_dirs"])
         return opts
 
 
@@ -122,12 +149,13 @@ def _read_json(path: str) -> dict:
 def _load_config(args) -> RunConfig:
     doc = _read_json(args.config) if args.config else {}
     doc.setdefault("params", {})
-    for name in ("N", "s", "lambda1", "lambda2", "alpha", "beta", "nu"):
-        v = getattr(args, name, None)
-        if v is not None:
-            doc["params"][name] = v
-    if getattr(args, "h", None):
-        doc["params"]["h_profile"] = _parse_h(args.h)
+    with _parsing("config"):
+        for name in ("N", "s", "lambda1", "lambda2", "alpha", "beta", "nu"):
+            v = getattr(args, name, None)
+            if v is not None:
+                doc["params"][name] = v
+        if getattr(args, "h", None):
+            doc["params"]["h_profile"] = _parse_h(args.h)
     if getattr(args, "grid", None):
         try:
             r_min, r_max, n = args.grid.split(",")
@@ -147,11 +175,12 @@ def _load_config(args) -> RunConfig:
 
 def _parse_h(spec: str) -> dict:
     kind, _, rest = spec.partition(":")
-    if kind == "constant":
-        return {"kind": "constant", "c": float(rest or 1.0)}
-    if kind == "bump":
-        p_exp, q_exp = (rest or "2,2").split(",")
-        return {"kind": "bump", "p_exp": float(p_exp), "q_exp": float(q_exp)}
+    with _parsing(f"--h {spec!r}"):
+        if kind == "constant":
+            return {"kind": "constant", "c": float(rest or 1.0)}
+        if kind == "bump":
+            p_exp, q_exp = (rest or "2,2").split(",")
+            return {"kind": "bump", "p_exp": float(p_exp), "q_exp": float(q_exp)}
     raise ConfigError(["h_profile"], f"unknown h profile: {spec!r}")
 
 
@@ -263,34 +292,34 @@ def _cmd_sweep(args) -> int:
     sweep = doc.get("sweep")
     if not sweep:
         raise ConfigError(["sweep"], "sweep config requires a 'sweep' section")
-    over = sweep.get("over", {})
-    workers = int(sweep.get("workers", 1))
-    command = sweep.get("command", "classify")
+    # rows run serially and a "workers" key is ignored: classify is pure
+    # Python and holds the GIL, so a thread pool only made the sweep slower
+    with _parsing("sweep config"):
+        command = sweep.get("command", "classify")
+        over = sweep.get("over", {})
+        names = sorted(over)
+        combos = list(product(*(over[n] for n in names)))
+        # the section that each row's values override
+        base = {**(doc["params"] if command == "classify" else doc.get("lemma", {}))}
     if command not in ("classify", "lemma"):
         raise ConfigError(["sweep.command"], f"unknown sweep command: {command!r}")
-    names = sorted(over)
-    combos = list(product(*(over[n] for n in names)))
 
     def one(combo):
-        row = {n: v for n, v in zip(names, combo)}
+        row = dict(zip(names, combo))
         if command == "lemma":
-            ldoc = dict(doc.get("lemma", {}))
-            ldoc.update(row)
-            inst = LemmaInstance(A=float(ldoc["A"]), B=float(ldoc["B"]),
-                                 theta=float(ldoc["theta"]),
-                                 s=float(ldoc.get("s", 0.0)),
-                                 N=int(ldoc.get("N", 4)),
-                                 nu=float(ldoc.get("nu", 0.0)))
+            with _parsing("lemma"):
+                ldoc = {**base, **row}
+                inst = LemmaInstance(A=float(ldoc["A"]), B=float(ldoc["B"]),
+                                     theta=float(ldoc["theta"]),
+                                     s=float(ldoc.get("s", 0.0)),
+                                     N=int(ldoc.get("N", 4)),
+                                     nu=float(ldoc.get("nu", 0.0)))
             val = algebraic_inf(inst)
             row.update({"inf": "" if val is None else val,
                         "empty": val is None,
                         "decoupled_inf": inst.decoupled_inf})
             return row
-        pdoc = dict(doc["params"])
-        pdoc.update(dict(zip(names, combo)))
-        merged = dict(doc)
-        merged["params"] = pdoc
-        cfg = RunConfig.from_dict(merged)
+        cfg = RunConfig.from_dict(dict(doc, params={**base, **row}))
         rep = classify(cfg.params).to_dict()
         row.update({
             "subcritical": rep["subcritical"],
@@ -302,11 +331,7 @@ def _cmd_sweep(args) -> int:
         })
         return row
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, combos))
-    else:
-        rows = [one(c) for c in combos]
+    rows = [one(c) for c in combos]
 
     cols = list(rows[0]) if rows else names
     out = args.out or "sweep.csv"
@@ -395,3 +420,7 @@ def run_command(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run_command())
+
+
+if __name__ == "__main__":
+    main()

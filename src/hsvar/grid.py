@@ -126,10 +126,6 @@ class RadialFunction:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def from_callable(cls, grid: RadialGrid, f) -> "RadialFunction":
-        return cls(grid, np.asarray(f(grid.r), dtype=float))
-
-    @classmethod
     def zero(cls, grid: RadialGrid) -> "RadialFunction":
         return cls(grid, np.zeros(grid.n))
 

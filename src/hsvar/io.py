@@ -24,10 +24,6 @@ SCHEMA_VERSION = 1
 _FMT = "%.17g"
 
 
-def grid_to_dict(grid: RadialGrid) -> dict:
-    return grid.header()
-
-
 def radial_function_to_csv(path: str, f: RadialFunction) -> None:
     with open(path, "w") as fh:
         fh.write("r,value\n")
@@ -56,7 +52,7 @@ def pair_from_csv(path: str, grid: RadialGrid) -> StatePair:
 def report_json(report_dict: dict, grid: RadialGrid, timestamp: float | None = None) -> str:
     doc = {
         "schema": SCHEMA_VERSION,
-        "grid": grid_to_dict(grid),
+        "grid": grid.header(),
         "timestamp": time.time() if timestamp is None else timestamp,
         **report_dict,
     }

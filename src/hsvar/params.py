@@ -112,10 +112,6 @@ class ProblemParams:
             raise InvalidParameterError(f"invalid problem parameters: {', '.join(bad)}")
 
     @property
-    def hardy_threshold(self) -> float:
-        return (self.N - 2) ** 2 / 4.0
-
-    @property
     def crit_exp(self) -> float:
         """Critical exponent 2(N-s)/(N-2) of the weighted nonlinearity."""
         return 2.0 * (self.N - self.s) / (self.N - 2)

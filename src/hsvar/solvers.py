@@ -292,37 +292,23 @@ def escalate_nu(params: ProblemParams, grid: RadialGrid,
 # min-max path
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PathState:
-    """Discrete path on the truncated constraint set with pinned endpoints."""
+def _initial_path(wt: Weights, K: int):
+    """Explicit interpolating path ((1-t)^(1/2) z1, t^(1/2) z2), rescaled.
 
-    nodes: list            # list[StatePair]
-    energies: np.ndarray
-
-    @property
-    def argmax(self) -> int:
-        return int(np.argmax(self.energies))
-
-    @property
-    def max_energy(self) -> float:
-        return float(self.energies.max())
-
-
-def _initial_path(wt: Weights, K: int) -> PathState:
-    """Explicit interpolating path ((1-t)^(1/2) z1, t^(1/2) z2), rescaled."""
+    Returns the node arrays U, V (row k is node k) and the node energies E.
+    """
     z1 = extremal_pair(wt.params, wt.grid, "first").u.values
     z2 = extremal_pair(wt.params, wt.grid, "second").v.values
-    nodes, energies = [], []
+    tk = np.arange(K + 1)[:, None] / K
+    U, V = np.sqrt(1.0 - tk) * z1, np.sqrt(tk) * z2
+    E = np.empty(K + 1)
     for k in range(K + 1):
-        tk = k / K
-        u, v = math.sqrt(1.0 - tk) * z1, math.sqrt(tk) * z2
-        if 0 < k < K:
-            t, I = project_arrays(wt, u, v, positive=True)
-        else:
-            t, I = 1.0, integrals(wt, u, v, positive=True)
-        nodes.append(_pair(wt.grid, t * u, t * v))
-        energies.append(I.energy(t))
-    return PathState(nodes=nodes, energies=np.asarray(energies))
+        t, I = (project_arrays(wt, U[k], V[k], positive=True) if 0 < k < K
+                else (1.0, integrals(wt, U[k], V[k], positive=True)))
+        U[k] *= t
+        V[k] *= t
+        E[k] = I.energy(t)
+    return U, V, E
 
 
 def interpolation_bound(params: ProblemParams, grid: RadialGrid,
@@ -355,50 +341,37 @@ def _pair_grad_norm(metric: PairMetric, I, t: float = 1.0) -> float:
     return _rel_grad(slope, t * t * I.A)
 
 
-def _node_direction(wt: Weights, metric: PairMetric, node: StatePair):
+def _node_direction(wt: Weights, metric: PairMetric, u, v):
     """Integrals, gradient and metric direction of a path node."""
-    I = integrals(wt, node.u.values, node.v.values, positive=True, grad=True)
+    I = integrals(wt, u, v, positive=True, grad=True)
     g = I.gradient()
     return (I, *g, *metric.direction(*g))
 
 
-def _redistribute(nodes, energies, wt: Weights):
-    """Equal-arclength resampling of a sub-chain; endpoints kept exact."""
-    grid = wt.grid
-    m = len(nodes) - 1
+def _redistribute(U, V, E, wt: Weights) -> None:
+    """Equal-arclength resampling of a sub-chain in place; endpoints kept exact.
+
+    Each resampled node is a convex combination of two nodes on the
+    constraint set, so it is projected again.
+    """
+    m = len(E) - 1
     if m < 2:
-        return list(nodes), list(energies)
-    us = np.stack([n.u.values for n in nodes])
-    vs = np.stack([n.v.values for n in nodes])
-    seg = np.sqrt(((np.diff(us, axis=0) ** 2 + np.diff(vs, axis=0) ** 2)
-                   * grid.w).sum(axis=1))
+        return
+    seg = np.sqrt(((np.diff(U, axis=0) ** 2 + np.diff(V, axis=0) ** 2)
+                   * wt.grid.w).sum(axis=1))
     arc = np.concatenate([[0.0], np.cumsum(seg)])
     if arc[-1] <= 0:
-        return list(nodes), list(energies)
-    out_nodes, out_energies = [nodes[0]], [energies[0]]
-    for s_t in np.linspace(0.0, arc[-1], m + 1)[1:-1]:
-        j = min(int(np.searchsorted(arc, s_t, side="right")) - 1, m - 1)
-        theta = (s_t - arc[j]) / max(arc[j + 1] - arc[j], 1e-300)
-        u = (1 - theta) * us[j] + theta * us[j + 1]
-        v = (1 - theta) * vs[j] + theta * vs[j + 1]
-        t, I = project_arrays(wt, u, v, positive=True)
-        out_nodes.append(_pair(grid, t * u, t * v))
-        out_energies.append(I.energy(t))
-    out_nodes.append(nodes[-1])
-    out_energies.append(energies[-1])
-    return out_nodes, out_energies
-
-
-def _reparametrize(path: PathState, wt: Weights, anchor: int) -> PathState:
-    """Equal-arclength resampling on each side of the anchored crest node.
-
-    Keeps the chain sampled near the barrier without discarding the climbing
-    node's progress; without redistribution, downhill moves let neighbor
-    spacing grow and the discrete maximum dodge the barrier.
-    """
-    ln, le = _redistribute(path.nodes[:anchor + 1], path.energies[:anchor + 1], wt)
-    rn, re_ = _redistribute(path.nodes[anchor:], path.energies[anchor:], wt)
-    return PathState(nodes=ln + rn[1:], energies=np.asarray(le + re_[1:]))
+        return
+    targets = np.linspace(0.0, arc[-1], m + 1)[1:-1]
+    j = np.minimum(np.searchsorted(arc, targets, side="right") - 1, m - 1)
+    theta = ((targets - arc[j]) / np.maximum(arc[j + 1] - arc[j], 1e-300))[:, None]
+    U[1:m] = (1 - theta) * U[j] + theta * U[j + 1]
+    V[1:m] = (1 - theta) * V[j] + theta * V[j + 1]
+    for k in range(1, m):
+        t, I = project_arrays(wt, U[k], V[k], positive=True)
+        U[k] *= t
+        V[k] *= t
+        E[k] = I.energy(t)
 
 
 def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
@@ -427,23 +400,31 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
 
     K = opts.n_path_nodes
     wt = Weights(grid, params)
-    path = _initial_path(wt, K)
+    U, V, E = _initial_path(wt, K)
     g_max, _ = interpolation_bound(params, grid)
 
     metric = PairMetric(grid, params.lambda1, params.lambda2)
     dop = opts.descent
-    best_max, best_crest = path.max_energy, path.nodes[path.argmax]
+    a = int(np.argmax(E))
+    # rows are overwritten by later sweeps, so the best crest is a copy
+    best_max, best_u, best_v = float(E[a]), U[a].copy(), V[a].copy()
     c_trace = [best_max]
     gnorm_trace = []
     stop = "max_sweeps"
     for sweep in range(opts.max_sweeps):
         if sweep > 0:
-            path = _reparametrize(path, wt, path.argmax)
-        k_max = path.argmax
+            # equal arclength on each side of the anchored crest keeps the
+            # chain sampled near the barrier without discarding the climbing
+            # node's progress; without it, downhill moves let the neighbor
+            # spacing grow and the discrete maximum dodge the barrier
+            a = int(np.argmax(E))
+            _redistribute(U[:a + 1], V[:a + 1], E[:a + 1], wt)
+            _redistribute(U[a:], V[a:], E[a:], wt)
+        k_max = int(np.argmax(E))
         if k_max in (0, K):
             raise DegeneratePathError("path maximum collapsed onto an endpoint")
         # the crest's gradient and direction serve its climb below as well
-        top = _node_direction(wt, metric, path.nodes[k_max])
+        top = _node_direction(wt, metric, U[k_max], V[k_max])
         gnorm = _rel_grad(top[-1], top[0].A)
         gnorm_trace.append(gnorm)
         if gnorm <= opts.crest_grad_tol:
@@ -458,11 +439,10 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
         for k in (k_max - 1, k_max, k_max + 1):
             if k in (0, K):
                 continue
-            node, climbing = path.nodes[k], k == k_max
+            climbing = k == k_max
             I, gu, gv, du, dv, slope = top if climbing else _node_direction(
-                wt, metric, node)
-            tau_u = path.nodes[k + 1].u.values - path.nodes[k - 1].u.values
-            tau_v = path.nodes[k + 1].v.values - path.nodes[k - 1].v.values
+                wt, metric, U[k], V[k])
+            tau_u, tau_v = U[k + 1] - U[k - 1], V[k + 1] - V[k - 1]
             tmt = (float(tau_u[1:-1] @ metric.op1.apply(tau_u[1:-1]))
                    + float(tau_v[1:-1] @ metric.op2.apply(tau_v[1:-1])))
             coef = (float(gu[1:-1] @ tau_u[1:-1])
@@ -478,25 +458,24 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
                             + float(gv[1:-1] @ dv[1:-1]), 0.0)
             # neighbors take the Armijo test; the climbing node's step floor
             # uses its unmodified slope
-            found = _line_search(wt, node.u.values, node.v.values, du, dv,
-                                 dop.step0, slope, I.A, dop, path.energies[k],
-                                 climbs if climbing else None, grad=climbing)
+            found = _line_search(wt, U[k], V[k], du, dv, dop.step0, slope, I.A,
+                                 dop, E[k], climbs if climbing else None,
+                                 grad=climbing)
             if found is not None:
-                _, t, J, cu, cv = found
-                path.nodes[k] = _pair(grid, cu, cv)
-                path.energies[k] = J.energy(t)
+                _, t, J, U[k], V[k] = found
+                E[k] = J.energy(t)
                 improved = True
-        if path.max_energy < best_max:
-            best_max = path.max_energy
-            best_crest = path.nodes[path.argmax]
+        a = int(np.argmax(E))
+        if E[a] < best_max:
+            best_max, best_u, best_v = float(E[a]), U[a].copy(), V[a].copy()
         c_trace.append(best_max)
         if not improved:
             stop = "no_improvement"
             break
 
-    I = integrals(wt, best_crest.u.values, best_crest.v.values, positive=True)
+    I = integrals(wt, best_u, best_v, positive=True)
     levels = _levels(params)
-    levels["endpoint_energies"] = [float(path.energies[0]), float(path.energies[-1])]
+    levels["endpoint_energies"] = [float(E[0]), float(E[-1])]
     levels["initial_path_max"] = c_trace[0]
     levels["interpolation_bound_max"] = g_max
     return SolverReport(
@@ -506,10 +485,10 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
         nehari_residual=abs(I.residual()) / max(I.A, 1e-300),
         iterations=len(c_trace) - 1,
         converged=stop == "tolerance", stop_reason=stop,
-        level_diagnostics=levels, profiles=best_crest,
+        level_diagnostics=levels, profiles=_pair(grid, best_u, best_v),
         trace=c_trace,
         extra={"gradient_norm_trace": gnorm_trace,
-               "crest_index": path.argmax,
+               "crest_index": int(np.argmax(E)),
                "orientation": "i" if orient_i else "ii"})
 
 

@@ -3,10 +3,13 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hsvar
 from hsvar import StatePair, build_grid, energy, exact_solution
 from hsvar import io as hio
 from hsvar.cli import run_command
@@ -16,6 +19,7 @@ from hsvar.params import ProblemParams
 
 
 GRID = {"r_min": 1e-6, "r_max": 1e6, "n_nodes": 1024}
+PARAMS = {"N": 4, "s": 1.0, "lambda1": 0.3, "lambda2": 0.5, "alpha": 1.4, "beta": 1.4}
 
 
 def write_config(tmp_path, name="run.json", **overrides):
@@ -160,16 +164,42 @@ def test_validation_error_exit_code(tmp_path, capsys):
     (["sweep", "--config", "{cfg}"], "{not json"),
     (["ground-state", "--N", "4", "--grid", "4,1e-6"], None),
     (["ground-state", "--N", "4", "--grid", "1e-6,1e6,many"], None),
+    (["classify", "--config", "{cfg}"], json.dumps({"params": {**PARAMS, "N": "four"}})),
+    (["classify", "--config", "{cfg}"],
+     json.dumps({"params": PARAMS, "grid": {"n_nodes": "many"}})),
+    (["classify", "--config", "{cfg}"], json.dumps({"params": PARAMS, "grid": [1, 2]})),
+    (["classify", "--config", "{cfg}"], json.dumps({"params": [1, 2]})),
+    (["classify", "--config", "{cfg}", "--N", "4"], json.dumps({"params": [1, 2]})),
+    (["ground-state", "--config", "{cfg}"],
+     json.dumps({"params": PARAMS, "solver": {"max_iter": "lots"}})),
+    (["sweep", "--config", "{cfg}", "--out", "{out}"],
+     json.dumps({"sweep": {"over": {"nu": [0.0, 0.1]}}})),
+    (["classify", "--h", "bump:1"], None),
 ])
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv, content):
     cfg = tmp_path / "bad.json"
     if content is not None:
         cfg.write_text(content)
-    argv = [a.format(missing=tmp_path / "nonexistent.json", cfg=cfg) for a in argv]
+    argv = [a.format(missing=tmp_path / "nonexistent.json", cfg=cfg,
+                     out=tmp_path / "out.csv") for a in argv]
     code = run_command(argv)
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_module_form_runs_the_command():
+    src = os.path.dirname(os.path.dirname(hsvar.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "hsvar.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    ok = run("constants", "--N", "4")
+    assert ok.returncode == 0
+    assert "crit_exp" in json.loads(ok.stdout)
+    assert run("classify", "--N", "abc").returncode == 2
 
 
 def test_critical_coupling_constant_h_rejected_without_flag(tmp_path, capsys):

@@ -7,11 +7,12 @@ import pytest
 
 from hsvar import (DegenerateInputError, DescentOptions, PathOptions,
                    PreconditionError, ProbeOptions, ProblemParams,
-                   RadialFunction, StatePair, critical_level, escalate_nu,
-                   extremal_pair, ground_state, interpolation_bound,
-                   mountain_pass, semitrivial_probe)
+                   RadialFunction, StatePair, critical_level, energy_positive,
+                   escalate_nu, extremal_pair, ground_state,
+                   interpolation_bound, mountain_pass, nehari_residual,
+                   pair_norm_sq, semitrivial_probe)
 from hsvar import solvers
-from hsvar.energy import Weights
+from hsvar.energy import Weights, integrals
 from hsvar.nehari import project_arrays
 from hsvar.operators import PairMetric
 from conftest import cached_grid, smooth_bump
@@ -121,6 +122,50 @@ class TestMountainPass:
         assert gtrace[-1] < gtrace[0]
         assert np.all(rep.profiles.u.values >= 0)
         assert np.all(rep.profiles.v.values >= 0)
+        # the reported crest is the state whose energy was recorded
+        assert energy_positive(rep.profiles, pr) == pytest.approx(rep.energy, rel=1e-12)
+        assert (abs(nehari_residual(rep.profiles, pr, positive=True))
+                <= 1e-10 * pair_norm_sq(rep.profiles, pr))
+
+    def test_reported_crest_survives_later_sweeps(self):
+        # at K=7 no sweep lowers the chain maximum below the initial one, so
+        # the reported crest is a row that every later sweep overwrites
+        pr = self.params()
+        rep = mountain_pass(pr, cached_grid(4, 1e-6, 1e6, 1024),
+                            PathOptions(n_path_nodes=7, max_sweeps=40))
+        assert rep.energy == rep.trace[0] and rep.iterations == 40
+        assert energy_positive(rep.profiles, pr) == pytest.approx(rep.energy, rel=1e-12)
+
+    def test_redistribute_resamples_a_view_in_place(self):
+        pr = self.params()
+        wt = Weights(small_grid(4), pr)
+        U, V, E = solvers._initial_path(wt, 10)
+        # crowd the chain so that resampling moves the interior rows
+        U[3:6], V[3:6], E[3:6] = U[2], V[2], E[2]
+        U0, V0, E0 = U.copy(), V.copy(), E.copy()
+        solvers._redistribute(U[2:9], V[2:9], E[2:9], wt)
+        outside = [0, 1, 2, 8, 9, 10]
+        assert np.array_equal(U[outside], U0[outside])
+        assert np.array_equal(V[outside], V0[outside])
+        assert np.array_equal(E[outside], E0[outside])
+        assert not np.array_equal(U[3:8], U0[3:8])
+        for k in range(3, 8):
+            I = integrals(wt, U[k], V[k], positive=True)
+            assert abs(I.residual()) <= 1e-10 * I.A
+            assert E[k] == pytest.approx(I.energy(), rel=1e-12)
+        # the same arithmetic as a loop over the targets gives the same bits
+        us, vs = U0[2:9], V0[2:9]
+        seg = np.sqrt(((np.diff(us, axis=0) ** 2 + np.diff(vs, axis=0) ** 2)
+                       * wt.grid.w).sum(axis=1))
+        arc = np.concatenate([[0.0], np.cumsum(seg)])
+        for k, s_t in enumerate(np.linspace(0.0, arc[-1], 7)[1:-1], start=3):
+            j = min(int(np.searchsorted(arc, s_t, side="right")) - 1, 5)
+            theta = (s_t - arc[j]) / max(arc[j + 1] - arc[j], 1e-300)
+            u = (1 - theta) * us[j] + theta * us[j + 1]
+            v = (1 - theta) * vs[j] + theta * vs[j + 1]
+            t, I = project_arrays(wt, u, v, positive=True)
+            assert np.array_equal(U[k], t * u) and np.array_equal(V[k], t * v)
+            assert E[k] == I.energy(t)
 
     def test_short_run_reports_max_sweeps_unconverged(self):
         rep = mountain_pass(self.params(), small_grid(4),
