@@ -9,9 +9,8 @@ states along a deformed path, and classifies parameter regimes against the
 known existence statements.
 """
 
-from .closed_forms import (ClosedFormBundle, best_constant, closed_form_bundle,
-                           critical_exponent, critical_level, exact_solution,
-                           extremal_prefactor, hardy_constant,
+from .closed_forms import (best_constant, critical_exponent, critical_level,
+                           exact_solution, extremal_prefactor, hardy_constant,
                            separability_check, singular_exponent,
                            sobolev_constant)
 from .energy import (EnergyBreakdown, StatePair, energy, energy_positive,

@@ -47,14 +47,8 @@ EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
 
 
-# what a missing (KeyError) or malformed field of a JSON document raises
-_MALFORMED = (KeyError, AttributeError, TypeError, ValueError)
-
-
-def _config_error(what: str, exc: Exception) -> ConfigError:
-    if isinstance(exc, KeyError):
-        return ConfigError([str(exc)], f"missing {what} field: {exc}")
-    return ConfigError([what], f"malformed {what}: {exc}")
+# what a malformed field of a JSON document raises
+_MALFORMED = (AttributeError, TypeError, ValueError)
 
 
 @contextmanager
@@ -64,78 +58,82 @@ def _parsing(what: str):
         yield
     except HsvarError:
         raise
+    except KeyError as exc:
+        raise ConfigError([str(exc)], f"missing {what} field: {exc}") from None
     except _MALFORMED as exc:
-        raise _config_error(what, exc) from None
+        raise ConfigError([what], f"malformed {what}: {exc}") from None
+
+
+# each key of a config's "solver" section: the options class whose field it
+# sets, the field, and the conversion of its value
+_SOLVER_KEYS = {
+    "tol_grad": (DescentOptions, "tol_grad", float),
+    "max_iter": (DescentOptions, "max_iter", int),
+    "n_path_nodes": (PathOptions, "n_path_nodes", int),
+    "max_sweeps": (PathOptions, "max_sweeps", int),
+    "probe_ladder": (ProbeOptions, "amplitudes", lambda xs: tuple(float(x) for x in xs)),
+    "n_probe_dirs": (ProbeOptions, "n_directions", int),
+}
+
+
+def _solver_fields(section: dict) -> dict:
+    """The option fields a "solver" section sets, as {options class: {field: value}}."""
+    out = {}
+    for key, value in section.items():
+        if key not in _SOLVER_KEYS:
+            raise ConfigError([f"solver.{key}"], f"unknown solver key: {key!r}")
+        cls, name, conv = _SOLVER_KEYS[key]
+        with _parsing(f"solver.{key}"):
+            out.setdefault(cls, {})[name] = conv(value)
+    return out
+
+
+def _settings(doc: dict) -> dict:
+    """Every RunConfig field but the params, from a config document."""
+    g = doc.get("grid", {})
+    return {"grid": (float(g.get("r_min", REFERENCE_R_MIN)),
+                     float(g.get("r_max", REFERENCE_R_MAX)),
+                     int(g.get("n_nodes", REFERENCE_N_NODES))),
+            "solver": _solver_fields(doc.get("solver", {})),
+            "output_dir": doc.get("output_dir", "runs"),
+            "seed": int(doc.get("seed", 0)),
+            "small_nu": bool(doc.get("small_nu", False))}
+
+
+def _check_weight(params: ProblemParams, small_nu: bool) -> None:
+    """Critical coupling needs a weight vanishing at 0 and infinity, unless
+    the run is explicitly flagged as small-coupling."""
+    if (params.is_critical_coupling and not small_nu
+            and not params.h_profile.vanishes_at_origin_and_infinity):
+        raise ConfigError(["h_profile"])
 
 
 @dataclass
 class RunConfig:
     params: ProblemParams
     grid: tuple = (REFERENCE_R_MIN, REFERENCE_R_MAX, REFERENCE_N_NODES)
-    solver: dict = field(default_factory=dict)
+    solver: dict = field(default_factory=dict)     # see _solver_fields
     output_dir: str = "runs"
     seed: int = 0
     small_nu: bool = False
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        # a plain try, not _parsing: a classify sweep parses one config per
-        # row (~40 us), and the context manager costs ~2.5 us a call
-        try:
-            g = doc.get("grid", {})
-            cfg = cls(params=ProblemParams.from_dict(doc["params"]),
-                      grid=(float(g.get("r_min", REFERENCE_R_MIN)),
-                            float(g.get("r_max", REFERENCE_R_MAX)),
-                            int(g.get("n_nodes", REFERENCE_N_NODES))),
-                      solver=dict(doc.get("solver", {})),
-                      output_dir=doc.get("output_dir", "runs"),
-                      seed=int(doc.get("seed", 0)),
-                      small_nu=bool(doc.get("small_nu", False)))
-        except HsvarError:
-            raise
-        except _MALFORMED as exc:
-            raise _config_error("config", exc) from None
-        cfg.validate()
+        with _parsing("config"):
+            cfg = cls(params=ProblemParams.from_dict(doc["params"]), **_settings(doc))
+        _check_weight(cfg.params, cfg.small_nu)
         return cfg
-
-    def validate(self) -> None:
-        bad = []
-        p = self.params
-        if p.is_critical_coupling:
-            # critical coupling needs a weight vanishing at 0 and infinity,
-            # unless the run is explicitly flagged as small-coupling
-            if not p.h_profile.vanishes_at_origin_and_infinity and not self.small_nu:
-                bad.append("h_profile")
-        if bad:
-            raise ConfigError(bad)
 
     def build_grid(self):
         return build_grid(self.params.N, *self.grid)
 
-    def descent_options(self) -> DescentOptions:
-        opts = DescentOptions()
-        with _parsing("solver"):
-            for k in ("tol_grad", "tol_nehari", "max_iter", "step0"):
-                if k in self.solver:
-                    setattr(opts, k, type(getattr(opts, k))(self.solver[k]))
-        return opts
-
-    def path_options(self) -> PathOptions:
-        opts = PathOptions(descent=self.descent_options())
-        with _parsing("solver"):
-            for k in ("n_path_nodes", "max_sweeps"):
-                if k in self.solver:
-                    setattr(opts, k, int(self.solver[k]))
-        return opts
-
-    def probe_options(self) -> ProbeOptions:
-        opts = ProbeOptions(seed=self.seed)
-        with _parsing("solver"):
-            if "probe_ladder" in self.solver:
-                opts.amplitudes = tuple(float(x) for x in self.solver["probe_ladder"])
-            if "n_probe_dirs" in self.solver:
-                opts.n_directions = int(self.solver["n_probe_dirs"])
-        return opts
+    def options(self, cls):
+        """Options of type ``cls`` with the fields the solver section sets;
+        probe options also take the seed."""
+        kw = dict(self.solver.get(cls, {}))
+        if cls is ProbeOptions:
+            kw["seed"] = self.seed
+        return cls(**kw)
 
 
 def _read_json(path: str) -> dict:
@@ -240,34 +238,23 @@ def _initial_pair(cfg: RunConfig, grid) -> StatePair:
     return StatePair(RadialFunction(grid, u), RadialFunction(grid, v))
 
 
-def _cmd_ground_state(args) -> int:
+def _cmd_solve(args) -> int:
+    """ground-state, mountain-pass and probe: run the solver, persist its report."""
     cfg = _load_config(args)
     grid = cfg.build_grid()
-    report = ground_state(cfg.params, _initial_pair(cfg, grid), cfg.descent_options())
+    if args.command == "ground-state":
+        report = ground_state(cfg.params, _initial_pair(cfg, grid),
+                              cfg.options(DescentOptions))
+    elif args.command == "mountain-pass":
+        report = mountain_pass(cfg.params, grid, cfg.options(PathOptions))
+    else:
+        report = semitrivial_probe(cfg.params, args.which, grid,
+                                   cfg.options(ProbeOptions))
     run_dir = hio.persist_run(cfg.output_dir, report, grid)
     _print({"run_dir": run_dir, "energy": report.energy,
             "converged": report.converged, "stop_reason": report.stop_reason,
             "classification": report.classification})
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
-
-
-def _cmd_mountain_pass(args) -> int:
-    cfg = _load_config(args)
-    grid = cfg.build_grid()
-    report = mountain_pass(cfg.params, grid, cfg.path_options())
-    run_dir = hio.persist_run(cfg.output_dir, report, grid)
-    _print({"run_dir": run_dir, "energy": report.energy,
-            "converged": report.converged, "stop_reason": report.stop_reason})
-    return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
-
-
-def _cmd_probe(args) -> int:
-    cfg = _load_config(args)
-    grid = cfg.build_grid()
-    report = semitrivial_probe(cfg.params, args.which, grid, cfg.probe_options())
-    run_dir = hio.persist_run(cfg.output_dir, report, grid)
-    _print({"run_dir": run_dir, "classification": report.classification})
-    return EXIT_OK if report.classification != "inconclusive" else EXIT_NO_CONVERGENCE
 
 
 def _cmd_classify(args) -> int:
@@ -303,6 +290,10 @@ def _cmd_sweep(args) -> int:
         base = {**(doc["params"] if command == "classify" else doc.get("lemma", {}))}
     if command not in ("classify", "lemma"):
         raise ConfigError(["sweep.command"], f"unknown sweep command: {command!r}")
+    if command == "classify":
+        # the other sections are the same for every row: parse them once
+        with _parsing("config"):
+            small_nu = _settings(doc)["small_nu"]
 
     def one(combo):
         row = dict(zip(names, combo))
@@ -319,8 +310,10 @@ def _cmd_sweep(args) -> int:
                         "empty": val is None,
                         "decoupled_inf": inst.decoupled_inf})
             return row
-        cfg = RunConfig.from_dict(dict(doc, params={**base, **row}))
-        rep = classify(cfg.params).to_dict()
+        with _parsing("params"):
+            params = ProblemParams.from_dict({**base, **row})
+        _check_weight(params, small_nu)
+        rep = classify(params).to_dict()
         row.update({
             "subcritical": rep["subcritical"],
             "critical": rep["critical"],
@@ -376,9 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn, needs_profiles in (
             ("evaluate", _cmd_evaluate, True),
             ("project", _cmd_project, True),
-            ("ground-state", _cmd_ground_state, False),
-            ("mountain-pass", _cmd_mountain_pass, False),
-            ("probe", _cmd_probe, False),
+            ("ground-state", _cmd_solve, False),
+            ("mountain-pass", _cmd_solve, False),
+            ("probe", _cmd_solve, False),
             ("classify", _cmd_classify, False)):
         sp = sub.add_parser(name)
         _add_param_flags(sp)

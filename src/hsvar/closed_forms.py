@@ -26,7 +26,6 @@ function; no quadrature is involved.  The key quantities, for dimension
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,42 +137,6 @@ def exact_solution(N: int, lam: float, s: float, mu: float, r) -> np.ndarray:
             / (rr ** a * (1.0 + rr ** inner) ** outer))
 
 
-@dataclass(frozen=True)
-class ClosedFormBundle:
-    """All closed-form quantities for one parameter tuple, per component."""
-
-    hardy_const: float
-    crit_exp: float
-    a_lambda: tuple[float, float]
-    prefactor: tuple[float, float]
-    best_const: tuple[float, float]
-    crit_level: tuple[float, float]
-
-    def to_dict(self) -> dict:
-        return {
-            "hardy_const": self.hardy_const,
-            "crit_exp": self.crit_exp,
-            "a_lambda": list(self.a_lambda),
-            "prefactor": list(self.prefactor),
-            "best_const": list(self.best_const),
-            "crit_level": list(self.crit_level),
-        }
-
-
-def closed_form_bundle(params: ProblemParams) -> ClosedFormBundle:
-    """Evaluate every closed-form constant for both components."""
-    N, s = params.N, params.s
-    lams = (params.lambda1, params.lambda2)
-    return ClosedFormBundle(
-        hardy_const=hardy_constant(N),
-        crit_exp=critical_exponent(N, s),
-        a_lambda=tuple(singular_exponent(N, l) for l in lams),
-        prefactor=tuple(extremal_prefactor(N, l, s) for l in lams),
-        best_const=tuple(best_constant(N, l, s) for l in lams),
-        crit_level=tuple(critical_level(N, l, s) for l in lams),
-    )
-
-
 def separability_check(params: ProblemParams) -> dict:
     """Test the level-separation window in both orientations.
 
@@ -189,7 +152,8 @@ def separability_check(params: ProblemParams) -> dict:
 
     Both routes are evaluated and must agree; orientation (ii) swaps the
     component indices.  Returns a dict with ``cond_i``, ``cond_ii``, the
-    ratio and the threshold of the algebraic form (orientation (i)).
+    ratio and the threshold of the algebraic form (orientation (i)), and the
+    two levels ``level_1`` and ``level_2``.
     """
     N, s = params.N, params.s
     l1, l2 = params.lambda1, params.lambda2
@@ -221,4 +185,6 @@ def separability_check(params: ProblemParams) -> dict:
         "cond_ii": cond_ii_ratio if on_boundary else cond_ii_levels,
         "ratio": ratio_i,
         "threshold": threshold,
+        "level_1": E1,
+        "level_2": E2,
     }

@@ -24,13 +24,6 @@ SCHEMA_VERSION = 1
 _FMT = "%.17g"
 
 
-def radial_function_to_csv(path: str, f: RadialFunction) -> None:
-    with open(path, "w") as fh:
-        fh.write("r,value\n")
-        for r, v in zip(f.grid.r, f.values):
-            fh.write(f"{_FMT % r},{_FMT % v}\n")
-
-
 def pair_to_csv(path: str, pair: StatePair) -> None:
     with open(path, "w") as fh:
         fh.write("r,u,v\n")

@@ -24,6 +24,8 @@ from .errors import DegenerateInputError, NoProjectionError, PreconditionError
 from .grid import RadialFunction, weighted_lp
 from .params import ProblemParams
 
+PROJECTION_TOL = 1e-12    # scale-free projection residual |Psi| / ||(u, v)||^2
+
 
 @dataclass(frozen=True)
 class ProjectionResult:
@@ -111,8 +113,8 @@ def _scale(I: Integrals, tol: float) -> tuple[float, tuple[float, float]]:
     return _solve_scale(I.A, I.B, I.C, pr.crit_exp, pr.alpha + pr.beta, pr.nu, tol)
 
 
-def project_arrays(wt: Weights, u: np.ndarray, v: np.ndarray, tol: float = 1e-12,
-                   positive: bool = False, grad: bool = False) -> tuple[float, Integrals]:
+def project_arrays(wt: Weights, u: np.ndarray, v: np.ndarray, positive: bool = False,
+                   grad: bool = False) -> tuple[float, Integrals]:
     """Projection of raw node arrays: the scale t and the integrals of (u, v).
 
     ``t (u, v)`` lies on the constraint set; its energy, norm and (with
@@ -120,10 +122,10 @@ def project_arrays(wt: Weights, u: np.ndarray, v: np.ndarray, tol: float = 1e-12
     ``I.gradient(t)``) without another grid pass.
     """
     I = integrals(wt, u, v, positive, grad)
-    return _scale(I, tol)[0], I
+    return _scale(I, PROJECTION_TOL)[0], I
 
 
-def project(pair: StatePair, params: ProblemParams, tol: float = 1e-12,
+def project(pair: StatePair, params: ProblemParams, tol: float = PROJECTION_TOL,
             positive: bool = False) -> ProjectionResult:
     """Rescale a pair onto the constraint set.
 
@@ -140,8 +142,7 @@ def project(pair: StatePair, params: ProblemParams, tol: float = 1e-12,
                             residual=I.residual(t), bracket=bracket)
 
 
-def project_decoupled(u: RadialFunction, lam: float, s: float,
-                      tol: float = 1e-12) -> ProjectionResult:
+def project_decoupled(u: RadialFunction, lam: float, s: float) -> ProjectionResult:
     """Rescale a single profile onto the decoupled constraint set.
 
     The scale is explicit: t = (||u||_lam^2 / int |u|^p / r^s)^(1/(p-2)).

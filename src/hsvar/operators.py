@@ -30,8 +30,6 @@ class LambdaOperator:
     """
 
     def __init__(self, grid: RadialGrid, lam: float):
-        self.grid = grid
-        self.lam = lam
         cc = grid.cell_w / grid.dt ** 2
         kin = cc[:-1] + cc[1:]
         hardy = grid.w[1:-1] / grid.r[1:-1] ** 2
@@ -75,7 +73,6 @@ class PairMetric:
     """Descent metric and dual norm for a two-component state."""
 
     def __init__(self, grid: RadialGrid, lambda1: float, lambda2: float):
-        self.grid = grid
         self.op1 = LambdaOperator(grid, lambda1)
         self.op2 = LambdaOperator(grid, lambda2)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_forms import critical_exponent, critical_level, separability_check
+from .closed_forms import critical_exponent, separability_check
 from .errors import InvalidParameterError
 from .params import ProblemParams
 
@@ -128,14 +128,12 @@ def classify(params: ProblemParams) -> RegimeReport:
         "cond_ii": sep["cond_ii"],
     }
 
-    E1 = critical_level(params.N, l1, params.s)
-    E2 = critical_level(params.N, l2, params.s)
     return RegimeReport(
         subcritical=subcritical, critical=critical,
         thm_large_nu=thm_large_nu, thm_mixed=thm_mixed,
         thm_small_nu=thm_small_nu, thm_minmax=thm_minmax,
         h_vanishes=h_ok,
-        levels={"level_1": E1, "level_2": E2},
+        levels={"level_1": sep["level_1"], "level_2": sep["level_2"]},
     )
 
 

@@ -42,12 +42,26 @@ from .energy import (StatePair, Weights, integrals, lambda_norm_sq,
 from .errors import (DegenerateInputError, DegeneratePathError, HsvarError,
                      InvalidParameterError, PreconditionError)
 from .grid import RadialFunction, RadialGrid, reference_grid, weighted_lp
-from .nehari import _solve_scale, project_arrays, project_decoupled
+from .nehari import (PROJECTION_TOL, _solve_scale, project_arrays,
+                     project_decoupled)
 from .operators import PairMetric
 from .params import ProblemParams
 
 RADIAL_NOTE = "radial ansatz: all states are radial profiles on a truncated window"
 SQRT_EPS = math.sqrt(np.finfo(float).eps)
+
+# line search: first trial step, largest step the descent grows to, Armijo
+# constant, and the cap on halvings
+STEP0 = 1.0
+STEP_MAX = 2.0
+ARMIJO = 1e-4
+MAX_BACKTRACKS = 60
+STALL_WINDOW = 80         # descent iterations without decrease before stopping
+# probe: adaptive ladder floor when unresolved, direction norm as a fraction
+# of the host norm, and the noise floor relative to the base level
+EXTEND_TO = 1e-7
+DIRECTION_SCALE = 0.1
+NOISE_FLOOR = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -57,20 +71,13 @@ SQRT_EPS = math.sqrt(np.finfo(float).eps)
 @dataclass
 class DescentOptions:
     tol_grad: float = 1e-5          # relative dual-norm gradient target
-    tol_nehari: float = 1e-12       # scale-free projection residual
     max_iter: int = 8000
-    step0: float = 1.0
-    step_max: float = 2.0
-    armijo: float = 1e-4
-    max_backtracks: int = 60
-    stall_window: int = 80          # iterations without decrease before stopping
 
 
 @dataclass
 class PathOptions:
     n_path_nodes: int = 32          # number of segments; K+1 states
     max_sweeps: int = 40
-    descent: DescentOptions = field(default_factory=DescentOptions)
     crest_grad_tol: float = 1e-5    # stop once the max node is near-critical
 
 
@@ -78,10 +85,7 @@ class PathOptions:
 class ProbeOptions:
     amplitudes: tuple = tuple(10.0 ** e for e in
                               (-1.0, -1.5, -2.0, -2.5, -3.0, -3.5, -4.0))
-    extend_to: float = 1e-7         # adaptive ladder floor when unresolved
     n_directions: int = 4
-    direction_scale: float = 0.1    # probe norm as fraction of the host norm
-    noise_floor: float = 1e-12      # relative to the base level
     seed: int = 0
 
 
@@ -167,26 +171,24 @@ def _rel_grad(slope: float, nsq: float) -> float:
     return math.sqrt(slope) / math.sqrt(max(nsq, 1e-300))
 
 
-def _line_search(wt: Weights, u, v, du, dv, step: float, slope: float,
-                 nsq: float, opts: DescentOptions, E: float, accept=None,
-                 grad: bool = False):
+def _line_search(wt: Weights, u, v, du, dv, slope: float, nsq: float,
+                 E: float, accept=None, grad: bool = False, step: float = STEP0):
     """Backtracking along -(du, dv) from (u, v), one grid pass per trial.
 
     A trial is projected from its integrals I (with the gradient parts when
     ``grad``) and returned as ``(st, t, I, t cu, t cv)`` once ``accept(st,
     t, I)`` holds, by default the Armijo decrease from ``E``.  None after
-    ``max_backtracks`` halvings or once the relative step in the metric,
+    ``MAX_BACKTRACKS`` halvings or once the relative step in the metric,
     ``st sqrt(slope / nsq)``, is at most sqrt(eps).
     """
     if accept is None:
         def accept(st, t, I):
-            return I.energy(t) <= E - opts.armijo * st * slope
+            return I.energy(t) <= E - ARMIJO * st * slope
     st, rel = step, _rel_grad(slope, nsq)
-    for _ in range(opts.max_backtracks):
+    for _ in range(MAX_BACKTRACKS):
         cu, cv = u - st * du, v - st * dv
         try:
-            t, I = project_arrays(wt, cu, cv, opts.tol_nehari, positive=True,
-                                  grad=grad)
+            t, I = project_arrays(wt, cu, cv, positive=True, grad=grad)
         except HsvarError:
             pass
         else:
@@ -209,20 +211,20 @@ def _descend(params: ProblemParams, pair: StatePair, metric: PairMetric,
     """
     grid = pair.grid
     wt = Weights(grid, params)
-    t, I = project_arrays(wt, pair.u.values, pair.v.values, opts.tol_nehari,
-                          positive=True, grad=True)
+    t, I = project_arrays(wt, pair.u.values, pair.v.values, positive=True,
+                          grad=True)
     u, v = t * pair.u.values, t * pair.v.values
     E, nsq, g = I.energy(t), t * t * I.A, I.gradient(t)
     trace = [E]
-    step, last_drop = opts.step0, 0
+    step, last_drop = STEP0, 0
     rel_g, stop = math.inf, "max_iter"
     for it in range(opts.max_iter):
         du, dv, slope = metric.direction(*g)
         rel_g = _rel_grad(slope, nsq)
-        if rel_g <= opts.tol_grad or it - last_drop > opts.stall_window:
+        if rel_g <= opts.tol_grad or it - last_drop > STALL_WINDOW:
             stop = "tolerance" if rel_g <= opts.tol_grad else "stall"
             break
-        found = _line_search(wt, u, v, du, dv, step, slope, nsq, opts, E, grad=True)
+        found = _line_search(wt, u, v, du, dv, slope, nsq, E, grad=True, step=step)
         if found is None:
             stop = "line_search"
             break
@@ -231,7 +233,7 @@ def _descend(params: ProblemParams, pair: StatePair, metric: PairMetric,
             last_drop = it
         E, nsq, g = I.energy(t), t * t * I.A, I.gradient(t)
         trace.append(E)
-        step = min(st * 1.5, opts.step_max)
+        step = min(st * 1.5, STEP_MAX)
     else:
         it = opts.max_iter
     return _pair(grid, u, v), E, it, rel_g, trace, stop
@@ -281,7 +283,7 @@ def escalate_nu(params: ProblemParams, grid: RadialGrid,
     q = params.alpha + params.beta
     nu = nu_start
     for _ in range(max_doublings):
-        t, _ = _solve_scale(I.A, I.B, I.C, params.crit_exp, q, nu, 1e-12)
+        t, _ = _solve_scale(I.A, I.B, I.C, params.crit_exp, q, nu, PROJECTION_TOL)
         if nu * q * t ** q * I.C > 0.5 * t * t * I.A:
             return nu
         nu *= 2.0
@@ -404,7 +406,6 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
     g_max, _ = interpolation_bound(params, grid)
 
     metric = PairMetric(grid, params.lambda1, params.lambda2)
-    dop = opts.descent
     a = int(np.argmax(E))
     # rows are overwritten by later sweeps, so the best crest is a copy
     best_max, best_u, best_v = float(E[a]), U[a].copy(), V[a].copy()
@@ -458,9 +459,8 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
                             + float(gv[1:-1] @ dv[1:-1]), 0.0)
             # neighbors take the Armijo test; the climbing node's step floor
             # uses its unmodified slope
-            found = _line_search(wt, U[k], V[k], du, dv, dop.step0, slope, I.A,
-                                 dop, E[k], climbs if climbing else None,
-                                 grad=climbing)
+            found = _line_search(wt, U[k], V[k], du, dv, slope, I.A, E[k],
+                                 climbs if climbing else None, grad=climbing)
             if found is not None:
                 _, t, J, U[k], V[k] = found
                 E[k] = J.energy(t)
@@ -536,7 +536,7 @@ def semitrivial_probe(params: ProblemParams, which: str,
     wt = Weights(grid, work)
     host = integrals(wt, zero.values, z.values)
     base = host.energy()
-    floor = opts.noise_floor * (1.0 + abs(base))
+    floor = NOISE_FLOOR * (1.0 + abs(base))
 
     def delta(u, v):
         """Energy of the projected (u, v) minus the base level."""
@@ -548,7 +548,7 @@ def semitrivial_probe(params: ProblemParams, which: str,
     def scaled_direction():
         phi = random_bump(grid, rng)
         nphi = math.sqrt(lambda_norm_sq(phi, work.lambda1))
-        return phi.scaled(opts.direction_scale * math.sqrt(host.A) / nphi)
+        return phi.scaled(DIRECTION_SCALE * math.sqrt(host.A) / nphi)
 
     evidence = []     # (family, direction index, sign)
     deltas_log = {}
@@ -561,7 +561,7 @@ def semitrivial_probe(params: ProblemParams, which: str,
         sign = _resolved_sign(amps, ds, floor)
         # extend the ladder adaptively when the leading order is unresolved
         t_next = amps[-1] / math.sqrt(10.0)
-        while sign == 0 and t_next >= opts.extend_to:
+        while sign == 0 and t_next >= EXTEND_TO:
             amps.append(t_next)
             ds.append(delta(t_next * phi.values, z.values))
             sign = _resolved_sign(amps, ds, floor)

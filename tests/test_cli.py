@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import hsvar
-from hsvar import StatePair, build_grid, energy, exact_solution
+from hsvar import (DescentOptions, PathOptions, ProbeOptions, StatePair,
+                   build_grid, energy, exact_solution)
 from hsvar import io as hio
-from hsvar.cli import run_command
+from hsvar.cli import RunConfig, run_command
 from hsvar.grid import RadialFunction
 from hsvar.io import pair_from_csv, pair_to_csv
 from hsvar.params import ProblemParams
@@ -175,6 +176,14 @@ def test_validation_error_exit_code(tmp_path, capsys):
     (["sweep", "--config", "{cfg}", "--out", "{out}"],
      json.dumps({"sweep": {"over": {"nu": [0.0, 0.1]}}})),
     (["classify", "--h", "bump:1"], None),
+    (["mountain-pass", "--config", "{cfg}"],
+     json.dumps({"params": PARAMS, "solver": {"max_iter": "lots"}})),
+    (["classify", "--config", "{cfg}"],
+     json.dumps({"params": PARAMS, "solver": {"max_iters": 10}})),
+    (["classify", "--config", "{cfg}"],
+     json.dumps({"params": PARAMS, "solver": {"step0": 0.5}})),
+    (["classify", "--config", "{cfg}"],
+     json.dumps({"params": PARAMS, "solver": {"probe_ladder": "x"}})),
 ])
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv, content):
     cfg = tmp_path / "bad.json"
@@ -186,6 +195,19 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv, content):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_solver_keys_reach_their_option_fields():
+    cfg = RunConfig.from_dict({
+        "params": PARAMS, "seed": 5,
+        "solver": {"tol_grad": 1e-7, "max_iter": 12, "n_path_nodes": 9,
+                   "max_sweeps": 4, "probe_ladder": [0.1, "0.01"],
+                   "n_probe_dirs": 3}})
+    assert cfg.options(DescentOptions) == DescentOptions(tol_grad=1e-7, max_iter=12)
+    assert cfg.options(PathOptions) == PathOptions(n_path_nodes=9, max_sweeps=4)
+    probe = cfg.options(ProbeOptions)
+    assert probe == ProbeOptions(amplitudes=(0.1, 0.01), n_directions=3, seed=5)
+    assert all(type(a) is float for a in probe.amplitudes)
 
 
 def test_module_form_runs_the_command():
@@ -253,17 +275,6 @@ def test_sweep_command(tmp_path, capsys):
     assert "lambda2" in header and "thm_mixed" in header
 
 
-def test_radial_function_csv(tmp_path):
-    from hsvar.io import radial_function_to_csv
-    grid = build_grid(4, **GRID)
-    z = RadialFunction(grid, exact_solution(4, 0.3, 1.0, 1.0, grid.r))
-    path = str(tmp_path / "f.csv")
-    radial_function_to_csv(path, z)
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert np.array_equal(data[:, 0], grid.r)
-    assert np.array_equal(data[:, 1], z.values)
-
-
 def test_ground_state_decoupled_cli_hits_level(tmp_path, capsys):
     from hsvar import critical_level
     cfg = write_config(tmp_path, grid={"n_nodes": 2048},
@@ -272,6 +283,18 @@ def test_ground_state_decoupled_cli_hits_level(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert out["energy"] == pytest.approx(critical_level(4, 0.3, 1.0), rel=1e-3)
+
+
+def test_sweep_rows_complete_an_incomplete_base(tmp_path, capsys):
+    base = {k: v for k, v in PARAMS.items() if k != "lambda2"}
+    doc = {"params": base, "sweep": {"over": {"lambda2": [0.2, 0.4]}}}
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(doc))
+    out_csv = str(tmp_path / "sweep.csv")
+    code = run_command(["sweep", "--config", str(cfg), "--out", out_csv])
+    assert code == 0
+    capsys.readouterr()
+    assert len(open(out_csv).read().strip().splitlines()) == 1 + 2
 
 
 def test_sweep_lemma_mode(tmp_path, capsys):

@@ -197,7 +197,6 @@ class TestLineSearch:
         u, v, E, nsq = t * z1, t * z2, I.energy(t), t * t * I.A
         metric = PairMetric(grid, pr.lambda1, pr.lambda2)
         du, dv, slope = metric.direction(*I.gradient(t))
-        opts = DescentOptions()
         calls = []
 
         def counted(*args, **kwargs):
@@ -205,12 +204,11 @@ class TestLineSearch:
             return project_arrays(*args, **kwargs)
 
         monkeypatch.setattr(solvers, "project_arrays", counted)
-        found = solvers._line_search(wt, u, v, -du, -dv, opts.step0, slope, nsq,
-                                     opts, E)
+        found = solvers._line_search(wt, u, v, -du, -dv, slope, nsq, E)
         assert found is None
         rel = math.sqrt(slope / nsq)
-        bound = math.ceil(math.log2(opts.step0 * rel / solvers.SQRT_EPS)) + 1
-        assert len(calls) <= bound < opts.max_backtracks
+        bound = math.ceil(math.log2(solvers.STEP0 * rel / solvers.SQRT_EPS)) + 1
+        assert len(calls) <= bound < solvers.MAX_BACKTRACKS
 
 
 class TestSemitrivialProbe:
