@@ -38,9 +38,8 @@ from .grid import (REFERENCE_N_NODES, REFERENCE_R_MAX, REFERENCE_R_MIN,
 from .nehari import project
 from .params import ProblemParams
 from .regimes import LemmaInstance, algebraic_inf, classify
-from .solvers import (DescentOptions, PathOptions, ProbeOptions, ground_state,
-                      mountain_pass, random_bump, semitrivial_probe,
-                      extremal_pair)
+from .solvers import (DescentOptions, PathOptions, ground_state, mountain_pass,
+                      random_bump, semitrivial_probe, extremal_pair)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -71,8 +70,6 @@ _SOLVER_KEYS = {
     "max_iter": (DescentOptions, "max_iter", int),
     "n_path_nodes": (PathOptions, "n_path_nodes", int),
     "max_sweeps": (PathOptions, "max_sweeps", int),
-    "probe_ladder": (ProbeOptions, "amplitudes", lambda xs: tuple(float(x) for x in xs)),
-    "n_probe_dirs": (ProbeOptions, "n_directions", int),
 }
 
 
@@ -128,12 +125,8 @@ class RunConfig:
         return build_grid(self.params.N, *self.grid)
 
     def options(self, cls):
-        """Options of type ``cls`` with the fields the solver section sets;
-        probe options also take the seed."""
-        kw = dict(self.solver.get(cls, {}))
-        if cls is ProbeOptions:
-            kw["seed"] = self.seed
-        return cls(**kw)
+        """Options of type ``cls`` with the fields the solver section sets."""
+        return cls(**self.solver.get(cls, {}))
 
 
 def _read_json(path: str) -> dict:
@@ -248,8 +241,7 @@ def _cmd_solve(args) -> int:
     elif args.command == "mountain-pass":
         report = mountain_pass(cfg.params, grid, cfg.options(PathOptions))
     else:
-        report = semitrivial_probe(cfg.params, args.which, grid,
-                                   cfg.options(ProbeOptions))
+        report = semitrivial_probe(cfg.params, args.which, grid)
     run_dir = hio.persist_run(cfg.output_dir, report, grid)
     _print({"run_dir": run_dir, "energy": report.energy,
             "converged": report.converged, "stop_reason": report.stop_reason,

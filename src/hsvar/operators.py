@@ -6,9 +6,7 @@ on the ``n - 2`` interior degrees of freedom, where the quadratic form is a
 symmetric tridiagonal matrix.  Its coefficients span many orders of magnitude
 across the window, so it is factorized after symmetric Jacobi scaling (unit
 diagonal), with LAPACK's LDL^T routines for SPD tridiagonal matrices
-(``dpttrf``/``dpttrs``).  The scaled factorization is accurate relative to the
-scaled matrix, not to each unscaled row; one step of iterative refinement
-against the unscaled matrix removes that loss, which is why it stays.
+(``dpttrf``/``dpttrs``).
 """
 
 from __future__ import annotations
@@ -56,17 +54,12 @@ class LambdaOperator:
         out[1:] += self._off * d[:-1]
         return out
 
-    def _scaled_solve(self, rhs: np.ndarray) -> np.ndarray:
-        s = self._scale
-        return s * dpttrs(self._d, self._e, s * rhs)[0]
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve (Q - lam*H) d = rhs on the interior, with one refinement pass."""
+        """Solve (Q - lam*H) d = rhs on the interior."""
         if not rhs.any():
             return np.zeros_like(rhs)     # a zero component stays zero
-        d = self._scaled_solve(rhs)
-        d += self._scaled_solve(rhs - self.apply(d))
-        return d
+        s = self._scale
+        return s * dpttrs(self._d, self._e, s * rhs)[0]
 
 
 class PairMetric:

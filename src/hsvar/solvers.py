@@ -1,4 +1,4 @@
-"""Constrained solvers: ground-state descent, min-max path, semitrivial probes.
+"""Constrained solvers: ground-state descent, min-max path, semitrivial labels.
 
 Ground states are computed by projected descent on the constraint set of the
 truncated functional: the gradient is preconditioned by the factorized
@@ -22,11 +22,11 @@ pass per trial.  It stops once the step in the metric, relative to the
 state, falls to sqrt(eps): the climbing node's test (its gradient shrinks)
 fails at every step in most sweeps.
 
-The variational character of the one-component couples is probed
-numerically: directed two-parameter rescalings and random perturbations are
-projected back to the constraint set and their energies compared with the
-closed-form level, reading the sign of the difference at the smallest
-amplitude that rises above the noise floor.
+The variational character of a one-component couple (0, z) is read from
+the second variation in the directions (phi, 0), tangent to the constraint
+set: with foreign exponent 2 the couple is a saddle iff nu exceeds the
+lowest eigenvalue nu* of the foreign operator against the weight 2 h z^f
+r^-s, computed by inverse iteration; other exponents fix nu* at 0 or inf.
 """
 
 from __future__ import annotations
@@ -37,14 +37,13 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .closed_forms import critical_level, exact_solution, separability_check
-from .energy import (StatePair, Weights, integrals, lambda_norm_sq,
-                     pair_integrals)
+from .energy import StatePair, Weights, integrals, pair_integrals
 from .errors import (DegenerateInputError, DegeneratePathError, HsvarError,
                      InvalidParameterError, PreconditionError)
 from .grid import RadialFunction, RadialGrid, reference_grid, weighted_lp
 from .nehari import (PROJECTION_TOL, _solve_scale, project_arrays,
                      project_decoupled)
-from .operators import PairMetric
+from .operators import LambdaOperator, PairMetric
 from .params import ProblemParams
 
 RADIAL_NOTE = "radial ansatz: all states are radial profiles on a truncated window"
@@ -57,21 +56,32 @@ STEP_MAX = 2.0
 ARMIJO = 1e-4
 MAX_BACKTRACKS = 60
 STALL_WINDOW = 80         # descent iterations without decrease before stopping
-# probe: adaptive ladder floor when unresolved, direction norm as a fraction
-# of the host norm, and the noise floor relative to the base level
-EXTEND_TO = 1e-7
-DIRECTION_SCALE = 0.1
-NOISE_FLOOR = 1e-12
+# inverse iteration for the classification threshold nu*: relative decrease
+# of the Rayleigh quotient that stops it, and the cap on iterations
+MODE_TOL = 1e-12
+MODE_MAX_ITER = 500
 
 
 # ---------------------------------------------------------------------------
 # options and report types
 # ---------------------------------------------------------------------------
 
+def _check_floors(opts, **floors) -> None:
+    """Reject option fields below their floors (or NaN), naming each."""
+    bad = [f"{name}={getattr(opts, name)!r} (must be >= {lo})"
+           for name, lo in floors.items() if not getattr(opts, name) >= lo]
+    if bad:
+        raise InvalidParameterError(
+            f"invalid {type(opts).__name__}: {', '.join(bad)}")
+
+
 @dataclass
 class DescentOptions:
     tol_grad: float = 1e-5          # relative dual-norm gradient target
     max_iter: int = 8000
+
+    def __post_init__(self):
+        _check_floors(self, tol_grad=0, max_iter=0)
 
 
 @dataclass
@@ -80,12 +90,14 @@ class PathOptions:
     max_sweeps: int = 40
     crest_grad_tol: float = 1e-5    # stop once the max node is near-critical
 
+    def __post_init__(self):
+        _check_floors(self, n_path_nodes=2, max_sweeps=0, crest_grad_tol=0)
+
 
 @dataclass
 class ProbeOptions:
-    amplitudes: tuple = tuple(10.0 ** e for e in
-                              (-1.0, -1.5, -2.0, -2.5, -3.0, -3.5, -4.0))
-    n_directions: int = 4
+    """Not read by :func:`semitrivial_probe`, whose criterion has no random
+    input; kept so that existing callers still construct it."""
     seed: int = 0
 
 
@@ -493,15 +505,28 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
 
 
 # ---------------------------------------------------------------------------
-# semitrivial probes
+# semitrivial classification
 # ---------------------------------------------------------------------------
 
-def _resolved_sign(amplitudes, deltas, floor):
-    """Sign of delta at the smallest amplitude above the noise floor."""
-    for t, d in sorted(zip(amplitudes, deltas)):
-        if abs(d) > floor:
-            return 1 if d > 0 else -1
-    return 0
+def _lowest_mode(op: LambdaOperator, W: np.ndarray, x: np.ndarray):
+    """Lowest eigenpair of K phi = mu W phi by inverse iteration from x.
+
+    K is the interior matrix of ``op`` and W a nonnegative diagonal.  Each
+    step solves K y = W x; the Rayleigh quotient y'Wx / y'Wy bounds mu from
+    above and does not increase.  Returns (mu, phi, iterations, converged),
+    with phi'W phi = 1.
+    """
+    mu = math.inf
+    for it in range(1, MODE_MAX_ITER + 1):
+        Wx = W * x
+        y = op.solve(Wx)
+        yWy = float(y @ (W * y))
+        mu_next = float(y @ Wx) / yWy
+        x = y / math.sqrt(yWy)
+        if mu - mu_next <= MODE_TOL * mu_next:
+            return mu_next, x, it, True
+        mu = mu_next
+    return mu, x, MODE_MAX_ITER, False
 
 
 def semitrivial_probe(params: ProblemParams, which: str,
@@ -509,20 +534,17 @@ def semitrivial_probe(params: ProblemParams, which: str,
                       opts: ProbeOptions | None = None) -> SolverReport:
     """Classify a one-component couple as local minimum or saddle.
 
-    Two probe families run around the couple on the constraint set:
-
-    (a) random perturbed couples (t phi, z + t psi), reprojected;
-    (b) directed rescaled paths: for each direction phi, the pair
-        (t phi, z) is projected, which realizes the two-parameter family
-        whose scale factor solves the constraint equation.
-
-    The energy difference against the one-component level is read at the
-    smallest amplitude that clears the noise floor.  If the default
-    amplitude ladder leaves every direction unresolved it is extended
-    adaptively; if still unresolved the classification is `inconclusive`
-    rather than a guessed label.
+    At a couple (0, z), alpha, beta > 1 make the cross terms of the second
+    variation vanish, and the directions (phi, 0) are tangent to the
+    constraint set, so the label follows from the foreign exponent e (alpha
+    at (0, z2), beta at (z1, 0)): the couple is a saddle iff nu > nu*, with
+    nu* = 0 for e < 2 and nu* = inf for e > 2.  For e = 2, nu* is the lowest
+    eigenvalue of K phi = mu W phi, where K is the foreign component's
+    interior operator and W = 2 h z^f r^-s, quadrature-weighted, with f the
+    host exponent; inverse iteration computes it, and the classification is
+    ``inconclusive`` only when the iteration cap is hit.  ``opts`` is not
+    read: nothing here is random.
     """
-    opts = opts or ProbeOptions()
     grid = grid or reference_grid(params.N)
     if which not in ("first", "second"):
         raise InvalidParameterError(f"which must be 'first' or 'second', got {which!r}")
@@ -534,66 +556,29 @@ def semitrivial_probe(params: ProblemParams, which: str,
     z = extremal_pair(work, grid, "second").v
     zero = RadialFunction.zero(grid)
     wt = Weights(grid, work)
-    host = integrals(wt, zero.values, z.values)
-    base = host.energy()
-    floor = NOISE_FLOOR * (1.0 + abs(base))
+    base = integrals(wt, zero.values, z.values).energy()
 
-    def delta(u, v):
-        """Energy of the projected (u, v) minus the base level."""
-        t, I = project_arrays(wt, u, v)
-        return I.energy(t) - base
-
-    rng = np.random.default_rng(opts.seed)
-
-    def scaled_direction():
-        phi = random_bump(grid, rng)
-        nphi = math.sqrt(lambda_norm_sq(phi, work.lambda1))
-        return phi.scaled(DIRECTION_SCALE * math.sqrt(host.A) / nphi)
-
-    evidence = []     # (family, direction index, sign)
-    deltas_log = {}
-    ladder = list(opts.amplitudes)
-
-    for k in range(opts.n_directions):
-        phi = scaled_direction()
-        amps = list(ladder)
-        ds = [delta(t * phi.values, z.values) for t in amps]
-        sign = _resolved_sign(amps, ds, floor)
-        # extend the ladder adaptively when the leading order is unresolved
-        t_next = amps[-1] / math.sqrt(10.0)
-        while sign == 0 and t_next >= EXTEND_TO:
-            amps.append(t_next)
-            ds.append(delta(t_next * phi.values, z.values))
-            sign = _resolved_sign(amps, ds, floor)
-            t_next /= math.sqrt(10.0)
-        evidence.append(("directed", k, sign))
-        deltas_log[f"directed_{k}"] = ds
-
-    for k in range(opts.n_directions):
-        phi = scaled_direction()
-        psi = scaled_direction()
-        ds = [delta(t * phi.values, z.values + t * psi.values) for t in ladder]
-        sign = _resolved_sign(ladder, ds, floor)
-        evidence.append(("perturbed", k, sign))
-        deltas_log[f"perturbed_{k}"] = ds
-
-    least = min((sgn for _, _, sgn in evidence), default=1)
-    classification = ("saddle" if least < 0 else
-                      "local_min" if least > 0 else "inconclusive")
+    e, iters, stop = work.alpha, 0, None
+    if e != 2.0:
+        nu_star = 0.0 if e < 2.0 else math.inf
+    else:
+        W = 2.0 * (wt.whrs * z.values ** work.beta)[1:-1]
+        nu_star, _, iters, done = _lowest_mode(
+            LambdaOperator(grid, work.lambda1), W, z.values[1:-1])
+        stop = "tolerance" if done else "max_iter"
+    classification = ("inconclusive" if stop == "max_iter" else
+                      "saddle" if work.nu > nu_star else "local_min")
 
     levels = _levels(params)
     levels["base_level"] = base
     return SolverReport(
         kind="semitrivial_probe", params=params.to_dict(), energy=base,
         gradient_norm=0.0, nehari_residual=0.0,
-        iterations=len(evidence), converged=classification != "inconclusive",
+        iterations=iters, converged=classification != "inconclusive",
         level_diagnostics=levels,
         profiles=StatePair(z, zero) if swapped else StatePair(zero, z),
-        classification=classification,
-        extra={"which": which,
-               "evidence": [{"family": f, "direction": i, "sign": sgn}
-                            for f, i, sgn in evidence],
-               "deltas": {k: [float(x) for x in v] for k, v in deltas_log.items()}})
+        classification=classification, stop_reason=stop,
+        extra={"which": which, "nu_star": nu_star, "foreign_exponent": e})
 
 
 def classification_flip(params_at, nu_lo: float, nu_hi: float, which: str,

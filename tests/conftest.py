@@ -1,8 +1,10 @@
-"""Shared fixtures: cached grids and compactly supported test profiles."""
+"""Shared fixtures: cached grids, compactly supported test profiles and the
+dense interior operator."""
 
 import math
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from hsvar import RadialFunction, build_grid
@@ -32,3 +34,10 @@ def smooth_bump(grid, rng, amp_range=(0.3, 1.5), signed=True):
     if signed and rng.random() < 0.5:
         amp = -amp
     return RadialFunction(grid, compact_bump(grid.t, center, halfwidth, amp))
+
+
+def assembled_interior(grid, lam):
+    """Dense interior matrix of the quadratic form Q - lam * Hardy."""
+    cc = grid.cell_w / grid.dt ** 2
+    main = cc[:-1] + cc[1:] - lam * grid.w[1:-1] / grid.r[1:-1] ** 2
+    return np.diag(main) - np.diag(cc[1:-1], 1) - np.diag(cc[1:-1], -1)

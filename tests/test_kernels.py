@@ -14,7 +14,7 @@ from hsvar.energy import Weights, gradient_coefficients, integrals
 from hsvar.grid import gradient_seminorm, weighted_lp
 from hsvar.operators import LambdaOperator
 from hsvar.solvers import compact_bump
-from conftest import cached_grid, smooth_bump
+from conftest import assembled_interior, cached_grid, smooth_bump
 
 REL = 1e-13
 
@@ -227,12 +227,6 @@ def test_one_component_skip_is_exact(monkeypatch, case, positive):
 # ---------------------------------------------------------------------------
 # tridiagonal metric solve against a dense solve
 # ---------------------------------------------------------------------------
-
-def assembled_interior(grid, lam):
-    cc = grid.cell_w / grid.dt ** 2
-    main = cc[:-1] + cc[1:] - lam * grid.w[1:-1] / grid.r[1:-1] ** 2
-    return np.diag(main) - np.diag(cc[1:-1], 1) - np.diag(cc[1:-1], -1)
-
 
 @pytest.mark.parametrize("N,lam_frac", [(3, 0.9), (4, 0.3), (4, 1.05), (5, 0.9)])
 def test_tridiagonal_solve_matches_dense(N, lam_frac):

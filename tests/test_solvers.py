@@ -1,21 +1,25 @@
-"""Solver behavior: descent, escalation, min-max path, probes."""
+"""Solver behavior: descent, escalation, min-max path, semitrivial labels."""
 
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import assume, given, settings, strategies as st
 
-from hsvar import (DegenerateInputError, DescentOptions, PathOptions,
-                   PreconditionError, ProbeOptions, ProblemParams,
-                   RadialFunction, StatePair, critical_level, energy_positive,
-                   escalate_nu, extremal_pair, ground_state,
-                   interpolation_bound, mountain_pass, nehari_residual,
-                   pair_norm_sq, semitrivial_probe)
+from hsvar import (DegenerateInputError, DescentOptions, HProfile,
+                   InvalidParameterError, PathOptions, PreconditionError,
+                   ProbeOptions, ProblemParams, RadialFunction, StatePair,
+                   classification_flip, critical_level, energy,
+                   energy_positive, escalate_nu, extremal_pair, ground_state,
+                   hardy_constant, interpolation_bound, lambda_norm_sq,
+                   mountain_pass, nehari_residual, pair_norm_sq, project,
+                   semitrivial_probe)
 from hsvar import solvers
 from hsvar.energy import Weights, integrals
 from hsvar.nehari import project_arrays
-from hsvar.operators import PairMetric
-from conftest import cached_grid, smooth_bump
+from hsvar.operators import LambdaOperator, PairMetric
+from conftest import assembled_interior, cached_grid, smooth_bump
 
 
 def small_grid(N):
@@ -241,6 +245,142 @@ class TestSemitrivialProbe:
         rep = self.probe("second", alpha=3.0, beta=1.5, nu=1e-3)
         assert rep.level_diagnostics["base_level"] == pytest.approx(
             critical_level(3, 0.12, 0.5), rel=1e-3)
+
+    def test_no_coupling_is_a_local_min(self):
+        rep = self.probe("second", alpha=1.5, beta=3.0, nu=0.0)
+        assert rep.classification == "local_min"
+        assert rep.extra["nu_star"] == 0.0
+
+
+def flip_params(nu):
+    """The criterion-8 parameters whose label flips at nu*."""
+    return ProblemParams(3, 0.5, 0.12, 0.1, 2.0, 2.2, nu)
+
+
+def foreign_weight(params, grid):
+    """Host profile z of (0, z) and the weight W = 2 h z^beta r^-s (interior)."""
+    z = extremal_pair(params, grid, "second").v
+    return z, 2.0 * (Weights(grid, params).whrs * z.values ** params.beta)[1:-1]
+
+
+class TestClassificationThreshold:
+    def test_flip_parameters_label_by_nu_star(self):
+        grid = small_grid(3)
+        rep = semitrivial_probe(flip_params(1.0), "second", grid)
+        nu_star = rep.extra["nu_star"]
+        assert nu_star == pytest.approx(0.24464, rel=1e-4)
+        assert rep.stop_reason == "tolerance" and rep.converged
+        assert 0 < rep.iterations < solvers.MODE_MAX_ITER
+        labels = [semitrivial_probe(flip_params(f * nu_star), "second",
+                                    grid).classification for f in (0.9, 1.1)]
+        assert labels == ["local_min", "saddle"]
+
+    def test_flip_bracket_contains_nu_star(self):
+        grid = small_grid(3)
+        nu_star = semitrivial_probe(flip_params(1.0), "second",
+                                    grid).extra["nu_star"]
+        flip = classification_flip(flip_params, 1e-3, 100.0, "second", grid)
+        lo, hi = flip["bracket"]
+        assert flip["flip_found"] and lo < nu_star < hi
+
+    @pytest.mark.parametrize("N", [3, 4])
+    @pytest.mark.parametrize("n", [1024, 4096])
+    def test_closed_form_threshold_is_one_half(self, N, n):
+        # equal lambdas, alpha = 2, beta = p - 2 and h = 1: the host profile z
+        # solves K z = z^(p-2) r^-s z and is positive, so it is the first
+        # eigenfunction of K phi = mu W phi, with mu = 1/2
+        s, lam = 0.5, 0.3 * hardy_constant(N)
+        p = 2.0 * (N - s) / (N - 2)
+        pr = ProblemParams(N, s, lam, lam, 2.0, p - 2.0, 0.1)
+        rep = semitrivial_probe(pr, "second", cached_grid(N, n_nodes=n))
+        assert rep.extra["nu_star"] == pytest.approx(0.5, abs=1e-3)
+
+    def test_nu_star_matches_dense_eigensolver(self):
+        grid = cached_grid(3, n_nodes=512)
+        pr = flip_params(1.0)
+        _, W = foreign_weight(pr, grid)
+        K = assembled_interior(grid, pr.lambda1)
+        # the full generalized solver: with subset_by_index scipy switches
+        # to bisection, whose default tolerance is off by 1.6e-6 here
+        mu = scipy.linalg.eigh(K, np.diag(W), eigvals_only=True)[0]
+        rep = semitrivial_probe(pr, "second", grid)
+        assert rep.extra["nu_star"] == pytest.approx(mu, rel=1e-8)
+
+    @pytest.mark.parametrize("factor", [0.95, 1.05])
+    def test_energy_along_the_lowest_mode(self, factor):
+        # the projected energy along the lowest mode phi moves by the second
+        # variation t^2/2 ||phi||^2 (1 - nu/nu*): up below nu*, down above
+        grid = small_grid(3)
+        pr = flip_params(1.0)
+        z, W = foreign_weight(pr, grid)
+        nu_star, mode, _, done = solvers._lowest_mode(
+            LambdaOperator(grid, pr.lambda1), W, z.values[1:-1])
+        assert done
+        phi = RadialFunction(grid, np.concatenate([[0.0], mode, [0.0]]))
+        nz = lambda_norm_sq(z, pr.lambda2)
+        phi = phi.scaled(math.sqrt(nz / lambda_norm_sq(phi, pr.lambda1)))
+        pr = flip_params(factor * nu_star)
+        t = 1e-3
+        base = energy(StatePair(RadialFunction.zero(grid), z), pr).total
+        moved = project(StatePair(phi.scaled(t), z), pr).projected
+        delta = energy(moved, pr).total - base
+        assert delta == pytest.approx(0.5 * t * t * nz * (1.0 - factor), rel=1e-3)
+
+
+LAM_FRAC = st.floats(0.05, 0.95)
+
+
+@settings(max_examples=30, deadline=None)
+@given(N=st.sampled_from([3, 4]), s=st.floats(0.0, 0.9), f1=LAM_FRAC,
+       f2=LAM_FRAC, e=st.sampled_from([1.5, 2.0, 2.5]),
+       frac=st.floats(0.01, 1.0), nu=st.floats(0.0, 2.0))
+def test_probe_commutes_with_component_swap(N, s, f1, f2, e, frac, nu):
+    p = 2.0 * (N - s) / (N - 2)
+    assume(p - e - 1.0 > 0.01)
+    H = hardy_constant(N)
+    # the first couple's foreign exponent is beta = e
+    pr = ProblemParams(N, s, f1 * H, f2 * H, 1.0 + frac * (p - e - 1.0), e, nu)
+    grid = cached_grid(N, n_nodes=512)
+    a = semitrivial_probe(pr, "first", grid)
+    b = semitrivial_probe(pr.swapped(), "second", grid)
+    assert a.classification == b.classification
+    assert a.extra["nu_star"] == b.extra["nu_star"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(N=st.sampled_from([3, 4]), s=st.floats(0.0, 0.9), f1=LAM_FRAC,
+       f2=LAM_FRAC, frac=st.floats(0.01, 1.0), c=st.floats(1e-3, 1e3))
+def test_nu_star_scales_inversely_with_a_constant_weight(N, s, f1, f2, frac, c):
+    p = 2.0 * (N - s) / (N - 2)
+    assume(p - 3.0 > 0.01)
+    H = hardy_constant(N)
+
+    def nu_star(h):
+        pr = ProblemParams(N, s, f1 * H, f2 * H, 2.0, 1.0 + frac * (p - 3.0),
+                           1.0, HProfile("constant", h))
+        rep = semitrivial_probe(pr, "second", cached_grid(N, n_nodes=512))
+        return rep.extra["nu_star"]
+
+    assert nu_star(c) * c == pytest.approx(nu_star(1.0), rel=1e-9)
+
+
+@pytest.mark.parametrize("cls,kw", [
+    (DescentOptions, {"max_iter": -5}),
+    (DescentOptions, {"tol_grad": -1e-6}),
+    (DescentOptions, {"tol_grad": math.nan}),
+    (PathOptions, {"n_path_nodes": 1}),
+    (PathOptions, {"max_sweeps": -1}),
+    (PathOptions, {"crest_grad_tol": -1.0}),
+])
+def test_out_of_range_options_are_rejected(cls, kw):
+    with pytest.raises(InvalidParameterError, match=next(iter(kw))):
+        cls(**kw)
+
+
+def test_options_at_their_floors_are_valid():
+    # the benchmark runs with a zero budget and a zero tolerance
+    DescentOptions(tol_grad=0.0, max_iter=0)
+    PathOptions(n_path_nodes=2, max_sweeps=0, crest_grad_tol=0.0)
 
 
 def test_interpolation_bound_max_at_half():
