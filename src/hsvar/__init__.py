@@ -4,9 +4,9 @@ and critical Hardy-Sobolev nonlinearities on R^N.
 The package evaluates the closed-form constants and extremal profiles of
 the scalar problems, discretizes radial profiles on a truncated log grid,
 evaluates the coupled energy functional and its constraint set, computes
-ground states by projected preconditioned descent, brackets min-max bound
-states along a deformed path, and classifies parameter regimes against the
-known existence statements.
+ground states by projected preconditioned conjugate gradient, brackets
+min-max bound states along a deformed path, and classifies parameter
+regimes against the known existence statements.
 """
 
 from .closed_forms import (best_constant, critical_exponent, critical_level,

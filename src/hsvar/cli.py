@@ -176,7 +176,7 @@ def _parse_h(spec: str) -> dict:
 
 
 def _print(doc: dict) -> None:
-    print(json.dumps(doc, sort_keys=True, indent=2, default=hio._json_default))
+    print(hio.dumps(doc))
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,16 @@
 """CSV/JSON persistence for profiles, grids, and solver reports.
 
 Profiles serialize to CSV with 17 significant digits so that reloading is
-bit-exact for IEEE doubles.  Reports serialize to JSON with sorted keys;
-reruns of an identical configuration produce identical bytes except for the
-timestamp field.  Runs are persisted append-only under monotonically
+bit-exact for IEEE doubles.  Reports serialize to strict JSON with sorted
+keys; reruns of an identical configuration produce identical bytes except
+for the timestamp field.  Runs are persisted append-only under monotonically
 numbered directories.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import time
@@ -49,19 +50,31 @@ def report_json(report_dict: dict, grid: RadialGrid, timestamp: float | None = N
         "timestamp": time.time() if timestamp is None else timestamp,
         **report_dict,
     }
-    return json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\n"
+    return dumps(doc) + "\n"
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
+def dumps(doc) -> str:
+    """Strict JSON with sorted keys; non-finite floats are written as the
+    strings "inf", "-inf" and "nan", since JSON has no token for them."""
+    return json.dumps(_plain(doc), sort_keys=True, indent=2, allow_nan=False)
+
+
+def _plain(obj):
+    """Copy of ``obj`` in JSON's types: numpy scalars and arrays converted,
+    non-finite floats as strings.  A walk, because ``json.dumps`` hands
+    Python floats (numpy float64 included) to no ``default`` hook."""
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        return x if math.isfinite(x) else "nan" if x != x else "inf" if x > 0 else "-inf"
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.bool_,)):
+    if isinstance(obj, np.bool_):
         return bool(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+    return obj
 
 
 _RUN_RE = re.compile(r"^run-(\d{6})$")

@@ -1,12 +1,15 @@
 """Constrained solvers: ground-state descent, min-max path, semitrivial labels.
 
-Ground states are computed by projected descent on the constraint set of the
-truncated functional: the gradient is preconditioned by the factorized
-interior operator of each component's quadratic form (a Sobolev-gradient
-step), the step is backtracked until an Armijo decrease of the projected
-energy holds, and every accepted iterate is reprojected.  Negative parts
-carry only quadratic energy under the truncated functional, so they decay
-along the flow and the computed profiles come out nonnegative.
+Ground states are computed by projected Polak-Ribiere+ conjugate gradient
+on the constraint set of the truncated functional.  The metric M is the
+factorized interior operator of each component's quadratic form, so m =
+M^-1 g is a Sobolev gradient; the step direction is d = m + beta d_prev
+with beta = max(0, <g, m - m_prev> / <g_prev, m_prev>).  The iteration
+restarts from d = m when d is not a descent direction or its search fails.
+The step is backtracked until an Armijo decrease of the projected energy
+holds, and every accepted iterate is reprojected.  Negative parts carry
+only quadratic energy under the truncated functional, so they decay along
+the iteration and the computed profiles come out nonnegative.
 
 Bound states between the two one-component solutions are bracketed by a
 discrete min-max path: nodes of the explicit interpolating path are
@@ -50,9 +53,13 @@ RADIAL_NOTE = "radial ansatz: all states are radial profiles on a truncated wind
 SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 # line search: first trial step, largest step the descent grows to, Armijo
-# constant, and the cap on halvings
+# constant, and the cap on halvings.  The soft dilation mode of the truncated
+# problem needs steps past 2: on twelve perturbed N=3 starts of criterion 6,
+# a cap of 2 left all twelve at 6000 iterations and a cap of 3 nine of them;
+# 4 converged all twelve in 145-683 iterations, and caps of 6, 8 or none
+# converged too but took no less time in total.
 STEP0 = 1.0
-STEP_MAX = 2.0
+STEP_MAX = 4.0
 ARMIJO = 1e-4
 MAX_BACKTRACKS = 60
 STALL_WINDOW = 80         # descent iterations without decrease before stopping
@@ -214,11 +221,19 @@ def _line_search(wt: Weights, u, v, du, dv, slope: float, nsq: float,
 
 def _descend(params: ProblemParams, pair: StatePair, metric: PairMetric,
              opts: DescentOptions):
-    """Projected preconditioned descent on the truncated constraint set.
+    """Projected Polak-Ribiere+ conjugate gradient in the metric M.
 
-    Returns (pair, energy, iterations, rel_grad, trace, stop_reason).  The
-    loop runs on node arrays; an accepted trial's energy, norm and gradient
-    after projection come from its integrals before projection, by
+    With m = M^-1 g, the step runs along -d for d = m + beta d_prev, where
+    beta = max(0, <g, m - m_prev> / <g_prev, m_prev>) (Antoine, Levitt &
+    Tang, J. Comput. Phys. 343:92, 2017).  The iteration restarts from the
+    steepest direction d = m when <g, d> <= 0 or when the search along d
+    fails; only a failed search along m stops it.  Every accepted trial is
+    reprojected, so the iterates stay on the constraint set.
+
+    Returns (pair, energy, iterations, rel_grad, trace, stop_reason,
+    restarts), where ``restarts`` counts the iterations that stepped along
+    m.  The loop runs on node arrays; an accepted trial's energy, norm and
+    gradient after projection come from its integrals before projection, by
     homogeneity, so an iteration makes one grid pass per trial.
     """
     grid = pair.grid
@@ -228,18 +243,36 @@ def _descend(params: ProblemParams, pair: StatePair, metric: PairMetric,
     u, v = t * pair.u.values, t * pair.v.values
     E, nsq, g = I.energy(t), t * t * I.A, I.gradient(t)
     trace = [E]
-    step, last_drop = STEP0, 0
+    step, last_drop, restarts = STEP0, 0, 0
     rel_g, stop = math.inf, "max_iter"
+    mu = mv = du = dv = None
     for it in range(opts.max_iter):
-        du, dv, slope = metric.direction(*g)
+        gu, gv = g
+        mu_new, mv_new, slope = metric.direction(gu, gv)
         rel_g = _rel_grad(slope, nsq)
         if rel_g <= opts.tol_grad or it - last_drop > STALL_WINDOW:
             stop = "tolerance" if rel_g <= opts.tol_grad else "stall"
             break
-        found = _line_search(wt, u, v, du, dv, slope, nsq, E, grad=True, step=step)
+        # m vanishes at the two end nodes, so these products run over the
+        # interior; slope > 0 here, as the tolerance test passed
+        beta = 0.0 if mu is None else max(
+            0.0, (gu @ (mu_new - mu) + gv @ (mv_new - mv)) / slope_prev)
+        mu, mv, slope_prev = mu_new, mv_new, slope
+        found = None
+        if beta > 0.0:
+            du, dv = mu + beta * du, mv + beta * dv
+            gd = float(gu @ du + gv @ dv)
+            if gd > 0.0:
+                found = _line_search(wt, u, v, du, dv, gd, nsq, E, grad=True,
+                                     step=step)
         if found is None:
-            stop = "line_search"
-            break
+            restarts += 1
+            du, dv = mu, mv
+            found = _line_search(wt, u, v, du, dv, slope, nsq, E, grad=True,
+                                 step=step)
+            if found is None:
+                stop = "line_search"
+                break
         st, t, I, u, v = found
         if E - I.energy(t) > 1e-15 * (abs(E) + 1.0):
             last_drop = it
@@ -248,7 +281,7 @@ def _descend(params: ProblemParams, pair: StatePair, metric: PairMetric,
         step = min(st * 1.5, STEP_MAX)
     else:
         it = opts.max_iter
-    return _pair(grid, u, v), E, it, rel_g, trace, stop
+    return _pair(grid, u, v), E, it, rel_g, trace, stop, restarts
 
 
 def ground_state(params: ProblemParams, init: StatePair,
@@ -263,7 +296,8 @@ def ground_state(params: ProblemParams, init: StatePair,
     if init.is_zero():
         raise DegenerateInputError("ground_state requires a nonzero initial pair")
     metric = PairMetric(init.grid, params.lambda1, params.lambda2)
-    pair, E, iters, rel_g, trace, stop = _descend(params, init, metric, opts)
+    pair, E, iters, rel_g, trace, stop, restarts = _descend(params, init,
+                                                            metric, opts)
 
     I = pair_integrals(pair, params, positive=True)
     levels = _levels(params)
@@ -278,7 +312,8 @@ def ground_state(params: ProblemParams, init: StatePair,
         profiles=pair, classification=classification, stop_reason=stop,
         trace=trace[-200:],
         extra={"monotone": bool(all(b <= a + 1e-12 * (abs(a) + 1.0)
-                                    for a, b in zip(trace, trace[1:])))})
+                                    for a, b in zip(trace, trace[1:]))),
+               "restarts": restarts})
 
 
 def escalate_nu(params: ProblemParams, grid: RadialGrid,

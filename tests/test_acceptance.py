@@ -149,6 +149,7 @@ def test_criterion_06_decoupled_ground_state():
     rng = np.random.default_rng(6)
     worst = 0.0
     details = []
+    converged = True
     for (N, s, lam) in ((4, 1.0, 0.3), (3, 0.5, 0.1), (5, 1.0, 1.0)):
         grid = cached_grid(N)
         lam2 = 0.5 * hardy_constant(N)
@@ -164,10 +165,11 @@ def test_criterion_06_decoupled_ground_state():
         target = critical_level(N, lam, s)
         err = abs(rep.energy / target - 1.0)
         worst = max(worst, err)
-        details.append(f"N={N}:{err:.1e}")
-    report(6, worst <= 1e-3,
+        converged &= rep.converged and rep.stop_reason == "tolerance"
+        details.append(f"N={N}:{err:.1e} ({rep.iterations} it, {rep.stop_reason})")
+    report(6, worst <= 1e-3 and converged,
            f"decoupled ground states {', '.join(details)} "
-           f"(tol 1e-3, {time.time() - t0:.1f}s)")
+           f"(tol 1e-3, all converged: {converged}, {time.time() - t0:.1f}s)")
 
 
 def test_criterion_07_large_coupling_ground_state():
@@ -180,12 +182,15 @@ def test_criterion_07_large_coupling_ground_state():
                      extremal_pair(pr, grid, "second").v)
     rep = ground_state(pr, init, DescentOptions(tol_grad=1e-5, max_iter=6000))
     lv = rep.level_diagnostics
+    restarts = rep.extra["restarts"]
     ok = (rep.energy < lv["min_level"] - 1e-6
-          and lv["crit_integral_u"] > 1e-6 and lv["crit_integral_v"] > 1e-6)
+          and lv["crit_integral_u"] > 1e-6 and lv["crit_integral_v"] > 1e-6
+          and 1 <= restarts <= rep.iterations)
     report(7, ok,
            f"escalated nu={nu:g}: energy {rep.energy:.4f} < min level "
            f"{lv['min_level']:.4f} - 1e-6, critical masses "
-           f"({lv['crit_integral_u']:.2e}, {lv['crit_integral_v']:.2e}) > 1e-6 "
+           f"({lv['crit_integral_u']:.2e}, {lv['crit_integral_v']:.2e}) > 1e-6, "
+           f"{restarts} restarts in {rep.iterations} iterations "
            f"({time.time() - t0:.1f}s)")
 
 

@@ -1,6 +1,7 @@
 """Command dispatch, persistence, round trips, determinism, exit codes."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -360,6 +361,46 @@ def test_mountain_pass_cli(tmp_path, capsys):
     assert (code == 0) == (report["stop_reason"] == "tolerance")
     lv = report["level_diagnostics"]
     assert lv["level_1"] < report["energy"] < 3 * lv["level_2"]
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+@pytest.mark.parametrize("argv,overrides,field,value", [
+    # foreign exponent beta = 2.2 > 2 at (z1, 0): the threshold nu* is inf
+    (["probe", "--which", "first"],
+     {"params": {"N": 3, "s": 0.5, "lambda1": 0.12, "lambda2": 0.1,
+                 "alpha": 2.0, "beta": 2.2, "nu": 1e-3}, "solver": {}},
+     ("extra", "nu_star"), "inf"),
+    # no sweep runs, so no crest gradient was measured
+    (["mountain-pass"],
+     {"params": PATH_PARAMS, "solver": {"n_path_nodes": 8, "max_sweeps": 0}},
+     ("gradient_norm",), "inf"),
+])
+def test_report_json_is_strict_json(tmp_path, capsys, argv, overrides, field,
+                                    value):
+    doc = json.loads(open(write_config(tmp_path)).read())
+    doc["params"].update(overrides["params"])
+    doc["solver"] = overrides["solver"]
+    cfg = tmp_path / "strict.json"
+    cfg.write_text(json.dumps(doc))
+    run_command(argv + ["--config", str(cfg)])
+    out = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    text = open(os.path.join(out["run_dir"], "report.json")).read()
+    report = json.loads(text, parse_constant=_reject_constant)
+    for key in field:
+        report = report[key]
+    assert report == value
+
+
+def test_dumps_writes_non_finite_floats_as_strings():
+    doc = {"a": [math.inf, -math.inf, math.nan, 1.5],
+           "b": np.array([np.inf, 2.0]), "c": np.float32("nan"),
+           "d": (np.int64(3), np.bool_(True))}
+    back = json.loads(hio.dumps(doc), parse_constant=_reject_constant)
+    assert back == {"a": ["inf", "-inf", "nan", 1.5], "b": ["inf", 2.0],
+                    "c": "nan", "d": [3, True]}
 
 
 def test_next_run_dir_retries_when_the_listing_is_stale(tmp_path, monkeypatch):

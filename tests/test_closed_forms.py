@@ -2,24 +2,77 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from mpmath import mpf
 
 from hsvar import (InvalidParameterError, ProblemParams, best_constant,
                    critical_exponent, critical_level, exact_solution,
                    hardy_constant, separability_check, singular_exponent,
                    sobolev_constant)
 
-# Sobolev constants computed independently with 40-digit arithmetic
-# (mpmath: pi*N*(N-2)*(gamma(N/2)/gamma(N))**(2/N)).
-SOBOLEV_ORACLE = {
-    3: 5.4779040895313318736,
-    4: 10.260398641294912764,
-    5: 14.811911720005934,
-    6: 19.259456665473206128,
-}
-# 6*(pi^2/15)^(1/3) via the same oracle
-BEST_CONST_4_0_1 = 5.2186008318689149577
+# Oracles in 40-digit arithmetic.  The package evaluates the constants in
+# double precision through log-Gamma; here Gamma itself is used, and the
+# constants are also recomputed from the explicit extremal by quadrature.
+DIGITS = 40
+# (lambda as a fraction of the Hardy constant, s)
+LAM_S = [(0.0, 0.0), (0.3, 0.5), (0.8, 1.5)]
+
+
+@mpmath.workdps(DIGITS)
+def mp_sobolev(N):
+    """Classical Sobolev constant pi N (N-2) (Gamma(N/2)/Gamma(N))^(2/N)."""
+    return (mpmath.pi * N * (N - 2)
+            * (mpmath.gamma(mpf(N) / 2) / mpmath.gamma(N)) ** (mpf(2) / N))
+
+
+@mpmath.workdps(DIGITS)
+def mp_constants(N, lam, s):
+    """best_constant's closed form, with Gamma in place of its logarithm,
+    and the level (2-s)/(2(N-s)) S^((N-s)/(2-s))."""
+    N, lam, s = mpf(N), mpf(lam), mpf(s)
+    L = (N - 2) ** 2 / 4
+    x = (N - s) / (2 - s)
+    bracket = ((N - 2) / (2 * (2 - s) * mpmath.sqrt(L - lam))
+               * 2 * mpmath.pi ** (N / 2) / mpmath.gamma(N / 2)
+               * mpmath.gamma(x) ** 2 / mpmath.gamma(2 * x))
+    S = 4 * (L - lam) * (N - s) / (N - 2) * bracket ** ((2 - s) / (N - s))
+    return S, (2 - s) / (2 * (N - s)) * S ** ((N - s) / (2 - s))
+
+
+@mpmath.workdps(DIGITS)
+def mp_extremal(N, lam, s):
+    """Constants from the quadratic form Q and critical integral M of the
+    explicit extremal z(r) = A^((N-2)/(2(2-s))) / (r^a (1 + r^k)^((N-2)/(2-s))),
+    with the constants of ``exact_solution``; integrals over R^N, in t = log r.
+
+    The extremal attains the best constant, S = Q / M^(2/p), and solves the
+    equation, Q = M, so its level is (1/2 - 1/p) M.  Returns (Q/M - 1, S,
+    level).
+    """
+    N, lam, s = mpf(N), mpf(lam), mpf(s)
+    L = (N - 2) ** 2 / 4
+    a = mpmath.sqrt(L) - mpmath.sqrt(L - lam)
+    k = (2 - s) * (1 - 2 * a / (N - 2))
+    m = (N - 2) / (2 - s)
+    p = 2 * (N - s) / (N - 2)
+    amp = (2 * (L - lam) * (N - s) / mpmath.sqrt(L)) ** ((N - 2) / (2 * (2 - s)))
+    omega = 2 * mpmath.pi ** (N / 2) / mpmath.gamma(N / 2)
+
+    def radial(f):
+        return omega * mpmath.quad(lambda t: f(mpmath.exp(t)) * mpmath.exp(N * t),
+                                   [-mpmath.inf, 0, mpmath.inf])
+
+    def z(r):
+        return amp / (r ** a * (1 + r ** k) ** m)
+
+    def dlog_z(r):
+        return -a / r - m * k * r ** (k - 1) / (1 + r ** k)
+
+    Q = radial(lambda r: z(r) ** 2 * (dlog_z(r) ** 2 - lam / r ** 2))
+    M = radial(lambda r: z(r) ** p / r ** s)
+    return Q / M - 1, Q / M ** (2 / p), (p - 2) / (2 * p) * M
 
 
 def test_hardy_constant_values():
@@ -48,8 +101,28 @@ def test_critical_exponent_rejects_bad_s():
 
 @pytest.mark.parametrize("N", [3, 4, 5, 6])
 def test_best_constant_matches_sobolev_oracle(N):
-    assert best_constant(N, 0.0, 0.0) == pytest.approx(SOBOLEV_ORACLE[N], rel=1e-12)
-    assert sobolev_constant(N) == pytest.approx(SOBOLEV_ORACLE[N], rel=1e-12)
+    S = float(mp_sobolev(N))
+    assert best_constant(N, 0.0, 0.0) == pytest.approx(S, rel=1e-13)
+    assert sobolev_constant(N) == pytest.approx(S, rel=1e-13)
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+@pytest.mark.parametrize("lam_frac,s", LAM_S)
+def test_constants_match_mpmath(N, lam_frac, s):
+    lam = lam_frac * hardy_constant(N)
+    S, level = mp_constants(N, lam, s)
+    assert best_constant(N, lam, s) == pytest.approx(float(S), rel=1e-13)
+    assert critical_level(N, lam, s) == pytest.approx(float(level), rel=1e-13)
+
+
+@pytest.mark.parametrize("N,lam_frac,s", [(3, 0.8, 1.5), (4, 0.3, 0.5),
+                                          (5, 0.0, 0.0), (6, 0.3, 1.0)])
+def test_constants_match_extremal_quadrature(N, lam_frac, s):
+    lam = lam_frac * hardy_constant(N)
+    defect, S, level = mp_extremal(N, lam, s)
+    assert abs(defect) <= 1e-30
+    assert best_constant(N, lam, s) == pytest.approx(float(S), rel=1e-13)
+    assert critical_level(N, lam, s) == pytest.approx(float(level), rel=1e-13)
 
 
 @pytest.mark.parametrize("N", [3, 4, 5, 6])
@@ -62,7 +135,10 @@ def test_best_constant_s0_specialization(N, frac):
 
 def test_best_constant_frozen_values():
     assert best_constant(4, 0.5, 0.0) == pytest.approx(6.100869533496081, rel=1e-12)
-    assert best_constant(4, 0.0, 1.0) == pytest.approx(BEST_CONST_4_0_1, rel=1e-12)
+    # 6 (pi^2/15)^(1/3), the closed form reduced by hand at N=4, s=1
+    with mpmath.workdps(DIGITS):
+        S = 6 * (mpmath.pi ** 2 / 15) ** (mpf(1) / 3)
+    assert best_constant(4, 0.0, 1.0) == pytest.approx(float(S), rel=1e-13)
 
 
 def test_best_constant_limit_s_to_2():

@@ -1,14 +1,18 @@
 """Scalar projection onto the constraint sets and on-constraint identities."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hsvar import (DegenerateInputError, HProfile, NoProjectionError,
                    PreconditionError, ProblemParams, RadialFunction, StatePair,
                    constrained_energy, critical_level, energy, exact_solution,
                    pair_norm_sq, project, project_decoupled)
 from hsvar.nehari import _solve_scale
-from conftest import smooth_bump
+from hsvar.solvers import compact_bump
+from conftest import cached_grid, smooth_bump
 
 
 def params4(nu=0.0, alpha=1.4, beta=1.4):
@@ -175,3 +179,46 @@ class TestConstrainedEnergy:
         assert bd.coupling > 0
         without_coupling = (2 - pr.s) / (2 * (4 - pr.s)) * (bd.hs_u + bd.hs_v)
         assert constrained_energy(proj, pr) != pytest.approx(without_coupling, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# properties: idempotent projection, component swap
+# ---------------------------------------------------------------------------
+
+bump = st.tuples(st.floats(math.log(0.05), math.log(20.0)),   # center
+                 st.floats(1.0, 2.5),                          # half width
+                 st.floats(0.3, 1.5))                          # amplitude
+
+
+def bump_pair(grid, bu, bv, flip):
+    u = compact_bump(grid.t, *bu)
+    v = compact_bump(grid.t, *bv) * (-1.0 if flip else 1.0)
+    return StatePair(RadialFunction(grid, u), RadialFunction(grid, v))
+
+
+@settings(max_examples=40, deadline=None)
+@given(bu=bump, bv=bump, nu=st.floats(0.0, 2.0), scale=st.floats(0.05, 20.0),
+       flip=st.booleans(), positive=st.booleans())
+def test_projection_is_idempotent(bu, bv, nu, scale, flip, positive):
+    params = ProblemParams(4, 1.0, 0.3, 0.5, 1.4, 1.6, nu,
+                           h_profile=HProfile("bump", p_exp=2, q_exp=3))
+    pair = bump_pair(cached_grid(4), bu, bv, flip).scaled(scale)
+    once = project(pair, params, positive=positive).projected
+    again = project(once, params, positive=positive)
+    assert abs(again.t_star - 1.0) <= 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(bu=bump, bv=bump, nu=st.floats(0.0, 2.0), flip=st.booleans(),
+       positive=st.booleans())
+def test_energy_and_projection_commute_with_component_swap(bu, bv, nu, flip,
+                                                           positive):
+    params = ProblemParams(4, 1.0, 0.3, 0.5, 1.4, 1.6, nu,
+                           h_profile=HProfile("bump", p_exp=2, q_exp=3))
+    pair = bump_pair(cached_grid(4), bu, bv, flip)
+    swapped = StatePair(pair.v, pair.u)
+    E, E_sw = energy(pair, params).total, energy(swapped, params.swapped()).total
+    assert E_sw == pytest.approx(E, rel=1e-13, abs=0.0)
+    t = project(pair, params, positive=positive).t_star
+    t_sw = project(swapped, params.swapped(), positive=positive).t_star
+    assert t_sw == pytest.approx(t, rel=1e-12, abs=0.0)

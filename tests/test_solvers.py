@@ -48,6 +48,19 @@ class TestGroundState:
         assert np.all(rep.profiles.v.values >= 0)
         assert rep.converged and rep.stop_reason == "tolerance"
 
+    def test_decoupled_n3_converges(self):
+        # the soft dilation mode of the truncated N=3 problem: steepest
+        # descent crawled along it without reaching tol_grad=1e-6
+        grid = small_grid(3)
+        pr = ProblemParams(3, 0.5, 0.1, 0.5 * hardy_constant(3), 1.3, 1.3, 0.0)
+        rng = np.random.default_rng(0)
+        rep = ground_state(pr, perturbed_first(pr, grid, rng),
+                           DescentOptions(tol_grad=1e-6, max_iter=4000))
+        assert rep.converged and rep.stop_reason == "tolerance"
+        assert rep.gradient_norm <= 1e-6
+        assert rep.extra["monotone"]
+        assert rep.energy == pytest.approx(critical_level(3, 0.1, 0.5), rel=1e-3)
+
     def test_zero_init_rejected(self):
         grid = small_grid(4)
         pr = ProblemParams(4, 1.0, 0.3, 0.5, 1.4, 1.4, 0.0)
@@ -79,6 +92,9 @@ class TestGroundState:
         assert levels["crit_integral_u"] > 1e-6
         assert levels["crit_integral_v"] > 1e-6
         assert rep.classification == "coupled"
+        # the first step and every restart run along the preconditioned
+        # gradient itself
+        assert 1 <= rep.extra["restarts"] <= rep.iterations
         # reported energy agrees with the on-constraint identity
         from hsvar import constrained_energy
         assert constrained_energy(rep.profiles, pr, tol=1e-6) == pytest.approx(
