@@ -3,8 +3,12 @@
 The step direction is d = m + beta d_prev, where m is the gradient's Riesz
 representative in the operator metric and beta the Polak-Ribiere+
 coefficient, clipped at 0; the iteration restarts from d = m when d is not
-a descent direction or its line search fails.  The step grows up to a cap of
-4, which the slow dilation mode of the truncated N=3 problem needs.
+a descent direction or its line search fails.  The line search checks the
+slope as well as the decrease (strong Wolfe conditions): it doubles a step
+that decreases the energy while the slope is still steep, and bisects once a
+trial overshoots, which carries the iteration across the slow dilation mode
+of the truncated N=3 problem.  Each search starts at the previous step,
+capped at 4.
 
 First recovers the one-component level from perturbed data in the
 decoupled problem, then escalates the coupling strength until the
@@ -33,7 +37,8 @@ rep = ground_state(params, init, DescentOptions(tol_grad=1e-6, max_iter=6000))
 target = critical_level(4, 0.3, 1.0)
 print(f"energy {rep.energy:.8f} vs closed-form level {target:.8f} "
       f"(rel err {abs(rep.energy / target - 1):.2e})")
-print(f"iterations {rep.iterations} ({rep.extra['restarts']} along m), "
+print(f"iterations {rep.iterations} ({rep.extra['restarts']} along m, "
+      f"{rep.extra['trials']} line-search trials), "
       f"converged {rep.converged}, "
       f"gradient {rep.gradient_norm:.2e}, monotone {rep.extra['monotone']}")
 

@@ -6,10 +6,14 @@ factorized interior operator of each component's quadratic form, so m =
 M^-1 g is a Sobolev gradient; the step direction is d = m + beta d_prev
 with beta = max(0, <g, m - m_prev> / <g_prev, m_prev>).  The iteration
 restarts from d = m when d is not a descent direction or its search fails.
-The step is backtracked until an Armijo decrease of the projected energy
-holds, and every accepted iterate is reprojected.  Negative parts carry
-only quadratic energy under the truncated functional, so they decay along
-the iteration and the computed profiles come out nonnegative.
+The step must meet the strong Wolfe conditions on the projected energy: an
+Armijo decrease, and a slope at most c2 of the initial one in magnitude.
+The slope comes from the gradient each trial computes anyway.  A step that
+decreases the energy while its slope is still steep is lengthened, an
+overshooting one bisected, and a search that finds no such step takes its
+last Armijo step.  Every accepted iterate is reprojected.  Negative parts
+carry only quadratic energy under the truncated functional, so they decay
+along the iteration and the computed profiles come out nonnegative.
 
 Bound states between the two one-component solutions are bracketed by a
 discrete min-max path: nodes of the explicit interpolating path are
@@ -21,9 +25,11 @@ seen is a non-increasing estimate of the min-max level; it is
 ``converged`` once the crest's relative gradient is within ``crest_grad_tol``.
 
 The descent and the moving path nodes share one line search, at one grid
-pass per trial.  It stops once the step in the metric, relative to the
-state, falls to sqrt(eps): the climbing node's test (its gradient shrinks)
-fails at every step in most sweeps.
+pass per trial.  Its accept test may answer "too short"; the path's tests
+never do, so the path halves its step from trial to trial.  It stops once
+the bracket in the metric, relative to the state, falls to sqrt(eps): the
+climbing node's test (its gradient shrinks) fails at every step in most
+sweeps.
 
 The variational character of a one-component couple (0, z) is read from
 the second variation in the directions (phi, 0), tangent to the constraint
@@ -36,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -52,16 +59,20 @@ from .params import ProblemParams
 RADIAL_NOTE = "radial ansatz: all states are radial profiles on a truncated window"
 SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
-# line search: first trial step, largest step the descent grows to, Armijo
-# constant, and the cap on halvings.  The soft dilation mode of the truncated
-# problem needs steps past 2: on twelve perturbed N=3 starts of criterion 6,
-# a cap of 2 left all twelve at 6000 iterations and a cap of 3 nine of them;
-# 4 converged all twelve in 145-683 iterations, and caps of 6, 8 or none
-# converged too but took no less time in total.
+# line search: largest and default first trial step, Armijo constant, the
+# strong-Wolfe slope constant of the descent, and the cap on trials per
+# search.  The descent starts each search at its previous step, capped at
+# STEP_MAX; lengthening may pass the cap.  Line-search projections on the
+# ground-state workload, seeds 1-12 / 13-24 / 25-36: 2790 / 2574 / 2381
+# with the cap, 2982 / 2985 / 2726 without it.  On seeds 1-12 with the cap,
+# c2 = 0.3, 0.4, 0.5 took 3131, 3101, 2790; without it c2 = 0.1, 0.3, 0.5,
+# 0.7 took 8559, 4091, 2982, 3464, and 0.9 left one start at max_iter.
 STEP0 = 1.0
 STEP_MAX = 4.0
 ARMIJO = 1e-4
+WOLFE_C2 = 0.5
 MAX_BACKTRACKS = 60
+SHORT = "short"           # an accept answer: Armijo holds, step too short
 STALL_WINDOW = 80         # descent iterations without decrease before stopping
 # inverse iteration for the classification threshold nu*: relative decrease
 # of the Rayleigh quotient that stops it, and the cap on iterations
@@ -190,33 +201,70 @@ def _rel_grad(slope: float, nsq: float) -> float:
     return math.sqrt(slope) / math.sqrt(max(nsq, 1e-300))
 
 
+def _armijo(E: float, slope: float, st: float, t: float, I) -> bool:
+    """Sufficient decrease from E of the trial at step st, slope <g, d>."""
+    return I.energy(t) <= E - ARMIJO * st * slope
+
+
 def _line_search(wt: Weights, u, v, du, dv, slope: float, nsq: float,
                  E: float, accept=None, grad: bool = False, step: float = STEP0):
-    """Backtracking along -(du, dv) from (u, v), one grid pass per trial.
+    """Line search along -(du, dv) from (u, v), one grid pass per trial.
 
     A trial is projected from its integrals I (with the gradient parts when
-    ``grad``) and returned as ``(st, t, I, t cu, t cv)`` once ``accept(st,
-    t, I)`` holds, by default the Armijo decrease from ``E``.  None after
-    ``MAX_BACKTRACKS`` halvings or once the relative step in the metric,
-    ``st sqrt(slope / nsq)``, is at most sqrt(eps).
+    ``grad``) and judged by ``accept(st, t, I)``, by default the Armijo
+    decrease from ``E``: true accepts it, false (or a failed projection)
+    marks the step too long, and ``SHORT`` too short.  The next step doubles
+    while no trial was too long and otherwise bisects between the longest
+    short step (0 if none) and the shortest long one, so a boolean
+    ``accept`` tries st, st/2, st/4, ...  The search stops once that
+    bracket, times the metric gradient relative to the state,
+    ``sqrt(slope / nsq)``, is at most sqrt(eps), or after
+    ``MAX_BACKTRACKS`` trials.
+
+    Returns ``(trials, found)``: ``found`` is ``(st, t, I, t cu, t cv)`` of
+    the accepted trial, else of the last short one, else None.
     """
     if accept is None:
-        def accept(st, t, I):
-            return I.energy(t) <= E - ARMIJO * st * slope
+        accept = partial(_armijo, E, slope)
     st, rel = step, _rel_grad(slope, nsq)
-    for _ in range(MAX_BACKTRACKS):
+    lo, hi, short = 0.0, math.inf, None
+    for trial in range(1, MAX_BACKTRACKS + 1):
         cu, cv = u - st * du, v - st * dv
         try:
             t, I = project_arrays(wt, cu, cv, positive=True, grad=grad)
         except HsvarError:
-            pass
+            verdict = False
         else:
-            if accept(st, t, I):
-                return st, t, I, t * cu, t * cv
-        st *= 0.5
-        if st * rel <= SQRT_EPS:
+            verdict = accept(st, t, I)
+        if verdict is SHORT:
+            lo, short = st, (st, t, I, t * cu, t * cv)
+        elif verdict:
+            return trial, (st, t, I, t * cu, t * cv)
+        else:
+            hi = st
+        st = 2.0 * st if hi == math.inf else 0.5 * (lo + hi)
+        if (st - lo) * rel <= SQRT_EPS:
             break
-    return None
+    return trial, short
+
+
+def _strong_wolfe(E: float, gd: float, du, dv):
+    """The descent's accept test along -(du, dv), with gd = <g, d> > 0.
+
+    The projected trial t (x - st d) has slope phi'(st) = -t <g(st), d>: the
+    Nehari term drops out, as <g, x> = Psi = 0 on the constraint set.  A
+    trial that meets the Armijo test is accepted when |phi'(st)| <=
+    ``WOLFE_C2`` gd, and is too short while phi'(st) < -``WOLFE_C2`` gd.
+    """
+    def accept(st, t, I):
+        if not _armijo(E, gd, st, t, I):
+            return False
+        gu, gv = I.gradient(t)
+        dphi = -t * float(gu @ du + gv @ dv)
+        if dphi < -WOLFE_C2 * gd:
+            return SHORT
+        return dphi <= WOLFE_C2 * gd
+    return accept
 
 
 def _descend(params: ProblemParams, pair: StatePair, metric: PairMetric,
@@ -227,14 +275,22 @@ def _descend(params: ProblemParams, pair: StatePair, metric: PairMetric,
     beta = max(0, <g, m - m_prev> / <g_prev, m_prev>) (Antoine, Levitt &
     Tang, J. Comput. Phys. 343:92, 2017).  The iteration restarts from the
     steepest direction d = m when <g, d> <= 0 or when the search along d
-    fails; only a failed search along m stops it.  Every accepted trial is
-    reprojected, so the iterates stay on the constraint set.
+    fails; only a failed search along m stops it.  The line search starts
+    at the previous accepted step, at most ``STEP_MAX`` (``STEP0`` at
+    first), and looks for a strong-Wolfe step (:func:`_strong_wolfe`): it
+    lengthens a step that meets the Armijo test while the slope is still
+    steep, and bisects once a trial overshoots (Nocedal & Wright, Numerical
+    Optimization, 2nd ed., 3.1 and 5.2).  A search that reaches its floor
+    takes its last Armijo step; it fails only when no trial met the Armijo
+    test.  Every accepted trial is reprojected, so the iterates stay on the
+    constraint set.
 
     Returns (pair, energy, iterations, rel_grad, trace, stop_reason,
-    restarts), where ``restarts`` counts the iterations that stepped along
-    m.  The loop runs on node arrays; an accepted trial's energy, norm and
+    counts), where ``counts`` holds ``restarts``, the iterations that
+    stepped along m, and ``trials``, the projections of the line searches.
+    The loop runs on node arrays; an accepted trial's energy, norm and
     gradient after projection come from its integrals before projection, by
-    homogeneity, so an iteration makes one grid pass per trial.
+    homogeneity, so a trial makes one grid pass.
     """
     grid = pair.grid
     wt = Weights(grid, params)
@@ -243,9 +299,18 @@ def _descend(params: ProblemParams, pair: StatePair, metric: PairMetric,
     u, v = t * pair.u.values, t * pair.v.values
     E, nsq, g = I.energy(t), t * t * I.A, I.gradient(t)
     trace = [E]
-    step, last_drop, restarts = STEP0, 0, 0
+    step, last_drop, restarts, trials = STEP0, 0, 0, 0
     rel_g, stop = math.inf, "max_iter"
     mu = mv = du = dv = None
+
+    def search(du, dv, gd):
+        nonlocal trials
+        n, found = _line_search(wt, u, v, du, dv, gd, nsq, E,
+                                _strong_wolfe(E, gd, du, dv), grad=True,
+                                step=step)
+        trials += n
+        return found
+
     for it in range(opts.max_iter):
         gu, gv = g
         mu_new, mv_new, slope = metric.direction(gu, gv)
@@ -263,25 +328,24 @@ def _descend(params: ProblemParams, pair: StatePair, metric: PairMetric,
             du, dv = mu + beta * du, mv + beta * dv
             gd = float(gu @ du + gv @ dv)
             if gd > 0.0:
-                found = _line_search(wt, u, v, du, dv, gd, nsq, E, grad=True,
-                                     step=step)
+                found = search(du, dv, gd)
         if found is None:
             restarts += 1
             du, dv = mu, mv
-            found = _line_search(wt, u, v, du, dv, slope, nsq, E, grad=True,
-                                 step=step)
+            found = search(du, dv, slope)
             if found is None:
                 stop = "line_search"
                 break
         st, t, I, u, v = found
+        step = min(st, STEP_MAX)
         if E - I.energy(t) > 1e-15 * (abs(E) + 1.0):
             last_drop = it
         E, nsq, g = I.energy(t), t * t * I.A, I.gradient(t)
         trace.append(E)
-        step = min(st * 1.5, STEP_MAX)
     else:
         it = opts.max_iter
-    return _pair(grid, u, v), E, it, rel_g, trace, stop, restarts
+    return (_pair(grid, u, v), E, it, rel_g, trace, stop,
+            {"restarts": restarts, "trials": trials})
 
 
 def ground_state(params: ProblemParams, init: StatePair,
@@ -296,8 +360,8 @@ def ground_state(params: ProblemParams, init: StatePair,
     if init.is_zero():
         raise DegenerateInputError("ground_state requires a nonzero initial pair")
     metric = PairMetric(init.grid, params.lambda1, params.lambda2)
-    pair, E, iters, rel_g, trace, stop, restarts = _descend(params, init,
-                                                            metric, opts)
+    pair, E, iters, rel_g, trace, stop, counts = _descend(params, init,
+                                                          metric, opts)
 
     I = pair_integrals(pair, params, positive=True)
     levels = _levels(params)
@@ -313,7 +377,7 @@ def ground_state(params: ProblemParams, init: StatePair,
         trace=trace[-200:],
         extra={"monotone": bool(all(b <= a + 1e-12 * (abs(a) + 1.0)
                                     for a, b in zip(trace, trace[1:]))),
-               "restarts": restarts})
+               **counts})
 
 
 def escalate_nu(params: ProblemParams, grid: RadialGrid,
@@ -506,8 +570,8 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
                             + float(gv[1:-1] @ dv[1:-1]), 0.0)
             # neighbors take the Armijo test; the climbing node's step floor
             # uses its unmodified slope
-            found = _line_search(wt, U[k], V[k], du, dv, slope, I.A, E[k],
-                                 climbs if climbing else None, grad=climbing)
+            _, found = _line_search(wt, U[k], V[k], du, dv, slope, I.A, E[k],
+                                    climbs if climbing else None, grad=climbing)
             if found is not None:
                 _, t, J, U[k], V[k] = found
                 E[k] = J.energy(t)

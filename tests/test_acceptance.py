@@ -166,7 +166,8 @@ def test_criterion_06_decoupled_ground_state():
         err = abs(rep.energy / target - 1.0)
         worst = max(worst, err)
         converged &= rep.converged and rep.stop_reason == "tolerance"
-        details.append(f"N={N}:{err:.1e} ({rep.iterations} it, {rep.stop_reason})")
+        details.append(f"N={N}:{err:.1e} ({rep.iterations} it, "
+                       f"{rep.extra['trials']} trials, {rep.stop_reason})")
     report(6, worst <= 1e-3 and converged,
            f"decoupled ground states {', '.join(details)} "
            f"(tol 1e-3, all converged: {converged}, {time.time() - t0:.1f}s)")
@@ -182,15 +183,16 @@ def test_criterion_07_large_coupling_ground_state():
                      extremal_pair(pr, grid, "second").v)
     rep = ground_state(pr, init, DescentOptions(tol_grad=1e-5, max_iter=6000))
     lv = rep.level_diagnostics
-    restarts = rep.extra["restarts"]
+    restarts, trials = rep.extra["restarts"], rep.extra["trials"]
     ok = (rep.energy < lv["min_level"] - 1e-6
           and lv["crit_integral_u"] > 1e-6 and lv["crit_integral_v"] > 1e-6
-          and 1 <= restarts <= rep.iterations)
+          and 1 <= restarts <= rep.iterations <= trials)
     report(7, ok,
            f"escalated nu={nu:g}: energy {rep.energy:.4f} < min level "
            f"{lv['min_level']:.4f} - 1e-6, critical masses "
            f"({lv['crit_integral_u']:.2e}, {lv['crit_integral_v']:.2e}) > 1e-6, "
-           f"{restarts} restarts in {rep.iterations} iterations "
+           f"{restarts} restarts in {rep.iterations} iterations, "
+           f"{trials} line-search trials "
            f"({time.time() - t0:.1f}s)")
 
 

@@ -4,14 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hsvar import (HProfile, InvalidParameterError, PreconditionError,
                    ProblemParams, RadialFunction, StatePair, best_constant,
                    critical_level, energy, energy_positive, exact_solution,
-                   gradient, gradient_dual_norm, integrate, lambda_norm_sq,
-                   nehari_residual, pair_norm_sq, project,
+                   gradient, gradient_dual_norm, hardy_constant, integrate,
+                   lambda_norm_sq, nehari_residual, pair_norm_sq, project,
                    second_variation_diag, weighted_lp)
-from hsvar.energy import gradient_coefficients
+from hsvar.energy import Weights, gradient_coefficients, integrals
+from hsvar.solvers import compact_bump
 from conftest import cached_grid, smooth_bump
 
 
@@ -229,3 +231,38 @@ def test_gradient_boundary_slots_are_dirichlet(grid4, zpair):
     gu, gv = gradient_coefficients(zpair, params4())
     assert gu[0] == gu[-1] == 0.0
     assert gv[0] == gv[-1] == 0.0
+
+
+FRAC = st.floats(0.05, 0.95)
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=st.integers(3, 6), k=st.integers(-8, 8), s=st.floats(0.0, 1.5),
+       f1=FRAC, f2=FRAC, fa=FRAC, fb=FRAC, center=st.floats(-6.0, 6.0),
+       offset=st.floats(-1.0, 1.0), hu=st.floats(1.0, 2.5),
+       hv=st.floats(1.0, 2.5))
+def test_integrals_are_equivariant_under_grid_shifts(N, k, s, f1, f2, fa, fb,
+                                                      center, offset, hu, hv):
+    # t = log r is uniform, so a shift by k nodes is the dilation
+    # r -> e^(k dt) r.  With u -> e^(-(N-2) k dt / 2) u the pair norm and the
+    # critical integrals are invariant, and for constant h the coupling
+    # integral scales by e^(k dt (N - s - (N-2)(alpha+beta)/2)), which is not
+    # 1 unless alpha + beta = p.  Supports stay away from the collars.
+    grid = cached_grid(N, n_nodes=2048)
+    H = hardy_constant(N)
+    half = (2.0 - s) / (N - 2)          # p/2 - 1
+    pr = ProblemParams(N, s, f1 * H, f2 * H, 1.0 + fa * half, 1.0 + fb * half,
+                       1.0)
+    u = compact_bump(grid.t, center, hu, 1.0)
+    v = compact_bump(grid.t, center + offset, hv, 1.0)
+    c = math.exp(-(N - 2) * k * grid.dt / 2.0)
+    us, vs = c * np.roll(u, k), c * np.roll(v, k)
+    assert not (us[:9].any() or us[-9:].any() or vs[:9].any() or vs[-9:].any())
+    wt = Weights(grid, pr)
+    I, J = integrals(wt, u, v), integrals(wt, us, vs)
+    q = pr.alpha + pr.beta
+    assert I.C > 0.0
+    assert J.A == pytest.approx(I.A, rel=1e-12)
+    assert J.B == pytest.approx(I.B, rel=1e-12)
+    assert J.C == pytest.approx(
+        I.C * math.exp(k * grid.dt * (N - s - (N - 2) * q / 2.0)), rel=1e-12)

@@ -50,7 +50,8 @@ class TestGroundState:
 
     def test_decoupled_n3_converges(self):
         # the soft dilation mode of the truncated N=3 problem: steepest
-        # descent crawled along it without reaching tol_grad=1e-6
+        # descent crawled along it without reaching tol_grad=1e-6, and CG
+        # with an Armijo-only search took ~500 iterations
         grid = small_grid(3)
         pr = ProblemParams(3, 0.5, 0.1, 0.5 * hardy_constant(3), 1.3, 1.3, 0.0)
         rng = np.random.default_rng(0)
@@ -60,6 +61,8 @@ class TestGroundState:
         assert rep.gradient_norm <= 1e-6
         assert rep.extra["monotone"]
         assert rep.energy == pytest.approx(critical_level(3, 0.1, 0.5), rel=1e-3)
+        # the strong-Wolfe search crosses the soft mode in a few dozen steps
+        assert rep.iterations <= 150
 
     def test_zero_init_rejected(self):
         grid = small_grid(4)
@@ -195,6 +198,22 @@ class TestMountainPass:
         assert not rep.converged
         assert rep.gradient_norm > PathOptions().crest_grad_tol
 
+    def test_reaches_the_tolerance_where_a_crest_exists(self):
+        # with constant h and alpha + beta < p the coupling integral is not
+        # dilation invariant (test_integrals_are_equivariant_under_grid_shifts),
+        # so the crest of the params above drifts along the dilation mode; a
+        # bump h, vanishing at 0 and infinity, leaves it a critical point
+        pr = ProblemParams(4, 0.5, 0.1, 0.3, 2.2, 1.2, 0.5,
+                           HProfile("bump", p_exp=2.0, q_exp=2.0))
+        rep = mountain_pass(pr, cached_grid(4, 1e-6, 1e6, 1024),
+                            PathOptions(n_path_nodes=16, max_sweeps=150))
+        assert rep.stop_reason == "tolerance" and rep.converged
+        assert rep.gradient_norm <= PathOptions().crest_grad_tol
+        assert rep.iterations < 150
+        lv = rep.level_diagnostics
+        assert lv["level_1"] < rep.energy < lv["sum_levels"]
+        assert lv["initial_path_max"] <= lv["sum_levels"] * (1 + 1e-3)
+
     def test_converged_means_crest_gradient_within_tolerance(self):
         rep = mountain_pass(self.params(), small_grid(4),
                             PathOptions(n_path_nodes=8, max_sweeps=3,
@@ -202,6 +221,30 @@ class TestMountainPass:
         assert rep.stop_reason == "tolerance" and rep.converged
         assert rep.gradient_norm <= 1.0
         assert rep.iterations == 0
+
+
+def descent_start(params, grid, rng):
+    """A perturbed start on the constraint set: weights, node arrays, energy,
+    squared norm, and the metric direction m = M^-1 g with slope <g, m>."""
+    wt = Weights(grid, params)
+    x = perturbed_first(params, grid, rng)
+    t, I = project_arrays(wt, x.u.values, x.v.values, positive=True, grad=True)
+    g = I.gradient(t)
+    metric = PairMetric(grid, params.lambda1, params.lambda2)
+    du, dv, slope = metric.direction(*g)
+    return (wt, t * x.u.values, t * x.v.values, I.energy(t), t * t * I.A,
+            du, dv, slope)
+
+
+def counting_projections(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return project_arrays(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "project_arrays", counted)
+    return calls
 
 
 class TestLineSearch:
@@ -217,18 +260,94 @@ class TestLineSearch:
         u, v, E, nsq = t * z1, t * z2, I.energy(t), t * t * I.A
         metric = PairMetric(grid, pr.lambda1, pr.lambda2)
         du, dv, slope = metric.direction(*I.gradient(t))
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return project_arrays(*args, **kwargs)
-
-        monkeypatch.setattr(solvers, "project_arrays", counted)
-        found = solvers._line_search(wt, u, v, -du, -dv, slope, nsq, E)
+        calls = counting_projections(monkeypatch)
+        trials, found = solvers._line_search(wt, u, v, -du, -dv, slope, nsq, E)
         assert found is None
+        assert trials == len(calls)
         rel = math.sqrt(slope / nsq)
         bound = math.ceil(math.log2(solvers.STEP0 * rel / solvers.SQRT_EPS)) + 1
         assert len(calls) <= bound < solvers.MAX_BACKTRACKS
+
+    @pytest.mark.parametrize("accept_at", [0, 3, None])
+    def test_boolean_accept_halves_the_step(self, monkeypatch, accept_at):
+        # the path's tests answer only yes or no: st, st/2, st/4, ... down
+        # to the floor, one projection each
+        pr = ProblemParams(3, 0.5, 0.1, 0.5 * hardy_constant(3), 1.3, 1.3, 0.0)
+        wt, u, v, E, nsq, du, dv, slope = descent_start(
+            pr, small_grid(3), np.random.default_rng(0))
+        steps = []
+
+        def accept(st, t, I):
+            steps.append(st)
+            return len(steps) - 1 == accept_at
+
+        calls = counting_projections(monkeypatch)
+        trials, found = solvers._line_search(wt, u, v, du, dv, slope, nsq, E,
+                                             accept, step=1.5)
+        assert trials == len(calls) == len(steps)
+        assert steps == [1.5 * 0.5 ** k for k in range(len(steps))]
+        if accept_at is None:
+            assert found is None
+            rel = math.sqrt(slope / nsq)
+            # the last trial lies above the floor and the next one would not
+            assert steps[-1] * rel > solvers.SQRT_EPS >= 0.5 * steps[-1] * rel
+        else:
+            assert len(steps) == accept_at + 1 and found[0] == steps[-1]
+
+
+def slope_at(wt, found, du, dv):
+    """phi'(st) = -t <g, d> at the returned state, from a fresh grid pass."""
+    _, t, _, u, v = found
+    gu, gv = integrals(wt, u, v, positive=True, grad=True).gradient()
+    return -t * float(gu @ du + gv @ dv)
+
+
+class TestStrongWolfe:
+    def start(self):
+        pr = ProblemParams(3, 0.5, 0.1, 0.5 * hardy_constant(3), 1.3, 1.3, 0.0)
+        return descent_start(pr, small_grid(3), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("c2,step", [(0.5, 1e-3), (0.5, 1.0), (0.5, 64.0),
+                                         (0.02, 1e-3), (0.1, 3.0)])
+    def test_accepted_step_meets_the_strong_wolfe_conditions(self, monkeypatch,
+                                                             c2, step):
+        # a short first trial is doubled and a long one halved; with the
+        # small c2 both end in a bisection between a short and a long step
+        monkeypatch.setattr(solvers, "WOLFE_C2", c2)
+        wt, u, v, E, nsq, du, dv, slope = self.start()
+        accept = solvers._strong_wolfe(E, slope, du, dv)
+        trials, found = solvers._line_search(wt, u, v, du, dv, slope, nsq, E,
+                                             accept, grad=True, step=step)
+        st, t, I, uu, vv = found
+        assert accept(st, t, I) is True
+        fresh = integrals(wt, uu, vv, positive=True)
+        assert fresh.energy() <= E - solvers.ARMIJO * st * slope
+        assert abs(slope_at(wt, found, du, dv)) <= (c2 + 1e-9) * slope
+        assert 1 <= trials < solvers.MAX_BACKTRACKS
+        if step == 1e-3:
+            assert st > step
+
+    def test_falls_back_to_the_last_armijo_step(self, monkeypatch):
+        # c2 = 0 accepts no trial of nonzero slope: the bracket closes at
+        # the floor and the search returns its last trial that was too short
+        monkeypatch.setattr(solvers, "WOLFE_C2", 0.0)
+        wt, u, v, E, nsq, du, dv, slope = self.start()
+        verdicts = []
+        accept = solvers._strong_wolfe(E, slope, du, dv)
+
+        def recorded(st, t, I):
+            verdicts.append((st, accept(st, t, I)))
+            return verdicts[-1][1]
+
+        trials, found = solvers._line_search(wt, u, v, du, dv, slope, nsq, E,
+                                             recorded, grad=True)
+        shorts = [st for st, verdict in verdicts if verdict is solvers.SHORT]
+        assert trials == len(verdicts) < solvers.MAX_BACKTRACKS
+        assert shorts and found[0] == shorts[-1] == max(shorts)
+        assert True not in [verdict for _, verdict in verdicts]
+        assert integrals(wt, found[3], found[4], positive=True).energy() <= (
+            E - solvers.ARMIJO * found[0] * slope)
+        assert slope_at(wt, found, du, dv) < 0.0
 
 
 class TestSemitrivialProbe:
