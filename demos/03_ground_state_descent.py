@@ -31,7 +31,7 @@ base = extremal_pair(params, grid, "first")
 scale = float(np.interp(1.0, grid.r, base.u.values))
 init = StatePair(
     RadialFunction(grid, np.abs(base.u.values
-                                + 0.3 * scale * random_bump(grid, rng, signed=True).values)),
+                                + 0.3 * scale * random_bump(grid, rng).values)),
     RadialFunction.zero(grid))
 rep = ground_state(params, init, DescentOptions(tol_grad=1e-6, max_iter=6000))
 target = critical_level(4, 0.3, 1.0)

@@ -22,8 +22,7 @@ from .errors import (ConfigError, DegenerateInputError, DegeneratePathError,
                      PreconditionError)
 from .grid import (RadialFunction, RadialGrid, build_grid, gradient_seminorm,
                    integrate, reference_grid, weighted_lp)
-from .nehari import (ProjectionResult, constrained_energy, project,
-                     project_decoupled)
+from .nehari import ProjectionResult, constrained_energy, project
 from .params import HProfile, ProblemParams
 from .regimes import (LemmaInstance, RegimeReport, algebraic_inf, classify,
                       default_sigma_grid, small_nu_threshold)

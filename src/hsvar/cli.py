@@ -219,13 +219,13 @@ def _initial_pair(cfg: RunConfig, grid) -> StatePair:
     from .grid import RadialFunction
     rng = np.random.default_rng(cfg.seed)
     first = extremal_pair(cfg.params, grid, "first")
-    bump_u = random_bump(grid, rng, signed=True)
+    bump_u = random_bump(grid, rng)
     scale_u = 0.1 * float(np.interp(1.0, grid.r, first.u.values))
     u = np.abs(first.u.values + scale_u * bump_u.values)
     if cfg.params.nu == 0.0:
         return StatePair(RadialFunction(grid, u), RadialFunction.zero(grid))
     second = extremal_pair(cfg.params, grid, "second")
-    bump_v = random_bump(grid, rng, signed=True)
+    bump_v = random_bump(grid, rng)
     scale_v = 0.1 * float(np.interp(1.0, grid.r, second.v.values))
     v = np.abs(second.v.values + scale_v * bump_v.values)
     return StatePair(RadialFunction(grid, u), RadialFunction(grid, v))
@@ -255,11 +255,17 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
+def _lemma_instance(doc: dict) -> LemmaInstance:
+    """The lemma instance of A, B, theta and the optional s, N, nu (0, 4, 0)."""
+    with _parsing("lemma"):
+        return LemmaInstance(A=float(doc["A"]), B=float(doc["B"]),
+                             theta=float(doc["theta"]), s=float(doc.get("s", 0.0)),
+                             N=int(doc.get("N", 4)), nu=float(doc.get("nu", 0.0)))
+
+
 def _cmd_lemma(args) -> int:
-    inst = LemmaInstance(A=args.A, B=args.B, theta=args.theta,
-                         s=args.s if args.s is not None else 0.0,
-                         N=args.N if args.N is not None else 4,
-                         nu=args.nu if args.nu is not None else 0.0)
+    inst = _lemma_instance({k: v for k, v in vars(args).items()
+                            if k in ("A", "B", "theta", "s", "N", "nu") and v is not None})
     inf_val = algebraic_inf(inst)
     _print({"inf": inf_val, "empty": inf_val is None,
             "decoupled_inf": inst.decoupled_inf})
@@ -290,13 +296,7 @@ def _cmd_sweep(args) -> int:
     def one(combo):
         row = dict(zip(names, combo))
         if command == "lemma":
-            with _parsing("lemma"):
-                ldoc = {**base, **row}
-                inst = LemmaInstance(A=float(ldoc["A"]), B=float(ldoc["B"]),
-                                     theta=float(ldoc["theta"]),
-                                     s=float(ldoc.get("s", 0.0)),
-                                     N=int(ldoc.get("N", 4)),
-                                     nu=float(ldoc.get("nu", 0.0)))
+            inst = _lemma_instance({**base, **row})
             val = algebraic_inf(inst)
             row.update({"inf": "" if val is None else val,
                         "empty": val is None,

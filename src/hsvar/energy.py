@@ -313,7 +313,6 @@ def gradient(pair: StatePair, params: ProblemParams) -> StatePair:
 
 
 def gradient_dual_norm(pair: StatePair, params: ProblemParams,
-                       metric: PairMetric | None = None,
                        positive: bool = False) -> tuple[float, float]:
     """Gradient norm in the dual of the energy space.
 
@@ -321,10 +320,8 @@ def gradient_dual_norm(pair: StatePair, params: ProblemParams,
     pair norm.  This is the natural residual measure: the volume-L2 norm of
     the strong residual diverges near the origin for singular profiles.
     """
-    if metric is None:
-        metric = PairMetric(pair.grid, params.lambda1, params.lambda2)
     I = pair_integrals(pair, params, positive, grad=True)
-    dual = metric.dual_norm(*I.gradient())
+    dual = PairMetric(pair.grid, params.lambda1, params.lambda2).dual_norm(*I.gradient())
     return dual, dual / np.sqrt(max(I.A, 1e-300))
 
 

@@ -1,14 +1,19 @@
-"""Projection onto the constraint set by scalar root finding.
+"""Projection onto the constraint set by one scalar Newton iteration.
 
 Any nonzero pair can be rescaled onto the constraint set: with
 ``A = ||(u,v)||^2``, ``B`` the sum of critical integrals and ``C`` the
 coupling integral, the scale ``t`` solves
 
-    A = t^(p-2) B + nu (alpha+beta) t^(alpha+beta-2) C.
+    A = t^(p-2) B + nu q t^(q-2) C,        q = alpha + beta.
 
-The right side is strictly increasing in ``t > 0`` whenever ``B + C > 0``
-(both exponents exceed 2), so the root is unique.  It is found by a
-geometrically expanded bracket, bisection, and a Newton polish.
+Both exponents are positive (p >= q > 2) and both coefficients
+nonnegative, so in x = log t the right side is a sum of terms
+exp(e x + ln k): increasing and convex, with exactly one root as soon as
+one coefficient is positive.  Newton's method on a convex increasing
+function, started at or above its root, falls monotonically onto it.  The
+start is the smaller single-term root min_k (ln A - ln k) / e_k, where that
+term alone equals A, so the sum is at least A and no term exceeds A along
+the iteration: nothing overflows, whatever the size of the root.
 """
 
 from __future__ import annotations
@@ -18,99 +23,79 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import (Integrals, StatePair, Weights, integrals, lambda_norm_sq,
-                     pair_integrals)
+from .energy import Integrals, StatePair, Weights, integrals, pair_integrals
 from .errors import DegenerateInputError, NoProjectionError, PreconditionError
-from .grid import RadialFunction, weighted_lp
 from .params import ProblemParams
 
-PROJECTION_TOL = 1e-12    # scale-free projection residual |Psi| / ||(u, v)||^2
+EPS = np.finfo(float).eps
+LN2 = math.log(2.0)
+MAX_NEWTON = 100    # safety cap; a projection takes 2-5 residual evaluations
 
 
 @dataclass(frozen=True)
 class ProjectionResult:
-    """Scale factor, rescaled state, achieved residual, and the bracket used."""
+    """Scale factor, rescaled state, and the achieved residual Psi(t u, t v)."""
 
     t_star: float
-    projected: object            # StatePair, or RadialFunction for the decoupled set
+    projected: StatePair
     residual: float
-    bracket: tuple[float, float]
 
     def to_dict(self) -> dict:
-        return {"t_star": self.t_star, "residual": self.residual,
-                "bracket": list(self.bracket)}
+        return {"t_star": self.t_star, "residual": self.residual}
+
+
+def _log_ratio(k: float, A: float) -> float:
+    """ln(k / A) for positive floats, whose quotient may overflow or
+    underflow: the log of the mantissas' quotient plus ln 2 times the
+    difference of the binary exponents."""
+    mk, ek = math.frexp(k)
+    mA, eA = math.frexp(A)
+    return math.log(mk / mA) + (ek - eA) * LN2
 
 
 def _solve_scale(A: float, B: float, C: float, p: float, q: float,
-                 nu: float, tol: float) -> tuple[float, tuple[float, float]]:
-    """Root of A = t^(p-2) B + nu q t^(q-2) C; returns (t, bracket).
+                 nu: float) -> float:
+    """Root t of A = t^(p-2) B + nu q t^(q-2) C, by Newton's method in log t.
 
-    Raises :class:`NoProjectionError` when no bracket is found within 200
-    expansions on either side (or an expansion overflows), or when the root
-    is not finite.
+    The residual is taken relative to A, sum_k exp(e_k x + ln(k / A)) - 1
+    with x = log t, and the iteration stops once it is no longer positive
+    or the Newton step is within rounding of x.  Raises
+    :class:`NoProjectionError` when both coefficients vanish, or when the
+    root is not a finite positive float.
     """
-    nuqC = nu * q * C
-
-    def resid(t: float) -> float:
-        return t ** (p - 2.0) * B + nuqC * t ** (q - 2.0) - A
-
-    t0 = (A / (B + nuqC + 1.0)) ** (1.0 / (p - 2.0))
-    lo, hi = 1e-3 * t0, 1e3 * t0
-    try:
-        for _ in range(200):
-            if resid(lo) <= 0:
-                break
-            lo *= 0.125
-        else:
-            raise NoProjectionError(f"no lower bracket for the scale below {lo:.3e}")
-        for _ in range(200):
-            if resid(hi) >= 0:
-                break
-            hi *= 8.0
-        else:
-            raise NoProjectionError(f"no upper bracket for the scale above {hi:.3e}")
-    except OverflowError as exc:
-        raise NoProjectionError("scale bracket overflowed") from exc
-    bracket = (lo, hi)
-
-    # bisection in log t until Newton is safe
-    for _ in range(80):
-        mid = math.sqrt(lo * hi)
-        if resid(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-        if hi / lo < 1.125:
-            break
-    t = math.sqrt(lo * hi)
-    for _ in range(60):
-        f = resid(t)
-        if abs(f) <= tol * A:
-            break
-        df = (p - 2.0) * t ** (p - 3.0) * B + (q - 2.0) * nuqC * t ** (q - 3.0)
-        step = f / df
-        t_new = t - step
-        if not (lo <= t_new <= hi):
-            t_new = math.sqrt(lo * hi)   # fall back to bisection
-        if resid(t_new) > 0:
-            hi = t_new
-        else:
-            lo = t_new
-        t = t_new
-    if not (math.isfinite(t) and t > 0):
-        raise NoProjectionError(f"scale onto the constraint set is not finite: {t}")
-    return t, bracket
-
-
-def _scale(I: Integrals, tol: float) -> tuple[float, tuple[float, float]]:
-    """Scale t putting t (u, v) on the constraint set, from the integrals of (u, v)."""
-    if not I.A > 0:
-        raise DegenerateInputError(
-            "pair has nonpositive energy-space norm (inadmissible state)")
-    if I.B <= 0 and I.C <= 0:
+    terms = [(e, _log_ratio(k, A))
+             for e, k in ((p - 2.0, B), (q - 2.0, nu * q * C)) if k > 0]
+    if not terms:
         raise NoProjectionError("all nonlinear integrals vanish; no rescaling exists")
+    x = min(-c / e for e, c in terms)
+    for _ in range(MAX_NEWTON):
+        vals = [math.exp(e * x + c) for e, c in terms]
+        f = sum(vals) - 1.0
+        if f <= 0:
+            break
+        step = f / sum(e * val for (e, _), val in zip(terms, vals))
+        x -= step
+        if step <= EPS * (1.0 + abs(x)):
+            break
+    else:
+        raise NoProjectionError(f"scale iteration did not settle: log t = {x:.6g}")
+    try:
+        t = math.exp(x)
+    except OverflowError:
+        t = math.inf
+    if not 0.0 < t < math.inf:
+        raise NoProjectionError(
+            f"scale onto the constraint set is not a finite float: log t = {x:.6g}")
+    return t
+
+
+def _scale(I: Integrals) -> float:
+    """Scale t putting t (u, v) on the constraint set, from the integrals of (u, v)."""
+    if not 0.0 < I.A < math.inf:
+        raise DegenerateInputError(
+            f"pair norm squared {I.A} is not positive and finite (inadmissible state)")
     pr = I.params
-    return _solve_scale(I.A, I.B, I.C, pr.crit_exp, pr.alpha + pr.beta, pr.nu, tol)
+    return _solve_scale(I.A, I.B, I.C, pr.crit_exp, pr.alpha + pr.beta, pr.nu)
 
 
 def project_arrays(wt: Weights, u: np.ndarray, v: np.ndarray, positive: bool = False,
@@ -122,14 +107,13 @@ def project_arrays(wt: Weights, u: np.ndarray, v: np.ndarray, positive: bool = F
     ``I.gradient(t)``) without another grid pass.
     """
     I = integrals(wt, u, v, positive, grad)
-    return _scale(I, PROJECTION_TOL)[0], I
+    return _scale(I), I
 
 
-def project(pair: StatePair, params: ProblemParams, tol: float = PROJECTION_TOL,
+def project(pair: StatePair, params: ProblemParams,
             positive: bool = False) -> ProjectionResult:
     """Rescale a pair onto the constraint set.
 
-    Convergence is declared scale-free: |Psi(t u, t v)| <= tol * ||(u,v)||^2.
     With ``positive=True`` the truncated constraint (positive parts in the
     nonlinear integrals) is used instead; the scalar equation is identical
     because positive parts are homogeneous under positive rescaling.
@@ -137,31 +121,8 @@ def project(pair: StatePair, params: ProblemParams, tol: float = PROJECTION_TOL,
     if pair.is_zero():
         raise DegenerateInputError("cannot project the zero pair")
     I = pair_integrals(pair, params, positive)
-    t, bracket = _scale(I, tol)
-    return ProjectionResult(t_star=t, projected=pair.scaled(t),
-                            residual=I.residual(t), bracket=bracket)
-
-
-def project_decoupled(u: RadialFunction, lam: float, s: float) -> ProjectionResult:
-    """Rescale a single profile onto the decoupled constraint set.
-
-    The scale is explicit: t = (||u||_lam^2 / int |u|^p / r^s)^(1/(p-2)).
-    """
-    if not np.any(u.values):
-        raise DegenerateInputError("cannot project the zero profile")
-    grid = u.grid
-    p = 2.0 * (grid.N - s) / (grid.N - 2)
-    A = lambda_norm_sq(u, lam)
-    B = weighted_lp(grid, u, p, s)
-    if B <= 0:
-        raise NoProjectionError("critical integral vanishes; no rescaling exists")
-    if not A > 0:
-        raise DegenerateInputError("profile has nonpositive shifted norm")
-    t = (A / B) ** (1.0 / (p - 2.0))
-    projected = u.scaled(t)
-    residual = t * t * A - t ** p * B
-    return ProjectionResult(t_star=t, projected=projected,
-                            residual=residual, bracket=(t, t))
+    t = _scale(I)
+    return ProjectionResult(t_star=t, projected=pair.scaled(t), residual=I.residual(t))
 
 
 def constrained_energy(pair: StatePair, params: ProblemParams,

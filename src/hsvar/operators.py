@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
+from .errors import InvalidParameterError
 from .grid import RadialGrid
 
 
@@ -21,32 +22,25 @@ class LambdaOperator:
     """Factorized interior operator of the quadratic form  Q - lam * Hardy.
 
     The discrete Hardy quotient on the interior space stays above the
-    continuum threshold, so the matrix is positive definite for admissible
-    ``lam``; if rounding ever breaks that, the Hardy part is backed off by 5%
-    steps until the factorization succeeds (the operator is only used as a
-    descent metric, where any SPD spectrally-equivalent surrogate is valid).
+    continuum threshold, so the matrix is positive definite for every
+    ``lam`` in [0, (N-2)^2/4); others are rejected, as is a matrix whose
+    factorization finds it not positive definite.
     """
 
     def __init__(self, grid: RadialGrid, lam: float):
+        if not 0.0 <= lam < (grid.N - 2) ** 2 / 4.0:
+            raise InvalidParameterError(f"lambda outside [0, Hardy threshold): {lam}")
         cc = grid.cell_w / grid.dt ** 2
-        kin = cc[:-1] + cc[1:]
-        hardy = grid.w[1:-1] / grid.r[1:-1] ** 2
+        self._main = cc[:-1] + cc[1:] - lam * grid.w[1:-1] / grid.r[1:-1] ** 2
         self._off = -cc[1:-1]
-        shrink = 1.0
-        while shrink >= 0.5:
-            self._main = kin - shrink * lam * hardy
-            if np.all(self._main > 0):
-                scale = 1.0 / np.sqrt(self._main)
-                d, e, info = dpttrf(np.ones(grid.n - 2),
-                                    self._off * scale[1:] * scale[:-1])
-                if info == 0:
-                    self._d, self._e = d, e
-                    self._scale = scale
-                    self.shrink = shrink
-                    return
-            shrink *= 0.95
-        raise np.linalg.LinAlgError(
-            "interior operator could not be regularized to SPD")
+        if np.all(self._main > 0):
+            self._scale = 1.0 / np.sqrt(self._main)
+            self._d, self._e, info = dpttrf(
+                np.ones(grid.n - 2), self._off * self._scale[1:] * self._scale[:-1])
+            if info == 0:
+                return
+        raise InvalidParameterError(
+            f"interior operator for lambda={lam} is not positive definite")
 
     def apply(self, d: np.ndarray) -> np.ndarray:
         out = self._main * d

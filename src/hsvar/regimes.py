@@ -171,10 +171,10 @@ class LemmaInstance:
         return self.A ** ((self.N - self.s) / (2.0 - self.s))
 
 
-def default_sigma_grid(inst: LemmaInstance, n_points: int = 20000) -> np.ndarray:
-    """Log grid spanning [1e-6, 1e3] times the decoupled infimum."""
+def default_sigma_grid(inst: LemmaInstance) -> np.ndarray:
+    """Log grid of 20000 points spanning [1e-6, 1e3] times the decoupled infimum."""
     x = inst.decoupled_inf
-    return np.geomspace(1e-6 * x, 1e3 * x, n_points)
+    return np.geomspace(1e-6 * x, 1e3 * x, 20000)
 
 
 def algebraic_inf(inst: LemmaInstance, sigma_grid: np.ndarray | None = None):
@@ -196,12 +196,11 @@ def algebraic_inf(inst: LemmaInstance, sigma_grid: np.ndarray | None = None):
     return float(grid[members].min())
 
 
-def small_nu_threshold(inst_at, eps: float, nu_hi: float = 1.0,
-                       bisections: int = 40):
+def small_nu_threshold(inst_at, eps: float):
     """Empirical threshold below which the infimum stays above (1-eps) of exact.
 
     ``inst_at(nu)`` builds the instance.  Returns the largest tested nu for
-    which the bound holds, found by bisection from [0, nu_hi]; None when it
+    which the bound holds, found by 40 bisections of [0, 1]; None when it
     fails even for the smallest tested nu.
     """
     target = inst_at(0.0).decoupled_inf * (1.0 - eps)
@@ -212,10 +211,10 @@ def small_nu_threshold(inst_at, eps: float, nu_hi: float = 1.0,
 
     if not holds(0.0):
         return None
-    lo, hi = 0.0, nu_hi
+    lo, hi = 0.0, 1.0
     if holds(hi):
         return hi
-    for _ in range(bisections):
+    for _ in range(40):
         mid = 0.5 * (lo + hi)
         if holds(mid):
             lo = mid

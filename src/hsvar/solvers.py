@@ -51,8 +51,7 @@ from .energy import StatePair, Weights, integrals, pair_integrals
 from .errors import (DegenerateInputError, DegeneratePathError, HsvarError,
                      InvalidParameterError, PreconditionError)
 from .grid import RadialFunction, RadialGrid, reference_grid, weighted_lp
-from .nehari import (PROJECTION_TOL, _solve_scale, project_arrays,
-                     project_decoupled)
+from .nehari import _solve_scale, project_arrays
 from .operators import LambdaOperator, PairMetric
 from .params import ProblemParams
 
@@ -156,33 +155,36 @@ def compact_bump(t: np.ndarray, center: float, halfwidth: float,
     return out
 
 
-def random_bump(grid: RadialGrid, rng: np.random.Generator,
-                signed: bool = False) -> RadialFunction:
-    """Random compactly supported bump, kept away from both truncation radii."""
+def random_bump(grid: RadialGrid, rng: np.random.Generator) -> RadialFunction:
+    """Random compactly supported bump of random sign, kept away from both
+    truncation radii."""
     lo = max(grid.t[0] + 0.05 * (grid.t[-1] - grid.t[0]), math.log(0.02))
     hi = min(grid.t[-1] - 0.05 * (grid.t[-1] - grid.t[0]), math.log(50.0))
     center = rng.uniform(lo, hi)
     halfwidth = rng.uniform(1.0, 2.5)
     halfwidth = min(halfwidth, center - grid.t[0] - 0.5, grid.t[-1] - center - 0.5)
-    amp = rng.choice([-1.0, 1.0]) if signed else 1.0
+    amp = rng.choice([-1.0, 1.0])
     return RadialFunction(grid, compact_bump(grid.t, center, halfwidth, amp))
 
 
 def extremal_pair(params: ProblemParams, grid: RadialGrid,
-                  which: str, mu: float = 1.0) -> StatePair:
+                  which: str) -> StatePair:
     """Discrete one-component solution couple, rescaled onto the constraint.
 
-    ``which="first"`` gives (z1, 0); ``which="second"`` gives (0, z2).  The
-    sampled closed form is projected onto the discrete decoupled constraint
-    so downstream identities hold at quadrature accuracy.
+    ``which="first"`` gives (z1, 0); ``which="second"`` gives (0, z2), each
+    the closed-form solution of unit scale.  The sampled closed form is
+    projected onto the discrete constraint set so downstream identities
+    hold at quadrature accuracy; the coupling of a one-component pair
+    vanishes, so its scale is the single-term root.
     """
     if which not in ("first", "second"):
         raise InvalidParameterError(f"which must be 'first' or 'second', got {which!r}")
     lam = params.lambda1 if which == "first" else params.lambda2
-    z = RadialFunction(grid, exact_solution(params.N, lam, params.s, mu, grid.r))
-    z = project_decoupled(z, lam, params.s).projected
-    zero = RadialFunction.zero(grid)
-    return StatePair(z, zero) if which == "first" else StatePair(zero, z)
+    z = exact_solution(params.N, lam, params.s, 1.0, grid.r)
+    zero = np.zeros_like(z)
+    u, v = (z, zero) if which == "first" else (zero, z)
+    t, _ = project_arrays(Weights(grid, params), u, v)
+    return _pair(grid, t * u, t * v)
 
 
 def _levels(params: ProblemParams) -> dict:
@@ -380,21 +382,21 @@ def ground_state(params: ProblemParams, init: StatePair,
                **counts})
 
 
-def escalate_nu(params: ProblemParams, grid: RadialGrid,
-                nu_start: float = 1.0, max_doublings: int = 60) -> float:
-    """Double nu until the coupling term dominates half the pair norm.
+def escalate_nu(params: ProblemParams, grid: RadialGrid) -> float:
+    """Double nu from 1 until the coupling term dominates half the pair norm.
 
     The size threshold for coupling dominance is evaluated on the projected
-    couple of the two one-component profiles.
+    couple of the two one-component profiles; after 60 doublings the last
+    nu is returned.
     """
     # the integrals of the couple do not depend on nu; the projected
     # couple's follow by homogeneity
     I = integrals(Weights(grid, params), extremal_pair(params, grid, "first").u.values,
                   extremal_pair(params, grid, "second").v.values, positive=True)
     q = params.alpha + params.beta
-    nu = nu_start
-    for _ in range(max_doublings):
-        t, _ = _solve_scale(I.A, I.B, I.C, params.crit_exp, q, nu, PROJECTION_TOL)
+    nu = 1.0
+    for _ in range(60):
+        t = _solve_scale(I.A, I.B, I.C, params.crit_exp, q, nu)
         if nu * q * t ** q * I.C > 0.5 * t * t * I.A:
             return nu
         nu *= 2.0
@@ -424,20 +426,21 @@ def _initial_path(wt: Weights, K: int):
     return U, V, E
 
 
-def interpolation_bound(params: ProblemParams, grid: RadialGrid,
-                        samples: int = 401) -> tuple[float, np.ndarray]:
+def interpolation_bound(params: ProblemParams,
+                        grid: RadialGrid) -> tuple[float, np.ndarray]:
     """Upper envelope g(t) of the interpolating path and its maximum g(1/2).
 
     g(t) = (2-s)/(2(N-s)) * [((1-t) S1 + t S2) / ((1-t)^(p/2) S1 + t^(p/2) S2)]^(2/(p-2))
            * ((1-t) S1 + t S2),
 
-    where S1, S2 are the critical integrals of the two rescaled profiles.
-    Its maximum sits at t = 1/2 and equals the sum of the two levels.
+    where S1, S2 are the critical integrals of the two rescaled profiles,
+    sampled at the 399 interior points of a 401-point grid on [0, 1].  Its
+    maximum sits at t = 1/2 and equals the sum of the two levels.
     """
     p, s, N = params.crit_exp, params.s, params.N
     S1 = weighted_lp(grid, extremal_pair(params, grid, "first").u, p, s)
     S2 = weighted_lp(grid, extremal_pair(params, grid, "second").v, p, s)
-    ts = np.linspace(0.0, 1.0, samples)[1:-1]
+    ts = np.linspace(0.0, 1.0, 401)[1:-1]
     lin = (1 - ts) * S1 + ts * S2
     curv = (1 - ts) ** (p / 2) * S1 + ts ** (p / 2) * S2
     g = (2 - s) / (2 * (N - s)) * (lin / curv) ** (2 / (p - 2)) * lin
@@ -682,9 +685,8 @@ def semitrivial_probe(params: ProblemParams, which: str,
 
 def classification_flip(params_at, nu_lo: float, nu_hi: float, which: str,
                         grid: RadialGrid | None = None,
-                        opts: ProbeOptions | None = None,
-                        bisections: int = 12) -> dict:
-    """Bisect over nu for a change of probe classification.
+                        opts: ProbeOptions | None = None) -> dict:
+    """Bisect over nu, 12 times in log nu, for a change of probe classification.
 
     ``params_at(nu)`` builds the parameter tuple; the endpoints must
     classify as local_min (low) and saddle (high).  Returns the bracketing
@@ -700,7 +702,7 @@ def classification_flip(params_at, nu_lo: float, nu_hi: float, which: str,
     lab_lo, lab_hi = label(nu_lo), label(nu_hi)
     if lab_lo != "local_min" or lab_hi != "saddle":
         return {"bracket": (nu_lo, nu_hi), "labels": labels, "flip_found": False}
-    for _ in range(bisections):
+    for _ in range(12):
         mid = math.sqrt(nu_lo * nu_hi)
         if label(mid) == "local_min":
             nu_lo = mid

@@ -133,9 +133,9 @@ def test_criterion_05_nehari_projection():
     neg_count = 0
     for _ in range(50):
         cand = StatePair(smooth_bump(grid, rng), smooth_bump(grid, rng))
-        proj = project(cand, pr_nu, tol=1e-14).projected
+        proj = project(cand, pr_nu).projected
         worst_idem = max(worst_idem,
-                         abs(project(proj, pr_nu, tol=1e-14).t_star - 1.0))
+                         abs(project(proj, pr_nu).t_star - 1.0))
         neg_count += second_variation_diag(proj, pr_nu, tol=1e-8) < 0
     ok = ok_t and worst_idem <= 1e-10 and neg_count == 50
     report(5, ok,

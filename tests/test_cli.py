@@ -78,6 +78,7 @@ def test_evaluate_and_project_roundtrip(tmp_path, capsys):
     code = run_command(["project", "--config", cfg, "--profiles", csv_path])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
+    assert set(doc) == {"t_star", "residual"}
     assert doc["t_star"] == pytest.approx(1.0, abs=1e-3)
 
 
@@ -339,6 +340,23 @@ def test_sweep_lemma_mode(tmp_path, capsys):
     lines = open(out_csv).read().strip().splitlines()
     assert len(lines) == 4
     assert lines[0].split(",")[0] == "nu"
+
+
+def test_lemma_defaults_agree_between_lemma_and_sweep(tmp_path, capsys):
+    # s, N and nu left out: both commands fill in the same defaults
+    assert run_command(["lemma", "--A", "2.0", "--B", "1.0", "--theta", "3.0"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    cfg = tmp_path / "lemma_sweep.json"
+    cfg.write_text(json.dumps({"lemma": {"A": 2.0, "B": 1.0},
+                               "sweep": {"command": "lemma",
+                                         "over": {"theta": [3.0]}}}))
+    out_csv = str(tmp_path / "lemma.csv")
+    assert run_command(["sweep", "--config", str(cfg), "--out", out_csv]) == 0
+    capsys.readouterr()
+    header, row = open(out_csv).read().strip().splitlines()
+    got = dict(zip(header.split(","), row.split(",")))
+    assert float(got["inf"]) == doc["inf"]
+    assert float(got["decoupled_inf"]) == doc["decoupled_inf"]
 
 
 def test_mountain_pass_cli(tmp_path, capsys):

@@ -216,7 +216,7 @@ class TestOnConstraintIdentities:
             pair = StatePair(
                 RadialFunction(grid4, np.abs(smooth_bump(grid4, rng).values)),
                 RadialFunction(grid4, np.abs(smooth_bump(grid4, rng).values)))
-            proj = project(pair, pr, tol=1e-14).projected
+            proj = project(pair, pr).projected
             bd = energy(proj, pr)
             direct = bd.total
             form_a = ((0.5 - 1.0 / q) * pair_norm_sq(proj, pr)

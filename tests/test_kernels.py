@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hsvar import (HProfile, ProblemParams, RadialFunction, StatePair,
-                   energy, energy_positive, hardy_constant)
+from hsvar import (HProfile, InvalidParameterError, ProblemParams,
+                   RadialFunction, StatePair, energy, energy_positive,
+                   hardy_constant)
 from hsvar.energy import Weights, gradient_coefficients, integrals
 from hsvar.grid import gradient_seminorm, weighted_lp
 from hsvar.operators import LambdaOperator
@@ -230,13 +231,16 @@ def test_one_component_skip_is_exact(monkeypatch, case, positive):
 
 @pytest.mark.parametrize("N,lam_frac", [(3, 0.9), (4, 0.3), (4, 1.05), (5, 0.9)])
 def test_tridiagonal_solve_matches_dense(N, lam_frac):
-    # 512 nodes keep the dense matrix small; lam_frac > 1 exercises the
-    # Hardy back-off, which the factorization reports through info > 0
+    # 512 nodes keep the dense matrix small
     grid = cached_grid(N, n_nodes=512)
     lam = lam_frac * hardy_constant(N)
+    if lam_frac > 1.0:
+        # above the Hardy threshold the operator is refused, not backed off
+        with pytest.raises(InvalidParameterError):
+            LambdaOperator(grid, lam)
+        return
     op = LambdaOperator(grid, lam)
-    assert (op.shrink < 1.0) == (lam_frac > 1.0)
-    M = assembled_interior(grid, op.shrink * lam)
+    M = assembled_interior(grid, lam)
     rng = np.random.default_rng(N)
     rhs = grid.w[1:-1] * (compact_bump(grid.t, rng.uniform(-2, 2), 2.0, 1.0)[1:-1]
                           + 1e-3 * rng.normal(size=grid.n - 2))
@@ -251,5 +255,6 @@ def test_tridiagonal_solve_matches_dense(N, lam_frac):
 
 
 def test_operator_without_spd_regularization_raises():
-    with pytest.raises(np.linalg.LinAlgError):
+    # lambda far above the Hardy threshold is rejected, not backed off
+    with pytest.raises(InvalidParameterError):
         LambdaOperator(cached_grid(4, n_nodes=512), 2.0 * hardy_constant(4))

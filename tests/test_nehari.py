@@ -2,14 +2,15 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hsvar import (DegenerateInputError, HProfile, NoProjectionError,
                    PreconditionError, ProblemParams, RadialFunction, StatePair,
                    constrained_energy, critical_level, energy, exact_solution,
-                   pair_norm_sq, project, project_decoupled)
+                   pair_norm_sq, project)
 from hsvar.nehari import _solve_scale
 from hsvar.solvers import compact_bump
 from conftest import cached_grid, smooth_bump
@@ -51,8 +52,9 @@ class TestProject:
         pr = params4(nu=0.7)
         for _ in range(10):
             pair = StatePair(smooth_bump(grid4, rng), smooth_bump(grid4, rng))
-            proj = project(pair, pr, tol=1e-14).projected
-            res2 = project(proj, pr, tol=1e-14)
+            res = project(pair, pr)
+            assert abs(res.residual) <= 1e-14 * pair_norm_sq(res.projected, pr)
+            res2 = project(res.projected, pr)
             assert res2.t_star == pytest.approx(1.0, abs=1e-10)
 
     def test_homogeneity(self, grid4):
@@ -60,8 +62,8 @@ class TestProject:
         pr = params4(nu=0.4)
         for c in (0.1, 3.0, 40.0):
             pair = StatePair(smooth_bump(grid4, rng), smooth_bump(grid4, rng))
-            r1 = project(pair, pr, tol=1e-14)
-            r2 = project(pair.scaled(c), pr, tol=1e-14)
+            r1 = project(pair, pr)
+            r2 = project(pair.scaled(c), pr)
             assert r2.t_star * c == pytest.approx(r1.t_star, rel=1e-10)
             assert np.allclose(r1.projected.u.values, r2.projected.u.values,
                                rtol=1e-10, atol=1e-300)
@@ -79,13 +81,20 @@ class TestProject:
             project(pair, params4(nu=1.0), positive=True)
 
     @pytest.mark.parametrize("A,B,C,p,q,nu", [
-        (1.0, 1e-300, 0.0, 3.0, 2.6, 0.0),     # upper bracket never closes
-        (1e-300, 1e300, 0.0, 3.0, 2.6, 0.0),   # lower bracket never closes
-        (1.0, 5e-324, 0.0, 6.0, 2.6, 0.0),     # t^(p-2) overflows first
+        (1e-300, 1e300, 0.0, 3.0, 2.6, 0.0),       # the root underflows
+        (1.0, 1e-300, 0.0, 2.001, 2.0005, 0.0),    # log t ~ 6.9e5 overflows
+        (1.0, 0.0, 1.0, 3.0, 2.6, 0.0),            # B = nu C = 0
     ])
     def test_scale_solver_fails_loudly(self, A, B, C, p, q, nu):
         with pytest.raises(NoProjectionError):
-            _solve_scale(A, B, C, p, q, nu, 1e-12)
+            _solve_scale(A, B, C, p, q, nu)
+
+    @pytest.mark.parametrize("A,B,p,root", [
+        (1.0, 1e-300, 3.0, 1.0 / 1e-300),
+        (1.0, 5e-324, 6.0, 2.0 ** 268.5),          # B t^4 would overflow first
+    ], ids=["root-1e300", "root-6.7e80"])
+    def test_scale_solver_reaches_extreme_roots(self, A, B, p, root):
+        assert _solve_scale(A, B, 0.0, p, 2.6, 0.0) == pytest.approx(root, rel=1e-13)
 
     def test_scalar_equation_monotone_in_t(self, grid4):
         # the root map residual is strictly increasing in t, so uniqueness
@@ -99,8 +108,6 @@ class TestProject:
         ts = np.geomspace(1e-3, 1e3, 200)
         vals = ts ** (pr.crit_exp - 2) * B + pr.nu * q * ts ** (q - 2) * C
         assert np.all(np.diff(vals) > 0)
-        res = project(pair, pr)
-        assert res.bracket[0] < res.t_star < res.bracket[1]
 
     def test_norm_lower_bound_on_constraint(self, grid4):
         # r_nu = inf of pair norms over projections; every projected energy
@@ -121,12 +128,17 @@ class TestProject:
 
 
 class TestProjectDecoupled:
+    """Pairs (u, 0): the coupling vanishes, so the scale is the single-term root."""
+
+    def one(self, u):
+        return StatePair(u, RadialFunction.zero(u.grid))
+
     def test_extremal(self, z1):
-        res = project_decoupled(z1, 0.3, 1.0)
+        res = project(self.one(z1), params4(nu=0.8))
         assert res.t_star == pytest.approx(1.0, abs=1e-4)
 
     def test_homogeneity(self, z1):
-        res = project_decoupled(z1.scaled(3.0), 0.3, 1.0)
+        res = project(self.one(z1.scaled(3.0)), params4(nu=0.8))
         assert res.t_star == pytest.approx(1.0 / 3.0, rel=1e-4)
 
     def test_perturbed_extremal_energy_dominates_level(self, grid4, z1):
@@ -137,13 +149,12 @@ class TestProjectDecoupled:
         for _ in range(10):
             psi = smooth_bump(grid4, rng)
             u = RadialFunction(grid4, z1.values + 0.1 * scale * psi.values)
-            proj = project_decoupled(u, 0.3, 1.0).projected
-            e = energy(StatePair(proj, RadialFunction.zero(grid4)), pr).total
+            e = energy(project(self.one(u), pr).projected, pr).total
             assert e >= level * (1 - 1e-4)
 
     def test_zero_rejected(self, grid4):
         with pytest.raises(DegenerateInputError):
-            project_decoupled(RadialFunction.zero(grid4), 0.3, 1.0)
+            project(self.one(RadialFunction.zero(grid4)), params4())
 
 
 class TestConstrainedEnergy:
@@ -159,7 +170,7 @@ class TestConstrainedEnergy:
                            h_profile=HProfile("bump", p_exp=2.0, q_exp=2.0))
         for _ in range(10):
             pair = StatePair(smooth_bump(grid4, rng), smooth_bump(grid4, rng))
-            proj = project(pair, pr, tol=1e-14).projected
+            proj = project(pair, pr).projected
             assert constrained_energy(proj, pr) == pytest.approx(
                 energy(proj, pr).total, rel=1e-8)
 
@@ -174,7 +185,7 @@ class TestConstrainedEnergy:
         pair = StatePair(
             RadialFunction(grid4, np.abs(smooth_bump(grid4, rng).values)),
             RadialFunction(grid4, np.abs(smooth_bump(grid4, rng).values)))
-        proj = project(pair, pr, tol=1e-14).projected
+        proj = project(pair, pr).projected
         bd = energy(proj, pr)
         assert bd.coupling > 0
         without_coupling = (2 - pr.s) / (2 * (4 - pr.s)) * (bd.hs_u + bd.hs_v)
@@ -222,3 +233,57 @@ def test_energy_and_projection_commute_with_component_swap(bu, bv, nu, flip,
     t = project(pair, params, positive=positive).t_star
     t_sw = project(swapped, params.swapped(), positive=positive).t_star
     assert t_sw == pytest.approx(t, rel=1e-12, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# property: the scale against a 40-digit root
+# ---------------------------------------------------------------------------
+
+def _mp_scale(A, B, C, p, q, nu):
+    """Root T of A = t^(p-2) B + nu q t^(q-2) C to 40 digits, by bisection in
+    x = log t, and the slope of the relative residual in x at T (None, None
+    when T is not a representable float)."""
+    with mpmath.workdps(50):
+        A, B, C, p, q, nu = map(mpmath.mpf, (A, B, C, p, q, nu))
+        terms = [(e, k) for e, k in ((p - 2, B), (q - 2, nu * q * C)) if k > 0]
+
+        def f(x):
+            return sum(k * mpmath.exp(e * x) for e, k in terms) - A
+
+        # f >= 0 at the smaller single-term root; ln 2 / e_min below it every
+        # term is at most A / 2, so f <= 0; 240 halvings of that bracket
+        # (at most 2^51 wide) leave less than 1e-40 of it
+        hi = min((mpmath.log(A) - mpmath.log(k)) / e for e, k in terms)
+        lo = hi - mpmath.log(2) / min(e for e, _ in terms)
+        for _ in range(240):
+            mid = (lo + hi) / 2
+            if f(mid) > 0:
+                hi = mid
+            else:
+                lo = mid
+        if abs(hi) >= 690:
+            return None, None
+        slope = sum(e * k * mpmath.exp(e * hi) for e, k in terms) / A
+        return mpmath.exp(hi), float(slope)
+
+
+coef = st.floats(-8.0, 8.0).map(lambda k: 10.0 ** k)
+exponent = st.floats(2.0, 6.0, exclude_min=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(A=coef, B=coef, C=coef, pq=st.tuples(exponent, exponent).map(sorted),
+       nu=st.one_of(st.just(0.0), st.floats(-4.0, 3.0).map(lambda k: 10.0 ** k)))
+def test_scale_matches_a_40_digit_root(A, B, C, pq, nu):
+    # a residual known to eps moves log t by eps / slope, which no
+    # double-precision solver avoids; the slope is below 1 only where p - 2
+    # or q - 2 is.  At (A, B, C, p, q, nu) = (10, 1, 1, 3, 2.00001,
+    # 5.002864610575233) it is 1e-5, and rounding nu q C alone moves the
+    # root by 2.6e-12, six times 32 eps (1 + |ln t|)
+    q, p = pq
+    T, slope = _mp_scale(A, B, C, p, q, nu)
+    assume(T is not None)
+    t = _solve_scale(A, B, C, p, q, nu)
+    eps = np.finfo(float).eps
+    assert abs(float(t / T) - 1.0) <= (32 * eps * (1.0 + abs(math.log(t)))
+                                       / min(1.0, slope))
