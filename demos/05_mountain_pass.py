@@ -32,5 +32,5 @@ print(f"initial chain max: {lv['initial_path_max']:.4f}")
 print(f"deformed estimate: {rep.energy:.4f} after {rep.iterations} sweeps")
 print(f"bracket: E1 = {E1:.4f} < {rep.energy:.4f} < 3 E2 = {3 * E2:.4f}")
 print(f"crest gradient: {gt[0]:.3e} -> {gt[-1]:.3e} (converged: {rep.converged})")
-print("estimate trace (every 15 sweeps):",
+print("chain maximum (start, then every 15 sweeps):",
       " ".join(f"{c:.3f}" for c in rep.trace[::15]))

@@ -34,7 +34,7 @@ from .closed_forms import (best_constant, critical_exponent, critical_level,
 from .energy import StatePair, energy
 from .errors import ConfigError, HsvarError
 from .grid import (REFERENCE_N_NODES, REFERENCE_R_MAX, REFERENCE_R_MIN,
-                   build_grid)
+                   RadialFunction, build_grid)
 from .nehari import project
 from .params import ProblemParams
 from .regimes import LemmaInstance, algebraic_inf, classify
@@ -216,19 +216,18 @@ def _cmd_project(args) -> int:
 
 def _initial_pair(cfg: RunConfig, grid) -> StatePair:
     """Perturbed extremal data; decoupled runs start from (z1 + noise, 0)."""
-    from .grid import RadialFunction
     rng = np.random.default_rng(cfg.seed)
-    first = extremal_pair(cfg.params, grid, "first")
-    bump_u = random_bump(grid, rng)
-    scale_u = 0.1 * float(np.interp(1.0, grid.r, first.u.values))
-    u = np.abs(first.u.values + scale_u * bump_u.values)
+
+    def perturbed(z):
+        # a random bump, scaled to a tenth of z at r = 1
+        bump = random_bump(grid, rng).values
+        return RadialFunction(
+            grid, np.abs(z + 0.1 * float(np.interp(1.0, grid.r, z)) * bump))
+
+    u = perturbed(extremal_pair(cfg.params, grid, "first").u.values)
     if cfg.params.nu == 0.0:
-        return StatePair(RadialFunction(grid, u), RadialFunction.zero(grid))
-    second = extremal_pair(cfg.params, grid, "second")
-    bump_v = random_bump(grid, rng)
-    scale_v = 0.1 * float(np.interp(1.0, grid.r, second.v.values))
-    v = np.abs(second.v.values + scale_v * bump_v.values)
-    return StatePair(RadialFunction(grid, u), RadialFunction(grid, v))
+        return StatePair(u, RadialFunction.zero(grid))
+    return StatePair(u, perturbed(extremal_pair(cfg.params, grid, "second").v.values))
 
 
 def _cmd_solve(args) -> int:

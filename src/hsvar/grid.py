@@ -132,10 +132,6 @@ class RadialFunction:
     def scaled(self, factor: float) -> "RadialFunction":
         return RadialFunction(self.grid, factor * self.values)
 
-    def __add__(self, other: "RadialFunction") -> "RadialFunction":
-        self.grid.require_same(other.grid)
-        return RadialFunction(self.grid, self.values + other.values)
-
 
 def integrate(grid: RadialGrid, f: RadialFunction) -> float:
     """Discrete volume integral of f over R^N."""

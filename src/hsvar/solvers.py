@@ -19,10 +19,10 @@ Bound states between the two one-component solutions are bracketed by a
 discrete min-max path: nodes of the explicit interpolating path are
 rescaled onto the truncated constraint set, and deformation sweeps
 redistribute the chain, relax the neighbors of the maximum node
-transversally, and let the maximum node climb toward the barrier.  Every
-sweep's chain is an admissible discrete path, so the smallest chain maximum
-seen is a non-increasing estimate of the min-max level; it is
-``converged`` once the crest's relative gradient is within ``crest_grad_tol``.
+transversally, and let the maximum node climb toward the barrier.  The
+reported level is the energy of the crest, the chain's maximum node, whose
+gradient was last measured; it is ``converged`` once that relative gradient
+is within ``crest_grad_tol``.
 
 The descent and the moving path nodes share one line search, at one grid
 pass per trial.  Its accept test may answer "too short"; the path's tests
@@ -179,12 +179,20 @@ def extremal_pair(params: ProblemParams, grid: RadialGrid,
     """
     if which not in ("first", "second"):
         raise InvalidParameterError(f"which must be 'first' or 'second', got {which!r}")
-    lam = params.lambda1 if which == "first" else params.lambda2
-    z = exact_solution(params.N, lam, params.s, 1.0, grid.r)
+    z, _ = _extremal(Weights(grid, params), which)
     zero = np.zeros_like(z)
-    u, v = (z, zero) if which == "first" else (zero, z)
-    t, _ = project_arrays(Weights(grid, params), u, v)
-    return _pair(grid, t * u, t * v)
+    return _pair(grid, z, zero) if which == "first" else _pair(grid, zero, z)
+
+
+def _extremal(wt: Weights, which: str) -> tuple[np.ndarray, float]:
+    """The nonzero component of :func:`extremal_pair` and its energy, on
+    the caller's weights."""
+    pr = wt.params
+    lam = pr.lambda1 if which == "first" else pr.lambda2
+    z = exact_solution(pr.N, lam, pr.s, 1.0, wt.grid.r)
+    zero = np.zeros_like(z)
+    t, I = project_arrays(wt, *((z, zero) if which == "first" else (zero, z)))
+    return t * z, I.energy(t)
 
 
 def _levels(params: ProblemParams) -> dict:
@@ -391,8 +399,9 @@ def escalate_nu(params: ProblemParams, grid: RadialGrid) -> float:
     """
     # the integrals of the couple do not depend on nu; the projected
     # couple's follow by homogeneity
-    I = integrals(Weights(grid, params), extremal_pair(params, grid, "first").u.values,
-                  extremal_pair(params, grid, "second").v.values, positive=True)
+    wt = Weights(grid, params)
+    I = integrals(wt, _extremal(wt, "first")[0], _extremal(wt, "second")[0],
+                  positive=True)
     q = params.alpha + params.beta
     nu = 1.0
     for _ in range(60):
@@ -412,18 +421,23 @@ def _initial_path(wt: Weights, K: int):
 
     Returns the node arrays U, V (row k is node k) and the node energies E.
     """
-    z1 = extremal_pair(wt.params, wt.grid, "first").u.values
-    z2 = extremal_pair(wt.params, wt.grid, "second").v.values
+    (z1, E1), (z2, E2) = _extremal(wt, "first"), _extremal(wt, "second")
     tk = np.arange(K + 1)[:, None] / K
     U, V = np.sqrt(1.0 - tk) * z1, np.sqrt(tk) * z2
     E = np.empty(K + 1)
-    for k in range(K + 1):
-        t, I = (project_arrays(wt, U[k], V[k], positive=True) if 0 < k < K
-                else (1.0, integrals(wt, U[k], V[k], positive=True)))
+    E[0], E[K] = E1, E2
+    _project_interior(U, V, E, wt)
+    return U, V, E
+
+
+def _project_interior(U, V, E, wt: Weights) -> None:
+    """Rescale the interior rows of a chain onto the constraint set in place,
+    with their energies."""
+    for k in range(1, len(E) - 1):
+        t, I = project_arrays(wt, U[k], V[k], positive=True)
         U[k] *= t
         V[k] *= t
         E[k] = I.energy(t)
-    return U, V, E
 
 
 def interpolation_bound(params: ProblemParams,
@@ -483,11 +497,7 @@ def _redistribute(U, V, E, wt: Weights) -> None:
     theta = ((targets - arc[j]) / np.maximum(arc[j + 1] - arc[j], 1e-300))[:, None]
     U[1:m] = (1 - theta) * U[j] + theta * U[j + 1]
     V[1:m] = (1 - theta) * V[j] + theta * V[j + 1]
-    for k in range(1, m):
-        t, I = project_arrays(wt, U[k], V[k], positive=True)
-        U[k] *= t
-        V[k] *= t
-        E[k] = I.energy(t)
+    _project_interior(U, V, E, wt)
 
 
 def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
@@ -500,9 +510,9 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
     to equal arclength, then applies descent steps with reprojection to the
     current maximum node and its two neighbors; the along-path component of
     each move is removed so nodes relax transversally instead of sliding off
-    the barrier.  Every sweep's chain is an admissible discrete path, so the
-    reported estimate is the best (smallest) chain maximum seen, which is
-    non-increasing across sweeps by construction.
+    the barrier.  The report describes the last crest measured: its energy,
+    profiles, relative gradient, Nehari residual and index.  ``trace`` holds
+    the chain maximum before the first sweep and after each one.
     """
     opts = opts or PathOptions()
     grid = grid or reference_grid(params.N)
@@ -517,17 +527,13 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
     K = opts.n_path_nodes
     wt = Weights(grid, params)
     U, V, E = _initial_path(wt, K)
-    g_max, _ = interpolation_bound(params, grid)
-
     metric = PairMetric(grid, params.lambda1, params.lambda2)
-    a = int(np.argmax(E))
-    # rows are overwritten by later sweeps, so the best crest is a copy
-    best_max, best_u, best_v = float(E[a]), U[a].copy(), V[a].copy()
-    c_trace = [best_max]
-    gnorm_trace = []
+    trace, gnorm_trace = [float(E.max())], []
     stop = "max_sweeps"
-    for sweep in range(opts.max_sweeps):
-        if sweep > 0:
+    # sweeps 0 .. max_sweeps-1 move the chain; the extra pass only measures
+    # the crest of the chain that the last sweep left
+    for sweep in range(opts.max_sweeps + 1):
+        if 0 < sweep < opts.max_sweeps:
             # equal arclength on each side of the anchored crest keeps the
             # chain sampled near the barrier without discarding the climbing
             # node's progress; without it, downhill moves let the neighbor
@@ -544,6 +550,8 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
         gnorm_trace.append(gnorm)
         if gnorm <= opts.crest_grad_tol:
             stop = "tolerance"
+            break
+        if sweep == opts.max_sweeps:
             break
 
         def climbs(st, t, J):
@@ -579,30 +587,27 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
                 _, t, J, U[k], V[k] = found
                 E[k] = J.energy(t)
                 improved = True
-        a = int(np.argmax(E))
-        if E[a] < best_max:
-            best_max, best_u, best_v = float(E[a]), U[a].copy(), V[a].copy()
-        c_trace.append(best_max)
+        trace.append(float(E.max()))
         if not improved:
             stop = "no_improvement"
             break
 
-    I = integrals(wt, best_u, best_v, positive=True)
+    I = top[0]
     levels = _levels(params)
     levels["endpoint_energies"] = [float(E[0]), float(E[-1])]
-    levels["initial_path_max"] = c_trace[0]
-    levels["interpolation_bound_max"] = g_max
+    levels["initial_path_max"] = trace[0]
+    # the envelope of interpolation_bound peaks at t = 1/2, at E1 + E2
+    levels["interpolation_bound_max"] = float(E[0] + E[-1])
     return SolverReport(
         kind="mountain_pass", params=params.to_dict(),
-        energy=best_max,
-        gradient_norm=gnorm_trace[-1] if gnorm_trace else math.inf,
+        energy=float(E[k_max]), gradient_norm=gnorm,
         nehari_residual=abs(I.residual()) / max(I.A, 1e-300),
-        iterations=len(c_trace) - 1,
+        iterations=len(trace) - 1,
         converged=stop == "tolerance", stop_reason=stop,
-        level_diagnostics=levels, profiles=_pair(grid, best_u, best_v),
-        trace=c_trace,
-        extra={"gradient_norm_trace": gnorm_trace,
-               "crest_index": int(np.argmax(E)),
+        level_diagnostics=levels,
+        profiles=_pair(grid, U[k_max].copy(), V[k_max].copy()),
+        trace=trace,
+        extra={"gradient_norm_trace": gnorm_trace, "crest_index": k_max,
                "orientation": "i" if orient_i else "ii"})
 
 
@@ -655,18 +660,17 @@ def semitrivial_probe(params: ProblemParams, which: str,
     swapped = which == "first"
     work = params.swapped() if swapped else params
 
-    z = extremal_pair(work, grid, "second").v
-    zero = RadialFunction.zero(grid)
     wt = Weights(grid, work)
-    base = integrals(wt, zero.values, z.values).energy()
+    z, base = _extremal(wt, "second")
+    zero = np.zeros_like(z)
 
     e, iters, stop = work.alpha, 0, None
     if e != 2.0:
         nu_star = 0.0 if e < 2.0 else math.inf
     else:
-        W = 2.0 * (wt.whrs * z.values ** work.beta)[1:-1]
+        W = 2.0 * (wt.whrs * z ** work.beta)[1:-1]
         nu_star, _, iters, done = _lowest_mode(
-            LambdaOperator(grid, work.lambda1), W, z.values[1:-1])
+            LambdaOperator(grid, work.lambda1), W, z[1:-1])
         stop = "tolerance" if done else "max_iter"
     classification = ("inconclusive" if stop == "max_iter" else
                       "saddle" if work.nu > nu_star else "local_min")
@@ -678,7 +682,7 @@ def semitrivial_probe(params: ProblemParams, which: str,
         gradient_norm=0.0, nehari_residual=0.0,
         iterations=iters, converged=classification != "inconclusive",
         level_diagnostics=levels,
-        profiles=StatePair(z, zero) if swapped else StatePair(zero, z),
+        profiles=_pair(grid, z, zero) if swapped else _pair(grid, zero, z),
         classification=classification, stop_reason=stop,
         extra={"which": which, "nu_star": nu_star, "foreign_exponent": e})
 

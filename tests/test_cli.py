@@ -391,10 +391,6 @@ def _reject_constant(token):
      {"params": {"N": 3, "s": 0.5, "lambda1": 0.12, "lambda2": 0.1,
                  "alpha": 2.0, "beta": 2.2, "nu": 1e-3}, "solver": {}},
      ("extra", "nu_star"), "inf"),
-    # no sweep runs, so no crest gradient was measured
-    (["mountain-pass"],
-     {"params": PATH_PARAMS, "solver": {"n_path_nodes": 8, "max_sweeps": 0}},
-     ("gradient_norm",), "inf"),
 ])
 def test_report_json_is_strict_json(tmp_path, capsys, argv, overrides, field,
                                     value):

@@ -11,10 +11,10 @@ from hsvar import (DegenerateInputError, DescentOptions, HProfile,
                    InvalidParameterError, PathOptions, PreconditionError,
                    ProbeOptions, ProblemParams, RadialFunction, StatePair,
                    classification_flip, critical_level, energy,
-                   energy_positive, escalate_nu, extremal_pair, ground_state,
-                   hardy_constant, interpolation_bound, lambda_norm_sq,
-                   mountain_pass, nehari_residual, pair_norm_sq, project,
-                   semitrivial_probe)
+                   energy_positive, escalate_nu, extremal_pair,
+                   gradient_dual_norm, ground_state, hardy_constant,
+                   interpolation_bound, lambda_norm_sq, mountain_pass,
+                   nehari_residual, pair_norm_sq, project, semitrivial_probe)
 from hsvar import solvers
 from hsvar.energy import Weights, integrals
 from hsvar.nehari import project_arrays
@@ -150,14 +150,23 @@ class TestMountainPass:
         assert (abs(nehari_residual(rep.profiles, pr, positive=True))
                 <= 1e-10 * pair_norm_sq(rep.profiles, pr))
 
-    def test_reported_crest_survives_later_sweeps(self):
-        # at K=7 no sweep lowers the chain maximum below the initial one, so
-        # the reported crest is a row that every later sweep overwrites
-        pr = self.params()
+    @pytest.mark.parametrize("bump,K,sweeps", [
+        pytest.param(False, 7, 40, id="constant-h-K7"),
+        pytest.param(True, 16, 150, id="bump-h-K16"),
+        pytest.param(False, 8, 0, id="no-sweep-K8")])
+    def test_report_describes_its_crest(self, bump, K, sweeps):
+        # energy, profiles and gradient norm describe one state: at K=7 the
+        # chain maximum rises above its initial value, the bump h stops at
+        # the tolerance, and max_sweeps=0 measures the initial crest
+        pr = (ProblemParams(4, 0.5, 0.1, 0.3, 2.2, 1.2, 0.5,
+                            HProfile("bump", p_exp=2.0, q_exp=2.0))
+              if bump else self.params())
         rep = mountain_pass(pr, cached_grid(4, 1e-6, 1e6, 1024),
-                            PathOptions(n_path_nodes=7, max_sweeps=40))
-        assert rep.energy == rep.trace[0] and rep.iterations == 40
+                            PathOptions(n_path_nodes=K, max_sweeps=sweeps))
+        assert (gradient_dual_norm(rep.profiles, pr, positive=True)[1]
+                == pytest.approx(rep.gradient_norm, rel=1e-12))
         assert energy_positive(rep.profiles, pr) == pytest.approx(rep.energy, rel=1e-12)
+        assert rep.gradient_norm == rep.extra["gradient_norm_trace"][-1]
 
     def test_redistribute_resamples_a_view_in_place(self):
         pr = self.params()
@@ -209,6 +218,8 @@ class TestMountainPass:
                             PathOptions(n_path_nodes=16, max_sweeps=150))
         assert rep.stop_reason == "tolerance" and rep.converged
         assert rep.gradient_norm <= PathOptions().crest_grad_tol
+        assert (gradient_dual_norm(rep.profiles, pr, positive=True)[1]
+                <= PathOptions().crest_grad_tol)
         assert rep.iterations < 150
         lv = rep.level_diagnostics
         assert lv["level_1"] < rep.energy < lv["sum_levels"]
