@@ -22,11 +22,16 @@ class HProfile:
     Two families are supported:
 
     * ``constant``: ``h(r) = c`` with ``c > 0``.  Bounded but does not vanish
-      at the origin or at infinity, so it is reserved for subcritical
-      coupling exponents (``alpha + beta < p``).
+      at the origin or at infinity.  The coupling term is bounded on the
+      energy space at critical coupling (``alpha + beta = p``).  Below it,
+      the dilation ``u(r) -> e^(k(N-2)/2) u(e^k r)`` keeps the pair norm and
+      the critical integrals and scales the coupling integral by
+      ``e^(-k gamma)``, ``gamma = N - s - (N-2)(alpha+beta)/2 > 0``, so no
+      coupled critical point exists.
     * ``bump``: ``h(r) = r^p_exp / (1 + r^(p_exp + q_exp))`` with
       ``p_exp, q_exp > 0``.  Continuous, bounded, and vanishing both at 0 and
-      at infinity.
+      at infinity.  The coupling term is bounded when
+      ``q_exp > (N - s)(p - alpha - beta) / p``.
     """
 
     kind: str = "constant"

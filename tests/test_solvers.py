@@ -80,6 +80,19 @@ class TestGroundState:
         assert rep.iterations <= 5
         assert rep.stop_reason == "max_iter"
 
+    @pytest.mark.parametrize("max_iter", [1, 3, 5])
+    def test_max_iter_stop_reports_the_returned_gradient(self, max_iter):
+        # the gradient of the profiles returned, not of the iterate before
+        # the last step
+        grid = cached_grid(4, 1e-6, 1e6, 1024)
+        pr = ProblemParams(4, 1.0, 0.3, 0.5, 1.4, 1.4, 1.0)
+        init = StatePair(extremal_pair(pr, grid, "first").u,
+                         extremal_pair(pr, grid, "second").v)
+        rep = ground_state(pr, init, DescentOptions(max_iter=max_iter))
+        assert rep.stop_reason == "max_iter"
+        assert rep.gradient_norm == pytest.approx(
+            gradient_dual_norm(rep.profiles, pr, positive=True)[1], rel=1e-12)
+
     def test_large_nu_produces_coupled_state_below_levels(self):
         grid = small_grid(4)
         base = ProblemParams(4, 1.0, 0.3, 0.5, 1.4, 1.4, 1.0)
@@ -198,6 +211,48 @@ class TestMountainPass:
             t, I = project_arrays(wt, u, v, positive=True)
             assert np.array_equal(U[k], t * u) and np.array_equal(V[k], t * v)
             assert E[k] == I.energy(t)
+
+    def test_redistribute_keeps_a_chain_within_the_ratio(self):
+        wt = Weights(small_grid(4), self.params())
+        U, V, E = solvers._initial_path(wt, 10)
+        solvers._redistribute(U, V, E, wt)
+        seg = solvers._segments(U, V, wt.grid.w)
+        assert seg.max() <= solvers.RESAMPLE_RATIO * seg.min()
+        U0, V0, E0, seg0 = U.copy(), V.copy(), E.copy(), seg.copy()
+        assert not solvers._redistribute(U, V, E, wt, seg)
+        for a, b in ((U, U0), (V, V0), (E, E0), (seg, seg0)):
+            assert np.array_equal(a, b)
+
+    def test_redistribute_refreshes_the_segments_it_resamples(self):
+        wt = Weights(small_grid(4), self.params())
+        U, V, E = solvers._initial_path(wt, 10)
+        U[3:6], V[3:6], E[3:6] = U[2], V[2], E[2]
+        U1, V1, E1 = U.copy(), V.copy(), E.copy()
+        seg = solvers._segments(U, V, wt.grid.w)
+        assert solvers._redistribute(U[2:9], V[2:9], E[2:9], wt, seg[2:8])
+        fresh = solvers._segments(U, V, wt.grid.w)
+        np.testing.assert_allclose(seg, fresh, rtol=1e-12, atol=0.0)
+        # given the same segments, the lazy call resamples as the eager one
+        solvers._redistribute(U1[2:9], V1[2:9], E1[2:9], wt)
+        for a, b in ((U, U1), (V, V1), (E, E1)):
+            assert np.array_equal(a, b)
+
+    def test_counts_its_side_resamplings(self):
+        rep = mountain_pass(self.params(), cached_grid(4, 1e-6, 1e6, 1024),
+                            PathOptions(n_path_nodes=7, max_sweeps=40))
+        # two sides per sweep after the first; some of them are left as they are
+        assert 0 < rep.extra["resamples"] < 2 * (rep.iterations - 1)
+
+    def test_bump_h_crest_level_at_the_reference_grid(self):
+        # the yardstick of the path's cost: the level at 1e-9 is the one
+        # reached while every side was resampled at every sweep
+        pr = ProblemParams(4, 0.5, 0.1, 0.3, 2.2, 1.2, 0.5,
+                           HProfile("bump", p_exp=2.0, q_exp=2.0))
+        rep = mountain_pass(pr, cached_grid(4, 1e-6, 1e6, 4096),
+                            PathOptions(n_path_nodes=32, max_sweeps=150,
+                                        crest_grad_tol=1e-9))
+        assert rep.stop_reason == "tolerance"
+        assert rep.energy == pytest.approx(24.40941508215465, rel=1e-12)
 
     def test_short_run_reports_max_sweeps_unconverged(self):
         rep = mountain_pass(self.params(), small_grid(4),
