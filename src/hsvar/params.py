@@ -80,7 +80,7 @@ class ProblemParams:
     * ``0 <= s < 2``,
     * ``0 < lambda_j < (N-2)^2/4`` for both components,
     * ``alpha, beta > 1`` with ``alpha + beta <= 2(N-s)/(N-2)``,
-    * ``nu >= 0``.
+    * finite ``nu >= 0``.
     """
 
     N: int
@@ -111,7 +111,7 @@ class ProblemParams:
                 bad.append("beta")
             if "alpha" not in bad and "beta" not in bad and self.alpha + self.beta > p * (1 + 1e-12):
                 bad.append("alpha+beta")
-        if not self.nu >= 0.0:
+        if not 0.0 <= self.nu < np.inf:
             bad.append("nu")
         if bad:
             raise InvalidParameterError(f"invalid problem parameters: {', '.join(bad)}")

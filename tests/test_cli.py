@@ -203,6 +203,8 @@ def test_validation_error_exit_code(tmp_path, capsys):
      json.dumps({"params": PARAMS, "solver": {"n_probe_dirs": 0}})),
     (["probe", "--config", "{cfg}", "--which", "first"],
      json.dumps({"params": PARAMS, "solver": {"probe_ladder": []}})),
+    (["ground-state", "--nu", "inf",
+      *(f"--{k}={v}" for k, v in PARAMS.items())], None),
 ])
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch,
                                               argv, content):
@@ -216,6 +218,18 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch,
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command,params", [("ground-state", PARAMS),
+                                            ("mountain-pass", PATH_PARAMS),
+                                            ("classify", PARAMS)])
+def test_infinite_nu_is_named(tmp_path, capsys, monkeypatch, command, params):
+    # an infinite coupling used to reach the scale iteration, which gave up
+    # on log t = nan without naming the input
+    monkeypatch.chdir(tmp_path)
+    argv = [f"--{k}={v}" for k, v in {**params, "nu": "inf"}.items()]
+    assert run_command([command, *argv]) == 2
+    assert capsys.readouterr().err == "error: invalid problem parameters: nu\n"
 
 
 def test_solver_keys_reach_their_option_fields():

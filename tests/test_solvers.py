@@ -242,6 +242,11 @@ class TestMountainPass:
                             PathOptions(n_path_nodes=7, max_sweeps=40))
         # two sides per sweep after the first; some of them are left as they are
         assert 0 < rep.extra["resamples"] < 2 * (rep.iterations - 1)
+        # the climb's floor probe changes the cost of the path, not the path:
+        # the level is the one reached when every failing climb walked its
+        # ladder down to the floor, at 632 trials
+        assert rep.energy == 32.65339129301263
+        assert rep.extra["trials"] == 152
 
     def test_bump_h_crest_level_at_the_reference_grid(self):
         # the yardstick of the path's cost: the level at 1e-9 is the one
@@ -359,6 +364,66 @@ class TestLineSearch:
             assert steps[-1] * rel > solvers.SQRT_EPS >= 0.5 * steps[-1] * rel
         else:
             assert len(steps) == accept_at + 1 and found[0] == steps[-1]
+
+
+class TestFloorProbe:
+    def start(self):
+        pr = ProblemParams(3, 0.5, 0.1, 0.5 * hardy_constant(3), 1.3, 1.3, 0.0)
+        return descent_start(pr, small_grid(3), np.random.default_rng(0))
+
+    def search(self, monkeypatch, passes, step=solvers.STEP0, **kw):
+        """Trials, found and judged steps of a search with a boolean accept."""
+        wt, u, v, E, nsq, du, dv, slope = self.start()
+        steps = []
+
+        def accept(st, t, I):
+            steps.append(st)
+            return passes(st)
+
+        calls = counting_projections(monkeypatch)
+        trials, found = solvers._line_search(wt, u, v, du, dv, slope, nsq, E,
+                                             accept, grad=True, step=step, **kw)
+        assert trials == len(calls) == len(steps)
+        return trials, found, steps, math.sqrt(slope / nsq)
+
+    def test_a_failing_floor_ends_the_search_after_two_trials(self, monkeypatch):
+        trials, found, ladder, rel = self.search(monkeypatch, lambda st: False)
+        assert found is None and trials > 2
+        trials, found, steps, _ = self.search(monkeypatch, lambda st: False,
+                                              probe_floor=True)
+        assert (trials, found) == (2, None)
+        assert steps == [ladder[0], ladder[-1]]
+        assert ladder[-1] * rel > solvers.SQRT_EPS >= 0.5 * ladder[-1] * rel
+
+    @pytest.mark.parametrize("below", [0.3, 1e-3, 1e-6])
+    def test_a_passing_floor_keeps_the_ladder_step(self, monkeypatch, below):
+        # the probe is judged and not taken: the accepted step is the one the
+        # plain halving ladder finds, one trial later
+        def passes(st):
+            return st < below
+
+        trials, found0, steps, rel = self.search(monkeypatch, passes)
+        probed, found, (first, floor, *rest), _ = self.search(
+            monkeypatch, passes, probe_floor=True)
+        assert floor * rel > solvers.SQRT_EPS >= 0.5 * floor * rel
+        assert probed == trials + 1 and [first, *rest] == steps
+        (st, t, _, u, v), (st0, t0, _, u0, v0) = found, found0
+        assert (st, t) == (st0, t0) and st < below <= 2 * st
+        assert np.array_equal(u, u0) and np.array_equal(v, v0)
+
+    @pytest.mark.parametrize("rungs", [1, 2])
+    def test_a_ladder_of_one_or_two_rungs_is_not_probed(self, monkeypatch,
+                                                        rungs):
+        # every step below the first passes, so a probe would show as a
+        # repeated step
+        *_, nsq, _, _, slope = self.start()
+        step = (1.5 if rungs == 1 else 3.0) * solvers.SQRT_EPS / math.sqrt(
+            slope / nsq)
+        trials, found, steps, _ = self.search(monkeypatch, lambda st: st < step,
+                                              step=step, probe_floor=True)
+        assert trials == rungs and steps == [step * 0.5 ** k
+                                             for k in range(rungs)]
+        assert (found is None) == (rungs == 1)
 
 
 def slope_at(wt, found, du, dv):
