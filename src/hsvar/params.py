@@ -8,6 +8,7 @@ weighted nonlinearity ``|u|^{p-1} / |x|^s`` with ``p = 2(N-s)/(N-2)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,16 +22,16 @@ class HProfile:
 
     Two families are supported:
 
-    * ``constant``: ``h(r) = c`` with ``c > 0``.  Bounded but does not vanish
-      at the origin or at infinity.  The coupling term is bounded on the
-      energy space at critical coupling (``alpha + beta = p``).  Below it,
+    * ``constant``: ``h(r) = c`` with finite ``c > 0``.  Bounded but does
+      not vanish at the origin or at infinity.  The coupling term is bounded
+      on the energy space at critical coupling (``alpha + beta = p``).  Below it,
       the dilation ``u(r) -> e^(k(N-2)/2) u(e^k r)`` keeps the pair norm and
       the critical integrals and scales the coupling integral by
       ``e^(-k gamma)``, ``gamma = N - s - (N-2)(alpha+beta)/2 > 0``, so no
       coupled critical point exists.
     * ``bump``: ``h(r) = r^p_exp / (1 + r^(p_exp + q_exp))`` with
-      ``p_exp, q_exp > 0``.  Continuous, bounded, and vanishing both at 0 and
-      at infinity.  The coupling term is bounded when
+      finite ``p_exp, q_exp > 0``.  Continuous, bounded, and vanishing both
+      at 0 and at infinity.  The coupling term is bounded when
       ``q_exp > (N - s)(p - alpha - beta) / p``.
     """
 
@@ -42,10 +43,11 @@ class HProfile:
     def __post_init__(self):
         if self.kind not in ("constant", "bump"):
             raise InvalidParameterError(f"unknown h-profile kind: {self.kind!r}")
-        if self.kind == "constant" and not self.c > 0:
-            raise InvalidParameterError("constant h-profile requires c > 0")
-        if self.kind == "bump" and not (self.p_exp > 0 and self.q_exp > 0):
-            raise InvalidParameterError("bump h-profile requires p_exp, q_exp > 0")
+        for name in ("c",) if self.kind == "constant" else ("p_exp", "q_exp"):
+            x = getattr(self, name)
+            if not (x > 0 and math.isfinite(x)):
+                raise InvalidParameterError(
+                    f"{self.kind} h-profile requires finite {name} > 0")
 
     @property
     def vanishes_at_origin_and_infinity(self) -> bool:

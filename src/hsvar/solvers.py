@@ -41,12 +41,14 @@ the second variation in the directions (phi, 0), tangent to the constraint
 set: with foreign exponent 2 the couple is a saddle iff nu exceeds the
 lowest eigenvalue nu* of the foreign operator against the weight 2 h z^f
 r^-s, computed by inverse iteration; other exponents fix nu* at 0 or inf.
+Neither the weight nor z contains nu, so the bisection over nu computes nu*
+once and labels every step by comparing its nu with it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
@@ -708,6 +710,15 @@ def _lowest_mode(op: LambdaOperator, W: np.ndarray, x: np.ndarray):
     return mu, x, MODE_MAX_ITER, False
 
 
+def _label(nu: float, nu_star: float, stop: str | None) -> str:
+    """Label of (0, z) at coupling nu, from its threshold nu* and the stop
+    reason of the inverse iteration that computed it (None when nu* is
+    0 or inf)."""
+    if stop == "max_iter":
+        return "inconclusive"
+    return "saddle" if nu > nu_star else "local_min"
+
+
 def semitrivial_probe(params: ProblemParams, which: str,
                       grid: RadialGrid | None = None,
                       opts: ProbeOptions | None = None) -> SolverReport:
@@ -744,8 +755,7 @@ def semitrivial_probe(params: ProblemParams, which: str,
         nu_star, _, iters, done = _lowest_mode(
             LambdaOperator(grid, work.lambda1), W, z[1:-1])
         stop = "tolerance" if done else "max_iter"
-    classification = ("inconclusive" if stop == "max_iter" else
-                      "saddle" if work.nu > nu_star else "local_min")
+    classification = _label(work.nu, nu_star, stop)
 
     levels = _levels(params)
     levels["base_level"] = base
@@ -764,24 +774,38 @@ def classification_flip(params_at, nu_lo: float, nu_hi: float, which: str,
                         opts: ProbeOptions | None = None) -> dict:
     """Bisect over nu, 12 times in log nu, for a change of probe classification.
 
-    ``params_at(nu)`` builds the parameter tuple; the endpoints must
+    ``params_at(nu)`` builds the parameter tuple and must vary only nu; one
+    that changes anything else raises :class:`InvalidParameterError`.  The
+    threshold nu* depends on the weight W = 2 h z^f r^-s and the host
+    extremal z, neither of which contains nu, so one probe, at ``nu_lo``,
+    serves every step: each tested nu is labeled by comparing it with that
+    nu*, by the rule :func:`semitrivial_probe` applies.  The endpoints must
     classify as local_min (low) and saddle (high).  Returns the bracketing
-    interval and the label at each tested nu.
+    interval, the label at each tested nu, whether the flip was found, and
+    nu*.
     """
+    base = params_at(nu_lo)
+    rep = semitrivial_probe(base, which, grid=grid, opts=opts)
+    nu_star, stop = rep.extra["nu_star"], rep.stop_reason
     labels = {}
 
     def label(nu):
-        rep = semitrivial_probe(params_at(nu), which, grid=grid, opts=opts)
-        labels[nu] = rep.classification
-        return rep.classification
+        params = params_at(nu)
+        if replace(params, nu=base.nu) != base:
+            raise InvalidParameterError(
+                f"params_at must vary only nu; at nu={nu!r} it changes more")
+        labels[nu] = _label(params.nu, nu_star, stop)
+        return labels[nu]
 
     lab_lo, lab_hi = label(nu_lo), label(nu_hi)
     if lab_lo != "local_min" or lab_hi != "saddle":
-        return {"bracket": (nu_lo, nu_hi), "labels": labels, "flip_found": False}
+        return {"bracket": (nu_lo, nu_hi), "labels": labels,
+                "flip_found": False, "nu_star": nu_star}
     for _ in range(12):
         mid = math.sqrt(nu_lo * nu_hi)
         if label(mid) == "local_min":
             nu_lo = mid
         else:
             nu_hi = mid
-    return {"bracket": (nu_lo, nu_hi), "labels": labels, "flip_found": True}
+    return {"bracket": (nu_lo, nu_hi), "labels": labels, "flip_found": True,
+            "nu_star": nu_star}

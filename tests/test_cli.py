@@ -205,6 +205,11 @@ def test_validation_error_exit_code(tmp_path, capsys):
      json.dumps({"params": PARAMS, "solver": {"probe_ladder": []}})),
     (["ground-state", "--nu", "inf",
       *(f"--{k}={v}" for k, v in PARAMS.items())], None),
+    # an infinite weight parameter used to end in a nan energy (exit 3) or
+    # an unnamed scale-iteration failure
+    *((["ground-state", "--nu", "1", "--h", h,
+        *(f"--{k}={v}" for k, v in PARAMS.items())], None)
+      for h in ("bump:inf,2", "bump:2,inf", "constant:inf")),
 ])
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch,
                                               argv, content):
@@ -230,6 +235,19 @@ def test_infinite_nu_is_named(tmp_path, capsys, monkeypatch, command, params):
     argv = [f"--{k}={v}" for k, v in {**params, "nu": "inf"}.items()]
     assert run_command([command, *argv]) == 2
     assert capsys.readouterr().err == "error: invalid problem parameters: nu\n"
+
+
+@pytest.mark.parametrize("spec,field", [("bump:inf,2", "p_exp"),
+                                        ("bump:2,inf", "q_exp"),
+                                        ("constant:inf", "c")])
+def test_infinite_h_parameter_is_named(tmp_path, capsys, monkeypatch, spec,
+                                       field):
+    monkeypatch.chdir(tmp_path)
+    argv = [f"--{k}={v}" for k, v in PARAMS.items()]
+    assert run_command(["classify", "--nu", "1", "--h", spec, *argv]) == 2
+    kind = spec.split(":")[0]
+    assert capsys.readouterr().err == (
+        f"error: {kind} h-profile requires finite {field} > 0\n")
 
 
 def test_solver_keys_reach_their_option_fields():

@@ -549,6 +549,47 @@ class TestClassificationThreshold:
         lo, hi = flip["bracket"]
         assert flip["flip_found"] and lo < nu_star < hi
 
+    @pytest.mark.parametrize("alpha,beta,which", [
+        (2.0, 2.2, "second"), (2.2, 2.0, "first"), (1.5, 2.0, "second"),
+        (2.0, 1.5, "second"), (2.0, 2.5, "second"), (2.5, 2.0, "first")])
+    def test_flip_labels_are_the_probe_labels(self, alpha, beta, which):
+        grid = small_grid(3)
+
+        def params_at(nu):
+            return ProblemParams(3, 0.5, 0.12, 0.1, alpha, beta, nu)
+
+        flip = classification_flip(params_at, 1e-3, 100.0, which, grid)
+        assert len(flip["labels"]) == (14 if flip["flip_found"] else 2)
+        for nu, lab in flip["labels"].items():
+            assert lab == semitrivial_probe(params_at(nu), which,
+                                            grid).classification
+        lo, hi = flip["bracket"]
+        assert flip["flip_found"] == (alpha != 1.5)
+        if flip["flip_found"]:
+            assert lo < flip["nu_star"] < hi
+
+    def test_flip_runs_one_inverse_iteration(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return lowest_mode(*args)
+
+        lowest_mode = solvers._lowest_mode
+        monkeypatch.setattr(solvers, "_lowest_mode", counted)
+        flip = classification_flip(flip_params, 1e-3, 100.0, "second",
+                                   small_grid(3))
+        assert flip["flip_found"] and len(flip["labels"]) == 14
+        assert len(calls) == 1
+
+    def test_flip_rejects_params_that_vary_more_than_nu(self):
+        def params_at(nu):
+            return ProblemParams(3, 0.5, 0.12 + 1e-4 * nu, 0.1, 2.0, 2.2, nu)
+
+        with pytest.raises(InvalidParameterError, match="vary only nu"):
+            classification_flip(params_at, 1e-3, 100.0, "second",
+                                small_grid(3))
+
     @pytest.mark.parametrize("N", [3, 4])
     @pytest.mark.parametrize("n", [1024, 4096])
     def test_closed_form_threshold_is_one_half(self, N, n):
