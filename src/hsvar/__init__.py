@@ -28,8 +28,8 @@ from .regimes import (LemmaInstance, RegimeReport, algebraic_inf, classify,
                       default_sigma_grid, small_nu_threshold)
 from .solvers import (DescentOptions, PathOptions, ProbeOptions, SolverReport,
                       classification_flip, compact_bump, escalate_nu,
-                      extremal_pair, ground_state, interpolation_bound,
-                      mountain_pass, random_bump, semitrivial_probe)
+                      extremal_pair, ground_state, mountain_pass, random_bump,
+                      semitrivial_probe)
 
 __version__ = "0.1.0"
 

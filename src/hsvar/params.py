@@ -129,7 +129,10 @@ class ProblemParams:
 
     @property
     def is_critical_coupling(self) -> bool:
-        return abs(self.coupling_exponent - self.crit_exp) <= 1e-12 * self.crit_exp
+        """alpha + beta >= p (1 - 1e-12), the tie with p.  Construction
+        refuses sums above p (1 + 1e-12), so every other tuple is
+        subcritical."""
+        return self.crit_exp - self.coupling_exponent <= 1e-12 * self.crit_exp
 
     def swapped(self) -> "ProblemParams":
         """Parameters with the two components exchanged."""

@@ -59,24 +59,21 @@ def _eq(a: float, b: float) -> bool:
 
 
 def classify(params: ProblemParams) -> RegimeReport:
-    """Map a parameter tuple to the applicable existence statements."""
-    p = params.crit_exp
-    q = params.alpha + params.beta
-    subcritical = q < p and not _eq(q, p)
-    critical = _eq(q, p)
+    """Map a parameter tuple to the applicable existence statements.
+
+    This is the one place that decides each statement's case; the solvers
+    that need one (``mountain_pass``) ask it here.
+    """
+    critical = params.is_critical_coupling
     h_ok = params.h_profile.vanishes_at_origin_and_infinity
     l1, l2 = params.lambda1, params.lambda2
     alpha, beta = params.alpha, params.beta
 
-    # compactness hypothesis common to all statements: subcritical coupling,
-    # or critical coupling with a vanishing weight / small coupling strength
-    base_sub = subcritical
-    base_crit_h = critical and h_ok
-    base = base_sub or base_crit_h
-    base_or_small = base or critical   # critical + small-nu alternative
-
+    # compactness gate: subcritical coupling, or critical coupling with a
+    # weight vanishing at 0 and infinity.  Critical coupling with small nu is
+    # the alternative of the other statements, so only this one is gated.
     thm_large_nu = {
-        "applicable": bool(base),
+        "applicable": not critical or h_ok,
         "requires": "large nu",
     }
 
@@ -93,7 +90,7 @@ def classify(params: ProblemParams) -> RegimeReport:
     thm_mixed = {
         "case": case or "none",
         "branch": branch,
-        "applicable": bool(case is not None and base_or_small),
+        "applicable": case is not None,
         "requires": ("large nu" if branch and "large nu" in branch else "none"),
     }
 
@@ -109,7 +106,7 @@ def classify(params: ProblemParams) -> RegimeReport:
         small_case = "none"
     thm_small_nu = {
         "case": small_case,
-        "applicable": bool(small_case not in ("none", "boundary") and base_or_small),
+        "applicable": small_case not in ("none", "boundary"),
         "requires": "small nu",
     }
 
@@ -122,14 +119,14 @@ def classify(params: ProblemParams) -> RegimeReport:
         mm_case = "none"
     thm_minmax = {
         "case": mm_case,
-        "applicable": bool(mm_case != "none" and base_or_small),
+        "applicable": mm_case != "none",
         "requires": "small nu",
         "cond_i": sep["cond_i"],
         "cond_ii": sep["cond_ii"],
     }
 
     return RegimeReport(
-        subcritical=subcritical, critical=critical,
+        subcritical=not critical, critical=critical,
         thm_large_nu=thm_large_nu, thm_mixed=thm_mixed,
         thm_small_nu=thm_small_nu, thm_minmax=thm_minmax,
         h_vanishes=h_ok,

@@ -53,14 +53,15 @@ from functools import partial
 
 import numpy as np
 
-from .closed_forms import critical_level, exact_solution, separability_check
+from .closed_forms import critical_level, exact_solution
 from .energy import StatePair, Weights, integrals, pair_integrals
 from .errors import (DegenerateInputError, DegeneratePathError, HsvarError,
                      InvalidParameterError, PreconditionError)
-from .grid import RadialFunction, RadialGrid, reference_grid, weighted_lp
+from .grid import RadialFunction, RadialGrid, reference_grid
 from .nehari import _solve_scale, project_arrays
 from .operators import LambdaOperator, PairMetric
 from .params import ProblemParams
+from .regimes import classify
 
 RADIAL_NOTE = "radial ansatz: all states are radial profiles on a truncated window"
 SQRT_EPS = math.sqrt(np.finfo(float).eps)
@@ -484,27 +485,6 @@ def _project_interior(U, V, E, wt: Weights) -> None:
         E[k] = I.energy(t)
 
 
-def interpolation_bound(params: ProblemParams,
-                        grid: RadialGrid) -> tuple[float, np.ndarray]:
-    """Upper envelope g(t) of the interpolating path and its maximum g(1/2).
-
-    g(t) = (2-s)/(2(N-s)) * [((1-t) S1 + t S2) / ((1-t)^(p/2) S1 + t^(p/2) S2)]^(2/(p-2))
-           * ((1-t) S1 + t S2),
-
-    where S1, S2 are the critical integrals of the two rescaled profiles,
-    sampled at the 399 interior points of a 401-point grid on [0, 1].  Its
-    maximum sits at t = 1/2 and equals the sum of the two levels.
-    """
-    p, s, N = params.crit_exp, params.s, params.N
-    S1 = weighted_lp(grid, extremal_pair(params, grid, "first").u, p, s)
-    S2 = weighted_lp(grid, extremal_pair(params, grid, "second").v, p, s)
-    ts = np.linspace(0.0, 1.0, 401)[1:-1]
-    lin = (1 - ts) * S1 + ts * S2
-    curv = (1 - ts) ** (p / 2) * S1 + ts ** (p / 2) * S2
-    g = (2 - s) / (2 * (N - s)) * (lin / curv) ** (2 / (p - 2)) * lin
-    return float(g.max()), g
-
-
 def _pair(grid: RadialGrid, u: np.ndarray, v: np.ndarray) -> StatePair:
     return StatePair(RadialFunction(grid, u), RadialFunction(grid, v))
 
@@ -529,21 +509,17 @@ def _segments(U, V, w: np.ndarray) -> np.ndarray:
                     * w).sum(axis=1))
 
 
-def _redistribute(U, V, E, wt: Weights, seg=None) -> bool:
+def _redistribute(U, V, E, wt: Weights, seg: np.ndarray) -> bool:
     """Equal-arclength resampling of a sub-chain in place; endpoints kept exact.
 
-    Given ``seg``, the sub-chain's segment lengths, it resamples only when
+    ``seg`` holds the sub-chain's segment lengths.  It resamples only when
     the longest segment exceeds ``RESAMPLE_RATIO`` times the shortest, and
-    then refreshes ``seg`` in place; without it, it always resamples.  Each
-    resampled node is a convex combination of two nodes on the constraint
-    set, so it is projected again.  Returns whether it resampled.
+    then refreshes ``seg`` in place.  Each resampled node is a convex
+    combination of two nodes on the constraint set, so it is projected
+    again.  Returns whether it resampled.
     """
     m = len(E) - 1
-    if m < 2:
-        return False
-    if seg is None:
-        seg = _segments(U, V, wt.grid.w)
-    elif seg.max() <= RESAMPLE_RATIO * seg.min():
+    if m < 2 or seg.max() <= RESAMPLE_RATIO * seg.min():
         return False
     arc = np.concatenate([[0.0], np.cumsum(seg)])
     if arc[-1] <= 0:
@@ -562,9 +538,11 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
                   opts: PathOptions | None = None) -> SolverReport:
     """Estimate the min-max level between the two one-component couples.
 
-    Requires the level-separation window in one orientation together with
-    the matching exponent bound (``alpha >= 2`` for orientation (i),
-    ``beta >= 2`` for orientation (ii)).  Each sweep applies descent steps
+    Its precondition is the case of ``classify(params).thm_minmax``: the
+    level-separation window in one orientation together with the matching
+    exponent bound (``alpha >= 2`` for orientation (i), ``beta >= 2`` for
+    orientation (ii)); case "none" raises :class:`PreconditionError`, and
+    ``extra["orientation"]`` is the case.  Each sweep applies descent steps
     with reprojection to the current maximum node and its two neighbors;
     the along-path component of each move is removed so nodes relax
     transversally instead of sliding off the barrier.  The K segment lengths
@@ -580,10 +558,8 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
     """
     opts = opts or PathOptions()
     grid = grid or reference_grid(params.N)
-    sep = separability_check(params)
-    orient_i = sep["cond_i"] and params.alpha >= 2.0
-    orient_ii = sep["cond_ii"] and params.beta >= 2.0
-    if not (orient_i or orient_ii):
+    orientation = classify(params).thm_minmax["case"]
+    if orientation == "none":
         raise PreconditionError(
             "min-max geometry requires the separation window plus the "
             "matching exponent >= 2 in the same orientation")
@@ -669,7 +645,8 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
     levels = _levels(params)
     levels["endpoint_energies"] = [float(E[0]), float(E[-1])]
     levels["initial_path_max"] = trace[0]
-    # the envelope of interpolation_bound peaks at t = 1/2, at E1 + E2
+    # by Hoelder, the upper envelope of the interpolating path peaks at
+    # t = 1/2, at E1 + E2
     levels["interpolation_bound_max"] = float(E[0] + E[-1])
     return SolverReport(
         kind="mountain_pass", params=params.to_dict(),
@@ -682,7 +659,7 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
         trace=trace,
         extra={"gradient_norm_trace": gnorm_trace, "crest_index": k_max,
                "resamples": resamples, "trials": trials,
-               "orientation": "i" if orient_i else "ii"})
+               "orientation": orientation})
 
 
 # ---------------------------------------------------------------------------
@@ -779,11 +756,15 @@ def classification_flip(params_at, nu_lo: float, nu_hi: float, which: str,
     threshold nu* depends on the weight W = 2 h z^f r^-s and the host
     extremal z, neither of which contains nu, so one probe, at ``nu_lo``,
     serves every step: each tested nu is labeled by comparing it with that
-    nu*, by the rule :func:`semitrivial_probe` applies.  The endpoints must
-    classify as local_min (low) and saddle (high).  Returns the bracketing
-    interval, the label at each tested nu, whether the flip was found, and
-    nu*.
+    nu*, by the rule :func:`semitrivial_probe` applies.  The bounds must be
+    finite with ``0 < nu_lo < nu_hi``, else :class:`InvalidParameterError`;
+    the endpoints must classify as local_min (low) and saddle (high).
+    Returns the bracketing interval, the label at each tested nu, whether
+    the flip was found, and nu*.
     """
+    if not 0.0 < nu_lo < nu_hi < math.inf:
+        raise InvalidParameterError(
+            f"flip bounds need finite 0 < nu_lo < nu_hi, got ({nu_lo!r}, {nu_hi!r})")
     base = params_at(nu_lo)
     rep = semitrivial_probe(base, which, grid=grid, opts=opts)
     nu_star, stop = rep.extra["nu_star"], rep.stop_reason

@@ -1,13 +1,15 @@
-"""Shared fixtures: cached grids, compactly supported test profiles and the
-dense interior operator."""
+"""Shared fixtures: cached grids, compactly supported test profiles, the
+dense interior operator and a strategy of admissible parameter tuples."""
 
 import math
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import assume, strategies as st
 
-from hsvar import RadialFunction, build_grid
+from hsvar import (HProfile, InvalidParameterError, ProblemParams,
+                   RadialFunction, build_grid)
 from hsvar.solvers import compact_bump
 
 
@@ -41,3 +43,25 @@ def assembled_interior(grid, lam):
     cc = grid.cell_w / grid.dt ** 2
     main = cc[:-1] + cc[1:] - lam * grid.w[1:-1] / grid.r[1:-1] ** 2
     return np.diag(main) - np.diag(cc[1:-1], 1) - np.diag(cc[1:-1], -1)
+
+
+@st.composite
+def admissible_params(draw):
+    """Admissible tuples with the ties the regime rules decide drawn often:
+    lambda1 = lambda2, alpha or beta = 2, alpha + beta = p, and sums at the
+    bound p (1 + 1e-12) that construction admits."""
+    N = draw(st.integers(3, 6))
+    s = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.9)))
+    L, p = (N - 2) ** 2 / 4.0, 2.0 * (N - s) / (N - 2)
+    l1 = draw(st.floats(0.01, 0.99)) * L
+    l2 = l1 if draw(st.booleans()) else draw(st.floats(0.01, 0.99)) * L
+    alpha = draw(st.one_of(st.just(2.0), st.floats(1.01, p - 1.01)))
+    beta = draw(st.one_of(st.just(2.0), st.just(p - alpha),
+                          st.just(p * (1 + 1e-12) - alpha),
+                          st.floats(1.01, p - 1.01)))
+    h = draw(st.sampled_from([HProfile(), HProfile("bump", p_exp=2.0, q_exp=2.0)]))
+    try:
+        return ProblemParams(N, s, l1, l2, alpha, beta,
+                             draw(st.floats(0.0, 2.0)), h)
+    except InvalidParameterError:
+        assume(False)

@@ -268,9 +268,11 @@ class TestSeparability:
         assert rep["cond_i"] is False and rep["cond_ii"] is False
 
     def test_level_and_ratio_forms_agree_on_random_draws(self):
-        # separability_check raises if its two routes ever disagree
+        # the window is tested in its ratio form; the level form
+        # 2 E2 > E1 > E2 is the reference away from the window boundary
         rng = np.random.default_rng(42)
-        hits = 0
+        eps = 64 * np.finfo(float).eps
+        hits = checked = 0
         for _ in range(1000):
             N = int(rng.integers(3, 7))
             s = rng.uniform(0.0, 1.9)
@@ -279,5 +281,14 @@ class TestSeparability:
             p = critical_exponent(N, s)
             ab = 1.0 + 0.49 * (p - 2.0)
             rep = separability_check(self.params(l1, l2, N=N, s=s, alpha=ab, beta=ab))
+            E1, E2 = critical_level(N, l1, s), critical_level(N, l2, s)
+            assert (rep["level_1"], rep["level_2"]) == (E1, E2)
             hits += rep["cond_i"] or rep["cond_ii"]
-        assert 0 < hits < 1000
+            ratio_ii = (L - l1) / (L - l2)
+            if (abs(l1 - l2) <= eps * L or abs(rep["ratio"] - rep["threshold"]) <= eps
+                    or abs(ratio_ii - rep["threshold"]) <= eps):
+                continue
+            checked += 1
+            assert rep["cond_i"] == (2.0 * E2 > E1 > E2)
+            assert rep["cond_ii"] == (2.0 * E1 > E2 > E1)
+        assert 0 < hits < 1000 and checked > 990

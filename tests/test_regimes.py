@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from hsvar import (HProfile, InvalidParameterError, LemmaInstance,
                    ProblemParams, algebraic_inf, classify, default_sigma_grid,
                    small_nu_threshold)
+from conftest import admissible_params
 
 
 def make_params(alpha, beta, l1=0.3, l2=0.5, N=4, s=1.0, nu=0.1, h=None):
@@ -52,6 +54,40 @@ class TestClassify:
         pr2 = make_params(1.5, 1.5, N=4, s=1.0)
         rep2 = classify(pr2)
         assert rep2.critical and not rep2.thm_large_nu["applicable"]
+
+    def test_sums_admitted_above_the_tie_are_critical(self):
+        # construction refuses alpha + beta > p (1 + 1e-12); the rounding of
+        # that bound admits sums up to 1.00009e-12 p above p, which count as
+        # critical, so no admitted tuple is neither critical nor subcritical
+        for N, s in ((3, 0.0), (3, 0.5), (4, 1.0), (5, 0.3)):
+            p = 2.0 * (N - s) / (N - 2)
+            alpha = 1.3
+            beta = p * (1 + 0.99e-12) - alpha
+            seen = 0
+            while True:
+                try:
+                    pr = make_params(alpha, beta, l1=0.05, l2=0.1, N=N, s=s)
+                except InvalidParameterError:
+                    break
+                rep = classify(pr)
+                assert rep.critical and not rep.subcritical
+                seen += alpha + beta - p > 1e-12 * p
+                beta = float(np.nextafter(beta, np.inf))
+            assert seen >= 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(pr=admissible_params())
+def test_each_applicable_flag_is_its_case_test(pr):
+    rep = classify(pr)
+    q, p = pr.alpha + pr.beta, pr.crit_exp
+    assert rep.subcritical != rep.critical
+    assert rep.critical == (p - q <= 1e-12 * p)
+    assert rep.thm_large_nu["applicable"] == (rep.subcritical or rep.h_vanishes)
+    assert rep.thm_mixed["applicable"] == (rep.thm_mixed["case"] != "none")
+    assert rep.thm_small_nu["applicable"] == (
+        rep.thm_small_nu["case"] not in ("none", "boundary"))
+    assert rep.thm_minmax["applicable"] == (rep.thm_minmax["case"] != "none")
 
 
 class TestAlgebraicInf:

@@ -1,25 +1,27 @@
 """Solver behavior: descent, escalation, min-max path, semitrivial labels."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hsvar import (DegenerateInputError, DescentOptions, HProfile,
                    InvalidParameterError, PathOptions, PreconditionError,
                    ProbeOptions, ProblemParams, RadialFunction, StatePair,
-                   classification_flip, critical_level, energy,
+                   classification_flip, classify, critical_level, energy,
                    energy_positive, escalate_nu, extremal_pair,
                    gradient_dual_norm, ground_state, hardy_constant,
-                   interpolation_bound, lambda_norm_sq, mountain_pass,
-                   nehari_residual, pair_norm_sq, project, semitrivial_probe)
+                   lambda_norm_sq, mountain_pass, nehari_residual,
+                   pair_norm_sq, project, semitrivial_probe)
 from hsvar import solvers
 from hsvar.energy import Weights, integrals
 from hsvar.nehari import project_arrays
 from hsvar.operators import LambdaOperator, PairMetric
-from conftest import assembled_interior, cached_grid, smooth_bump
+from conftest import (admissible_params, assembled_interior, cached_grid,
+                      smooth_bump)
 
 
 def small_grid(N):
@@ -137,6 +139,24 @@ class TestMountainPass:
         with pytest.raises(PreconditionError):
             mountain_pass(pr, small_grid(4))
 
+    @settings(max_examples=60, deadline=None)
+    @given(pr=admissible_params())
+    @example(pr=ProblemParams(4, 0.5, 0.1, 0.3, 2.2, 1.2))
+    @example(pr=ProblemParams(4, 0.5, 0.3, 0.1, 1.2, 2.2))
+    @example(pr=ProblemParams(3, 0.5, 0.05, 0.1, 2.2, 2.2))
+    def test_precondition_is_the_classified_minmax_case(self, pr):
+        # the statement requires small nu; at nu = 1 the crest of a 4-segment
+        # chain can fall onto an endpoint
+        pr = replace(pr, nu=1e-3)
+        case = classify(pr).thm_minmax["case"]
+        grid = cached_grid(pr.N, 1e-6, 1e6, 512)
+        opts = PathOptions(n_path_nodes=4, max_sweeps=0)
+        if case == "none":
+            with pytest.raises(PreconditionError):
+                mountain_pass(pr, grid, opts)
+        else:
+            assert mountain_pass(pr, grid, opts).extra["orientation"] == case
+
     def test_bracketing_and_monotonicity(self):
         pr = self.params()
         grid = small_grid(4)
@@ -188,7 +208,8 @@ class TestMountainPass:
         # crowd the chain so that resampling moves the interior rows
         U[3:6], V[3:6], E[3:6] = U[2], V[2], E[2]
         U0, V0, E0 = U.copy(), V.copy(), E.copy()
-        solvers._redistribute(U[2:9], V[2:9], E[2:9], wt)
+        assert solvers._redistribute(U[2:9], V[2:9], E[2:9], wt,
+                                     solvers._segments(U[2:9], V[2:9], wt.grid.w))
         outside = [0, 1, 2, 8, 9, 10]
         assert np.array_equal(U[outside], U0[outside])
         assert np.array_equal(V[outside], V0[outside])
@@ -215,8 +236,9 @@ class TestMountainPass:
     def test_redistribute_keeps_a_chain_within_the_ratio(self):
         wt = Weights(small_grid(4), self.params())
         U, V, E = solvers._initial_path(wt, 10)
-        solvers._redistribute(U, V, E, wt)
         seg = solvers._segments(U, V, wt.grid.w)
+        # the initial path's longest segment is 5 times its shortest
+        assert solvers._redistribute(U, V, E, wt, seg)
         assert seg.max() <= solvers.RESAMPLE_RATIO * seg.min()
         U0, V0, E0, seg0 = U.copy(), V.copy(), E.copy(), seg.copy()
         assert not solvers._redistribute(U, V, E, wt, seg)
@@ -232,8 +254,9 @@ class TestMountainPass:
         assert solvers._redistribute(U[2:9], V[2:9], E[2:9], wt, seg[2:8])
         fresh = solvers._segments(U, V, wt.grid.w)
         np.testing.assert_allclose(seg, fresh, rtol=1e-12, atol=0.0)
-        # given the same segments, the lazy call resamples as the eager one
-        solvers._redistribute(U1[2:9], V1[2:9], E1[2:9], wt)
+        # a view of the chain's segments resamples as segments computed afresh
+        solvers._redistribute(U1[2:9], V1[2:9], E1[2:9], wt,
+                              solvers._segments(U1[2:9], V1[2:9], wt.grid.w))
         for a, b in ((U, U1), (V, V1), (E, E1)):
             assert np.array_equal(a, b)
 
@@ -590,6 +613,13 @@ class TestClassificationThreshold:
             classification_flip(params_at, 1e-3, 100.0, "second",
                                 small_grid(3))
 
+    @pytest.mark.parametrize("bounds", [(0.0, 100.0), (100.0, 1e-3),
+                                        (1e-3, math.inf), (math.nan, 1.0)])
+    def test_flip_rejects_bounds_outside_a_log_bisection(self, bounds):
+        # the bisection halves log nu: at nu_lo = 0 every midpoint is 0
+        with pytest.raises(InvalidParameterError, match="flip bounds"):
+            classification_flip(flip_params, *bounds, "second", small_grid(3))
+
     @pytest.mark.parametrize("N", [3, 4])
     @pytest.mark.parametrize("n", [1024, 4096])
     def test_closed_form_threshold_is_one_half(self, N, n):
@@ -688,13 +718,3 @@ def test_options_at_their_floors_are_valid():
     # the benchmark runs with a zero budget and a zero tolerance
     DescentOptions(tol_grad=0.0, max_iter=0)
     PathOptions(n_path_nodes=2, max_sweeps=0, crest_grad_tol=0.0)
-
-
-def test_interpolation_bound_max_at_half():
-    pr = ProblemParams(4, 0.5, 0.1, 0.3, 2.2, 1.2, 1e-3)
-    grid = small_grid(4)
-    g_max, curve = interpolation_bound(pr, grid)
-    E1 = critical_level(4, 0.1, 0.5)
-    E2 = critical_level(4, 0.3, 0.5)
-    assert g_max == pytest.approx(E1 + E2, rel=1e-3)
-    assert np.argmax(curve) == pytest.approx(len(curve) // 2, abs=2)
