@@ -32,7 +32,7 @@ from . import io as hio
 from .closed_forms import (best_constant, critical_exponent, critical_level,
                            hardy_constant, singular_exponent)
 from .energy import StatePair, energy
-from .errors import ConfigError, HsvarError
+from .errors import ConfigError, DegeneratePathError, HsvarError
 from .grid import (REFERENCE_N_NODES, REFERENCE_R_MAX, REFERENCE_R_MIN,
                    RadialFunction, build_grid)
 from .nehari import project
@@ -396,6 +396,10 @@ def run_command(argv=None) -> int:
         return EXIT_VALIDATION
     try:
         return args.fn(args)
+    except DegeneratePathError as exc:
+        # valid input on which the path found no crest: a solver outcome
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     except (HsvarError, OSError, json.JSONDecodeError) as exc:
         # unreadable or malformed input files land here as well
         print(f"error: {exc}", file=sys.stderr)

@@ -91,7 +91,7 @@ class Weights:
     every state they evaluate; the public functions below build their own.
     """
 
-    __slots__ = ("grid", "params", "wrs", "whrs", "wr2", "cc")
+    __slots__ = ("grid", "params", "wrs", "whrs", "wr2", "cc", "_grad_w")
 
     def __init__(self, grid: RadialGrid, params: ProblemParams):
         self.grid = grid
@@ -100,6 +100,17 @@ class Weights:
         self.whrs = self.wrs * params.h_profile(grid.r)
         self.wr2 = grid.w / grid.r ** 2
         self.cc = grid.cell_w / grid.dt ** 2
+        self._grad_w = None
+
+    def _gradient_weights(self):
+        """``(-lam1 wr2, -lam2 wr2, -wrs, -nu whrs)``, the weights of the
+        gradient parts; built by the first gradient call, so that callers
+        which never ask for a gradient do not pay for them."""
+        if self._grad_w is None:
+            pr = self.params
+            self._grad_w = (-pr.lambda1 * self.wr2, -pr.lambda2 * self.wr2,
+                            -self.wrs, -pr.nu * self.whrs)
+        return self._grad_w
 
 
 @dataclass(frozen=True)
@@ -172,14 +183,13 @@ def integrals(wt: Weights, u: np.ndarray, v: np.ndarray, positive: bool = False,
         au, av = np.maximum(u, 0.0), np.maximum(v, 0.0)
     else:
         au, av = np.abs(u), np.abs(v)
-    # alpha, beta > 1: the coupling and both of its gradient parts vanish
-    # exactly when either component does, so a one-component state skips them
-    coupled = _coupled(au, av)
+    nz_u, nz_v = bool(au.any()), bool(av.any())
+    coupled = _coupled(nz_u, nz_v)
     if grad:
-        fu, fv = _power(au, p - 1), _power(av, p - 1)
+        fu, fv = _power(au, p - 1, nz_u), _power(av, p - 1, nz_v)
         up, vp = fu * au, fv * av
     else:
-        up, vp = _power(au, p), _power(av, p)
+        up, vp = _power(au, p, nz_u), _power(av, p, nz_v)
     coupling = 0.0
     if coupled:
         if grad:
@@ -193,32 +203,34 @@ def integrals(wt: Weights, u: np.ndarray, v: np.ndarray, positive: bool = False,
     L = F = G = None
     if grad:
         signs = None if positive else (u, v)
+        hardy1, hardy2, crit, coup = wt._gradient_weights()
         L = np.empty((2, u.size))
-        _linear_part(wt, du, u, pr.lambda1, L[0])
-        _linear_part(wt, dv, v, pr.lambda2, L[1])
-        F = _nonlinear_part(-wt.wrs, (fu, fv), signs)
+        _linear_part(wt.cc * du, u, hardy1, L[0])
+        _linear_part(wt.cc * dv, v, hardy2, L[1])
+        F = _nonlinear_part(crit, (fu, fv), signs)
         if coupled:
-            G = _nonlinear_part(-pr.nu * wt.whrs, (a * ua1 * vb, b * ua * vb1),
-                                signs)
+            G = _nonlinear_part(coup, (a * ua1 * vb, b * ua * vb1), signs)
     return Integrals(pr, A, hs_u + hs_v, coupling, kinetic_u, kinetic_v,
                      hardy_u, hardy_v, hs_u, hs_v, L, F, G)
 
 
-def _coupled(au: np.ndarray, av: np.ndarray) -> bool:
-    return bool(au.any() and av.any())
+def _coupled(u_nonzero: bool, v_nonzero: bool) -> bool:
+    # alpha, beta > 1: the coupling and both of its gradient parts vanish
+    # exactly when either component does, so a one-component state skips them
+    return u_nonzero and v_nonzero
 
 
-def _power(x: np.ndarray, e: float) -> np.ndarray:
+def _power(x: np.ndarray, e: float, nonzero: bool) -> np.ndarray:
     # pow() takes about four times longer on zeros than on other values, so
     # an identically zero component (a one-component state) skips it
-    return x ** e if x.any() else np.zeros_like(x)
+    return x ** e if nonzero else np.zeros_like(x)
 
 
-def _linear_part(wt: Weights, du, u, lam, out: np.ndarray) -> None:
-    # first variation of 1/2 ||u||_lam^2 along node functions; boundary
+def _linear_part(y, u, hardy, out: np.ndarray) -> None:
+    # first variation of 1/2 ||u||_lam^2 along node functions, from the
+    # Dirichlet cell terms y = cc du and the Hardy weights -lam wr2; boundary
     # slots zeroed (Dirichlet collars)
-    y = wt.cc * du
-    np.multiply(-lam * wt.wr2, u, out=out)
+    np.multiply(hardy, u, out=out)
     out[:-1] -= y
     out[1:] += y
     out[0] = out[-1] = 0.0

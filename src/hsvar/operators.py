@@ -52,8 +52,10 @@ class LambdaOperator:
         """Solve (Q - lam*H) d = rhs on the interior."""
         if not rhs.any():
             return np.zeros_like(rhs)     # a zero component stays zero
-        s = self._scale
-        return s * dpttrs(self._d, self._e, s * rhs)[0]
+        # the scaled right-hand side is a temporary: the solve overwrites it
+        x = dpttrs(self._d, self._e, self._scale * rhs, overwrite_b=1)[0]
+        x *= self._scale
+        return x
 
 
 class PairMetric:
@@ -65,8 +67,8 @@ class PairMetric:
 
     def direction(self, gu: np.ndarray, gv: np.ndarray):
         """Riesz representatives of the two gradient components (interior)."""
-        du = np.zeros_like(gu)
-        dv = np.zeros_like(gv)
+        du, dv = np.empty_like(gu), np.empty_like(gv)
+        du[0] = du[-1] = dv[0] = dv[-1] = 0.0
         du[1:-1] = self.op1.solve(gu[1:-1])
         dv[1:-1] = self.op2.solve(gv[1:-1])
         slope = float(gu[1:-1] @ du[1:-1]) + float(gv[1:-1] @ dv[1:-1])

@@ -22,7 +22,9 @@ the neighbors of the maximum node transversally and let the maximum node
 climb toward the barrier.  The chain keeps its segment lengths; a node
 move updates the two next to it, and a side of the crest is resampled to
 equal arclength only once its longest segment exceeds ``RESAMPLE_RATIO``
-times its shortest.  The reported level is the energy of the crest, the
+times its shortest.  A resample rewrites one row at a time, and a crest
+row left in place keeps its measurement, so a failed climb does not measure
+the same crest again.  The reported level is the energy of the crest, the
 chain's maximum node, whose gradient was last measured; it is
 ``converged`` once that relative gradient is within ``crest_grad_tol``.
 
@@ -471,18 +473,18 @@ def _initial_path(wt: Weights, K: int):
     U, V = np.sqrt(1.0 - tk) * z1, np.sqrt(tk) * z2
     E = np.empty(K + 1)
     E[0], E[K] = E1, E2
-    _project_interior(U, V, E, wt)
+    for k in range(1, K):
+        _project_row(U, V, E, k, wt, U[k], V[k])
     return U, V, E
 
 
-def _project_interior(U, V, E, wt: Weights) -> None:
-    """Rescale the interior rows of a chain onto the constraint set in place,
-    with their energies."""
-    for k in range(1, len(E) - 1):
-        t, I = project_arrays(wt, U[k], V[k], positive=True)
-        U[k] *= t
-        V[k] *= t
-        E[k] = I.energy(t)
+def _project_row(U, V, E, k: int, wt: Weights, u, v) -> None:
+    """Write the projection of (u, v) onto the constraint set to row k of a
+    chain, with its energy."""
+    t, I = project_arrays(wt, u, v, positive=True)
+    np.multiply(u, t, out=U[k])
+    np.multiply(v, t, out=V[k])
+    E[k] = I.energy(t)
 
 
 def _pair(grid: RadialGrid, u: np.ndarray, v: np.ndarray) -> StatePair:
@@ -502,11 +504,16 @@ def _node_direction(wt: Weights, metric: PairMetric, u, v):
     return (I, *g, *metric.direction(*g))
 
 
+def _segment(U, V, k: int, w: np.ndarray) -> float:
+    """Length sqrt(sum w (dU^2 + dV^2)) of the segment from row k of a chain
+    to row k + 1."""
+    du, dv = U[k + 1] - U[k], V[k + 1] - V[k]
+    return math.sqrt(((du ** 2 + dv ** 2) * w).sum())
+
+
 def _segments(U, V, w: np.ndarray) -> np.ndarray:
-    """Lengths sqrt(sum w (dU^2 + dV^2)) of the segments between consecutive
-    rows of a chain."""
-    return np.sqrt(((np.diff(U, axis=0) ** 2 + np.diff(V, axis=0) ** 2)
-                    * w).sum(axis=1))
+    """Lengths of the segments between consecutive rows of a chain."""
+    return np.array([_segment(U, V, k, w) for k in range(len(U) - 1)])
 
 
 def _redistribute(U, V, E, wt: Weights, seg: np.ndarray) -> bool:
@@ -516,7 +523,8 @@ def _redistribute(U, V, E, wt: Weights, seg: np.ndarray) -> bool:
     the longest segment exceeds ``RESAMPLE_RATIO`` times the shortest, and
     then refreshes ``seg`` in place.  Each resampled node is a convex
     combination of two nodes on the constraint set, so it is projected
-    again.  Returns whether it resampled.
+    again.  Rows are rewritten one at a time, with the arithmetic of a
+    resample of the whole side at once.  Returns whether it resampled.
     """
     m = len(E) - 1
     if m < 2 or seg.max() <= RESAMPLE_RATIO * seg.min():
@@ -526,11 +534,17 @@ def _redistribute(U, V, E, wt: Weights, seg: np.ndarray) -> bool:
         return False
     targets = np.linspace(0.0, arc[-1], m + 1)[1:-1]
     j = np.minimum(np.searchsorted(arc, targets, side="right") - 1, m - 1)
-    theta = ((targets - arc[j]) / np.maximum(arc[j + 1] - arc[j], 1e-300))[:, None]
-    U[1:m] = (1 - theta) * U[j] + theta * U[j + 1]
-    V[1:m] = (1 - theta) * V[j] + theta * V[j + 1]
-    _project_interior(U, V, E, wt)
-    seg[:] = _segments(U, V, wt.grid.w)
+    theta = (targets - arc[j]) / np.maximum(arc[j + 1] - arc[j], 1e-300)
+    # row by row, from the side as it was: row i is interpolated between old
+    # rows j[i-1] and j[i-1]+1, projected and written, and the segment it
+    # closes is measured
+    w, U0, V0 = wt.grid.w, U.copy(), V.copy()
+    for i in range(1, m):
+        r, th = j[i - 1], theta[i - 1]
+        _project_row(U, V, E, i, wt, (1 - th) * U0[r] + th * U0[r + 1],
+                     (1 - th) * V0[r] + th * V0[r + 1])
+        seg[i - 1] = _segment(U, V, i - 1, w)
+    seg[m - 1] = _segment(U, V, m - 1, w)
     return True
 
 
@@ -551,10 +565,12 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
     the crest is resampled to equal arclength when its longest segment
     exceeds ``RESAMPLE_RATIO`` times its shortest (:func:`_redistribute`);
     ``extra["resamples"]`` counts those side resamplings, and
-    ``extra["trials"]`` the projections of all its line searches.  The report
-    describes the last crest measured: its energy, profiles, relative
-    gradient, Nehari residual and index.  ``trace`` holds the chain maximum
-    before the first sweep and after each one.
+    ``extra["trials"]`` the projections of all its line searches.  A crest
+    row that no move or resample rewrote since it was measured is not
+    measured again.  The report describes the last crest measured: its
+    energy, profiles, relative gradient, Nehari residual and index.
+    ``trace`` holds the chain maximum before the first sweep and after each
+    one.
     """
     opts = opts or PathOptions()
     grid = grid or reference_grid(params.N)
@@ -571,6 +587,7 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
     metric = PairMetric(grid, params.lambda1, params.lambda2)
     trace, gnorm_trace = [float(E.max())], []
     resamples = trials = 0
+    crest = -1          # the row that ``top`` measured, while it holds that state
     stop = "max_sweeps"
     # sweeps 0 .. max_sweeps-1 move the chain; the extra pass only measures
     # the crest of the chain that the last sweep left
@@ -583,14 +600,20 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
             # resample moves every interior node of its side and projects it
             # again, so it waits until the spacing has degraded.
             a = int(np.argmax(E))
-            resamples += _redistribute(U[:a + 1], V[:a + 1], E[:a + 1], wt,
-                                       seg[:a])
-            resamples += _redistribute(U[a:], V[a:], E[a:], wt, seg[a:])
+            left = _redistribute(U[:a + 1], V[:a + 1], E[:a + 1], wt, seg[:a])
+            right = _redistribute(U[a:], V[a:], E[a:], wt, seg[a:])
+            resamples += left + right
+            # a resample rewrites the interior rows of its side; row a is an
+            # endpoint of both
+            if (left and crest < a) or (right and crest > a):
+                crest = -1
         k_max = int(np.argmax(E))
         if k_max in (0, K):
             raise DegeneratePathError("path maximum collapsed onto an endpoint")
-        # the crest's gradient and direction serve its climb below as well
-        top = _node_direction(wt, metric, U[k_max], V[k_max])
+        # the crest's gradient and direction serve its climb below as well; a
+        # crest row that no move or resample rewrote keeps its measurement
+        if k_max != crest:
+            crest, top = k_max, _node_direction(wt, metric, U[k_max], V[k_max])
         gnorm = _rel_grad(top[-1], top[0].A)
         gnorm_trace.append(gnorm)
         if gnorm <= opts.crest_grad_tol:
@@ -619,6 +642,9 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
             # reversed so the node ascends the path direction while relaxing
             # transversally; neighbors relax transversally only
             factor = 2.0 if climbing else 1.0
+            # the move is built on copies: a measurement is not edited, as
+            # the crest's may serve the next sweep
+            du, dv = du.copy(), dv.copy()
             du[1:-1] -= factor * coef * tau_u[1:-1]
             dv[1:-1] -= factor * coef * tau_v[1:-1]
             if not climbing:
@@ -633,8 +659,10 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
             if found is not None:
                 _, t, J, U[k], V[k] = found
                 E[k] = J.energy(t)
-                seg[k - 1:k + 1] = _segments(U[k - 1:k + 2], V[k - 1:k + 2],
-                                             wt.grid.w)
+                if k == crest:
+                    crest = -1
+                seg[k - 1] = _segment(U, V, k - 1, wt.grid.w)
+                seg[k] = _segment(U, V, k, wt.grid.w)
                 improved = True
         trace.append(float(E.max()))
         if not improved:

@@ -413,6 +413,20 @@ def test_mountain_pass_cli(tmp_path, capsys):
     assert lv["level_1"] < report["energy"] < 3 * lv["level_2"]
 
 
+def test_collapsed_path_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    # classify admits the tuple (case ii), so it is valid input on which the
+    # path finds no crest: a solver outcome, not a validation error
+    monkeypatch.chdir(tmp_path)
+    argv = ["--N", "3", "--s", "0", "--lambda1", "0.125", "--lambda2", "0.0625",
+            "--alpha", "2", "--beta", "2", "--nu", "1"]
+    assert run_command(["classify", *argv]) == 0
+    assert json.loads(capsys.readouterr().out)["thm_minmax"]["case"] == "ii"
+    code = run_command(["mountain-pass", *argv, "--grid", "1e-6,1e6,512"])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "error: path maximum collapsed onto an endpoint\n")
+
+
 def _reject_constant(token):
     raise ValueError(f"non-standard JSON token {token}")
 

@@ -252,8 +252,8 @@ class TestMountainPass:
         U1, V1, E1 = U.copy(), V.copy(), E.copy()
         seg = solvers._segments(U, V, wt.grid.w)
         assert solvers._redistribute(U[2:9], V[2:9], E[2:9], wt, seg[2:8])
-        fresh = solvers._segments(U, V, wt.grid.w)
-        np.testing.assert_allclose(seg, fresh, rtol=1e-12, atol=0.0)
+        # the refresh is exact: each segment as a fresh computation gives it
+        assert np.array_equal(seg, solvers._segments(U, V, wt.grid.w))
         # a view of the chain's segments resamples as segments computed afresh
         solvers._redistribute(U1[2:9], V1[2:9], E1[2:9], wt,
                               solvers._segments(U1[2:9], V1[2:9], wt.grid.w))
@@ -268,6 +268,26 @@ class TestMountainPass:
         # the climb's floor probe changes the cost of the path, not the path:
         # the level is the one reached when every failing climb walked its
         # ladder down to the floor, at 632 trials
+        assert rep.energy == 32.65339129301263
+        assert rep.extra["trials"] == 152
+
+    def test_no_node_is_measured_twice_in_the_same_state(self, monkeypatch):
+        # a crest whose climb failed keeps its measurement for the next
+        # sweep, so no measurement may be edited in place: they are read-only
+        seen = []
+        measure = solvers._node_direction
+
+        def recorded(wt, metric, u, v):
+            seen.append(u.tobytes() + v.tobytes())
+            out = measure(wt, metric, u, v)
+            for a in out[1:-1]:
+                a.setflags(write=False)
+            return out
+
+        monkeypatch.setattr(solvers, "_node_direction", recorded)
+        rep = mountain_pass(self.params(), cached_grid(4, 1e-6, 1e6, 1024),
+                            PathOptions(n_path_nodes=7, max_sweeps=40))
+        assert len(set(seen)) == len(seen)
         assert rep.energy == 32.65339129301263
         assert rep.extra["trials"] == 152
 
