@@ -20,6 +20,7 @@ individual fields.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from contextlib import contextmanager
@@ -271,6 +272,28 @@ def _cmd_lemma(args) -> int:
     return EXIT_OK
 
 
+# the fields a row of each sweep command may override
+_SWEEP_FIELDS = {
+    "classify": ("N", "s", "lambda1", "lambda2", "alpha", "beta", "nu", "h_profile"),
+    "lemma": ("A", "B", "theta", "s", "N", "nu"),
+}
+
+
+def _sweep_over(over, command: str) -> dict:
+    """The "over" section, checked: an object that maps fields to arrays."""
+    if not isinstance(over, dict):
+        raise ConfigError(["sweep.over"], "sweep.over must be an object that maps "
+                                          "field names to arrays")
+    for key, values in over.items():
+        if key not in _SWEEP_FIELDS[command]:
+            raise ConfigError([f"sweep.over.{key}"], f"sweep.over.{key}: not a "
+                              f"{command} field ({', '.join(_SWEEP_FIELDS[command])})")
+        if not isinstance(values, list):
+            raise ConfigError([f"sweep.over.{key}"], f"sweep.over.{key}: expected "
+                              f"an array, got {type(values).__name__}")
+    return over
+
+
 def _cmd_sweep(args) -> int:
     doc = _read_json(args.config)
     sweep = doc.get("sweep")
@@ -280,49 +303,51 @@ def _cmd_sweep(args) -> int:
     # Python and holds the GIL, so a thread pool only made the sweep slower
     with _parsing("sweep config"):
         command = sweep.get("command", "classify")
-        over = sweep.get("over", {})
-        names = sorted(over)
-        combos = list(product(*(over[n] for n in names)))
+        if command not in ("classify", "lemma"):
+            raise ConfigError(["sweep.command"], f"unknown sweep command: {command!r}")
+        over = _sweep_over(sweep.get("over", {}), command)
         # the section that each row's values override
         base = {**(doc["params"] if command == "classify" else doc.get("lemma", {}))}
-    if command not in ("classify", "lemma"):
-        raise ConfigError(["sweep.command"], f"unknown sweep command: {command!r}")
-    if command == "classify":
+    names = sorted(over)
+    values = [over[n] for n in names]
+
+    # each row is its report columns; the swept values are added on writing
+    if command == "lemma":
+        columns = ["inf", "empty", "decoupled_inf"]
+
+        def one(combo):
+            inst = _lemma_instance({**base, **dict(zip(names, combo))})
+            val = algebraic_inf(inst)
+            return ("" if val is None else val, val is None, inst.decoupled_inf)
+
+        rows = [one(c) for c in product(*values)]
+    else:
         # the other sections are the same for every row: parse them once
         with _parsing("config"):
             small_nu = _settings(doc)["small_nu"]
+        columns = ["subcritical", "critical", "thm_large_nu", "thm_mixed",
+                   "thm_small_nu", "thm_minmax"]
 
-    def one(combo):
-        row = dict(zip(names, combo))
-        if command == "lemma":
-            inst = _lemma_instance({**base, **row})
-            val = algebraic_inf(inst)
-            row.update({"inf": "" if val is None else val,
-                        "empty": val is None,
-                        "decoupled_inf": inst.decoupled_inf})
-            return row
+        def one(combo):
+            params = ProblemParams.from_dict({**base, **dict(zip(names, combo))})
+            _check_weight(params, small_nu)
+            rep = classify(params)
+            return (rep.subcritical, rep.critical, rep.thm_large_nu["applicable"],
+                    rep.thm_mixed["case"], rep.thm_small_nu["case"],
+                    rep.thm_minmax["case"])
+
         with _parsing("params"):
-            params = ProblemParams.from_dict({**base, **row})
-        _check_weight(params, small_nu)
-        rep = classify(params).to_dict()
-        row.update({
-            "subcritical": rep["subcritical"],
-            "critical": rep["critical"],
-            "thm_large_nu": rep["thm_large_nu"]["applicable"],
-            "thm_mixed": rep["thm_mixed"]["case"],
-            "thm_small_nu": rep["thm_small_nu"]["case"],
-            "thm_minmax": rep["thm_minmax"]["case"],
-        })
-        return row
+            rows = [one(c) for c in product(*values)]
 
-    rows = [one(c) for c in combos]
-
-    cols = list(rows[0]) if rows else names
+    # the text of each swept value is made once, and stepped through in the
+    # order of the rows; values that compare equal (0.0 and -0.0, 1 and 1.0)
+    # keep their own text
+    texts = product(*([str(x) for x in vals] for vals in values))
     out = args.out or "sweep.csv"
-    with open(out, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(str(row[c]) for c in cols) + "\n")
+    with open(out, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(names + columns if rows else names)
+        writer.writerows(cells + row for cells, row in zip(texts, rows))
     print(f"wrote {len(rows)} rows to {out}")
     return EXIT_OK
 

@@ -26,6 +26,7 @@ function; no quadrature is involved.  The key quantities, for dimension
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -101,8 +102,14 @@ def sobolev_constant(N: int) -> float:
         (2.0 / N) * (math.lgamma(0.5 * N) - math.lgamma(float(N))))
 
 
+@lru_cache(maxsize=1024, typed=True)
 def critical_level(N: int, lam: float, s: float) -> float:
-    """Energy (2-s)/(2(N-s)) * S^((N-s)/(2-s)) of the explicit minimizer."""
+    """Energy (2-s)/(2(N-s)) * S^((N-s)/(2-s)) of the explicit minimizer.
+
+    Cached: a regime sweep asks for the same few (N, lam, s) in every row.
+    ``typed`` keeps ``N = 3.0`` a miss after ``N = 3`` has been cached, so it
+    is refused as before; refusals are not cached.
+    """
     S = best_constant(N, lam, s)
     return (2.0 - s) / (2.0 * (N - s)) * S ** ((N - s) / (2.0 - s))
 

@@ -17,6 +17,7 @@ eps > 0 there is a nu threshold below which the infimum stays above
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,18 +148,26 @@ class LemmaInstance:
 
     def __post_init__(self):
         bad = []
-        if not self.A > 0:
+        if not 0 < self.A < math.inf:
             bad.append("A")
-        if not self.B > 0:
+        if not 0 < self.B < math.inf:
             bad.append("B")
-        if not self.theta >= 2:
+        if not 2 <= self.theta < math.inf:
             bad.append("theta")
         if not (0 <= self.s < 2):
             bad.append("s")
         if not (isinstance(self.N, (int, np.integer)) and self.N >= 3):
             bad.append("N")
-        if not self.nu >= 0:
+        if not 0 <= self.nu < math.inf:
             bad.append("nu")
+        if not bad:
+            try:
+                x = self.decoupled_inf
+            except OverflowError:
+                x = math.inf
+            if not 0 < x < math.inf:
+                bad.append(f"A (decoupled infimum A^((N-s)/(2-s)) = {x} "
+                           f"is not a positive finite float)")
         if bad:
             raise InvalidParameterError(f"invalid lemma instance: {', '.join(bad)}")
 
@@ -171,6 +180,10 @@ class LemmaInstance:
 def default_sigma_grid(inst: LemmaInstance) -> np.ndarray:
     """Log grid of 20000 points spanning [1e-6, 1e3] times the decoupled infimum."""
     x = inst.decoupled_inf
+    if not (0 < 1e-6 * x and 1e3 * x < math.inf):
+        raise InvalidParameterError(
+            f"decoupled infimum {x} leaves the float range of the sigma grid "
+            f"[1e-6, 1e3] times it")
     return np.geomspace(1e-6 * x, 1e3 * x, 20000)
 
 

@@ -1,5 +1,8 @@
 """Command dispatch, persistence, round trips, determinism, exit codes."""
 
+import csv
+import io
+import itertools
 import json
 import math
 import os
@@ -9,10 +12,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hsvar
-from hsvar import (DescentOptions, PathOptions, StatePair, build_grid, energy,
-                   exact_solution)
+from hsvar import (DescentOptions, PathOptions, StatePair, build_grid, classify,
+                   energy, exact_solution)
 from hsvar import io as hio
 from hsvar.cli import RunConfig, run_command
 from hsvar.grid import RadialFunction
@@ -389,6 +393,100 @@ def test_lemma_defaults_agree_between_lemma_and_sweep(tmp_path, capsys):
     got = dict(zip(header.split(","), row.split(",")))
     assert float(got["inf"]) == doc["inf"]
     assert float(got["decoupled_inf"]) == doc["decoupled_inf"]
+
+
+@pytest.mark.parametrize("sweep,key", [
+    ({"over": [1, 2]}, "sweep.over"),
+    ({"over": {"nu": "12"}}, "sweep.over.nu"),
+    ({"over": {"nu": 0.1}}, "sweep.over.nu"),
+    ({"over": {"nuu": [0.1, 0.2]}}, "sweep.over.nuu"),
+    ({"over": {"critical": [True]}}, "sweep.over.critical"),
+    ({"command": "lemma", "over": {"lambda1": [0.1]}}, "sweep.over.lambda1"),
+    ({"command": "lemma", "over": {"inf": [1.0]}}, "sweep.over.inf"),
+])
+def test_sweep_over_must_map_fields_to_arrays(tmp_path, capsys, sweep, key):
+    # a list used to end in a traceback, a string swept its characters, and
+    # a key that is no field wrote identical rows or replaced a report column
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"params": {**PARAMS, "nu": 0.1},
+                               "lemma": {"A": 1.0, "B": 1.0, "theta": 3.0},
+                               "sweep": sweep}))
+    out_csv = tmp_path / "out.csv"
+    assert run_command(["sweep", "--config", str(cfg), "--out", str(out_csv)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}") and err.count("\n") == 1
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("field,value", [("A", 1e300), ("A", math.inf), ("B", math.inf),
+                                         ("theta", math.inf), ("nu", math.inf)])
+def test_lemma_refuses_non_finite_input(tmp_path, capsys, field, value):
+    # these used to exit 0 with an empty set or the bottom of the sigma
+    # grid, or end in an OverflowError traceback
+    args = {"A": 1.0, "B": 1.0, "theta": 3.0, field: value}
+    assert run_command(["lemma", *(f"--{k}={v}" for k, v in args.items())]) == 2
+    assert f"instance: {field}" in capsys.readouterr().err
+    cfg = tmp_path / "lemma_sweep.json"
+    cfg.write_text(json.dumps({"lemma": args, "sweep": {"command": "lemma",
+                                                        "over": {field: [value]}}}))
+    out_csv = str(tmp_path / "lemma.csv")
+    assert run_command(["sweep", "--config", str(cfg), "--out", out_csv]) == 2
+    err = capsys.readouterr().err
+    assert f"instance: {field}" in err and err.count("\n") == 1
+
+
+def test_sweep_quotes_values_with_commas(tmp_path, capsys):
+    profiles = [{"kind": "bump"}, {"kind": "constant", "c": 2}]
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"params": {**PARAMS, "nu": 0.1},
+                               "sweep": {"over": {"h_profile": profiles}}}))
+    out_csv = tmp_path / "sweep.csv"
+    assert run_command(["sweep", "--config", str(cfg), "--out", str(out_csv)]) == 0
+    capsys.readouterr()
+    with open(out_csv, newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert len(rows) == 2
+    for row, h in zip(rows, profiles):
+        assert list(row) == reader.fieldnames and None not in row.values()
+        assert row["h_profile"] == str(h)
+
+
+# values that compare equal but print differently, and repeats
+_SWEEP_VALUES = {
+    "N": [4, 4.0],
+    "s": [0, 0.0, -0.0, 0.5],
+    "lambda1": [0.25, 0.5, 0.5],
+    "alpha": [2, 2.0, 1.5, 1.25],
+    "nu": [0, 0.0, -0.0, 1, 1.0, 0.1],
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.fixed_dictionaries({}, optional={
+    k: st.lists(st.sampled_from(v), min_size=1, max_size=3)
+    for k, v in _SWEEP_VALUES.items()}))
+def test_sweep_writes_the_rows_classify_gives(tmp_path_factory, over):
+    # beta = 1.5 keeps every row admissible: alpha + beta <= 3.5 = p at s = 0.5
+    base = {**PARAMS, "s": 0.5, "beta": 1.5, "nu": 0.1,
+            "h_profile": {"kind": "bump"}}
+    tmp = tmp_path_factory.mktemp("sweep")
+    cfg = tmp / "sweep.json"
+    cfg.write_text(json.dumps({"params": base, "sweep": {"over": over}}))
+    out_csv = tmp / "sweep.csv"
+    assert run_command(["sweep", "--config", str(cfg), "--out", str(out_csv)]) == 0
+    names = sorted(over)
+    ref = io.StringIO()
+    writer = csv.writer(ref, lineterminator="\n")
+    writer.writerow(names + ["subcritical", "critical", "thm_large_nu", "thm_mixed",
+                             "thm_small_nu", "thm_minmax"])
+    for combo in itertools.product(*(over[n] for n in names)):
+        rep = classify(ProblemParams.from_dict({**base, **dict(zip(names, combo))}))
+        writer.writerow([str(x) for x in combo]
+                        + [rep.subcritical, rep.critical, rep.thm_large_nu["applicable"],
+                           rep.thm_mixed["case"], rep.thm_small_nu["case"],
+                           rep.thm_minmax["case"]])
+    assert out_csv.read_bytes() == ref.getvalue().encode()
 
 
 def test_mountain_pass_cli(tmp_path, capsys):

@@ -292,3 +292,18 @@ class TestSeparability:
             assert rep["cond_i"] == (2.0 * E2 > E1 > E2)
             assert rep["cond_ii"] == (2.0 * E1 > E2 > E1)
         assert 0 < hits < 1000 and checked > 990
+
+
+class TestCriticalLevelCache:
+    def test_float_dimension_is_refused_after_the_int_is_cached(self):
+        assert critical_level(3, 0.1, 0.5) > 0
+        with pytest.raises(InvalidParameterError):
+            critical_level(3.0, 0.1, 0.5)
+
+    def test_numpy_integer_dimension_gives_the_same_level(self):
+        assert critical_level(np.int64(3), 0.1, 0.5) == critical_level(3, 0.1, 0.5)
+
+    def test_nan_lambda_is_refused_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(InvalidParameterError):
+                critical_level(4, math.nan, 0.5)

@@ -1,5 +1,7 @@
 """Regime classification and the scaling-set infimum oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,6 +139,22 @@ class TestAlgebraicInf:
             LemmaInstance(A=-1.0, B=1.0, theta=2.0, s=0.5, N=4)
         with pytest.raises(InvalidParameterError):
             LemmaInstance(A=1.0, B=1.0, theta=1.5, s=0.5, N=4)
+
+    @pytest.mark.parametrize("field,value", [
+        ("A", math.inf), ("B", math.inf), ("theta", math.inf), ("s", math.inf),
+        ("nu", math.inf), ("A", math.nan), ("B", math.nan), ("nu", math.nan),
+        # finite A whose decoupled infimum A^((N-s)/(2-s)) over- or underflows
+        ("A", 1e300), ("A", 1e-300)])
+    def test_non_finite_input_is_named(self, field, value):
+        args = {"A": 1.0, "B": 1.0, "theta": 3.0, "s": 0.0, "N": 4, "nu": 0.0}
+        with pytest.raises(InvalidParameterError, match=f"instance: {field}"):
+            LemmaInstance(**{**args, field: value})
+
+    def test_sigma_grid_must_fit_the_float_range(self):
+        # the decoupled infimum is finite, but 1e3 times it is not
+        inst = LemmaInstance(A=1e154, B=1.0, theta=3.0, s=0.0, N=4)
+        with pytest.raises(InvalidParameterError, match="sigma grid"):
+            algebraic_inf(inst)
 
     @pytest.mark.parametrize("eps", [0.1, 0.01])
     def test_threshold_exists_for_each_eps(self, eps):
