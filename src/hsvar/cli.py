@@ -24,7 +24,7 @@ import csv
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import product
 
 import numpy as np
@@ -37,8 +37,8 @@ from .errors import ConfigError, DegeneratePathError, HsvarError
 from .grid import (REFERENCE_N_NODES, REFERENCE_R_MAX, REFERENCE_R_MIN,
                    RadialFunction, build_grid)
 from .nehari import project
-from .params import ProblemParams
-from .regimes import LemmaInstance, algebraic_inf, classify
+from .params import ProblemParams, whole_number
+from .regimes import LemmaInstance, RegimeReport, algebraic_inf, classify
 from .solvers import (DescentOptions, PathOptions, ground_state, mountain_pass,
                       random_bump, semitrivial_probe, extremal_pair)
 
@@ -59,18 +59,24 @@ def _parsing(what: str):
     except HsvarError:
         raise
     except KeyError as exc:
-        raise ConfigError([str(exc)], f"missing {what} field: {exc}") from None
+        raise ConfigError(f"missing {what} field: {exc}") from None
     except _MALFORMED as exc:
-        raise ConfigError([what], f"malformed {what}: {exc}") from None
+        raise ConfigError(f"malformed {what}: {exc}") from None
 
 
-# each key of a config's "solver" section: the options class whose field it
-# sets, the field, and the conversion of its value
+# the fields of each command's document: a sweep row may override them, and
+# each classify field is a flag of the commands that load a config
+_FIELDS = {"classify": [f.name for f in fields(ProblemParams)],
+           "lemma": [f.name for f in fields(LemmaInstance)]}
+
+
+# each key of a config's "solver" section: the options class whose field of
+# that name it sets, and the type of its value
 _SOLVER_KEYS = {
-    "tol_grad": (DescentOptions, "tol_grad", float),
-    "max_iter": (DescentOptions, "max_iter", int),
-    "n_path_nodes": (PathOptions, "n_path_nodes", int),
-    "max_sweeps": (PathOptions, "max_sweeps", int),
+    "tol_grad": (DescentOptions, float),
+    "max_iter": (DescentOptions, int),
+    "n_path_nodes": (PathOptions, int),
+    "max_sweeps": (PathOptions, int),
 }
 
 
@@ -79,31 +85,29 @@ def _solver_fields(section: dict) -> dict:
     out = {}
     for key, value in section.items():
         if key not in _SOLVER_KEYS:
-            raise ConfigError([f"solver.{key}"], f"unknown solver key: {key!r}")
-        cls, name, conv = _SOLVER_KEYS[key]
+            raise ConfigError(f"unknown solver key: {key!r}")
+        cls, kind = _SOLVER_KEYS[key]
         with _parsing(f"solver.{key}"):
-            out.setdefault(cls, {})[name] = conv(value)
+            out.setdefault(cls, {})[key] = (whole_number(value, f"solver.{key}")
+                                            if kind is int else float(value))
     return out
 
 
-def _settings(doc: dict) -> dict:
-    """Every RunConfig field but the params, from a config document."""
-    g = doc.get("grid", {})
-    return {"grid": (float(g.get("r_min", REFERENCE_R_MIN)),
-                     float(g.get("r_max", REFERENCE_R_MAX)),
-                     int(g.get("n_nodes", REFERENCE_N_NODES))),
-            "solver": _solver_fields(doc.get("solver", {})),
-            "output_dir": doc.get("output_dir", "runs"),
-            "seed": int(doc.get("seed", 0)),
-            "small_nu": bool(doc.get("small_nu", False))}
+def _small_nu(doc: dict) -> bool:
+    """The "small_nu" flag of a config document, false when absent."""
+    flag = doc.get("small_nu", False)
+    if not isinstance(flag, bool):
+        raise ConfigError(f"small_nu must be true or false, got {flag!r}")
+    return flag
 
 
-def _check_weight(params: ProblemParams, small_nu: bool) -> None:
-    """Critical coupling needs a weight vanishing at 0 and infinity, unless
-    the run is explicitly flagged as small-coupling."""
-    if (params.is_critical_coupling and not small_nu
-            and not params.h_profile.vanishes_at_origin_and_infinity):
-        raise ConfigError(["h_profile"])
+def _check_weight(report: RegimeReport, small_nu: bool) -> None:
+    """A tuple outside the large-coupling statement's compactness gate
+    (critical coupling, a weight that does not vanish at 0 and infinity)
+    runs only when explicitly flagged as small-coupling."""
+    if not (report.thm_large_nu["applicable"] or small_nu):
+        raise ConfigError("critical coupling needs an h_profile that vanishes "
+                          "at 0 and infinity, or small_nu: true")
 
 
 @dataclass
@@ -118,8 +122,17 @@ class RunConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
         with _parsing("config"):
-            cfg = cls(params=ProblemParams.from_dict(doc["params"]), **_settings(doc))
-        _check_weight(cfg.params, cfg.small_nu)
+            g = doc.get("grid", {})
+            cfg = cls(params=ProblemParams.from_dict(doc["params"]),
+                      grid=(float(g.get("r_min", REFERENCE_R_MIN)),
+                            float(g.get("r_max", REFERENCE_R_MAX)),
+                            whole_number(g.get("n_nodes", REFERENCE_N_NODES),
+                                         "grid.n_nodes")),
+                      solver=_solver_fields(doc.get("solver", {})),
+                      output_dir=doc.get("output_dir", "runs"),
+                      seed=whole_number(doc.get("seed", 0), "seed"),
+                      small_nu=_small_nu(doc))
+        _check_weight(classify(cfg.params), cfg.small_nu)
         return cfg
 
     def build_grid(self):
@@ -134,7 +147,7 @@ def _read_json(path: str) -> dict:
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
-        raise ConfigError(["config"], f"{path}: expected a JSON object")
+        raise ConfigError(f"{path}: expected a JSON object")
     return doc
 
 
@@ -142,25 +155,22 @@ def _load_config(args) -> RunConfig:
     doc = _read_json(args.config) if args.config else {}
     doc.setdefault("params", {})
     with _parsing("config"):
-        for name in ("N", "s", "lambda1", "lambda2", "alpha", "beta", "nu"):
-            v = getattr(args, name, None)
-            if v is not None:
-                doc["params"][name] = v
-        if getattr(args, "h", None):
-            doc["params"]["h_profile"] = _parse_h(args.h)
-    if getattr(args, "grid", None):
+        for name in _FIELDS["classify"]:
+            value = getattr(args, name)
+            if value is not None:
+                doc["params"][name] = _parse_h(value) if name == "h_profile" else value
+    if args.grid:
         try:
             r_min, r_max, n = args.grid.split(",")
-            doc["grid"] = {"r_min": float(r_min), "r_max": float(r_max),
-                           "n_nodes": int(n)}
         except ValueError:
-            raise ConfigError(["grid"], f"--grid expects r_min,r_max,n_nodes, "
-                                        f"got {args.grid!r}") from None
-    if getattr(args, "output_dir", None):
+            raise ConfigError(f"--grid expects r_min,r_max,n_nodes, "
+                              f"got {args.grid!r}") from None
+        doc["grid"] = {"r_min": r_min, "r_max": r_max, "n_nodes": n}
+    if args.output_dir:
         doc["output_dir"] = args.output_dir
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         doc["seed"] = args.seed
-    if getattr(args, "small_nu", False):
+    if args.small_nu:
         doc["small_nu"] = True
     return RunConfig.from_dict(doc)
 
@@ -173,7 +183,7 @@ def _parse_h(spec: str) -> dict:
         if kind == "bump":
             p_exp, q_exp = (rest or "2,2").split(",")
             return {"kind": "bump", "p_exp": float(p_exp), "q_exp": float(q_exp)}
-    raise ConfigError(["h_profile"], f"unknown h profile: {spec!r}")
+    raise ConfigError(f"unknown h profile: {spec!r}")
 
 
 def _print(doc: dict) -> None:
@@ -198,20 +208,13 @@ def _cmd_constants(args) -> int:
     return EXIT_OK
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_profiles(args) -> int:
+    """evaluate and project: the energy breakdown of CSV profiles, or their
+    scale onto the constraint set."""
     cfg = _load_config(args)
-    grid = cfg.build_grid()
-    pair = hio.pair_from_csv(args.profiles, grid)
-    _print(energy(pair, cfg.params).to_dict())
-    return EXIT_OK
-
-
-def _cmd_project(args) -> int:
-    cfg = _load_config(args)
-    grid = cfg.build_grid()
-    pair = hio.pair_from_csv(args.profiles, grid)
-    res = project(pair, cfg.params)
-    _print(res.to_dict())
+    pair = hio.pair_from_csv(args.profiles, cfg.build_grid())
+    fn = energy if args.command == "evaluate" else project
+    _print(fn(pair, cfg.params).to_dict())
     return EXIT_OK
 
 
@@ -260,37 +263,30 @@ def _lemma_instance(doc: dict) -> LemmaInstance:
     with _parsing("lemma"):
         return LemmaInstance(A=float(doc["A"]), B=float(doc["B"]),
                              theta=float(doc["theta"]), s=float(doc.get("s", 0.0)),
-                             N=int(doc.get("N", 4)), nu=float(doc.get("nu", 0.0)))
+                             N=whole_number(doc.get("N", 4), "N"),
+                             nu=float(doc.get("nu", 0.0)))
 
 
 def _cmd_lemma(args) -> int:
     inst = _lemma_instance({k: v for k, v in vars(args).items()
-                            if k in ("A", "B", "theta", "s", "N", "nu") and v is not None})
+                            if k in _FIELDS["lemma"] and v is not None})
     inf_val = algebraic_inf(inst)
     _print({"inf": inf_val, "empty": inf_val is None,
             "decoupled_inf": inst.decoupled_inf})
     return EXIT_OK
 
 
-# the fields a row of each sweep command may override
-_SWEEP_FIELDS = {
-    "classify": ("N", "s", "lambda1", "lambda2", "alpha", "beta", "nu", "h_profile"),
-    "lemma": ("A", "B", "theta", "s", "N", "nu"),
-}
-
-
 def _sweep_over(over, command: str) -> dict:
     """The "over" section, checked: an object that maps fields to arrays."""
     if not isinstance(over, dict):
-        raise ConfigError(["sweep.over"], "sweep.over must be an object that maps "
-                                          "field names to arrays")
+        raise ConfigError("sweep.over must be an object that maps field names to arrays")
     for key, values in over.items():
-        if key not in _SWEEP_FIELDS[command]:
-            raise ConfigError([f"sweep.over.{key}"], f"sweep.over.{key}: not a "
-                              f"{command} field ({', '.join(_SWEEP_FIELDS[command])})")
+        if key not in _FIELDS[command]:
+            raise ConfigError(f"sweep.over.{key}: not a {command} field "
+                              f"({', '.join(_FIELDS[command])})")
         if not isinstance(values, list):
-            raise ConfigError([f"sweep.over.{key}"], f"sweep.over.{key}: expected "
-                              f"an array, got {type(values).__name__}")
+            raise ConfigError(f"sweep.over.{key}: expected an array, "
+                              f"got {type(values).__name__}")
     return over
 
 
@@ -298,13 +294,13 @@ def _cmd_sweep(args) -> int:
     doc = _read_json(args.config)
     sweep = doc.get("sweep")
     if not sweep:
-        raise ConfigError(["sweep"], "sweep config requires a 'sweep' section")
+        raise ConfigError("sweep config requires a 'sweep' section")
     # rows run serially and a "workers" key is ignored: classify is pure
     # Python and holds the GIL, so a thread pool only made the sweep slower
     with _parsing("sweep config"):
         command = sweep.get("command", "classify")
         if command not in ("classify", "lemma"):
-            raise ConfigError(["sweep.command"], f"unknown sweep command: {command!r}")
+            raise ConfigError(f"unknown sweep command: {command!r}")
         over = _sweep_over(sweep.get("over", {}), command)
         # the section that each row's values override
         base = {**(doc["params"] if command == "classify" else doc.get("lemma", {}))}
@@ -322,16 +318,13 @@ def _cmd_sweep(args) -> int:
 
         rows = [one(c) for c in product(*values)]
     else:
-        # the other sections are the same for every row: parse them once
-        with _parsing("config"):
-            small_nu = _settings(doc)["small_nu"]
+        small_nu = _small_nu(doc)
         columns = ["subcritical", "critical", "thm_large_nu", "thm_mixed",
                    "thm_small_nu", "thm_minmax"]
 
         def one(combo):
-            params = ProblemParams.from_dict({**base, **dict(zip(names, combo))})
-            _check_weight(params, small_nu)
-            rep = classify(params)
+            rep = classify(ProblemParams.from_dict({**base, **dict(zip(names, combo))}))
+            _check_weight(rep, small_nu)
             return (rep.subcritical, rep.critical, rep.thm_large_nu["applicable"],
                     rep.thm_mixed["case"], rep.thm_small_nu["case"],
                     rep.thm_minmax["case"])
@@ -346,7 +339,7 @@ def _cmd_sweep(args) -> int:
     out = args.out or "sweep.csv"
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(names + columns if rows else names)
+        writer.writerow(names + columns)
         writer.writerows(cells + row for cells, row in zip(texts, rows))
     print(f"wrote {len(rows)} rows to {out}")
     return EXIT_OK
@@ -356,14 +349,11 @@ def _cmd_sweep(args) -> int:
 
 def _add_param_flags(sp):
     sp.add_argument("--config", help="JSON configuration document")
-    sp.add_argument("--N", type=int)
-    sp.add_argument("--s", type=float)
-    sp.add_argument("--lambda1", type=float)
-    sp.add_argument("--lambda2", type=float)
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--beta", type=float)
-    sp.add_argument("--nu", type=float)
-    sp.add_argument("--h", help="h profile: constant:C or bump:P,Q")
+    for f in fields(ProblemParams):
+        if f.name != "h_profile":
+            sp.add_argument(f"--{f.name}", type=int if f.type == "int" else float)
+    sp.add_argument("--h", dest="h_profile", metavar="H",
+                    help="h profile: constant:C or bump:P,Q")
     sp.add_argument("--grid", help="r_min,r_max,n_nodes")
     sp.add_argument("--output-dir", dest="output_dir")
     sp.add_argument("--seed", type=int)
@@ -382,16 +372,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", type=float)
     sp.set_defaults(fn=_cmd_constants)
 
-    for name, fn, needs_profiles in (
-            ("evaluate", _cmd_evaluate, True),
-            ("project", _cmd_project, True),
-            ("ground-state", _cmd_solve, False),
-            ("mountain-pass", _cmd_solve, False),
-            ("probe", _cmd_solve, False),
-            ("classify", _cmd_classify, False)):
+    for name, fn in (("evaluate", _cmd_profiles), ("project", _cmd_profiles),
+                     ("ground-state", _cmd_solve), ("mountain-pass", _cmd_solve),
+                     ("probe", _cmd_solve), ("classify", _cmd_classify)):
         sp = sub.add_parser(name)
         _add_param_flags(sp)
-        if needs_profiles:
+        if fn is _cmd_profiles:
             sp.add_argument("--profiles", required=True, help="CSV with columns r,u,v")
         if name == "probe":
             sp.add_argument("--which", choices=("first", "second"), required=True)

@@ -111,7 +111,11 @@ def critical_level(N: int, lam: float, s: float) -> float:
     is refused as before; refusals are not cached.
     """
     S = best_constant(N, lam, s)
-    return (2.0 - s) / (2.0 * (N - s)) * S ** ((N - s) / (2.0 - s))
+    try:
+        return (2.0 - s) / (2.0 * (N - s)) * S ** ((N - s) / (2.0 - s))
+    except OverflowError:
+        raise InvalidParameterError(f"critical level at (N, lambda, s) = ({N}, {lam}, "
+                                    f"{s}) overflows a float") from None
 
 
 def exact_solution(N: int, lam: float, s: float, mu: float, r) -> np.ndarray:

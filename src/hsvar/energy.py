@@ -27,7 +27,7 @@ asked), given the weight vectors of a :class:`Weights`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -77,9 +77,7 @@ class EnergyBreakdown:
     total: float
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("kinetic_u", "kinetic_v", "hardy_u", "hardy_v",
-                 "hs_u", "hs_v", "coupling", "total")}
+        return asdict(self)
 
 
 class Weights:

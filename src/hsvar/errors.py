@@ -35,7 +35,3 @@ class DegeneratePathError(HsvarError, RuntimeError):
 
 class ConfigError(HsvarError, ValueError):
     """A run configuration failed validation."""
-
-    def __init__(self, fields, message=None):
-        self.fields = list(fields)
-        super().__init__(message or f"invalid configuration fields: {', '.join(self.fields)}")

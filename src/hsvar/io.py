@@ -35,19 +35,19 @@ def pair_to_csv(path: str, pair: StatePair) -> None:
 def pair_from_csv(path: str, grid: RadialGrid) -> StatePair:
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     if data.ndim != 2 or data.shape[1] != 3:
-        raise ConfigError(["profiles"], f"{path}: expected columns r,u,v")
+        raise ConfigError(f"{path}: expected columns r,u,v")
     if data.shape[0] != grid.n:
-        raise ConfigError(["profiles"], f"{path}: {data.shape[0]} rows, grid has {grid.n}")
+        raise ConfigError(f"{path}: {data.shape[0]} rows, grid has {grid.n}")
     if not np.allclose(data[:, 0], grid.r, rtol=1e-12, atol=0.0):
-        raise ConfigError(["profiles"], f"{path}: radii do not match the configured grid")
+        raise ConfigError(f"{path}: radii do not match the configured grid")
     return StatePair(RadialFunction(grid, data[:, 1]), RadialFunction(grid, data[:, 2]))
 
 
-def report_json(report_dict: dict, grid: RadialGrid, timestamp: float | None = None) -> str:
+def report_json(report_dict: dict, grid: RadialGrid) -> str:
     doc = {
         "schema": SCHEMA_VERSION,
         "grid": grid.header(),
-        "timestamp": time.time() if timestamp is None else timestamp,
+        "timestamp": time.time(),
         **report_dict,
     }
     return dumps(doc) + "\n"

@@ -13,7 +13,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import ConfigError, InvalidParameterError
+
+
+def whole_number(value, name: str) -> int:
+    """The integer field ``name`` of a document: an int, a float that is a
+    whole number, or a string of digits (4, 4.0, "4").  Anything else, 4.5
+    or true included, raises ConfigError naming the field."""
+    if isinstance(value, float):
+        if value.is_integer():
+            return int(value)
+    elif isinstance(value, (int, np.integer, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"{name} must be a whole number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -68,8 +83,8 @@ class HProfile:
     def from_dict(cls, d: dict) -> "HProfile":
         kind = d.get("kind", "constant")
         if kind == "constant":
-            return cls(kind="constant", c=float(d.get("c", 1.0)))
-        return cls(kind="bump", p_exp=float(d.get("p_exp", 2.0)), q_exp=float(d.get("q_exp", 2.0)))
+            return cls(kind, c=float(d.get("c", 1.0)))
+        return cls(kind, p_exp=float(d.get("p_exp", 2.0)), q_exp=float(d.get("q_exp", 2.0)))
 
 
 @dataclass(frozen=True)
@@ -150,7 +165,7 @@ class ProblemParams:
     @classmethod
     def from_dict(cls, d: dict) -> "ProblemParams":
         return cls(
-            N=int(d["N"]), s=float(d["s"]),
+            N=whole_number(d["N"], "N"), s=float(d["s"]),
             lambda1=float(d["lambda1"]), lambda2=float(d["lambda2"]),
             alpha=float(d["alpha"]), beta=float(d["beta"]),
             nu=float(d.get("nu", 0.0)),

@@ -18,7 +18,7 @@ eps > 0 there is a nu threshold below which the infimum stays above
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -43,16 +43,7 @@ class RegimeReport:
     levels: dict
 
     def to_dict(self) -> dict:
-        return {
-            "subcritical": self.subcritical,
-            "critical": self.critical,
-            "thm_large_nu": self.thm_large_nu,
-            "thm_mixed": self.thm_mixed,
-            "thm_small_nu": self.thm_small_nu,
-            "thm_minmax": self.thm_minmax,
-            "h_vanishes": self.h_vanishes,
-            "levels": self.levels,
-        }
+        return asdict(self)
 
 
 def _eq(a: float, b: float) -> bool:

@@ -21,7 +21,8 @@ from hsvar import io as hio
 from hsvar.cli import RunConfig, run_command
 from hsvar.grid import RadialFunction
 from hsvar.io import pair_from_csv, pair_to_csv
-from hsvar.params import ProblemParams
+from hsvar.errors import ConfigError
+from hsvar.params import ProblemParams, whole_number
 
 
 GRID = {"r_min": 1e-6, "r_max": 1e6, "n_nodes": 1024}
@@ -167,6 +168,62 @@ def test_validation_error_exit_code(tmp_path, capsys):
     assert "lambda1" in err
 
 
+# critical coupling (alpha + beta = p = 3) with the default constant weight
+CRITICAL = {**PARAMS, "alpha": 1.5, "beta": 1.5, "nu": 0.1}
+
+# malformed input, and the field that its one-line message names; most of
+# these used to run as other input: a non-whole integer field truncated, a
+# "small_nu" string as true, an unknown weight kind as a bump
+_NAMED_MALFORMED = [
+    (["classify", "--config", "{cfg}"], json.dumps({"params": {**PARAMS, "N": 4.5}}),
+     "N"),
+    (["classify", "--config", "{cfg}"], json.dumps({"params": {**PARAMS, "N": True}}),
+     "N"),
+    (["classify", "--config", "{cfg}"],
+     json.dumps({"params": PARAMS, "grid": {"n_nodes": 1024.5}}), "grid.n_nodes"),
+    (["classify", "--config", "{cfg}"], json.dumps({"params": PARAMS, "seed": 7.5}),
+     "seed"),
+    (["ground-state", "--config", "{cfg}"],
+     json.dumps({"params": PARAMS, "solver": {"max_iter": 10.5}}), "solver.max_iter"),
+    (["mountain-pass", "--config", "{cfg}"],
+     json.dumps({"params": PATH_PARAMS, "solver": {"n_path_nodes": 8.5}}),
+     "solver.n_path_nodes"),
+    (["mountain-pass", "--config", "{cfg}"],
+     json.dumps({"params": PATH_PARAMS, "solver": {"max_sweeps": "4.5"}}),
+     "solver.max_sweeps"),
+    (["classify", "--grid", "1e-6,1e6,1024.5", *(f"--{k}={v}" for k, v in PARAMS.items())],
+     None, "grid.n_nodes"),
+    (["sweep", "--config", "{cfg}", "--out", "{out}"],
+     json.dumps({"params": PARAMS, "sweep": {"over": {"N": [4, 4.5]}}}), "N"),
+    (["sweep", "--config", "{cfg}", "--out", "{out}"],
+     json.dumps({"lemma": {"A": 1.0, "B": 1.0, "theta": 3.0},
+                 "sweep": {"command": "lemma", "over": {"N": [4.5]}}}), "N"),
+    (["classify", "--config", "{cfg}"],
+     json.dumps({"params": CRITICAL, "small_nu": "false"}), "small_nu"),
+    (["classify", "--config", "{cfg}"], json.dumps({"params": PARAMS, "small_nu": 1}),
+     "small_nu"),
+    (["sweep", "--config", "{cfg}", "--out", "{out}"],
+     json.dumps({"params": CRITICAL, "small_nu": "false",
+                 "sweep": {"over": {"nu": [0.1]}}}), "small_nu"),
+    (["classify", "--config", "{cfg}"],
+     json.dumps({"params": {**PARAMS, "h_profile": {"kind": "gauss"}}}), "'gauss'"),
+    (["sweep", "--config", "{cfg}", "--out", "{out}"],
+     json.dumps({"params": PARAMS, "sweep": {"over": {"h_profile": [{"kind": "gauss"}]}}}),
+     "'gauss'"),
+]
+
+
+def _run_malformed(tmp_path, capsys, monkeypatch, argv, content):
+    """Exit code and stderr of ``argv``, with ``content`` as its config."""
+    monkeypatch.chdir(tmp_path)     # a solver that runs persists under ./runs
+    cfg = tmp_path / "bad.json"
+    if content is not None:
+        cfg.write_text(content)
+    argv = [a.format(missing=tmp_path / "nonexistent.json", cfg=cfg,
+                     out=tmp_path / "out.csv") for a in argv]
+    return run_command(argv), capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv,content", [
     (["classify", "--config", "{missing}"], None),
     (["classify", "--config", "{cfg}"], "{not json"),
@@ -214,19 +271,32 @@ def test_validation_error_exit_code(tmp_path, capsys):
     *((["ground-state", "--nu", "1", "--h", h,
         *(f"--{k}={v}" for k, v in PARAMS.items())], None)
       for h in ("bump:inf,2", "bump:2,inf", "constant:inf")),
+    # a critical level beyond the float range used to end in an
+    # OverflowError traceback
+    (["classify", "--N", "200", "--s", "0.5", "--lambda1", "0.1", "--lambda2", "0.2",
+      "--alpha", "1.005", "--beta", "1.005"], None),
+    *((argv, content) for argv, content, _ in _NAMED_MALFORMED),
 ])
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch,
                                               argv, content):
-    monkeypatch.chdir(tmp_path)     # a solver that runs persists under ./runs
-    cfg = tmp_path / "bad.json"
-    if content is not None:
-        cfg.write_text(content)
-    argv = [a.format(missing=tmp_path / "nonexistent.json", cfg=cfg,
-                     out=tmp_path / "out.csv") for a in argv]
-    code = run_command(argv)
+    code, err = _run_malformed(tmp_path, capsys, monkeypatch, argv, content)
     assert code == 2
-    err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,content,name", _NAMED_MALFORMED)
+def test_malformed_field_is_named(tmp_path, capsys, monkeypatch, argv, content,
+                                  name):
+    code, err = _run_malformed(tmp_path, capsys, monkeypatch, argv, content)
+    assert code == 2 and name in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("value", [4.5, "4.5", "4.0", True, math.inf, math.nan,
+                                   None, "four", [4]])
+def test_whole_number_refuses_the_rest(value):
+    with pytest.raises(ConfigError, match=r"^N must be a whole number, got "):
+        whole_number(value, "N")
 
 
 @pytest.mark.parametrize("command,params", [("ground-state", PARAMS),
@@ -294,7 +364,8 @@ def test_critical_coupling_constant_h_rejected_without_flag(tmp_path, capsys):
     cfg = write_config(tmp_path, params={"alpha": 1.5, "beta": 1.5, "nu": 0.1})
     code = run_command(["classify", "--config", cfg])
     assert code == 2
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert "h_profile" in err and "small_nu" in err
     cfg = write_config(tmp_path, name="run2.json",
                        params={"alpha": 1.5, "beta": 1.5, "nu": 0.1},
                        small_nu=True)
@@ -464,7 +535,7 @@ _SWEEP_VALUES = {
 
 @settings(max_examples=40, deadline=None)
 @given(st.fixed_dictionaries({}, optional={
-    k: st.lists(st.sampled_from(v), min_size=1, max_size=3)
+    k: st.lists(st.sampled_from(v), min_size=0, max_size=3)
     for k, v in _SWEEP_VALUES.items()}))
 def test_sweep_writes_the_rows_classify_gives(tmp_path_factory, over):
     # beta = 1.5 keeps every row admissible: alpha + beta <= 3.5 = p at s = 0.5
@@ -487,6 +558,18 @@ def test_sweep_writes_the_rows_classify_gives(tmp_path_factory, over):
                            rep.thm_mixed["case"], rep.thm_small_nu["case"],
                            rep.thm_minmax["case"]])
     assert out_csv.read_bytes() == ref.getvalue().encode()
+
+
+def test_empty_lemma_sweep_writes_the_full_header(tmp_path, capsys):
+    # an empty array used to leave the report columns out of the header
+    cfg = tmp_path / "lemma_sweep.json"
+    cfg.write_text(json.dumps({"lemma": {"A": 1.0, "B": 1.0, "theta": 3.0},
+                               "sweep": {"command": "lemma",
+                                         "over": {"nu": [], "A": [1.0, 2.0]}}}))
+    out_csv = tmp_path / "lemma.csv"
+    assert run_command(["sweep", "--config", str(cfg), "--out", str(out_csv)]) == 0
+    assert capsys.readouterr().out == f"wrote 0 rows to {out_csv}\n"
+    assert out_csv.read_text() == "A,nu,inf,empty,decoupled_inf\n"
 
 
 def test_mountain_pass_cli(tmp_path, capsys):
