@@ -37,7 +37,8 @@ from .errors import ConfigError, DegeneratePathError, HsvarError
 from .grid import (REFERENCE_N_NODES, REFERENCE_R_MAX, REFERENCE_R_MIN,
                    RadialFunction, build_grid)
 from .nehari import project
-from .params import ProblemParams, whole_number
+from .params import (HProfile, ProblemParams, is_required, read_field, read_fields,
+                     real_number, whole_number)
 from .regimes import LemmaInstance, RegimeReport, algebraic_inf, classify
 from .solvers import (DescentOptions, PathOptions, ground_state, mountain_pass,
                       random_bump, semitrivial_probe, extremal_pair)
@@ -70,14 +71,9 @@ _FIELDS = {"classify": [f.name for f in fields(ProblemParams)],
            "lemma": [f.name for f in fields(LemmaInstance)]}
 
 
-# each key of a config's "solver" section: the options class whose field of
-# that name it sets, and the type of its value
-_SOLVER_KEYS = {
-    "tol_grad": (DescentOptions, float),
-    "max_iter": (DescentOptions, int),
-    "n_path_nodes": (PathOptions, int),
-    "max_sweeps": (PathOptions, int),
-}
+# the options class whose field each key of a config's "solver" section sets
+_SOLVER_KEYS = {"tol_grad": DescentOptions, "max_iter": DescentOptions,
+                "n_path_nodes": PathOptions, "max_sweeps": PathOptions}
 
 
 def _solver_fields(section: dict) -> dict:
@@ -86,10 +82,8 @@ def _solver_fields(section: dict) -> dict:
     for key, value in section.items():
         if key not in _SOLVER_KEYS:
             raise ConfigError(f"unknown solver key: {key!r}")
-        cls, kind = _SOLVER_KEYS[key]
-        with _parsing(f"solver.{key}"):
-            out.setdefault(cls, {})[key] = (whole_number(value, f"solver.{key}")
-                                            if kind is int else float(value))
+        cls = _SOLVER_KEYS[key]
+        out.setdefault(cls, {})[key] = read_field(cls, key, value, "solver.")
     return out
 
 
@@ -124,8 +118,8 @@ class RunConfig:
         with _parsing("config"):
             g = doc.get("grid", {})
             cfg = cls(params=ProblemParams.from_dict(doc["params"]),
-                      grid=(float(g.get("r_min", REFERENCE_R_MIN)),
-                            float(g.get("r_max", REFERENCE_R_MAX)),
+                      grid=(real_number(g.get("r_min", REFERENCE_R_MIN), "grid.r_min"),
+                            real_number(g.get("r_max", REFERENCE_R_MAX), "grid.r_max"),
                             whole_number(g.get("n_nodes", REFERENCE_N_NODES),
                                          "grid.n_nodes")),
                       solver=_solver_fields(doc.get("solver", {})),
@@ -176,14 +170,13 @@ def _load_config(args) -> RunConfig:
 
 
 def _parse_h(spec: str) -> dict:
+    """The h_profile section of ``--h KIND[:VALUES]``; HProfile checks the kind."""
     kind, _, rest = spec.partition(":")
-    with _parsing(f"--h {spec!r}"):
-        if kind == "constant":
-            return {"kind": "constant", "c": float(rest or 1.0)}
-        if kind == "bump":
-            p_exp, q_exp = (rest or "2,2").split(",")
-            return {"kind": "bump", "p_exp": float(p_exp), "q_exp": float(q_exp)}
-    raise ConfigError(f"unknown h profile: {spec!r}")
+    keys = HProfile.KIND_PARAMS.get(kind, ())
+    values = rest.split(",") if rest else ()
+    if keys and len(values) not in (0, len(keys)):
+        raise ConfigError(f"--h {spec!r}: expected {len(keys)} comma-separated values")
+    return {"kind": kind, **dict(zip(keys, values))}
 
 
 def _print(doc: dict) -> None:
@@ -195,9 +188,8 @@ def _print(doc: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_constants(args) -> int:
-    N = args.N if args.N is not None else 4
-    lam = args.lam if args.lam is not None else 0.0
-    s = args.s if args.s is not None else 0.0
+    N = whole_number(args.N, "N")
+    lam, s = real_number(args.lam, "lambda"), real_number(args.s, "s")
     _print({
         "hardy_const": hardy_constant(N),
         "crit_exp": critical_exponent(N, s),
@@ -258,18 +250,9 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _lemma_instance(doc: dict) -> LemmaInstance:
-    """The lemma instance of A, B, theta and the optional s, N, nu (0, 4, 0)."""
-    with _parsing("lemma"):
-        return LemmaInstance(A=float(doc["A"]), B=float(doc["B"]),
-                             theta=float(doc["theta"]), s=float(doc.get("s", 0.0)),
-                             N=whole_number(doc.get("N", 4), "N"),
-                             nu=float(doc.get("nu", 0.0)))
-
-
 def _cmd_lemma(args) -> int:
-    inst = _lemma_instance({k: v for k, v in vars(args).items()
-                            if k in _FIELDS["lemma"] and v is not None})
+    with _parsing("lemma"):
+        inst = read_fields(LemmaInstance, vars(args))
     inf_val = algebraic_inf(inst)
     _print({"inf": inf_val, "empty": inf_val is None,
             "decoupled_inf": inst.decoupled_inf})
@@ -302,40 +285,40 @@ def _cmd_sweep(args) -> int:
         if command not in ("classify", "lemma"):
             raise ConfigError(f"unknown sweep command: {command!r}")
         over = _sweep_over(sweep.get("over", {}), command)
-        # the section that each row's values override
-        base = {**(doc["params"] if command == "classify" else doc.get("lemma", {}))}
+        section = doc["params"] if command == "classify" else doc.get("lemma", {})
     names = sorted(over)
-    values = [over[n] for n in names]
 
     # each row is its report columns; the swept values are added on writing
     if command == "lemma":
-        columns = ["inf", "empty", "decoupled_inf"]
+        cls, what, columns = LemmaInstance, "lemma", ["inf", "empty", "decoupled_inf"]
 
         def one(combo):
-            inst = _lemma_instance({**base, **dict(zip(names, combo))})
+            inst = LemmaInstance(**base, **dict(zip(names, combo)))
             val = algebraic_inf(inst)
             return ("" if val is None else val, val is None, inst.decoupled_inf)
-
-        rows = [one(c) for c in product(*values)]
     else:
-        small_nu = _small_nu(doc)
+        cls, what, small_nu = ProblemParams, "params", _small_nu(doc)
         columns = ["subcritical", "critical", "thm_large_nu", "thm_mixed",
                    "thm_small_nu", "thm_minmax"]
 
         def one(combo):
-            rep = classify(ProblemParams.from_dict({**base, **dict(zip(names, combo))}))
+            rep = classify(ProblemParams(**base, **dict(zip(names, combo))))
             _check_weight(rep, small_nu)
             return (rep.subcritical, rep.critical, rep.thm_large_nu["applicable"],
                     rep.thm_mixed["case"], rep.thm_small_nu["case"],
                     rep.thm_minmax["case"])
 
-        with _parsing("params"):
-            rows = [one(c) for c in product(*values)]
+    # each value is read once, before the rows; a row puts its swept values over the base
+    with _parsing(what):
+        base = {k: read_field(cls, k, v) for k, v in section.items()
+                if k in _FIELDS[command] and k not in over}
+        swept = [[read_field(cls, n, x) for x in over[n]] for n in names]
+        rows = [one(c) for c in product(*swept)]
 
     # the text of each swept value is made once, and stepped through in the
     # order of the rows; values that compare equal (0.0 and -0.0, 1 and 1.0)
     # keep their own text
-    texts = product(*([str(x) for x in vals] for vals in values))
+    texts = product(*([str(x) for x in over[n]] for n in names))
     out = args.out or "sweep.csv"
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -351,12 +334,12 @@ def _add_param_flags(sp):
     sp.add_argument("--config", help="JSON configuration document")
     for f in fields(ProblemParams):
         if f.name != "h_profile":
-            sp.add_argument(f"--{f.name}", type=int if f.type == "int" else float)
+            sp.add_argument(f"--{f.name}")
     sp.add_argument("--h", dest="h_profile", metavar="H",
                     help="h profile: constant:C or bump:P,Q")
     sp.add_argument("--grid", help="r_min,r_max,n_nodes")
     sp.add_argument("--output-dir", dest="output_dir")
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--seed")
     sp.add_argument("--small-nu", dest="small_nu", action="store_true")
 
 
@@ -367,9 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command")
 
     sp = sub.add_parser("constants", help="closed-form constants")
-    sp.add_argument("--N", type=int)
-    sp.add_argument("--lambda", dest="lam", type=float)
-    sp.add_argument("--s", type=float)
+    sp.add_argument("--N", default=4)
+    sp.add_argument("--lambda", dest="lam", default=0.0)
+    sp.add_argument("--s", default=0.0)
     sp.set_defaults(fn=_cmd_constants)
 
     for name, fn in (("evaluate", _cmd_profiles), ("project", _cmd_profiles),
@@ -383,13 +366,11 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--which", choices=("first", "second"), required=True)
         sp.set_defaults(fn=fn)
 
-    sp = sub.add_parser("lemma", help="scaling-set infimum")
-    sp.add_argument("--A", type=float, required=True)
-    sp.add_argument("--B", type=float, required=True)
-    sp.add_argument("--theta", type=float, required=True)
-    sp.add_argument("--nu", type=float)
-    sp.add_argument("--N", type=int)
-    sp.add_argument("--s", type=float)
+    # an absent flag sets no attribute, so the field keeps its default
+    sp = sub.add_parser("lemma", help="scaling-set infimum",
+                        argument_default=argparse.SUPPRESS)
+    for f in fields(LemmaInstance):
+        sp.add_argument(f"--{f.name}", required=is_required(f))
     sp.set_defaults(fn=_cmd_lemma)
 
     sp = sub.add_parser("sweep", help="parameter sweep to CSV")

@@ -49,9 +49,7 @@ def _check_domain(N: int, lam: float, s: float) -> float:
 
 def hardy_constant(N: int) -> float:
     """Optimal constant (N-2)^2/4 of the inverse-square inequality."""
-    if not (isinstance(N, (int, np.integer)) and N >= 3):
-        raise InvalidParameterError(f"dimension must be an integer >= 3, got {N}")
-    return (N - 2) ** 2 / 4.0
+    return _check_domain(N, 0.0, 0.0)
 
 
 def critical_exponent(N: int, s: float) -> float:

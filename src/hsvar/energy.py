@@ -31,7 +31,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError, InvalidParameterError, PreconditionError
+from .closed_forms import _check_domain
+from .errors import GridMismatchError, PreconditionError
 from .grid import RadialFunction, RadialGrid, gradient_seminorm, weighted_lp
 from .operators import PairMetric
 from .params import ProblemParams
@@ -255,10 +256,8 @@ def pair_integrals(pair: StatePair, params: ProblemParams, positive: bool = Fals
 
 def lambda_norm_sq(u: RadialFunction, lam: float) -> float:
     """Squared shifted norm  int |grad u|^2 - lam int u^2/r^2."""
-    grid = u.grid
-    if not (0.0 <= lam < (grid.N - 2) ** 2 / 4.0):
-        raise InvalidParameterError(f"lambda outside [0, Hardy threshold): {lam}")
-    return gradient_seminorm(grid, u) - lam * weighted_lp(grid, u, 2.0, 2.0)
+    _check_domain(u.grid.N, lam, 0.0)
+    return gradient_seminorm(u.grid, u) - lam * weighted_lp(u.grid, u, 2.0, 2.0)
 
 
 def pair_norm_sq(pair: StatePair, params: ProblemParams) -> float:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
+from .closed_forms import _check_domain
 from .errors import InvalidParameterError
 from .grid import RadialGrid
 
@@ -28,8 +29,7 @@ class LambdaOperator:
     """
 
     def __init__(self, grid: RadialGrid, lam: float):
-        if not 0.0 <= lam < (grid.N - 2) ** 2 / 4.0:
-            raise InvalidParameterError(f"lambda outside [0, Hardy threshold): {lam}")
+        _check_domain(grid.N, lam, 0.0)
         cc = grid.cell_w / grid.dt ** 2
         self._main = cc[:-1] + cc[1:] - lam * grid.w[1:-1] / grid.r[1:-1] ** 2
         self._off = -cc[1:-1]

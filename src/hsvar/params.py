@@ -9,7 +9,8 @@ weighted nonlinearity ``|u|^{p-1} / |x|^s`` with ``p = 2(N-s)/(N-2)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from contextlib import suppress
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -17,18 +18,51 @@ from .errors import ConfigError, InvalidParameterError
 
 
 def whole_number(value, name: str) -> int:
-    """The integer field ``name`` of a document: an int, a float that is a
-    whole number, or a string of digits (4, 4.0, "4").  Anything else, 4.5
-    or true included, raises ConfigError naming the field."""
+    """The integer field ``name`` of a document or a flag: an int, a float
+    that is a whole number, or a string of digits (4, 4.0, "4").  Anything
+    else, 4.5 or true included, raises ConfigError naming the field."""
     if isinstance(value, float):
         if value.is_integer():
             return int(value)
     elif isinstance(value, (int, np.integer, str)) and not isinstance(value, bool):
-        try:
+        with suppress(ValueError):
             return int(value)
-        except ValueError:
-            pass
     raise ConfigError(f"{name} must be a whole number, got {value!r}")
+
+
+def real_number(value, name: str) -> float:
+    """The number field ``name``: an int, a float, a numpy int or float, or a
+    numeric string.  Anything else, true or null included, raises ConfigError."""
+    if (isinstance(value, (int, float, np.integer, np.floating, str))
+            and not isinstance(value, bool)):
+        with suppress(ValueError):
+            return float(value)
+    raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
+def is_required(f) -> bool:
+    """Whether the dataclass field ``f`` has no default."""
+    return f.default is MISSING and f.default_factory is MISSING
+
+
+def read_field(cls, name: str, value, prefix: str = ""):
+    """Field ``name`` of the dataclass ``cls``, read by the reader of its type."""
+    kind = cls.__dataclass_fields__[name].type
+    if kind == "HProfile":
+        return read_fields(HProfile, value, f"{prefix}{name}.")
+    reader = {"int": whole_number, "float": real_number}.get(kind)
+    return value if reader is None else reader(value, prefix + name)
+
+
+def read_fields(cls, doc: dict, prefix: str = ""):
+    """``cls`` built from the document section ``doc``: each field present is
+    read by read_field, an absent one takes its default, and an absent
+    required one raises KeyError."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{prefix.rstrip('.') or cls.__name__} must be an object, "
+                          f"got {doc!r}")
+    return cls(**{f.name: read_field(cls, f.name, doc[f.name], prefix)
+                  for f in fields(cls) if f.name in doc or is_required(f)})
 
 
 @dataclass(frozen=True)
@@ -55,10 +89,12 @@ class HProfile:
     p_exp: float = 2.0
     q_exp: float = 2.0
 
+    KIND_PARAMS = {"constant": ("c",), "bump": ("p_exp", "q_exp")}
+
     def __post_init__(self):
-        if self.kind not in ("constant", "bump"):
+        if self.kind not in tuple(self.KIND_PARAMS):     # a list kind is unhashable
             raise InvalidParameterError(f"unknown h-profile kind: {self.kind!r}")
-        for name in ("c",) if self.kind == "constant" else ("p_exp", "q_exp"):
+        for name in self.KIND_PARAMS[self.kind]:
             x = getattr(self, name)
             if not (x > 0 and math.isfinite(x)):
                 raise InvalidParameterError(
@@ -75,16 +111,7 @@ class HProfile:
         return r ** self.p_exp / (1.0 + r ** (self.p_exp + self.q_exp))
 
     def to_dict(self) -> dict:
-        if self.kind == "constant":
-            return {"kind": "constant", "c": self.c}
-        return {"kind": "bump", "p_exp": self.p_exp, "q_exp": self.q_exp}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "HProfile":
-        kind = d.get("kind", "constant")
-        if kind == "constant":
-            return cls(kind, c=float(d.get("c", 1.0)))
-        return cls(kind, p_exp=float(d.get("p_exp", 2.0)), q_exp=float(d.get("q_exp", 2.0)))
+        return {"kind": self.kind, **{k: getattr(self, k) for k in self.KIND_PARAMS[self.kind]}}
 
 
 @dataclass(frozen=True)
@@ -121,7 +148,7 @@ class ProblemParams:
                 bad.append("lambda1")
             if not (0.0 < self.lambda2 < lam_max):
                 bad.append("lambda2")
-            p = 2.0 * (self.N - self.s) / (self.N - 2)
+            p = self.crit_exp
             if not self.alpha > 1.0:
                 bad.append("alpha")
             if not self.beta > 1.0:
@@ -164,10 +191,4 @@ class ProblemParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProblemParams":
-        return cls(
-            N=whole_number(d["N"], "N"), s=float(d["s"]),
-            lambda1=float(d["lambda1"]), lambda2=float(d["lambda2"]),
-            alpha=float(d["alpha"]), beta=float(d["beta"]),
-            nu=float(d.get("nu", 0.0)),
-            h_profile=HProfile.from_dict(d.get("h_profile", {"kind": "constant", "c": 1.0})),
-        )
+        return read_fields(cls, d)

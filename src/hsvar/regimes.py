@@ -133,8 +133,8 @@ class LemmaInstance:
     A: float
     B: float
     theta: float
-    s: float
-    N: int
+    s: float = 0.0
+    N: int = 4
     nu: float = 0.0
 
     def __post_init__(self):

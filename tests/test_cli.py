@@ -18,11 +18,13 @@ import hsvar
 from hsvar import (DescentOptions, PathOptions, StatePair, build_grid, classify,
                    energy, exact_solution)
 from hsvar import io as hio
-from hsvar.cli import RunConfig, run_command
+from hsvar.cli import RunConfig, _load_config, build_parser, run_command
 from hsvar.grid import RadialFunction
 from hsvar.io import pair_from_csv, pair_to_csv
 from hsvar.errors import ConfigError
-from hsvar.params import ProblemParams, whole_number
+from hsvar.params import ProblemParams, real_number, whole_number
+
+from conftest import admissible_params
 
 
 GRID = {"r_min": 1e-6, "r_max": 1e6, "n_nodes": 1024}
@@ -210,6 +212,29 @@ _NAMED_MALFORMED = [
     (["sweep", "--config", "{cfg}", "--out", "{out}"],
      json.dumps({"params": PARAMS, "sweep": {"over": {"h_profile": [{"kind": "gauss"}]}}}),
      "'gauss'"),
+    # a JSON true used to run as 1.0, a string that is not a number named no
+    # field, and a flag value that does not convert printed a usage block
+    (["classify", "--config", "{cfg}"], json.dumps({"params": {**PARAMS, "nu": True}}),
+     "nu must be a number"),
+    (["classify", "--config", "{cfg}"],
+     json.dumps({"params": {**PARAMS, "h_profile": {"kind": "constant", "c": True}}}),
+     "h_profile.c must be a number"),
+    (["classify", "--config", "{cfg}"],
+     json.dumps({"params": PARAMS, "solver": {"tol_grad": True}}),
+     "solver.tol_grad must be a number"),
+    (["classify", "--config", "{cfg}"],
+     json.dumps({"params": PARAMS, "grid": {"r_min": True}}), "grid.r_min must be a number"),
+    (["sweep", "--config", "{cfg}", "--out", "{out}"],
+     json.dumps({"lemma": {"A": 1.0, "B": True, "theta": 3.0},
+                 "sweep": {"command": "lemma", "over": {"nu": [0.0]}}}),
+     "B must be a number"),
+    (["classify", "--config", "{cfg}"], json.dumps({"params": {**PARAMS, "s": "abc"}}),
+     "s must be a number, got 'abc'"),
+    (["classify", "--N", "4.5"], None, "N must be a whole number"),
+    (["classify", *(f"--{k}={v}" for k, v in {**PARAMS, "s": "abc"}.items())], None,
+     "s must be a number, got 'abc'"),
+    (["lemma", "--A", "1", "--B", "x", "--theta", "3"], None, "B must be a number"),
+    (["constants", "--N", "4.5"], None, "N must be a whole number"),
 ]
 
 
@@ -297,6 +322,23 @@ def test_malformed_field_is_named(tmp_path, capsys, monkeypatch, argv, content,
 def test_whole_number_refuses_the_rest(value):
     with pytest.raises(ConfigError, match=r"^N must be a whole number, got "):
         whole_number(value, "N")
+
+
+@pytest.mark.parametrize("value", [True, False, None, "abc", "", [1.0], {"x": 1.0}, 1j])
+def test_real_number_refuses_the_rest(value):
+    with pytest.raises(ConfigError, match=r"^x must be a number, got "):
+        real_number(value, "x")
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=admissible_params())
+def test_documents_and_flags_read_the_same_tuple(p):
+    assert repr(ProblemParams.from_dict(p.to_dict())) == repr(p)
+    h = p.h_profile
+    spec = f"{h.kind}:" + ",".join(repr(getattr(h, k)) for k in h.KIND_PARAMS[h.kind])
+    flags = [f"--{k}={v!r}" for k, v in p.to_dict().items() if k != "h_profile"]
+    args = build_parser().parse_args(["classify", *flags, "--h", spec, "--small-nu"])
+    assert repr(_load_config(args).params) == repr(p)
 
 
 @pytest.mark.parametrize("command,params", [("ground-state", PARAMS),
