@@ -123,7 +123,8 @@ class RunConfig:
                             whole_number(g.get("n_nodes", REFERENCE_N_NODES),
                                          "grid.n_nodes")),
                       solver=_solver_fields(doc.get("solver", {})),
-                      output_dir=doc.get("output_dir", "runs"),
+                      output_dir=read_field(cls, "output_dir",
+                                            doc.get("output_dir", "runs")),
                       seed=whole_number(doc.get("seed", 0), "seed"),
                       small_nu=_small_nu(doc))
         _check_weight(classify(cfg.params), cfg.small_nu)
@@ -301,12 +302,28 @@ def _cmd_sweep(args) -> int:
         columns = ["subcritical", "critical", "thm_large_nu", "thm_mixed",
                    "thm_small_nu", "thm_minmax"]
 
+        # classify does not read nu, and nu's rule (finite, >= 0) reads nu
+        # alone: a row whose nu-free values and whose nu have each been built
+        # before is valid, and its report is that of its nu-free values
+        at = names.index("nu") if "nu" in names else len(names)
+        reports, nus = {}, set()
+
         def one(combo):
-            rep = classify(ProblemParams(**base, **dict(zip(names, combo))))
-            _check_weight(rep, small_nu)
-            return (rep.subcritical, rep.critical, rep.thm_large_nu["applicable"],
+            # nu is the 1-tuple of the row's nu, or () when nu is not swept
+            key, nu = combo[:at] + combo[at + 1:], combo[at:at + 1]
+            row = reports.get(key)
+            if row is not None and nu in nus:
+                return row
+            params = ProblemParams(**base, **dict(zip(names, combo)))
+            nus.add(nu)
+            if row is None:
+                rep = classify(params)
+                _check_weight(rep, small_nu)
+                row = reports[key] = (
+                    rep.subcritical, rep.critical, rep.thm_large_nu["applicable"],
                     rep.thm_mixed["case"], rep.thm_small_nu["case"],
                     rep.thm_minmax["case"])
+            return row
 
     # each value is read once, before the rows; a row puts its swept values over the base
     with _parsing(what):

@@ -40,6 +40,13 @@ def real_number(value, name: str) -> float:
     raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
+def text(value, name: str) -> str:
+    """The string field ``name``.  Anything else raises ConfigError."""
+    if isinstance(value, str):
+        return value
+    raise ConfigError(f"{name} must be a string, got {value!r}")
+
+
 def is_required(f) -> bool:
     """Whether the dataclass field ``f`` has no default."""
     return f.default is MISSING and f.default_factory is MISSING
@@ -50,7 +57,7 @@ def read_field(cls, name: str, value, prefix: str = ""):
     kind = cls.__dataclass_fields__[name].type
     if kind == "HProfile":
         return read_fields(HProfile, value, f"{prefix}{name}.")
-    reader = {"int": whole_number, "float": real_number}.get(kind)
+    reader = {"int": whole_number, "float": real_number, "str": text}.get(kind)
     return value if reader is None else reader(value, prefix + name)
 
 

@@ -13,10 +13,13 @@ which for nu = 0 is exactly (A^(p/(p-2)), inf) = (A^((N-s)/(2-s)), inf).
 The lemma behind the coupled-mass lower bounds states that for every
 eps > 0 there is a nu threshold below which the infimum stays above
 (1 - eps) A^((N-s)/(2-s)); the oracle reproduces it by scanning a log grid.
+nu enters the set only through the factor B nu, so the grid and both power
+terms are built once per (A, theta, s, N) and kept for the calls after it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -178,6 +181,27 @@ def default_sigma_grid(inst: LemmaInstance) -> np.ndarray:
     return np.geomspace(1e-6 * x, 1e3 * x, 20000)
 
 
+def _sigma_terms(inst: LemmaInstance, grid: np.ndarray):
+    """The sigma grid and the nu-free terms of the set's inequality on it:
+    A sigma^(2/p) and sigma^(theta/p)."""
+    if grid.ndim != 1 or len(grid) < 2 or np.any(grid <= 0):
+        raise InvalidParameterError("sigma grid must be a 1-d positive range")
+    p = critical_exponent(inst.N, inst.s)
+    return grid, inst.A * grid ** (2.0 / p), grid ** (inst.theta / p)
+
+
+@functools.lru_cache(maxsize=1)
+def _default_sigma_terms(A: float, theta: float, s: float, N: int):
+    """_sigma_terms on the default grid, read-only.  B and nu enter neither, so
+    instances that differ only there (a lemma sweep over nu, the bisection of
+    small_nu_threshold) share the one entry, 3 x 20000 floats."""
+    inst = LemmaInstance(A=A, B=1.0, theta=theta, s=s, N=N)
+    terms = _sigma_terms(inst, default_sigma_grid(inst))
+    for a in terms:
+        a.flags.writeable = False
+    return terms
+
+
 def algebraic_inf(inst: LemmaInstance, sigma_grid: np.ndarray | None = None):
     """Brute-force infimum of the scaling set over a log grid.
 
@@ -185,13 +209,11 @@ def algebraic_inf(inst: LemmaInstance, sigma_grid: np.ndarray | None = None):
     ``None`` when no grid point belongs to the set (empty-set sentinel,
     distinct from a zero infimum).
     """
-    grid = default_sigma_grid(inst) if sigma_grid is None else np.asarray(sigma_grid)
-    if grid.ndim != 1 or len(grid) < 2 or np.any(grid <= 0):
-        raise InvalidParameterError("sigma grid must be a 1-d positive range")
-    p = critical_exponent(inst.N, inst.s)
-    lhs = inst.A * grid ** (2.0 / p)
-    rhs = grid + inst.B * inst.nu * grid ** (inst.theta / p)
-    members = lhs < rhs
+    if sigma_grid is None:
+        grid, lhs, g = _default_sigma_terms(inst.A, inst.theta, inst.s, inst.N)
+    else:
+        grid, lhs, g = _sigma_terms(inst, np.asarray(sigma_grid))
+    members = lhs < grid + inst.B * inst.nu * g
     if not members.any():
         return None
     return float(grid[members].min())
@@ -202,7 +224,8 @@ def small_nu_threshold(inst_at, eps: float):
 
     ``inst_at(nu)`` builds the instance.  Returns the largest tested nu for
     which the bound holds, found by 40 bisections of [0, 1]; None when it
-    fails even for the smallest tested nu.
+    fails even for the smallest tested nu.  When ``inst_at`` varies nu alone,
+    its up to 42 evaluations share one sigma grid.
     """
     target = inst_at(0.0).decoupled_inf * (1.0 - eps)
 

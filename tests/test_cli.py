@@ -20,9 +20,10 @@ from hsvar import (DescentOptions, PathOptions, StatePair, build_grid, classify,
 from hsvar import io as hio
 from hsvar.cli import RunConfig, _load_config, build_parser, run_command
 from hsvar.grid import RadialFunction
+from hsvar.regimes import _default_sigma_terms
 from hsvar.io import pair_from_csv, pair_to_csv
 from hsvar.errors import ConfigError
-from hsvar.params import ProblemParams, real_number, whole_number
+from hsvar.params import ProblemParams, real_number, text, whole_number
 
 from conftest import admissible_params
 
@@ -235,6 +236,23 @@ _NAMED_MALFORMED = [
      "s must be a number, got 'abc'"),
     (["lemma", "--A", "1", "--B", "x", "--theta", "3"], None, "B must be a number"),
     (["constants", "--N", "4.5"], None, "N must be a whole number"),
+    # output_dir used to reach os.makedirs after the whole solve (a TypeError)
+    (["ground-state", "--config", "{cfg}"],
+     json.dumps({"params": PARAMS, "output_dir": 5, "grid": {"n_nodes": 256},
+                 "solver": {"max_iter": 2}}), "output_dir must be a string, got 5"),
+    (["classify", "--config", "{cfg}"],
+     json.dumps({"params": {**PARAMS, "h_profile": {"kind": 5}}}),
+     "h_profile.kind must be a string, got 5"),
+    # a sweep reuses the classification of a nu-free tuple it has seen, so a
+    # bad nu first met on a seen tuple, and a bad tuple met with a seen nu,
+    # must still be refused
+    (["sweep", "--config", "{cfg}", "--out", "{out}"],
+     json.dumps({"params": PARAMS, "sweep": {"over": {"lambda1": [0.1, 0.2],
+                                                      "nu": [0.1, -1.0]}}}),
+     "invalid problem parameters: nu\n"),
+    (["sweep", "--config", "{cfg}", "--out", "{out}"],
+     json.dumps({"params": PARAMS, "sweep": {"over": {"alpha": [1.5, 0.5], "nu": [0.1]}}}),
+     "invalid problem parameters: alpha\n"),
 ]
 
 
@@ -328,6 +346,12 @@ def test_whole_number_refuses_the_rest(value):
 def test_real_number_refuses_the_rest(value):
     with pytest.raises(ConfigError, match=r"^x must be a number, got "):
         real_number(value, "x")
+
+
+@pytest.mark.parametrize("value", [5, 1.5, True, None, ["runs"], {"x": "runs"}])
+def test_text_refuses_the_rest(value):
+    with pytest.raises(ConfigError, match=r"^x must be a string, got "):
+        text(value, "x")
 
 
 @settings(max_examples=60, deadline=None)
@@ -600,6 +624,37 @@ def test_sweep_writes_the_rows_classify_gives(tmp_path_factory, over):
                            rep.thm_mixed["case"], rep.thm_small_nu["case"],
                            rep.thm_minmax["case"]])
     assert out_csv.read_bytes() == ref.getvalue().encode()
+
+
+def test_sweep_classifies_each_nu_free_tuple_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(params):
+        calls.append(params)
+        return classify(params)
+
+    monkeypatch.setattr("hsvar.cli.classify", counted)
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"params": PARAMS, "sweep": {"over": {
+        "lambda1": [0.1, 0.2], "nu": [0.0, 0.1, 1.0]}}}))
+    out_csv = tmp_path / "sweep.csv"
+    assert run_command(["sweep", "--config", str(cfg), "--out", str(out_csv)]) == 0
+    assert capsys.readouterr().out == f"wrote 6 rows to {out_csv}\n"
+    assert [p.lambda1 for p in calls] == [0.1, 0.2]
+
+
+def test_lemma_sweep_builds_one_grid_per_instance(tmp_path, capsys):
+    # rows that differ only in nu share the sigma grid and its power terms
+    _default_sigma_terms.cache_clear()
+    cfg = tmp_path / "lemma_sweep.json"
+    cfg.write_text(json.dumps({"lemma": {"A": 1.0, "B": 1.0, "theta": 3.0},
+                               "sweep": {"command": "lemma", "over": {
+                                   "A": [1.0, 1.5], "nu": [0.0, 1e-3, 1e-2, 0.1]}}}))
+    out_csv = tmp_path / "lemma.csv"
+    assert run_command(["sweep", "--config", str(cfg), "--out", str(out_csv)]) == 0
+    capsys.readouterr()
+    info = _default_sigma_terms.cache_info()
+    assert (info.misses, info.hits) == (2, 6)
 
 
 def test_empty_lemma_sweep_writes_the_full_header(tmp_path, capsys):

@@ -1,14 +1,16 @@
 """Regime classification and the scaling-set infimum oracle."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from hsvar import (HProfile, InvalidParameterError, LemmaInstance,
-                   ProblemParams, algebraic_inf, classify, default_sigma_grid,
-                   small_nu_threshold)
+                   ProblemParams, algebraic_inf, classify, critical_exponent,
+                   default_sigma_grid, small_nu_threshold)
+from hsvar.regimes import _default_sigma_terms
 from conftest import admissible_params
 
 
@@ -92,6 +94,14 @@ def test_each_applicable_flag_is_its_case_test(pr):
     assert rep.thm_minmax["applicable"] == (rep.thm_minmax["case"] != "none")
 
 
+@settings(max_examples=200, deadline=None)
+@given(pr=admissible_params(),
+       nu=st.floats(0.0, allow_nan=False, allow_infinity=False))
+def test_classify_does_not_read_nu(pr, nu):
+    # a sweep classifies each nu-free tuple once and reuses it for every nu
+    assert classify(replace(pr, nu=nu)) == classify(pr)
+
+
 class TestAlgebraicInf:
     def test_decoupled_exact(self):
         inst = LemmaInstance(A=1.0, B=1.0, theta=3.0, s=1.0, N=4, nu=0.0)
@@ -155,6 +165,28 @@ class TestAlgebraicInf:
         inst = LemmaInstance(A=1e154, B=1.0, theta=3.0, s=0.0, N=4)
         with pytest.raises(InvalidParameterError, match="sigma grid"):
             algebraic_inf(inst)
+
+    def test_kept_terms_give_the_explicit_grid_result_bit_for_bit(self):
+        # A alternates, so the one kept entry is evicted and built again
+        _default_sigma_terms.cache_clear()
+        cases = [(1.0, 0.0), (1.7, 1e-3), (1.0, 0.5), (1.7, 0.0), (1.0, 1e-3),
+                 (0.6, 2.0)]
+        p = critical_exponent(4, 0.5)
+        for A, nu in cases:
+            inst = LemmaInstance(A=A, B=0.7, theta=2.5, s=0.5, N=4, nu=nu)
+            grid = default_sigma_grid(inst)
+            members = grid[A * grid ** (2.0 / p) < grid + 0.7 * nu * grid ** (2.5 / p)]
+            assert algebraic_inf(inst) == float(members.min())
+            assert algebraic_inf(inst, grid) == float(members.min())
+            assert grid.flags.writeable        # an explicit grid is not frozen
+        info = _default_sigma_terms.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (len(cases), 0, 1)
+
+    def test_kept_terms_refuse_writes(self):
+        inst = LemmaInstance(A=1.0, B=1.0, theta=3.0, s=1.0, N=4, nu=0.0)
+        for a in _default_sigma_terms(inst.A, inst.theta, inst.s, inst.N):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
 
     @pytest.mark.parametrize("eps", [0.1, 0.01])
     def test_threshold_exists_for_each_eps(self, eps):
