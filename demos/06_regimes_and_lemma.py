@@ -1,12 +1,14 @@
 """Existence-regime classification and the scaling-set infimum.
 
 Classifies a few parameter tuples against the existence statements, then
-reproduces the small-coupling lower bound of the scaling-set lemma by
-brute force: the infimum stays within (1 - eps) of the decoupled value for
-all coupling strengths below an empirical threshold.
+evaluates the small-coupling lower bound of the scaling-set lemma: the
+infimum, an exact root, stays above (1 - eps) of the decoupled value for
+every coupling strength below the closed-form threshold nu_eps, and falls
+below it from nu_eps on.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 
@@ -30,17 +32,18 @@ for label, pr in tuples:
     print(f"{label}:\n  {json.dumps(summary)}")
 
 print("\nscaling-set infimum vs coupling strength (A=1, B=1, theta=3, N=4, s=1):")
+inst = LemmaInstance(A=1.0, B=1.0, theta=3.0, s=1.0, N=4)
 for nu in (0.0, 1e-3, 1e-2, 0.1, 1.0):
-    inst = LemmaInstance(A=1.0, B=1.0, theta=3.0, s=1.0, N=4, nu=nu)
-    val = algebraic_inf(inst)
-    print(f"  nu={nu:7g}: inf = {val if val is not None else 'empty set'}")
+    print(f"  nu={nu:7g}: inf = {algebraic_inf(replace(inst, nu=nu)):.10g}")
 
-print("\nempirical small-coupling thresholds:")
+print("\nsmall-coupling thresholds nu_eps (closed form):")
 for eps in (0.1, 0.01):
-    def inst_at(nu):
-        return LemmaInstance(A=1.0, B=1.0, theta=3.0, s=1.0, N=4, nu=nu)
-    nu_t = small_nu_threshold(inst_at, eps)
-    print(f"  eps={eps}: infimum stays above (1-eps)*exact for nu < {nu_t:.4g}")
+    nu_t = small_nu_threshold(inst, eps)
+    target = (1 - eps) * inst.decoupled_inf
+    below = algebraic_inf(replace(inst, nu=nu_t * (1 - 1e-9))) > target
+    above = algebraic_inf(replace(inst, nu=nu_t * (1 + 1e-9))) > target
+    print(f"  eps={eps}: infimum stays above (1-eps)*exact for nu < {nu_t:.4g} "
+          f"(just below: {below}, just above: {above})")
 
 print("\nmini phase sweep over lambda2 (N=4, s=1, alpha=beta=1.4):")
 for l2 in np.linspace(0.1, 0.9, 5):

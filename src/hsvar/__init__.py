@@ -25,7 +25,7 @@ from .grid import (RadialFunction, RadialGrid, build_grid, gradient_seminorm,
 from .nehari import ProjectionResult, constrained_energy, project
 from .params import HProfile, ProblemParams
 from .regimes import (LemmaInstance, RegimeReport, algebraic_inf, classify,
-                      default_sigma_grid, small_nu_threshold)
+                      small_nu_threshold)
 from .solvers import (DescentOptions, PathOptions, ProbeOptions, SolverReport,
                       classification_flip, compact_bump, escalate_nu,
                       extremal_pair, ground_state, mountain_pass, random_bump,

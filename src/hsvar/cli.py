@@ -9,7 +9,7 @@ Subcommands::
     mountain-pass  run the min-max path estimate and persist a report
     probe          classify a one-component couple and persist a report
     classify       print the existence-regime report
-    lemma          brute-force the scaling-set infimum
+    lemma          print the scaling-set infimum
     sweep          iterate classify/lemma over a parameter grid into CSV
 
 Exit codes: 0 success, 2 validation error, 3 solver non-convergence.
@@ -254,9 +254,7 @@ def _cmd_classify(args) -> int:
 def _cmd_lemma(args) -> int:
     with _parsing("lemma"):
         inst = read_fields(LemmaInstance, vars(args))
-    inf_val = algebraic_inf(inst)
-    _print({"inf": inf_val, "empty": inf_val is None,
-            "decoupled_inf": inst.decoupled_inf})
+    _print({"inf": algebraic_inf(inst), "decoupled_inf": inst.decoupled_inf})
     return EXIT_OK
 
 
@@ -291,12 +289,11 @@ def _cmd_sweep(args) -> int:
 
     # each row is its report columns; the swept values are added on writing
     if command == "lemma":
-        cls, what, columns = LemmaInstance, "lemma", ["inf", "empty", "decoupled_inf"]
+        cls, what, columns = LemmaInstance, "lemma", ["inf", "decoupled_inf"]
 
         def one(combo):
             inst = LemmaInstance(**base, **dict(zip(names, combo)))
-            val = algebraic_inf(inst)
-            return ("" if val is None else val, val is None, inst.decoupled_inf)
+            return algebraic_inf(inst), inst.decoupled_inf
     else:
         cls, what, small_nu = ProblemParams, "params", _small_nu(doc)
         columns = ["subcritical", "critical", "thm_large_nu", "thm_mixed",

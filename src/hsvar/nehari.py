@@ -13,7 +13,9 @@ one coefficient is positive.  Newton's method on a convex increasing
 function, started at or above its root, falls monotonically onto it.  The
 start is the smaller single-term root min_k (ln A - ln k) / e_k, where that
 term alone equals A, so the sum is at least A and no term exceeds A along
-the iteration: nothing overflows, whatever the size of the root.
+the iteration: nothing overflows, whatever the size of the root.  The loop,
+``power_root``, takes any such sum; ``regimes`` solves the scaling-set
+equation with it too.
 """
 
 from __future__ import annotations
@@ -53,20 +55,20 @@ def _log_ratio(k: float, A: float) -> float:
     return math.log(mk / mA) + (ek - eA) * LN2
 
 
-def _solve_scale(A: float, B: float, C: float, p: float, q: float,
-                 nu: float) -> float:
-    """Root t of A = t^(p-2) B + nu q t^(q-2) C, by Newton's method in log t.
+def power_root(A: float, terms) -> float:
+    """Root t > 0 of sum_k k t^e = A over the (e, k) pairs of ``terms``
+    (e > 0, k >= 0), by Newton's method in log t.
 
     The residual is taken relative to A, sum_k exp(e_k x + ln(k / A)) - 1
     with x = log t, and the iteration stops once it is no longer positive
     or the Newton step is within rounding of x.  Raises
-    :class:`NoProjectionError` when both coefficients vanish, or when the
+    :class:`NoProjectionError` when every coefficient vanishes, or when the
     root is not a finite positive float.
     """
-    terms = [(e, _log_ratio(k, A))
-             for e, k in ((p - 2.0, B), (q - 2.0, nu * q * C)) if k > 0]
+    terms = [(e, _log_ratio(k, A)) for e, k in terms if k > 0]
     if not terms:
-        raise NoProjectionError("all nonlinear integrals vanish; no rescaling exists")
+        raise NoProjectionError("every coefficient of the power sum vanishes; "
+                                "no positive root exists")
     x = min(-c / e for e, c in terms)
     for _ in range(MAX_NEWTON):
         vals = [math.exp(e * x + c) for e, c in terms]
@@ -78,15 +80,21 @@ def _solve_scale(A: float, B: float, C: float, p: float, q: float,
         if step <= EPS * (1.0 + abs(x)):
             break
     else:
-        raise NoProjectionError(f"scale iteration did not settle: log t = {x:.6g}")
+        raise NoProjectionError(f"power-sum root iteration did not settle: log t = {x:.6g}")
     try:
         t = math.exp(x)
     except OverflowError:
         t = math.inf
     if not 0.0 < t < math.inf:
         raise NoProjectionError(
-            f"scale onto the constraint set is not a finite float: log t = {x:.6g}")
+            f"power-sum root is not a finite positive float: log t = {x:.6g}")
     return t
+
+
+def _solve_scale(A: float, B: float, C: float, p: float, q: float,
+                 nu: float) -> float:
+    """Root t of A = t^(p-2) B + nu q t^(q-2) C."""
+    return power_root(A, ((p - 2.0, B), (q - 2.0, nu * q * C)))
 
 
 def _scale(I: Integrals) -> float:

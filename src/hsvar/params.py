@@ -41,10 +41,11 @@ def real_number(value, name: str) -> float:
 
 
 def text(value, name: str) -> str:
-    """The string field ``name``.  Anything else raises ConfigError."""
-    if isinstance(value, str):
+    """The string field ``name``, not empty.  Anything else raises ConfigError."""
+    if isinstance(value, str) and value:
         return value
-    raise ConfigError(f"{name} must be a string, got {value!r}")
+    what = "non-empty string" if isinstance(value, str) else "string"
+    raise ConfigError(f"{name} must be a {what}, got {value!r}")
 
 
 def is_required(f) -> bool:

@@ -1,25 +1,27 @@
-"""Existence-regime classification and the brute-force scaling-set oracle.
+"""Existence-regime classification and the scaling-set lemma.
 
 ``classify`` evaluates, exactly as stated, the hypothesis list of each
 existence result for the coupled system; size conditions on the coupling
 strength are non-constructive and therefore reported as "requires small nu"
 or "requires large nu" flags rather than booleans.
 
-``algebraic_inf`` brute-forces the infimum of the scaling set
+The lemma behind the coupled-mass lower bounds concerns the scaling set
 
-    Sigma_nu = { sigma > 0 : A sigma^(2/p) < sigma + B nu sigma^(theta/p) },
+    Sigma_nu = { sigma > 0 : A sigma^(2/p) < sigma + B nu sigma^(theta/p) }.
 
-which for nu = 0 is exactly (A^(p/(p-2)), inf) = (A^((N-s)/(2-s)), inf).
-The lemma behind the coupled-mass lower bounds states that for every
-eps > 0 there is a nu threshold below which the infimum stays above
-(1 - eps) A^((N-s)/(2-s)); the oracle reproduces it by scanning a log grid.
-nu enters the set only through the factor B nu, so the grid and both power
-terms are built once per (A, theta, s, N) and kept for the calls after it.
+Dividing by sigma^(2/p) gives A < sigma^a + B nu sigma^b with
+a = (2-s)/(N-s) > 0 and b = (theta-2)/p >= 0.  The right side increases in
+sigma, so Sigma_nu is the half-line (sigma*, inf), where sigma* solves
+sigma^a + B nu sigma^b = A; at nu = 0 it is A^((N-s)/(2-s)).  This is the
+power-sum equation of the projection scale, and ``algebraic_inf`` solves it
+with the same Newton loop, ``nehari.power_root``.  The lemma states that
+for every eps > 0 the infimum stays above (1 - eps) A^((N-s)/(2-s)) for
+small nu; ``small_nu_threshold`` gives the supremum of those nu in closed
+form.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -27,6 +29,7 @@ import numpy as np
 
 from .closed_forms import critical_exponent, separability_check
 from .errors import InvalidParameterError
+from .nehari import power_root
 from .params import ProblemParams
 
 _EXPONENT_TIE = 1e-12
@@ -162,6 +165,8 @@ class LemmaInstance:
             if not 0 < x < math.inf:
                 bad.append(f"A (decoupled infimum A^((N-s)/(2-s)) = {x} "
                            f"is not a positive finite float)")
+            if self.B * self.nu == math.inf:
+                bad.append("B, nu (the coupling factor B nu overflows)")
         if bad:
             raise InvalidParameterError(f"invalid lemma instance: {', '.join(bad)}")
 
@@ -171,77 +176,53 @@ class LemmaInstance:
         return self.A ** ((self.N - self.s) / (2.0 - self.s))
 
 
-def default_sigma_grid(inst: LemmaInstance) -> np.ndarray:
-    """Log grid of 20000 points spanning [1e-6, 1e3] times the decoupled infimum."""
-    x = inst.decoupled_inf
-    if not (0 < 1e-6 * x and 1e3 * x < math.inf):
-        raise InvalidParameterError(
-            f"decoupled infimum {x} leaves the float range of the sigma grid "
-            f"[1e-6, 1e3] times it")
-    return np.geomspace(1e-6 * x, 1e3 * x, 20000)
+def _exponents(inst: LemmaInstance) -> tuple[float, float]:
+    """Exponents a = (2-s)/(N-s) and b = (theta-2)/p of sigma^a + B nu sigma^b = A."""
+    return ((2.0 - inst.s) / (inst.N - inst.s),
+            (inst.theta - 2.0) / critical_exponent(inst.N, inst.s))
 
 
-def _sigma_terms(inst: LemmaInstance, grid: np.ndarray):
-    """The sigma grid and the nu-free terms of the set's inequality on it:
-    A sigma^(2/p) and sigma^(theta/p)."""
-    if grid.ndim != 1 or len(grid) < 2 or np.any(grid <= 0):
-        raise InvalidParameterError("sigma grid must be a 1-d positive range")
-    p = critical_exponent(inst.N, inst.s)
-    return grid, inst.A * grid ** (2.0 / p), grid ** (inst.theta / p)
+def algebraic_inf(inst: LemmaInstance) -> float:
+    """Infimum sigma* of the scaling set, which is the half-line (sigma*, inf).
 
-
-@functools.lru_cache(maxsize=1)
-def _default_sigma_terms(A: float, theta: float, s: float, N: int):
-    """_sigma_terms on the default grid, read-only.  B and nu enter neither, so
-    instances that differ only there (a lemma sweep over nu, the bisection of
-    small_nu_threshold) share the one entry, 3 x 20000 floats."""
-    inst = LemmaInstance(A=A, B=1.0, theta=theta, s=s, N=N)
-    terms = _sigma_terms(inst, default_sigma_grid(inst))
-    for a in terms:
-        a.flags.writeable = False
-    return terms
-
-
-def algebraic_inf(inst: LemmaInstance, sigma_grid: np.ndarray | None = None):
-    """Brute-force infimum of the scaling set over a log grid.
-
-    Membership uses the strict inequality of the set definition.  Returns
-    ``None`` when no grid point belongs to the set (empty-set sentinel,
-    distinct from a zero infimum).
+    sigma* is the root of sigma^a + B nu sigma^b = A, solved by
+    ``nehari.power_root``; it is the decoupled infimum at B nu = 0, in
+    closed form at theta = 2, and 0.0 when every sigma > 0 belongs to the
+    set (theta = 2 and B nu >= A).
     """
-    if sigma_grid is None:
-        grid, lhs, g = _default_sigma_terms(inst.A, inst.theta, inst.s, inst.N)
-    else:
-        grid, lhs, g = _sigma_terms(inst, np.asarray(sigma_grid))
-    members = lhs < grid + inst.B * inst.nu * g
-    if not members.any():
-        return None
-    return float(grid[members].min())
+    bnu = inst.B * inst.nu
+    if bnu == 0:
+        return inst.decoupled_inf
+    if inst.theta == 2:
+        if bnu >= inst.A:
+            return 0.0
+        return (inst.A - bnu) ** ((inst.N - inst.s) / (2.0 - inst.s))
+    a, b = _exponents(inst)
+    # sigma* <= decoupled_inf exactly; the min removes the rounding of the root
+    return min(power_root(inst.A, ((a, 1.0), (b, bnu))), inst.decoupled_inf)
 
 
-def small_nu_threshold(inst_at, eps: float):
-    """Empirical threshold below which the infimum stays above (1-eps) of exact.
+def small_nu_threshold(inst: LemmaInstance, eps: float) -> float:
+    """Supremum nu_eps of the couplings whose infimum stays above
+    (1 - eps) x0, x0 = ``decoupled_inf``: the bound holds exactly when
+    nu < nu_eps.  ``inst.nu`` is not read.
 
-    ``inst_at(nu)`` builds the instance.  Returns the largest tested nu for
-    which the bound holds, found by 40 bisections of [0, 1]; None when it
-    fails even for the smallest tested nu.  When ``inst_at`` varies nu alone,
-    its up to 42 evaluations share one sigma grid.
+    At sigma = (1 - eps) x0 the left side of sigma^a + B nu sigma^b = A
+    equals (1 - eps)^a A + B nu sigma^b, which is below A exactly when
+    nu < A (1 - (1 - eps)^a) / (B ((1 - eps) x0)^b).
     """
-    target = inst_at(0.0).decoupled_inf * (1.0 - eps)
-
-    def holds(nu: float) -> bool:
-        inf_nu = algebraic_inf(inst_at(nu))
-        return inf_nu is not None and inf_nu > target
-
-    if not holds(0.0):
-        return None
-    lo, hi = 0.0, 1.0
-    if holds(hi):
-        return hi
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if holds(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo if lo > 0 else None
+    if not 0 < eps < 1:
+        raise InvalidParameterError(f"eps must lie in (0, 1), got {eps!r}")
+    a, b = _exponents(inst)
+    ln_keep = math.log1p(-eps)
+    # ln(1 - (1-eps)^a); below eps = 1e-20 it is ln(a eps) to rounding, which
+    # stays finite where a eps underflows
+    ln_gap = (math.log(a) + math.log(eps) if eps < 1e-20
+              else math.log(-math.expm1(a * ln_keep)))
+    # in logs: a threshold beyond the float range is inf or 0.0, not an error
+    ln_nu = (math.log(inst.A) - math.log(inst.B) + ln_gap
+             - b * (ln_keep + math.log(inst.decoupled_inf)))
+    try:
+        return math.exp(ln_nu)
+    except OverflowError:
+        return math.inf

@@ -1,9 +1,11 @@
 """Shared fixtures: cached grids, compactly supported test profiles, the
-dense interior operator and a strategy of admissible parameter tuples."""
+dense interior operator, a strategy of admissible parameter tuples and a
+40-digit reference root of a power sum."""
 
 import math
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, strategies as st
@@ -65,3 +67,33 @@ def admissible_params(draw):
                              draw(st.floats(0.0, 2.0)), h)
     except InvalidParameterError:
         assume(False)
+
+
+def mp_power_root(A, terms):
+    """Root T of sum_k k t^e = A over the (e, k) pairs of ``terms`` (e > 0,
+    k >= 0) to 40 digits, by bisection in x = log t, and the slope of the
+    relative residual in x at T (None, None when T is not a representable
+    float).  Pass mpf values, built at 50 digits, where a product would
+    round in floats."""
+    with mpmath.workdps(50):
+        A = mpmath.mpf(A)
+        terms = [(mpmath.mpf(e), mpmath.mpf(k)) for e, k in terms if k > 0]
+
+        def f(x):
+            return sum(k * mpmath.exp(e * x) for e, k in terms) - A
+
+        # f >= 0 at the smaller single-term root; ln 2 / e_min below it every
+        # term is at most A / 2, so f <= 0; 240 halvings of that bracket
+        # (at most 2^51 wide) leave less than 1e-40 of it
+        hi = min((mpmath.log(A) - mpmath.log(k)) / e for e, k in terms)
+        lo = hi - mpmath.log(2) / min(e for e, _ in terms)
+        for _ in range(240):
+            mid = (lo + hi) / 2
+            if f(mid) > 0:
+                hi = mid
+            else:
+                lo = mid
+        if abs(hi) >= 690:
+            return None, None
+        slope = sum(e * k * mpmath.exp(e * hi) for e, k in terms) / A
+        return mpmath.exp(hi), float(slope)

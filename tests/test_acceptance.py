@@ -7,6 +7,7 @@ fails.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from hsvar import (DescentOptions, PathOptions, ProbeOptions, ProblemParams,
                    integrate, lambda_norm_sq, mountain_pass, project,
                    second_variation_diag, semitrivial_probe, sobolev_constant,
                    weighted_lp)
-from hsvar.regimes import LemmaInstance, algebraic_inf, default_sigma_grid, small_nu_threshold
+from hsvar.regimes import LemmaInstance, algebraic_inf, small_nu_threshold
 from conftest import cached_grid, smooth_bump
 
 
@@ -233,33 +234,32 @@ def test_criterion_08_classification_matrix():
 def test_criterion_09_scaling_set_oracle():
     t0 = time.time()
     rng = np.random.default_rng(9)
-    ok_cells = 0
+    ok_exact = 0
     for _ in range(100):
         N = int(rng.integers(3, 7))
         s = rng.uniform(0.0, 1.5)
         A = rng.uniform(0.2, 5.0)
         inst = LemmaInstance(A=A, B=1.0, theta=2.0, s=s, N=N, nu=0.0)
-        grid = default_sigma_grid(inst)
-        cell = grid[1] / grid[0]
-        val = algebraic_inf(inst, grid)
-        ok_cells += inst.decoupled_inf <= val <= inst.decoupled_inf * cell
+        ok_exact += algebraic_inf(inst) == inst.decoupled_inf
 
+    # nu_eps is the supremum: the strict bound holds on [0, nu_eps) and just
+    # below it, and fails just above it
+    inst = LemmaInstance(A=1.0, B=1.0, theta=3.0, s=1.0, N=4)
     thresholds = {}
     for eps in (0.1, 0.01):
-        def inst_at(nu):
-            return LemmaInstance(A=1.0, B=1.0, theta=3.0, s=1.0, N=4, nu=nu)
-        nu_t = small_nu_threshold(inst_at, eps)
-        good = nu_t is not None and nu_t > 0
-        if good:
-            target = (1 - eps) * inst_at(0.0).decoupled_inf
-            for nu in np.linspace(0.0, nu_t, 5):
-                v = algebraic_inf(inst_at(float(nu)))
-                good = good and v is not None and v > target
+        nu_t = small_nu_threshold(inst, eps)
+        target = (1 - eps) * inst.decoupled_inf
+        below = [*np.linspace(0.0, nu_t, 5)[:-1], nu_t * (1 - 1e-9)]
+        good = (nu_t > 0
+                and all(algebraic_inf(replace(inst, nu=float(nu))) > target
+                        for nu in below)
+                and algebraic_inf(replace(inst, nu=nu_t * (1 + 1e-9))) <= target)
         thresholds[eps] = (nu_t, good)
-    ok = ok_cells == 100 and all(g for _, g in thresholds.values())
+    ok = ok_exact == 100 and all(g for _, g in thresholds.values())
     report(9, ok,
-           f"nu=0 infimum within one grid cell on {ok_cells}/100 draws; "
-           f"thresholds {{0.1: {thresholds[0.1][0]:.3g}, 0.01: {thresholds[0.01][0]:.3g}}} "
+           f"nu=0 infimum equals the decoupled infimum on {ok_exact}/100 draws; "
+           f"thresholds {{0.1: {thresholds[0.1][0]:.5g}, 0.01: {thresholds[0.01][0]:.5g}}}, "
+           f"bound holds below and fails above each "
            f"({time.time() - t0:.1f}s)")
 
 

@@ -20,7 +20,6 @@ from hsvar import (DescentOptions, PathOptions, StatePair, build_grid, classify,
 from hsvar import io as hio
 from hsvar.cli import RunConfig, _load_config, build_parser, run_command
 from hsvar.grid import RadialFunction
-from hsvar.regimes import _default_sigma_terms
 from hsvar.io import pair_from_csv, pair_to_csv
 from hsvar.errors import ConfigError
 from hsvar.params import ProblemParams, real_number, text, whole_number
@@ -160,7 +159,6 @@ def test_lemma_command(capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["inf"] == pytest.approx(1.0, rel=1e-3)
-    assert doc["empty"] is False
 
 
 def test_validation_error_exit_code(tmp_path, capsys):
@@ -253,6 +251,11 @@ _NAMED_MALFORMED = [
     (["sweep", "--config", "{cfg}", "--out", "{out}"],
      json.dumps({"params": PARAMS, "sweep": {"over": {"alpha": [1.5, 0.5], "nu": [0.1]}}}),
      "invalid problem parameters: alpha\n"),
+    # an empty output_dir used to run the whole solve, then fail in
+    # os.makedirs with a message that named no field
+    (["ground-state", "--config", "{cfg}"],
+     json.dumps({"params": PARAMS, "output_dir": "", "grid": {"n_nodes": 256},
+                 "solver": {"max_iter": 2}}), "output_dir must be a non-empty string"),
 ]
 
 
@@ -319,6 +322,8 @@ def _run_malformed(tmp_path, capsys, monkeypatch, argv, content):
     (["classify", "--N", "200", "--s", "0.5", "--lambda1", "0.1", "--lambda2", "0.2",
       "--alpha", "1.005", "--beta", "1.005"], None),
     *((argv, content) for argv, content, _ in _NAMED_MALFORMED),
+    # a scaling-set root below the float range
+    (["lemma", "--A", "1", "--B", "1e300", "--theta", "3", "--nu", "1e5"], None),
 ])
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch,
                                               argv, content):
@@ -556,11 +561,14 @@ def test_sweep_over_must_map_fields_to_arrays(tmp_path, capsys, sweep, key):
 
 
 @pytest.mark.parametrize("field,value", [("A", 1e300), ("A", math.inf), ("B", math.inf),
-                                         ("theta", math.inf), ("nu", math.inf)])
+                                         ("theta", math.inf), ("nu", math.inf),
+                                         ("B", 1e300)])
 def test_lemma_refuses_non_finite_input(tmp_path, capsys, field, value):
     # these used to exit 0 with an empty set or the bottom of the sigma
     # grid, or end in an OverflowError traceback
     args = {"A": 1.0, "B": 1.0, "theta": 3.0, field: value}
+    if (field, value) == ("B", 1e300):
+        args["nu"] = 1e300      # the coupling factor B nu overflows
     assert run_command(["lemma", *(f"--{k}={v}" for k, v in args.items())]) == 2
     assert f"instance: {field}" in capsys.readouterr().err
     cfg = tmp_path / "lemma_sweep.json"
@@ -643,20 +651,6 @@ def test_sweep_classifies_each_nu_free_tuple_once(tmp_path, capsys, monkeypatch)
     assert [p.lambda1 for p in calls] == [0.1, 0.2]
 
 
-def test_lemma_sweep_builds_one_grid_per_instance(tmp_path, capsys):
-    # rows that differ only in nu share the sigma grid and its power terms
-    _default_sigma_terms.cache_clear()
-    cfg = tmp_path / "lemma_sweep.json"
-    cfg.write_text(json.dumps({"lemma": {"A": 1.0, "B": 1.0, "theta": 3.0},
-                               "sweep": {"command": "lemma", "over": {
-                                   "A": [1.0, 1.5], "nu": [0.0, 1e-3, 1e-2, 0.1]}}}))
-    out_csv = tmp_path / "lemma.csv"
-    assert run_command(["sweep", "--config", str(cfg), "--out", str(out_csv)]) == 0
-    capsys.readouterr()
-    info = _default_sigma_terms.cache_info()
-    assert (info.misses, info.hits) == (2, 6)
-
-
 def test_empty_lemma_sweep_writes_the_full_header(tmp_path, capsys):
     # an empty array used to leave the report columns out of the header
     cfg = tmp_path / "lemma_sweep.json"
@@ -666,7 +660,7 @@ def test_empty_lemma_sweep_writes_the_full_header(tmp_path, capsys):
     out_csv = tmp_path / "lemma.csv"
     assert run_command(["sweep", "--config", str(cfg), "--out", str(out_csv)]) == 0
     assert capsys.readouterr().out == f"wrote 0 rows to {out_csv}\n"
-    assert out_csv.read_text() == "A,nu,inf,empty,decoupled_inf\n"
+    assert out_csv.read_text() == "A,nu,inf,decoupled_inf\n"
 
 
 def test_mountain_pass_cli(tmp_path, capsys):

@@ -13,7 +13,7 @@ from hsvar import (DegenerateInputError, HProfile, NoProjectionError,
                    pair_norm_sq, project)
 from hsvar.nehari import _solve_scale
 from hsvar.solvers import compact_bump
-from conftest import cached_grid, smooth_bump
+from conftest import cached_grid, mp_power_root, smooth_bump
 
 
 def params4(nu=0.0, alpha=1.4, beta=1.4):
@@ -240,31 +240,11 @@ def test_energy_and_projection_commute_with_component_swap(bu, bv, nu, flip,
 # ---------------------------------------------------------------------------
 
 def _mp_scale(A, B, C, p, q, nu):
-    """Root T of A = t^(p-2) B + nu q t^(q-2) C to 40 digits, by bisection in
-    x = log t, and the slope of the relative residual in x at T (None, None
-    when T is not a representable float)."""
+    """Root T of A = t^(p-2) B + nu q t^(q-2) C to 40 digits, and the slope
+    of the relative residual in log t at T (see ``mp_power_root``)."""
     with mpmath.workdps(50):
         A, B, C, p, q, nu = map(mpmath.mpf, (A, B, C, p, q, nu))
-        terms = [(e, k) for e, k in ((p - 2, B), (q - 2, nu * q * C)) if k > 0]
-
-        def f(x):
-            return sum(k * mpmath.exp(e * x) for e, k in terms) - A
-
-        # f >= 0 at the smaller single-term root; ln 2 / e_min below it every
-        # term is at most A / 2, so f <= 0; 240 halvings of that bracket
-        # (at most 2^51 wide) leave less than 1e-40 of it
-        hi = min((mpmath.log(A) - mpmath.log(k)) / e for e, k in terms)
-        lo = hi - mpmath.log(2) / min(e for e, _ in terms)
-        for _ in range(240):
-            mid = (lo + hi) / 2
-            if f(mid) > 0:
-                hi = mid
-            else:
-                lo = mid
-        if abs(hi) >= 690:
-            return None, None
-        slope = sum(e * k * mpmath.exp(e * hi) for e, k in terms) / A
-        return mpmath.exp(hi), float(slope)
+        return mp_power_root(A, ((p - 2, B), (q - 2, nu * q * C)))
 
 
 coef = st.floats(-8.0, 8.0).map(lambda k: 10.0 ** k)

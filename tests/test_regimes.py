@@ -1,17 +1,17 @@
-"""Regime classification and the scaling-set infimum oracle."""
+"""Regime classification and the scaling-set infimum."""
 
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, reject, settings, strategies as st
 
 from hsvar import (HProfile, InvalidParameterError, LemmaInstance,
-                   ProblemParams, algebraic_inf, classify, critical_exponent,
-                   default_sigma_grid, small_nu_threshold)
-from hsvar.regimes import _default_sigma_terms
-from conftest import admissible_params
+                   NoProjectionError, ProblemParams, algebraic_inf, classify,
+                   critical_exponent, small_nu_threshold)
+from conftest import admissible_params, mp_power_root
 
 
 def make_params(alpha, beta, l1=0.3, l2=0.5, N=4, s=1.0, nu=0.1, h=None):
@@ -102,21 +102,135 @@ def test_classify_does_not_read_nu(pr, nu):
     assert classify(replace(pr, nu=nu)) == classify(pr)
 
 
+def _grid_inf(inst: LemmaInstance):
+    """Brute-force reference: the least point of a log grid of sigma over
+    [1e-6, 1e3] times the decoupled infimum that lies in the scaling set
+    (None when none does), and the grid's cell ratio."""
+    x0 = inst.decoupled_inf
+    grid = np.geomspace(1e-6 * x0, 1e3 * x0, 20000)
+    p = critical_exponent(inst.N, inst.s)
+    members = grid[inst.A * grid ** (2.0 / p)
+                   < grid + inst.B * inst.nu * grid ** (inst.theta / p)]
+    return (float(members.min()) if members.size else None), grid[1] / grid[0]
+
+
+def _root_tol(inst: LemmaInstance, t: float) -> float:
+    """Relative accuracy of a double-precision root t of sigma^a + B nu
+    sigma^b = A: a residual known to eps moves log t by eps / slope, the
+    slope of the relative residual in log t, as for the projection scale.
+    At theta = 2 the slope is a (A - B nu) / A, so this includes the
+    cancellation in A - B nu."""
+    a = (2.0 - inst.s) / (inst.N - inst.s)
+    b = (inst.theta - 2.0) / critical_exponent(inst.N, inst.s)
+    slope = (a * t ** a + b * inst.B * inst.nu * t ** b) / inst.A
+    eps = np.finfo(float).eps
+    return 32 * eps * (1.0 + abs(math.log(t))) / min(1.0, slope)
+
+
+def _mp_inf(inst: LemmaInstance):
+    """The scaling-set infimum to 40 digits: the root of
+    sigma^a + B nu sigma^b = A, 0 when theta = 2 and B nu >= A."""
+    with mpmath.workdps(50):
+        A, B, theta, s, N, nu = map(mpmath.mpf, (inst.A, inst.B, inst.theta,
+                                                 inst.s, inst.N, inst.nu))
+        a, b = (2 - s) / (N - s), (theta - 2) / (2 * (N - s) / (N - 2))
+        if b == 0:
+            return mpmath.mpf(0) if B * nu >= A else (A - B * nu) ** (1 / a)
+        return mp_power_root(A, ((a, 1), (b, B * nu)))[0]
+
+
+def _mp_threshold(inst: LemmaInstance, eps: float):
+    """nu_eps = A (1 - (1-eps)^a) / (B ((1-eps) x0)^b) to 40 digits."""
+    with mpmath.workdps(50):
+        A, B, theta, s, N, eps = map(mpmath.mpf, (inst.A, inst.B, inst.theta,
+                                                  inst.s, inst.N, eps))
+        a, b = (2 - s) / (N - s), (theta - 2) / (2 * (N - s) / (N - 2))
+        # 1 - (1-eps)^a by expm1 and log1p, which keep a subnormal eps
+        gap = -mpmath.expm1(a * mpmath.log1p(-eps))
+        return A * gap / (B * ((1 - eps) * A ** (1 / a)) ** b)
+
+
+def _inf(inst: LemmaInstance) -> float:
+    """algebraic_inf, with the example rejected when the root lies below
+    the float range, where algebraic_inf refuses it (theta near 2 and
+    B nu > A)."""
+    try:
+        return algebraic_inf(inst)
+    except NoProjectionError:
+        reject()
+
+
+_log10 = st.floats(-3.0, 3.0).map(lambda k: 10.0 ** k)
+lemma_instances = st.builds(
+    LemmaInstance, N=st.integers(3, 6), s=st.floats(0.0, 1.5), A=_log10, B=_log10,
+    theta=st.one_of(st.just(2.0), st.floats(2.0, 10.0, exclude_min=True)),
+    nu=st.one_of(st.just(0.0), st.floats(-6.0, 2.0).map(lambda k: 10.0 ** k)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(inst=lemma_instances)
+def test_inf_matches_a_40_digit_root(inst):
+    T = _mp_inf(inst)
+    assume(T is not None)
+    t = algebraic_inf(inst)
+    if T == 0:
+        # theta = 2 and B nu >= A: every sigma > 0 is in the set
+        assert t == 0.0
+    else:
+        assert abs(float(t / T) - 1.0) <= _root_tol(inst, t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(inst=lemma_instances, eps=st.floats(-12.0, -0.005).map(lambda k: 10.0 ** k))
+def test_threshold_matches_the_40_digit_closed_form(inst, eps):
+    nu_eps = small_nu_threshold(inst, eps)
+    assert abs(float(nu_eps / _mp_threshold(inst, eps)) - 1.0) <= 1e-13
+    if eps >= 0.01 and nu_eps < 1e300:
+        # the supremum: the bound holds just below nu_eps and fails just above
+        target = (1 - eps) * inst.decoupled_inf
+        assert algebraic_inf(replace(inst, nu=nu_eps * (1 - 1e-9))) > target
+        assert algebraic_inf(replace(inst, nu=nu_eps * (1 + 1e-9))) <= target
+
+
+@settings(max_examples=200, deadline=None)
+@given(inst=lemma_instances, up=st.floats(1.0, 1e3))
+def test_inf_is_monotone_and_below_the_decoupled_inf(inst, up):
+    t = _inf(inst)
+    assert t <= inst.decoupled_inf
+    # non-increasing in nu, non-decreasing in A, up to the root's accuracy
+    slack = 1.0 + (_root_tol(inst, t) if t > 0 else 0.0)
+    assert _inf(replace(inst, nu=inst.nu * up)) <= t * slack
+    assume(inst.A * up <= 1e3)
+    assert _inf(replace(inst, A=inst.A * up)) * slack >= t
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=lemma_instances)
+def test_grid_value_lies_one_cell_above_the_root(inst):
+    t = _inf(inst)
+    g, cell = _grid_inf(inst)
+    x0 = inst.decoupled_inf
+    assume(1e-6 * x0 < t)
+    tol = _root_tol(inst, t)
+    assert t * (1 - tol) <= g <= t * cell * (1 + tol)
+
+
 class TestAlgebraicInf:
     def test_decoupled_exact(self):
         inst = LemmaInstance(A=1.0, B=1.0, theta=3.0, s=1.0, N=4, nu=0.0)
         assert algebraic_inf(inst) == pytest.approx(1.0, rel=1e-3)
 
     def test_decoupled_random_within_one_cell(self):
+        # the root is the decoupled infimum itself; the grid's least member
+        # lies within one cell above it
         rng = np.random.default_rng(0)
         for _ in range(100):
             N = int(rng.integers(3, 7))
             s = rng.uniform(0.0, 1.5)
             A = rng.uniform(0.2, 5.0)
             inst = LemmaInstance(A=A, B=1.0, theta=2.0, s=s, N=N, nu=0.0)
-            grid = default_sigma_grid(inst)
-            cell = grid[1] / grid[0]
-            inf_val = algebraic_inf(inst, grid)
+            inf_val, cell = _grid_inf(inst)
+            assert algebraic_inf(inst) == inst.decoupled_inf
             assert inst.decoupled_inf <= inf_val <= inst.decoupled_inf * cell
 
     def test_small_nu_keeps_inf_close(self):
@@ -127,8 +241,7 @@ class TestAlgebraicInf:
         vals = []
         for nu in np.geomspace(1e-8, 10.0, 10):
             inst = LemmaInstance(A=1.3, B=0.7, theta=2.5, s=0.5, N=4, nu=float(nu))
-            v = algebraic_inf(inst)
-            vals.append(v if v is not None else 0.0)
+            vals.append(algebraic_inf(inst))
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_monotone_in_A(self):
@@ -138,11 +251,17 @@ class TestAlgebraicInf:
             vals.append(algebraic_inf(inst))
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
-    def test_empty_set_sentinel(self):
-        # tiny grid far below the set keeps membership empty
-        inst = LemmaInstance(A=1.0, B=1.0, theta=3.0, s=1.0, N=4, nu=0.0)
-        grid = np.geomspace(1e-9, 1e-8, 50)
-        assert algebraic_inf(inst, grid) is None
+    def test_whole_half_line_has_inf_zero(self):
+        # theta = 2 and B nu >= A: every sigma > 0 is in the set
+        inst = LemmaInstance(A=1.0, B=1.0, theta=2.0, s=0.0, N=4, nu=2.0)
+        assert algebraic_inf(inst) == 0.0
+        assert algebraic_inf(replace(inst, nu=1.0)) == 0.0
+
+    def test_large_root_has_no_overflow(self):
+        # the sigma grid's power terms used to overflow (a RuntimeWarning,
+        # an error under this suite's filter) and report 1e194
+        inst = LemmaInstance(A=1e100, B=1.0, theta=50.0, s=0.0, N=4, nu=1.0)
+        assert algebraic_inf(inst) == pytest.approx(2.1544346900319e8, rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -160,42 +279,50 @@ class TestAlgebraicInf:
         with pytest.raises(InvalidParameterError, match=f"instance: {field}"):
             LemmaInstance(**{**args, field: value})
 
-    def test_sigma_grid_must_fit_the_float_range(self):
-        # the decoupled infimum is finite, but 1e3 times it is not
-        inst = LemmaInstance(A=1e154, B=1.0, theta=3.0, s=0.0, N=4)
-        with pytest.raises(InvalidParameterError, match="sigma grid"):
+    def test_overflowing_coupling_factor_is_named(self):
+        with pytest.raises(InvalidParameterError, match="instance: B, nu"):
+            LemmaInstance(A=1.0, B=1e300, theta=3.0, nu=1e300)
+
+    def test_root_beyond_the_old_grid_range_is_finite(self):
+        # 1e3 times the decoupled infimum 1e308 overflows, which the sigma
+        # grid refused; the root needs no room above it
+        inst = LemmaInstance(A=1e154, B=1.0, theta=3.0, s=0.0, N=4, nu=1e-3)
+        t = algebraic_inf(inst)
+        assert 0 < t <= inst.decoupled_inf < math.inf
+
+    def test_root_below_the_float_range_is_refused(self):
+        inst = LemmaInstance(A=1.0, B=1e300, theta=3.0, s=0.0, N=4, nu=1e5)
+        with pytest.raises(NoProjectionError, match="not a finite positive float"):
             algebraic_inf(inst)
-
-    def test_kept_terms_give_the_explicit_grid_result_bit_for_bit(self):
-        # A alternates, so the one kept entry is evicted and built again
-        _default_sigma_terms.cache_clear()
-        cases = [(1.0, 0.0), (1.7, 1e-3), (1.0, 0.5), (1.7, 0.0), (1.0, 1e-3),
-                 (0.6, 2.0)]
-        p = critical_exponent(4, 0.5)
-        for A, nu in cases:
-            inst = LemmaInstance(A=A, B=0.7, theta=2.5, s=0.5, N=4, nu=nu)
-            grid = default_sigma_grid(inst)
-            members = grid[A * grid ** (2.0 / p) < grid + 0.7 * nu * grid ** (2.5 / p)]
-            assert algebraic_inf(inst) == float(members.min())
-            assert algebraic_inf(inst, grid) == float(members.min())
-            assert grid.flags.writeable        # an explicit grid is not frozen
-        info = _default_sigma_terms.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (len(cases), 0, 1)
-
-    def test_kept_terms_refuse_writes(self):
-        inst = LemmaInstance(A=1.0, B=1.0, theta=3.0, s=1.0, N=4, nu=0.0)
-        for a in _default_sigma_terms(inst.A, inst.theta, inst.s, inst.N):
-            with pytest.raises(ValueError, match="read-only"):
-                a[0] = 1.0
 
     @pytest.mark.parametrize("eps", [0.1, 0.01])
     def test_threshold_exists_for_each_eps(self, eps):
-        def inst_at(nu):
-            return LemmaInstance(A=1.0, B=1.0, theta=3.0, s=1.0, N=4, nu=nu)
+        # nu_eps is the supremum: the strict bound holds on [0, nu_eps) and
+        # fails from nu_eps on, where the infimum equals the target
+        inst = LemmaInstance(A=1.0, B=1.0, theta=3.0, s=1.0, N=4)
+        nu_eps = small_nu_threshold(inst, eps)
+        assert nu_eps > 0
+        target = (1 - eps) * inst.decoupled_inf
+        assert algebraic_inf(inst) == inst.decoupled_inf
+        for nu in [*np.linspace(0.0, nu_eps, 7)[:-1], nu_eps * (1 - 1e-9)]:
+            assert algebraic_inf(replace(inst, nu=float(nu))) > target
+        assert algebraic_inf(replace(inst, nu=nu_eps * (1 + 1e-9))) <= target
 
-        nu_tilde = small_nu_threshold(inst_at, eps)
-        assert nu_tilde is not None and nu_tilde > 0
-        target = (1 - eps) * inst_at(0.0).decoupled_inf
-        for nu in np.linspace(0.0, nu_tilde, 7):
-            inf_val = algebraic_inf(inst_at(float(nu)))
-            assert inf_val is not None and inf_val > target
+    @pytest.mark.parametrize("eps", [0.0, 1.0, -0.5, 2.0, math.nan])
+    def test_threshold_refuses_eps_outside_the_unit_interval(self, eps):
+        inst = LemmaInstance(A=1.0, B=1.0, theta=3.0, s=1.0, N=4)
+        with pytest.raises(InvalidParameterError, match="eps"):
+            small_nu_threshold(inst, eps)
+
+    def test_threshold_at_the_ends_of_the_float_range(self):
+        # nu_eps ~ 1e700 is inf, the bound holding for every finite nu;
+        # nu_eps ~ 1e-700 is 0.0
+        small = LemmaInstance(A=1e-30, B=1.0, theta=100.0, s=0.0, N=3)
+        large = LemmaInstance(A=1e30, B=1.0, theta=100.0, s=0.0, N=3)
+        assert small_nu_threshold(small, 0.1) == math.inf
+        assert small_nu_threshold(large, 0.1) == 0.0
+        # a subnormal eps, where a eps underflows, still gives a normal nu_eps
+        inst = LemmaInstance(A=1.0, B=1e-300, theta=3.0, s=1.0, N=4)
+        for eps in (5e-324, 1e-310, 1e-25):
+            nu_eps = small_nu_threshold(inst, eps)
+            assert abs(float(nu_eps / _mp_threshold(inst, eps)) - 1.0) <= 1e-13
