@@ -32,11 +32,10 @@ import numpy as np
 from . import io as hio
 from .closed_forms import (best_constant, critical_exponent, critical_level,
                            hardy_constant, singular_exponent)
-from .energy import StatePair, energy
+from .energy import StatePair, energy, project
 from .errors import ConfigError, DegeneratePathError, HsvarError
 from .grid import (REFERENCE_N_NODES, REFERENCE_R_MAX, REFERENCE_R_MIN,
                    RadialFunction, build_grid)
-from .nehari import project
 from .params import (HProfile, ProblemParams, is_required, read_field, read_fields,
                      real_number, whole_number)
 from .regimes import LemmaInstance, RegimeReport, algebraic_inf, classify

@@ -21,6 +21,9 @@ function; no quadrature is involved.  The key quantities, for dimension
 * ``exact_solution``: the explicit one-parameter family of radial
   minimizers, singular like ``r^{-a}`` at the origin with
   ``a = sqrt(L) - sqrt(L - lam)``.
+* ``power_root(A, terms)``: the log x = ln t of the root of a power sum
+  ``sum_k k t^e = A``, the equation of both the projection scale
+  (``energy``) and the scaling-set infimum (``regimes``).
 """
 
 from __future__ import annotations
@@ -30,8 +33,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, NoProjectionError
 from .params import ProblemParams
+
+EPS = np.finfo(float).eps
+LN2 = math.log(2.0)
+MAX_NEWTON = 100    # safety cap; a projection takes 2-5 residual evaluations
 
 
 def _check_domain(N: int, lam: float, s: float) -> float:
@@ -177,3 +184,44 @@ def separability_check(params: ProblemParams) -> dict:
         "level_1": critical_level(N, l1, s),
         "level_2": critical_level(N, l2, s),
     }
+
+
+def _log_ratio(k: float, A: float) -> float:
+    """ln(k / A) for positive floats, whose quotient may overflow or
+    underflow: the log of the mantissas' quotient plus ln 2 times the
+    difference of the binary exponents."""
+    mk, ek = math.frexp(k)
+    mA, eA = math.frexp(A)
+    return math.log(mk / mA) + (ek - eA) * LN2
+
+
+def power_root(A: float, terms) -> float:
+    """Log x = ln t of the root t > 0 of sum_k k t^e = A over the (e, k)
+    pairs of ``terms`` (e > 0, k >= 0), by Newton's method in x.
+
+    In x the relative residual sum_k exp(e_k x + ln(k / A)) - 1 is
+    increasing and convex, so Newton's method started at the smaller
+    single-term root min_k (ln A - ln k) / e_k falls monotonically onto
+    the root; it stops once the residual is no longer positive or the step
+    is within rounding of x.  No term exceeds A on the way, so nothing
+    overflows whatever the size of t, and whether t is a float is the
+    caller's call.  Raises :class:`NoProjectionError` when every
+    coefficient vanishes or the iteration does not settle.
+    """
+    terms = [(e, _log_ratio(k, A)) for e, k in terms if k > 0]
+    if not terms:
+        raise NoProjectionError("every coefficient of the power sum vanishes; "
+                                "no positive root exists")
+    x = min(-c / e for e, c in terms)
+    for _ in range(MAX_NEWTON):
+        vals = [math.exp(e * x + c) for e, c in terms]
+        f = sum(vals) - 1.0
+        if f <= 0:
+            break
+        step = f / sum(e * val for (e, _), val in zip(terms, vals))
+        x -= step
+        if step <= EPS * (1.0 + abs(x)):
+            break
+    else:
+        raise NoProjectionError(f"power-sum root iteration did not settle: log t = {x:.6g}")
+    return x

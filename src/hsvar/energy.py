@@ -23,16 +23,25 @@ critical points are free critical points.
 Every functional here is algebra over the integrals of a state, which
 :func:`integrals` computes in one pass over the grid (with the gradient when
 asked), given the weight vectors of a :class:`Weights`.
+
+So is the projection onto the constraint set: with A the squared pair norm,
+B the sum of critical integrals and C the coupling integral, the scale t
+putting t (u, v) on the set solves A = t^(p-2) B + nu q t^(q-2) C, a power
+sum whose root :meth:`Integrals.scale` finds with ``closed_forms.power_root``.
+The truncated constraint gives the same equation, positive parts being
+homogeneous under positive rescaling.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .closed_forms import _check_domain
-from .errors import GridMismatchError, PreconditionError
+from .closed_forms import _check_domain, power_root
+from .errors import (DegenerateInputError, GridMismatchError, NoProjectionError,
+                     PreconditionError)
 from .grid import RadialFunction, RadialGrid, gradient_seminorm, weighted_lp
 from .operators import PairMetric
 from .params import ProblemParams
@@ -79,6 +88,18 @@ class EnergyBreakdown:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+@dataclass(frozen=True)
+class ProjectionResult:
+    """Scale factor, rescaled state, and the achieved residual Psi(t u, t v)."""
+
+    t_star: float
+    projected: StatePair
+    residual: float
+
+    def to_dict(self) -> dict:
+        return {"t_star": self.t_star, "residual": self.residual}
 
 
 class Weights:
@@ -151,6 +172,16 @@ class Integrals:
         p, q = pr.crit_exp, pr.alpha + pr.beta
         return t * t * self.A - t ** p * self.B - pr.nu * q * t ** q * self.C
 
+    def scale(self) -> float:
+        """Scale t putting t (u, v) on the constraint set: the root of
+        residual(t) = 0, that is of A = t^(p-2) B + nu q t^(q-2) C."""
+        if not 0.0 < self.A < math.inf:
+            raise DegenerateInputError(f"pair norm squared {self.A} is not positive "
+                                       f"and finite (inadmissible state)")
+        pr = self.params
+        return _solve_scale(self.A, self.B, self.C, pr.crit_exp, pr.coupling_exponent,
+                            pr.nu)
+
     def gradient(self, t: float = 1.0) -> np.ndarray:
         """Coefficient-space gradient at t (u, v): t L + t^(p-1) F + t^(q-1) G.
 
@@ -161,6 +192,21 @@ class Integrals:
         if self.G is not None:
             g += t ** (pr.alpha + pr.beta - 1.0) * self.G
         return g
+
+
+def _solve_scale(A: float, B: float, C: float, p: float, q: float,
+                 nu: float) -> float:
+    """Root t of A = t^(p-2) B + nu q t^(q-2) C, refused unless it is a
+    finite positive float."""
+    x = power_root(A, ((p - 2.0, B), (q - 2.0, nu * q * C)))
+    try:
+        t = math.exp(x)
+    except OverflowError:
+        t = math.inf
+    if not 0.0 < t < math.inf:
+        raise NoProjectionError(
+            f"power-sum root is not a finite positive float: log t = {x:.6g}")
+    return t
 
 
 def integrals(wt: Weights, u: np.ndarray, v: np.ndarray, positive: bool = False,
@@ -292,6 +338,55 @@ def nehari_residual(pair: StatePair, params: ProblemParams, positive: bool = Fal
     return pair_integrals(pair, params, positive).residual()
 
 
+def project_arrays(wt: Weights, u: np.ndarray, v: np.ndarray, positive: bool = False,
+                   grad: bool = False) -> tuple[float, Integrals]:
+    """Projection of raw node arrays: the scale t and the integrals of (u, v).
+
+    ``t (u, v)`` lies on the constraint set; its energy, norm and (with
+    ``grad``) gradient follow by homogeneity (``I.energy(t)``, ``t^2 I.A``,
+    ``I.gradient(t)``) without another grid pass.
+    """
+    I = integrals(wt, u, v, positive, grad)
+    return I.scale(), I
+
+
+def project(pair: StatePair, params: ProblemParams,
+            positive: bool = False) -> ProjectionResult:
+    """Rescale a pair onto the constraint set (the truncated one with
+    ``positive=True``)."""
+    if pair.is_zero():
+        raise DegenerateInputError("cannot project the zero pair")
+    I = pair_integrals(pair, params, positive)
+    t = I.scale()
+    return ProjectionResult(t_star=t, projected=pair.scaled(t), residual=I.residual(t))
+
+
+def _on_constraint(pair: StatePair, params: ProblemParams, tol: float) -> Integrals:
+    """Integrals of a pair, refused unless |Psi| <= tol ||(u,v)||^2."""
+    I = pair_integrals(pair, params)
+    psi = I.residual()
+    if abs(psi) > tol * max(I.A, 1e-300):
+        raise PreconditionError(
+            f"pair is off the constraint set: |Psi|/||.||^2 = {abs(psi) / I.A:.3e}")
+    return I
+
+
+def constrained_energy(pair: StatePair, params: ProblemParams,
+                       tol: float = 1e-6) -> float:
+    """Energy through the on-constraint identity.
+
+    On the constraint set the functional collapses to
+
+        (2-s)/(2(N-s)) * (critical integrals)
+        + nu (alpha+beta-2)/2 * coupling integral,
+
+    which must agree with the direct evaluation to rounding accuracy.
+    """
+    I = _on_constraint(pair, params, tol)
+    return ((2.0 - params.s) / (2.0 * (params.N - params.s)) * I.B
+            + params.nu * (params.alpha + params.beta - 2.0) / 2.0 * I.C)
+
+
 def gradient_coefficients(pair: StatePair, params: ProblemParams,
                           positive: bool = False):
     """Coefficient-space first variation (dJ/du_i, dJ/dv_i).
@@ -342,10 +437,6 @@ def second_variation_diag(pair: StatePair, params: ProblemParams,
     with ``a + b`` the coupling exponent; strictly negative on the
     constraint set, which makes it a natural constraint.
     """
-    I = pair_integrals(pair, params)
-    res = I.residual()
-    if abs(res) > tol * max(I.A, 1e-300):
-        raise PreconditionError(
-            f"pair is off the constraint set: |Psi|/||.||^2 = {abs(res) / I.A:.3e}")
+    I = _on_constraint(pair, params, tol)
     q = params.alpha + params.beta
     return (2.0 - q) * I.A + (q - params.crit_exp) * I.B

@@ -69,16 +69,23 @@ class RadialGrid:
         self.n = int(n_nodes)
         self.r_min = float(r_min)
         self.r_max = float(r_max)
-        self.t = np.linspace(math.log(r_min), math.log(r_max), self.n)
-        self.r = np.exp(self.t)
-        self.dt = float(self.t[1] - self.t[0])
-        self.omega = 2.0 * math.pi ** (self.N / 2.0) / math.exp(math.lgamma(self.N / 2.0))
-        tau = np.full(self.n, self.dt)
-        tau[0] *= 0.5
-        tau[-1] *= 0.5
-        self.w = self.omega * self.r ** self.N * tau
-        t_mid = 0.5 * (self.t[1:] + self.t[:-1])
-        self.cell_w = self.omega * np.exp((self.N - 2) * t_mid) * self.dt
+        with np.errstate(all="ignore"):
+            self.t = np.linspace(math.log(r_min), math.log(r_max), self.n)
+            self.r = np.exp(self.t)
+            self.dt = float(self.t[1] - self.t[0])
+            self.omega = 2.0 * math.pi ** (self.N / 2.0) / math.exp(math.lgamma(self.N / 2.0))
+            tau = np.full(self.n, self.dt)
+            tau[0] *= 0.5
+            tau[-1] *= 0.5
+            self.w = self.omega * self.r ** self.N * tau
+            t_mid = 0.5 * (self.t[1:] + self.t[:-1])
+            self.cell_w = self.omega * np.exp((self.N - 2) * t_mid) * self.dt
+            # min and max are nan when any entry is
+            if not all(0 < a.min() and a.max() < math.inf
+                       for a in (self.r, self.w, self.cell_w, self.w / self.r ** 2)):
+                raise InvalidGridError(
+                    f"the window [{r_min}, {r_max}] in dimension N = {N} puts nodes or "
+                    f"weights outside the positive floats")
         for arr in (self.t, self.r, self.w, self.cell_w):
             arr.flags.writeable = False
 

@@ -116,7 +116,14 @@ class HProfile:
         r = np.asarray(r, dtype=float)
         if self.kind == "constant":
             return np.full_like(r, self.c)
-        return r ** self.p_exp / (1.0 + r ** (self.p_exp + self.q_exp))
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = np.asarray(r ** self.p_exp / (1.0 + r ** (self.p_exp + self.q_exp)))
+            far = ~np.isfinite(h)
+            if far.any():
+                # r^p and r^(p+q) overflow: divide both through by r^(p+q)
+                rf = r[far]
+                h[far] = rf ** -self.q_exp / (1.0 + rf ** -(self.p_exp + self.q_exp))
+        return h
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, **{k: getattr(self, k) for k in self.KIND_PARAMS[self.kind]}}

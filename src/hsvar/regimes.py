@@ -14,10 +14,10 @@ a = (2-s)/(N-s) > 0 and b = (theta-2)/p >= 0.  The right side increases in
 sigma, so Sigma_nu is the half-line (sigma*, inf), where sigma* solves
 sigma^a + B nu sigma^b = A; at nu = 0 it is A^((N-s)/(2-s)).  This is the
 power-sum equation of the projection scale, and ``algebraic_inf`` solves it
-with the same Newton loop, ``nehari.power_root``.  The lemma states that
-for every eps > 0 the infimum stays above (1 - eps) A^((N-s)/(2-s)) for
-small nu; ``small_nu_threshold`` gives the supremum of those nu in closed
-form.
+with the same Newton loop, ``closed_forms.power_root``.  The lemma states
+that for every eps > 0 the infimum stays above (1 - eps) A^((N-s)/(2-s))
+for small nu; ``small_nu_threshold`` gives the supremum of those nu in
+closed form.
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .closed_forms import critical_exponent, separability_check
+from .closed_forms import critical_exponent, power_root, separability_check
 from .errors import InvalidParameterError
-from .nehari import power_root
 from .params import ProblemParams
 
 _EXPONENT_TIE = 1e-12
@@ -185,10 +184,10 @@ def _exponents(inst: LemmaInstance) -> tuple[float, float]:
 def algebraic_inf(inst: LemmaInstance) -> float:
     """Infimum sigma* of the scaling set, which is the half-line (sigma*, inf).
 
-    sigma* is the root of sigma^a + B nu sigma^b = A, solved by
-    ``nehari.power_root``; it is the decoupled infimum at B nu = 0, in
-    closed form at theta = 2, and 0.0 when every sigma > 0 belongs to the
-    set (theta = 2 and B nu >= A).
+    sigma* is the root of sigma^a + B nu sigma^b = A, solved in log sigma
+    by ``closed_forms.power_root``; it is the decoupled infimum at B nu = 0,
+    in closed form at theta = 2, and 0.0 when every sigma > 0 belongs to the
+    set (theta = 2 and B nu >= A) or when sigma* is below the float range.
     """
     bnu = inst.B * inst.nu
     if bnu == 0:
@@ -198,8 +197,10 @@ def algebraic_inf(inst: LemmaInstance) -> float:
             return 0.0
         return (inst.A - bnu) ** ((inst.N - inst.s) / (2.0 - inst.s))
     a, b = _exponents(inst)
-    # sigma* <= decoupled_inf exactly; the min removes the rounding of the root
-    return min(power_root(inst.A, ((a, 1.0), (b, bnu))), inst.decoupled_inf)
+    # sigma* <= decoupled_inf exactly, so exp cannot overflow; the min removes
+    # the rounding of the root, and a root below the float range is 0.0
+    x = power_root(inst.A, ((a, 1.0), (b, bnu)))
+    return min(math.exp(x), inst.decoupled_inf)
 
 
 def small_nu_threshold(inst: LemmaInstance, eps: float) -> float:

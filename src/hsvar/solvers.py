@@ -56,11 +56,10 @@ from functools import partial
 import numpy as np
 
 from .closed_forms import critical_level, exact_solution
-from .energy import StatePair, Weights, integrals, pair_integrals
+from .energy import StatePair, Weights, integrals, pair_integrals, project_arrays
 from .errors import (DegenerateInputError, DegeneratePathError, HsvarError,
                      InvalidParameterError, PreconditionError)
 from .grid import RadialFunction, RadialGrid, reference_grid
-from .nehari import _solve_scale, project_arrays
 from .operators import LambdaOperator, PairMetric
 from .params import ProblemParams
 from .regimes import classify
@@ -438,25 +437,24 @@ def ground_state(params: ProblemParams, init: StatePair,
 
 
 def escalate_nu(params: ProblemParams, grid: RadialGrid) -> float:
-    """Double nu from 1 until the coupling term dominates half the pair norm.
+    """The least nu of 1, 2, 4, ..., 2^59 at which the coupling term exceeds
+    half the pair norm on the projected couple of the two one-component
+    profiles, else 2^60.
 
-    The size threshold for coupling dominance is evaluated on the projected
-    couple of the two one-component profiles; after 60 doublings the last
-    nu is returned.
+    The integrals A, B, C of the couple do not depend on nu.  On the
+    constraint t^2 A = t^p B + nu q t^q C, so the coupling dominates exactly
+    when t^(p-2) B < A / 2, that is, since the scale t falls as nu grows,
+    when nu > nu_c = A / (2 q C t_c^(q-2)), t_c = (A / (2B))^(1/(p-2)).
     """
-    # the integrals of the couple do not depend on nu; the projected
-    # couple's follow by homogeneity
     wt = Weights(grid, params)
     I = integrals(wt, _extremal(wt, "first")[0], _extremal(wt, "second")[0],
                   positive=True)
-    q = params.alpha + params.beta
-    nu = 1.0
-    for _ in range(60):
-        t = _solve_scale(I.A, I.B, I.C, params.crit_exp, q, nu)
-        if nu * q * t ** q * I.C > 0.5 * t * t * I.A:
-            return nu
-        nu *= 2.0
-    return nu
+    p, q = params.crit_exp, params.alpha + params.beta
+    # t_c^(q-2) = (A / (2B))^((q-2)/(p-2)), an exponent in (0, 1]
+    d = 2.0 * q * I.C * (I.A / (2.0 * I.B)) ** ((q - 2.0) / (p - 2.0))
+    nu_c = min(I.A / d if d > 0 else math.inf, 2.0 ** 59)
+    # frexp: 2^(e-1) <= nu_c < 2^e, so 2^e is the least power of two above nu_c
+    return 1.0 if nu_c < 1.0 else math.ldexp(1.0, math.frexp(nu_c)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,25 @@ def test_lemma_command(capsys):
     assert doc["inf"] == pytest.approx(1.0, rel=1e-3)
 
 
+@pytest.mark.parametrize("argv", [
+    ["--N", "3", "--s", "0", "--A", "1", "--B", "1", "--theta", "2.015625", "--nu", "10"],
+    ["--A", "1", "--B", "1e300", "--theta", "3", "--nu", "1e5"]])
+def test_lemma_root_below_the_float_range_is_zero(capsys, argv):
+    # B nu > A: just above theta = 2 the root is below the float range, which
+    # used to be refused (2); at theta = 2 the infimum is 0.0 as well
+    assert run_command(["lemma", *argv]) == 0
+    assert json.loads(capsys.readouterr().out)["inf"] == 0.0
+
+
+def test_bump_weight_with_large_exponents_runs(tmp_path, capsys, monkeypatch):
+    # the weight used to be nan far out, and the run ended with a nan energy (3)
+    monkeypatch.chdir(tmp_path)
+    code = run_command(["ground-state", "--nu", "1", "--h", "bump:400,400",
+                        "--grid", "1e-6,1e6,256", *(f"--{k}={v}" for k, v in PARAMS.items())])
+    assert code == 0
+    assert math.isfinite(json.loads(capsys.readouterr().out)["energy"])
+
+
 def test_validation_error_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, params={"lambda1": 2.0})
     code = run_command(["classify", "--config", cfg])
@@ -322,8 +341,11 @@ def _run_malformed(tmp_path, capsys, monkeypatch, argv, content):
     (["classify", "--N", "200", "--s", "0.5", "--lambda1", "0.1", "--lambda2", "0.2",
       "--alpha", "1.005", "--beta", "1.005"], None),
     *((argv, content) for argv, content, _ in _NAMED_MALFORMED),
-    # a scaling-set root below the float range
-    (["lemma", "--A", "1", "--B", "1e300", "--theta", "3", "--nu", "1e5"], None),
+    # grid windows whose weights leave the float range used to end in numpy
+    # warnings and a nan pair norm
+    *((["ground-state", "--nu", "1", "--grid", window,
+        *(f"--{k}={v}" for k, v in PARAMS.items())], None)
+      for window in ("1e-6,inf,256", "1e-300,1e300,256")),
 ])
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch,
                                               argv, content):

@@ -91,6 +91,19 @@ class TestEnergy:
             assert tot == pytest.approx((t * t / 2 - t ** p / p) * K, rel=1e-3)
 
 
+def test_bump_weight_with_large_exponents_is_finite(grid4):
+    # r^p and r^(p+q) both overflow far out; their quotient was inf/inf = nan
+    h = HProfile("bump", p_exp=400, q_exp=400)
+    vals = h(np.array([1e-6, 1.0, 2.0, 10.0, 1e6]))
+    assert np.all(np.isfinite(vals))
+    assert vals[1] == 0.5 and vals[3] == vals[4] == 0.0
+    assert 0 < vals[2] == 2.0 ** 400 / (1 + 2.0 ** 800)
+    # where the quotient is finite, it is the value, to the bit
+    r = grid4.r
+    assert np.array_equal(HProfile("bump", p_exp=2.0, q_exp=3.0)(r),
+                          r ** 2.0 / (1.0 + r ** 5.0))
+
+
 class TestEnergyPositive:
     def test_agrees_on_nonnegative(self, grid4):
         rng = np.random.default_rng(2)

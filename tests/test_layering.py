@@ -1,0 +1,44 @@
+"""The closed-form modules reach nothing of the discrete layer."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import hsvar
+
+PACKAGE = Path(hsvar.__file__).parent
+DISCRETE = {"grid", "operators", "energy", "solvers", "io", "cli"}
+
+
+def _imports(module: str) -> set:
+    """The hsvar modules that ``module``'s source imports by name,
+    relative or absolute."""
+    names = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("hsvar."))
+        elif isinstance(node, ast.ImportFrom):
+            path = ("hsvar." if node.level else "") + (node.module or "")
+            if path.startswith("hsvar."):
+                names.add(path.split(".")[1])
+            elif path in ("hsvar", "hsvar."):
+                names.update(a.name for a in node.names)
+    return {n for n in names if (PACKAGE / f"{n}.py").is_file()}
+
+
+def _reached(module: str) -> set:
+    """Every hsvar module that importing ``module`` imports, transitively."""
+    seen, todo = set(), [module]
+    while todo:
+        m = todo.pop()
+        if m not in seen:
+            seen.add(m)
+            todo.extend(_imports(m))
+    return seen - {module}
+
+
+@pytest.mark.parametrize("module", ["params", "closed_forms", "regimes"])
+def test_closed_form_module_reaches_no_discrete_module(module):
+    assert _reached(module) & DISCRETE == set()

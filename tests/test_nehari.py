@@ -11,7 +11,7 @@ from hsvar import (DegenerateInputError, HProfile, NoProjectionError,
                    PreconditionError, ProblemParams, RadialFunction, StatePair,
                    constrained_energy, critical_level, energy, exact_solution,
                    pair_norm_sq, project)
-from hsvar.nehari import _solve_scale
+from hsvar.energy import _solve_scale
 from hsvar.solvers import compact_bump
 from conftest import cached_grid, mp_power_root, smooth_bump
 

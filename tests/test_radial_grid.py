@@ -30,6 +30,10 @@ def test_build_grid_rejects_malformed_bounds():
         build_grid(4, 1e-6, 1e6, 32)
     with pytest.raises(InvalidGridError):
         build_grid(2, 1e-6, 1e6, 128)
+    # windows whose nodes or weights leave the positive floats
+    for r_min, r_max in ((1e-6, math.inf), (1e-300, 1e300)):
+        with pytest.raises(InvalidGridError, match=r"window \[.*\] in dimension N = 4"):
+            build_grid(4, r_min, r_max, 256)
 
 
 def test_unit_ball_volume(grid4):

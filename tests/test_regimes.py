@@ -6,11 +6,11 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hsvar import (HProfile, InvalidParameterError, LemmaInstance,
-                   NoProjectionError, ProblemParams, algebraic_inf, classify,
-                   critical_exponent, small_nu_threshold)
+                   ProblemParams, algebraic_inf, classify, critical_exponent,
+                   small_nu_threshold)
 from conftest import admissible_params, mp_power_root
 
 
@@ -150,16 +150,6 @@ def _mp_threshold(inst: LemmaInstance, eps: float):
         return A * gap / (B * ((1 - eps) * A ** (1 / a)) ** b)
 
 
-def _inf(inst: LemmaInstance) -> float:
-    """algebraic_inf, with the example rejected when the root lies below
-    the float range, where algebraic_inf refuses it (theta near 2 and
-    B nu > A)."""
-    try:
-        return algebraic_inf(inst)
-    except NoProjectionError:
-        reject()
-
-
 _log10 = st.floats(-3.0, 3.0).map(lambda k: 10.0 ** k)
 lemma_instances = st.builds(
     LemmaInstance, N=st.integers(3, 6), s=st.floats(0.0, 1.5), A=_log10, B=_log10,
@@ -195,19 +185,34 @@ def test_threshold_matches_the_40_digit_closed_form(inst, eps):
 @settings(max_examples=200, deadline=None)
 @given(inst=lemma_instances, up=st.floats(1.0, 1e3))
 def test_inf_is_monotone_and_below_the_decoupled_inf(inst, up):
-    t = _inf(inst)
+    t = algebraic_inf(inst)
     assert t <= inst.decoupled_inf
     # non-increasing in nu, non-decreasing in A, up to the root's accuracy
     slack = 1.0 + (_root_tol(inst, t) if t > 0 else 0.0)
-    assert _inf(replace(inst, nu=inst.nu * up)) <= t * slack
+    assert algebraic_inf(replace(inst, nu=inst.nu * up)) <= t * slack
     assume(inst.A * up <= 1e3)
-    assert _inf(replace(inst, A=inst.A * up)) * slack >= t
+    assert algebraic_inf(replace(inst, A=inst.A * up)) * slack >= t
+
+
+@settings(max_examples=200, deadline=None)
+@given(inst=lemma_instances, over=st.floats(1.01, 1e6),
+       thetas=st.lists(st.floats(2.0, 2.1), min_size=2, max_size=2))
+def test_inf_is_continuous_just_above_theta_2(inst, over, thetas):
+    # B nu > A: the infimum is 0.0 at theta = 2, and just above 2 the root
+    # can lie below the float range, where it is 0.0 too, not an error
+    inst = replace(inst, nu=over * inst.A / inst.B)
+    assert algebraic_inf(replace(inst, theta=2.0)) == 0.0
+    lo, hi = (replace(inst, theta=th) for th in sorted(thetas))
+    t_lo, t_hi = algebraic_inf(lo), algebraic_inf(hi)
+    # non-decreasing in theta (the root lies below 1), up to its accuracy
+    slack = 1.0 + sum(_root_tol(i, t) for i, t in ((lo, t_lo), (hi, t_hi)) if t > 0)
+    assert t_lo <= t_hi * slack
 
 
 @settings(max_examples=60, deadline=None)
 @given(inst=lemma_instances)
 def test_grid_value_lies_one_cell_above_the_root(inst):
-    t = _inf(inst)
+    t = algebraic_inf(inst)
     g, cell = _grid_inf(inst)
     x0 = inst.decoupled_inf
     assume(1e-6 * x0 < t)
@@ -290,10 +295,10 @@ class TestAlgebraicInf:
         t = algebraic_inf(inst)
         assert 0 < t <= inst.decoupled_inf < math.inf
 
-    def test_root_below_the_float_range_is_refused(self):
+    def test_root_below_the_float_range_is_zero(self):
+        # the root's log is about -884; it used to be refused as not a float
         inst = LemmaInstance(A=1.0, B=1e300, theta=3.0, s=0.0, N=4, nu=1e5)
-        with pytest.raises(NoProjectionError, match="not a finite positive float"):
-            algebraic_inf(inst)
+        assert algebraic_inf(inst) == 0.0
 
     @pytest.mark.parametrize("eps", [0.1, 0.01])
     def test_threshold_exists_for_each_eps(self, eps):

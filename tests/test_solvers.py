@@ -17,8 +17,7 @@ from hsvar import (DegenerateInputError, DescentOptions, HProfile,
                    lambda_norm_sq, mountain_pass, nehari_residual,
                    pair_norm_sq, project, semitrivial_probe)
 from hsvar import solvers
-from hsvar.energy import Weights, integrals
-from hsvar.nehari import project_arrays
+from hsvar.energy import Weights, _solve_scale, integrals, project_arrays
 from hsvar.operators import LambdaOperator, PairMetric
 from conftest import (admissible_params, assembled_interior, cached_grid,
                       smooth_bump)
@@ -33,6 +32,20 @@ def perturbed_first(params, grid, rng, rel_amp=0.25):
     scale = float(np.interp(1.0, grid.r, base.u.values))
     u = np.abs(base.u.values + rel_amp * scale * smooth_bump(grid, rng).values)
     return StatePair(RadialFunction(grid, u), RadialFunction.zero(grid))
+
+
+def _escalate_by_doubling(params, I):
+    """Reference for escalate_nu: double nu from 1 until the coupling term
+    of the projected couple (integrals I) exceeds half its pair norm, for at
+    most 60 root solves, and return the last nu."""
+    q = params.alpha + params.beta
+    nu = 1.0
+    for _ in range(60):
+        t = _solve_scale(I.A, I.B, I.C, params.crit_exp, q, nu)
+        if nu * q * t ** q * I.C > 0.5 * t * t * I.A:
+            return nu
+        nu *= 2.0
+    return nu
 
 
 class TestGroundState:
@@ -94,6 +107,29 @@ class TestGroundState:
         assert rep.stop_reason == "max_iter"
         assert rep.gradient_norm == pytest.approx(
             gradient_dual_norm(rep.profiles, pr, positive=True)[1], rel=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=admissible_params(),
+           h=st.one_of(st.floats(-30.0, 2.0).map(lambda k: HProfile(c=10.0 ** k)),
+                       st.builds(HProfile, st.just("bump"), p_exp=st.floats(0.5, 400.0),
+                                 q_exp=st.floats(0.5, 400.0))))
+    @example(p=ProblemParams(4, 1.0, 0.3, 0.5, 1.4, 1.4), h=HProfile(c=1e-6))     # 2^20
+    @example(p=ProblemParams(4, 1.0, 0.3, 0.5, 1.4, 1.4), h=HProfile(c=1e-30))    # 2^60
+    def test_escalate_nu_matches_the_doubling_loop(self, p, h):
+        # small weights put the threshold nu_c above 1 and beyond the 2^60 cap
+        params = replace(p, h_profile=h)
+        grid = cached_grid(params.N, 1e-6, 1e6, 256)
+        wt = Weights(grid, params)
+        I = integrals(wt, solvers._extremal(wt, "first")[0],
+                      solvers._extremal(wt, "second")[0], positive=True)
+        # the loop and the closed form may round apart where nu_c is a power
+        # of two: log2 nu_c = log2(A / (2qC)) - (q-2)/(p-2) log2(A / (2B))
+        q, p_ = params.alpha + params.beta, params.crit_exp
+        if I.C > 0:
+            k = (math.log2(I.A) - math.log2(2.0 * q * I.C)
+                 - (q - 2.0) / (p_ - 2.0) * (math.log2(I.A) - math.log2(2.0 * I.B)))
+            assume(abs(k - round(k)) > 1e-9)
+        assert escalate_nu(params, grid) == _escalate_by_doubling(params, I)
 
     def test_large_nu_produces_coupled_state_below_levels(self):
         grid = small_grid(4)
