@@ -37,7 +37,7 @@ from .errors import ConfigError, DegeneratePathError, HsvarError
 from .grid import (REFERENCE_N_NODES, REFERENCE_R_MAX, REFERENCE_R_MIN,
                    RadialFunction, build_grid)
 from .params import (HProfile, ProblemParams, is_required, read_field, read_fields,
-                     real_number, whole_number)
+                     json_object, real_number, whole_number)
 from .regimes import LemmaInstance, RegimeReport, algebraic_inf, classify
 from .solvers import (DescentOptions, PathOptions, ground_state, mountain_pass,
                       random_bump, semitrivial_probe, extremal_pair)
@@ -78,7 +78,7 @@ _SOLVER_KEYS = {"tol_grad": DescentOptions, "max_iter": DescentOptions,
 def _solver_fields(section: dict) -> dict:
     """The option fields a "solver" section sets, as {options class: {field: value}}."""
     out = {}
-    for key, value in section.items():
+    for key, value in json_object(section, "solver").items():
         if key not in _SOLVER_KEYS:
             raise ConfigError(f"unknown solver key: {key!r}")
         cls = _SOLVER_KEYS[key]
@@ -115,7 +115,7 @@ class RunConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
         with _parsing("config"):
-            g = doc.get("grid", {})
+            g = json_object(doc.get("grid", {}), "grid")
             cfg = cls(params=ProblemParams.from_dict(doc["params"]),
                       grid=(real_number(g.get("r_min", REFERENCE_R_MIN), "grid.r_min"),
                             real_number(g.get("r_max", REFERENCE_R_MAX), "grid.r_max"),
@@ -126,6 +126,8 @@ class RunConfig:
                                             doc.get("output_dir", "runs")),
                       seed=whole_number(doc.get("seed", 0), "seed"),
                       small_nu=_small_nu(doc))
+        if cfg.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
         _check_weight(classify(cfg.params), cfg.small_nu)
         return cfg
 
@@ -279,7 +281,7 @@ def _cmd_sweep(args) -> int:
     # rows run serially and a "workers" key is ignored: classify is pure
     # Python and holds the GIL, so a thread pool only made the sweep slower
     with _parsing("sweep config"):
-        command = sweep.get("command", "classify")
+        command = json_object(sweep, "sweep").get("command", "classify")
         if command not in ("classify", "lemma"):
             raise ConfigError(f"unknown sweep command: {command!r}")
         over = _sweep_over(sweep.get("over", {}), command)

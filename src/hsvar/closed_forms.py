@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidParameterError, NoProjectionError
-from .params import ProblemParams
+from .params import ProblemParams, order
 
 EPS = np.finfo(float).eps
 LN2 = math.log(2.0)
@@ -162,7 +162,7 @@ def separability_check(params: ProblemParams) -> dict:
         2 E(lambda2, s) > E(lambda1, s) > E(lambda2, s).
 
     The test is its algebraic form, which needs no Gamma evaluation and is
-    exact on the window boundary: ``lambda2 > lambda1`` together with
+    exact on the window boundary: lambda2 > lambda1 in ``params.order`` and
 
         (L - lambda2) / (L - lambda1) > 2^(-2(2-s) / (2(N-1)-s)).
 
@@ -176,9 +176,10 @@ def separability_check(params: ProblemParams) -> dict:
     L = hardy_constant(N)
     threshold = 2.0 ** (-2.0 * (2.0 - s) / (2.0 * (N - 1) - s))
     ratio_i = (L - l2) / (L - l1)
+    lam = order(l1, l2)
     return {
-        "cond_i": bool(l2 > l1 and ratio_i > threshold),
-        "cond_ii": bool(l1 > l2 and (L - l1) / (L - l2) > threshold),
+        "cond_i": bool(lam < 0 and ratio_i > threshold),
+        "cond_ii": bool(lam > 0 and (L - l1) / (L - l2) > threshold),
         "ratio": ratio_i,
         "threshold": threshold,
         "level_1": critical_level(N, l1, s),

@@ -179,7 +179,7 @@ class Integrals:
             raise DegenerateInputError(f"pair norm squared {self.A} is not positive "
                                        f"and finite (inadmissible state)")
         pr = self.params
-        return _solve_scale(self.A, self.B, self.C, pr.crit_exp, pr.coupling_exponent,
+        return _solve_scale(self.A, self.B, self.C, pr.crit_exp, pr.alpha + pr.beta,
                             pr.nu)
 
     def gradient(self, t: float = 1.0) -> np.ndarray:

@@ -33,7 +33,10 @@ def pair_to_csv(path: str, pair: StatePair) -> None:
 
 
 def pair_from_csv(path: str, grid: RadialGrid) -> StatePair:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+    except ValueError as exc:       # a cell that is not a number, a ragged row
+        raise ConfigError(f"{path}: {exc}") from None
     if data.ndim != 2 or data.shape[1] != 3:
         raise ConfigError(f"{path}: expected columns r,u,v")
     if data.shape[0] != grid.n:

@@ -17,6 +17,18 @@ import numpy as np
 from .errors import ConfigError, InvalidParameterError
 
 
+def order(a: float, b: float) -> int:
+    """-1, 0 or 1 as ``a`` is below, at or above ``b``: the one order of the
+    paper's parameters (alpha, beta against 2, alpha + beta against p,
+    lambda1 against lambda2).  A finite |a - b| <= 1e-12 max(1, |a|, |b|)
+    is a tie; an infinite one, as at alpha = inf, is not."""
+    d = abs(a - b)
+    # three products round as the product of the max does, without calling max
+    if d < math.inf and (d <= 1e-12 or d <= 1e-12 * abs(a) or d <= 1e-12 * abs(b)):
+        return 0
+    return 1 if a > b else -1
+
+
 def whole_number(value, name: str) -> int:
     """The integer field ``name`` of a document or a flag: an int, a float
     that is a whole number, or a string of digits (4, 4.0, "4").  Anything
@@ -48,6 +60,13 @@ def text(value, name: str) -> str:
     raise ConfigError(f"{name} must be a {what}, got {value!r}")
 
 
+def json_object(value, name: str) -> dict:
+    """The object ``name`` of a document.  Anything else raises ConfigError."""
+    if isinstance(value, dict):
+        return value
+    raise ConfigError(f"{name} must be an object, got {value!r}")
+
+
 def is_required(f) -> bool:
     """Whether the dataclass field ``f`` has no default."""
     return f.default is MISSING and f.default_factory is MISSING
@@ -66,9 +85,7 @@ def read_fields(cls, doc: dict, prefix: str = ""):
     """``cls`` built from the document section ``doc``: each field present is
     read by read_field, an absent one takes its default, and an absent
     required one raises KeyError."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{prefix.rstrip('.') or cls.__name__} must be an object, "
-                          f"got {doc!r}")
+    json_object(doc, prefix.rstrip(".") or cls.__name__)
     return cls(**{f.name: read_field(cls, f.name, doc[f.name], prefix)
                   for f in fields(cls) if f.name in doc or is_required(f)})
 
@@ -138,7 +155,7 @@ class ProblemParams:
     * ``N >= 3`` integer dimension,
     * ``0 <= s < 2``,
     * ``0 < lambda_j < (N-2)^2/4`` for both components,
-    * ``alpha, beta > 1`` with ``alpha + beta <= 2(N-s)/(N-2)``,
+    * ``alpha, beta > 1`` with ``alpha + beta <= 2(N-s)/(N-2)`` in ``order``,
     * finite ``nu >= 0``.
     """
 
@@ -163,12 +180,11 @@ class ProblemParams:
                 bad.append("lambda1")
             if not (0.0 < self.lambda2 < lam_max):
                 bad.append("lambda2")
-            p = self.crit_exp
             if not self.alpha > 1.0:
                 bad.append("alpha")
             if not self.beta > 1.0:
                 bad.append("beta")
-            if "alpha" not in bad and "beta" not in bad and self.alpha + self.beta > p * (1 + 1e-12):
+            elif self.alpha > 1.0 and order(self.alpha + self.beta, self.crit_exp) > 0:
                 bad.append("alpha+beta")
         if not 0.0 <= self.nu < np.inf:
             bad.append("nu")
@@ -179,17 +195,6 @@ class ProblemParams:
     def crit_exp(self) -> float:
         """Critical exponent 2(N-s)/(N-2) of the weighted nonlinearity."""
         return 2.0 * (self.N - self.s) / (self.N - 2)
-
-    @property
-    def coupling_exponent(self) -> float:
-        return self.alpha + self.beta
-
-    @property
-    def is_critical_coupling(self) -> bool:
-        """alpha + beta >= p (1 - 1e-12), the tie with p.  Construction
-        refuses sums above p (1 + 1e-12), so every other tuple is
-        subcritical."""
-        return self.crit_exp - self.coupling_exponent <= 1e-12 * self.crit_exp
 
     def swapped(self) -> "ProblemParams":
         """Parameters with the two components exchanged."""

@@ -29,9 +29,7 @@ import numpy as np
 
 from .closed_forms import critical_exponent, power_root, separability_check
 from .errors import InvalidParameterError
-from .params import ProblemParams
-
-_EXPONENT_TIE = 1e-12
+from .params import ProblemParams, order
 
 
 @dataclass(frozen=True)
@@ -51,20 +49,17 @@ class RegimeReport:
         return asdict(self)
 
 
-def _eq(a: float, b: float) -> bool:
-    return abs(a - b) <= _EXPONENT_TIE * max(1.0, abs(a), abs(b))
-
-
 def classify(params: ProblemParams) -> RegimeReport:
     """Map a parameter tuple to the applicable existence statements.
 
     This is the one place that decides each statement's case; the solvers
-    that need one (``mountain_pass``) ask it here.
+    that need one (``mountain_pass``) ask it here, by ``params.order``.
     """
-    critical = params.is_critical_coupling
+    # construction refuses sums above p, so every other tuple is subcritical
+    critical = order(params.alpha + params.beta, params.crit_exp) >= 0
     h_ok = params.h_profile.vanishes_at_origin_and_infinity
-    l1, l2 = params.lambda1, params.lambda2
-    alpha, beta = params.alpha, params.beta
+    lam = order(params.lambda1, params.lambda2)
+    a2, b2 = order(params.alpha, 2.0), order(params.beta, 2.0)
 
     # compactness gate: subcritical coupling, or critical coupling with a
     # weight vanishing at 0 and infinity.  Critical coupling with small nu is
@@ -75,15 +70,11 @@ def classify(params: ProblemParams) -> RegimeReport:
     }
 
     case, branch = None, None
-    if l1 >= l2 and (beta < 2 or _eq(beta, 2)):
-        case = "i"
-        branch = "beta<2" if beta < 2 and not _eq(beta, 2) else "beta=2+large nu"
-    if l1 <= l2 and (alpha < 2 or _eq(alpha, 2)):
-        alt = "alpha<2" if alpha < 2 and not _eq(alpha, 2) else "alpha=2+large nu"
-        if case is None:
-            case, branch = "ii", alt
-        else:
-            case, branch = "both", branch + "|" + alt
+    if lam >= 0 and b2 <= 0:
+        case, branch = "i", "beta<2" if b2 < 0 else "beta=2+large nu"
+    if lam <= 0 and a2 <= 0:
+        alt = "alpha<2" if a2 < 0 else "alpha=2+large nu"
+        case, branch = ("ii", alt) if case is None else ("both", branch + "|" + alt)
     thm_mixed = {
         "case": case or "none",
         "branch": branch,
@@ -91,13 +82,13 @@ def classify(params: ProblemParams) -> RegimeReport:
         "requires": ("large nu" if branch and "large nu" in branch else "none"),
     }
 
-    if _eq(l1, l2):
+    if lam == 0:
         small_case = "boundary"     # levels coincide; no statement selects a side
-    elif alpha >= 2 and beta >= 2:
-        small_case = "iii:" + ("second" if l1 < l2 else "first")
-    elif alpha >= 2 and l1 < l2:
+    elif a2 >= 0 and b2 >= 0:
+        small_case = "iii:" + ("second" if lam < 0 else "first")
+    elif a2 >= 0 and lam < 0:
         small_case = "i"
-    elif beta >= 2 and l1 > l2:
+    elif b2 >= 0 and lam > 0:
         small_case = "ii"
     else:
         small_case = "none"
@@ -108,9 +99,9 @@ def classify(params: ProblemParams) -> RegimeReport:
     }
 
     sep = separability_check(params)
-    if alpha >= 2 and sep["cond_i"]:
+    if a2 >= 0 and sep["cond_i"]:
         mm_case = "i"
-    elif beta >= 2 and sep["cond_ii"]:
+    elif b2 >= 0 and sep["cond_ii"]:
         mm_case = "ii"
     else:
         mm_case = "none"

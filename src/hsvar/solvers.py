@@ -61,7 +61,7 @@ from .errors import (DegenerateInputError, DegeneratePathError, HsvarError,
                      InvalidParameterError, PreconditionError)
 from .grid import RadialFunction, RadialGrid, reference_grid
 from .operators import LambdaOperator, PairMetric
-from .params import ProblemParams
+from .params import ProblemParams, order
 from .regimes import classify
 
 RADIAL_NOTE = "radial ansatz: all states are radial profiles on a truncated window"
@@ -528,8 +528,6 @@ def _redistribute(U, V, E, wt: Weights, seg: np.ndarray) -> bool:
     if m < 2 or seg.max() <= RESAMPLE_RATIO * seg.min():
         return False
     arc = np.concatenate([[0.0], np.cumsum(seg)])
-    if arc[-1] <= 0:
-        return False
     targets = np.linspace(0.0, arc[-1], m + 1)[1:-1]
     j = np.minimum(np.searchsorted(arc, targets, side="right") - 1, m - 1)
     theta = (targets - arc[j]) / np.maximum(arc[j + 1] - arc[j], 1e-300)
@@ -731,12 +729,12 @@ def semitrivial_probe(params: ProblemParams, which: str,
     variation vanish, and the directions (phi, 0) are tangent to the
     constraint set, so the label follows from the foreign exponent e (alpha
     at (0, z2), beta at (z1, 0)): the couple is a saddle iff nu > nu*, with
-    nu* = 0 for e < 2 and nu* = inf for e > 2.  For e = 2, nu* is the lowest
-    eigenvalue of K phi = mu W phi, where K is the foreign component's
-    interior operator and W = 2 h z^f r^-s, quadrature-weighted, with f the
-    host exponent; inverse iteration computes it, and the classification is
-    ``inconclusive`` only when the iteration cap is hit.  ``opts`` is not
-    read: nothing here is random.
+    nu* = 0 for e < 2 and nu* = inf for e > 2 in ``params.order``.  For e = 2,
+    nu* is the lowest eigenvalue of K phi = mu W phi, where K is the foreign
+    component's interior operator and W = 2 h z^f r^-s, quadrature-weighted,
+    with f the host exponent; inverse iteration computes it, and the
+    classification is ``inconclusive`` only when the iteration cap is hit.
+    ``opts`` is not read: nothing here is random.
     """
     grid = grid or reference_grid(params.N)
     if which not in ("first", "second"):
@@ -750,9 +748,9 @@ def semitrivial_probe(params: ProblemParams, which: str,
     z, base = _extremal(wt, "second")
     zero = np.zeros_like(z)
 
-    e, iters, stop = work.alpha, 0, None
-    if e != 2.0:
-        nu_star = 0.0 if e < 2.0 else math.inf
+    e, side, iters, stop = work.alpha, order(work.alpha, 2.0), 0, None
+    if side:
+        nu_star = 0.0 if side < 0 else math.inf
     else:
         W = 2.0 * (wt.whrs * z ** work.beta)[1:-1]
         nu_star, _, iters, done = _lowest_mode(

@@ -50,15 +50,20 @@ def assembled_interior(grid, lam):
 @st.composite
 def admissible_params(draw):
     """Admissible tuples with the ties the regime rules decide drawn often:
-    lambda1 = lambda2, alpha or beta = 2, alpha + beta = p, and sums at the
-    bound p (1 + 1e-12) that construction admits."""
+    lambda1 = lambda2, alpha or beta = 2, alpha + beta = p, sums at the
+    bound p (1 + 1e-12) that construction admits, and lambda2 = lambda1,
+    alpha = 2 and beta = 2 each missed by one rounding either way."""
     N = draw(st.integers(3, 6))
     s = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.9)))
     L, p = (N - 2) ** 2 / 4.0, 2.0 * (N - s) / (N - 2)
+    near_two = st.sampled_from([2.0, math.nextafter(2.0, -math.inf),
+                                math.nextafter(2.0, math.inf)])
     l1 = draw(st.floats(0.01, 0.99)) * L
-    l2 = l1 if draw(st.booleans()) else draw(st.floats(0.01, 0.99)) * L
-    alpha = draw(st.one_of(st.just(2.0), st.floats(1.01, p - 1.01)))
-    beta = draw(st.one_of(st.just(2.0), st.just(p - alpha),
+    l2 = draw(st.one_of(st.just(l1), st.just(math.nextafter(l1, -math.inf)),
+                        st.just(math.nextafter(l1, math.inf)),
+                        st.floats(0.01, 0.99).map(lambda x: x * L)))
+    alpha = draw(st.one_of(near_two, st.floats(1.01, p - 1.01)))
+    beta = draw(st.one_of(near_two, st.just(p - alpha),
                           st.just(p * (1 + 1e-12) - alpha),
                           st.floats(1.01, p - 1.01)))
     h = draw(st.sampled_from([HProfile(), HProfile("bump", p_exp=2.0, q_exp=2.0)]))

@@ -89,6 +89,28 @@ def test_evaluate_and_project_roundtrip(tmp_path, capsys):
     assert doc["t_star"] == pytest.approx(1.0, abs=1e-3)
 
 
+@pytest.mark.parametrize("rows,message", [
+    # a cell that is not a number used to end in numpy's traceback (1)
+    (["abc,1,2"], "could not convert string 'abc'"),
+    (["1,2", "3,4"], "expected columns r,u,v"),
+    (["1,2,3", "4,5,6"], "2 rows, grid has 1024"),
+    (None, "radii do not match the configured grid"),
+])
+def test_malformed_profiles_csv_is_named(tmp_path, capsys, rows, message):
+    path = tmp_path / "profiles.csv"
+    if rows is None:        # the right shape on a grid with another r_min
+        other = build_grid(4, 1e-5, 1e6, 1024)
+        pair_to_csv(str(path), StatePair(RadialFunction.zero(other),
+                                         RadialFunction.zero(other)))
+    else:
+        path.write_text("\n".join(["r,u,v", *rows]) + "\n")
+    code = run_command(["evaluate", "--config", write_config(tmp_path),
+                        "--profiles", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.count("\n") == 1
+    assert err.startswith(f"error: {path}: ") and message in err
+
+
 def test_profiles_csv_roundtrip_is_exact(tmp_path):
     grid = build_grid(4, **GRID)
     rng = np.random.default_rng(3)
@@ -133,6 +155,24 @@ def test_deterministic_reruns_except_timestamp(tmp_path, capsys):
     p1 = open(os.path.join(d1, "profiles.csv"), "rb").read()
     p2 = open(os.path.join(d2, "profiles.csv"), "rb").read()
     assert p1 == p2
+
+
+def test_seed_and_output_dir_flags_set_the_run(tmp_path, capsys):
+    # the flags override the document: --seed 7 --output-dir D runs what the
+    # document form "seed": 7 runs, and writes it under D
+    small = {"grid": {"n_nodes": 256}, "solver": {"max_iter": 20}}
+    reports = {}
+    for name, seed, flags in (("doc", 7, []), ("seed0", 0, []),
+                              ("flags", 0, ["--seed", "7", "--output-dir",
+                                            str(tmp_path / "flag_runs")])):
+        cfg = write_config(tmp_path, f"{name}.json", seed=seed,
+                           output_dir=str(tmp_path / f"{name}_runs"), **small)
+        run_command(["ground-state", "--config", cfg, *flags])
+        run_dir = json.loads(capsys.readouterr().out)["run_dir"]
+        reports[name] = json.load(open(os.path.join(run_dir, "report.json")))
+        del reports[name]["timestamp"]
+    assert os.path.dirname(run_dir) == str(tmp_path / "flag_runs")
+    assert reports["flags"] == reports["doc"] != reports["seed0"]
 
 
 def test_run_ids_monotonic(tmp_path, capsys):
@@ -275,6 +315,22 @@ _NAMED_MALFORMED = [
     (["ground-state", "--config", "{cfg}"],
      json.dumps({"params": PARAMS, "output_dir": "", "grid": {"n_nodes": 256},
                  "solver": {"max_iter": 2}}), "output_dir must be a non-empty string"),
+    # a negative seed used to end in numpy's traceback (1) after the config
+    # was read, and a section that is not an object named no field
+    (["ground-state", "--config", "{cfg}"],
+     json.dumps({"params": PARAMS, "seed": -1, "grid": {"n_nodes": 256}}),
+     "seed must be non-negative, got -1"),
+    (["classify", "--config", "{cfg}"], json.dumps({"params": PARAMS, "grid": [1, 2, 3]}),
+     "grid must be an object, got [1, 2, 3]"),
+    (["classify", "--config", "{cfg}"], json.dumps({"params": PARAMS, "solver": [1]}),
+     "solver must be an object, got [1]"),
+    (["sweep", "--config", "{cfg}", "--out", "{out}"], json.dumps({"params": PARAMS}),
+     "requires a 'sweep' section"),
+    (["sweep", "--config", "{cfg}", "--out", "{out}"],
+     json.dumps({"params": PARAMS, "sweep": {"command": "probe"}}),
+     "unknown sweep command: 'probe'"),
+    (["sweep", "--config", "{cfg}", "--out", "{out}"],
+     json.dumps({"params": PARAMS, "sweep": [1]}), "sweep must be an object, got [1]"),
 ]
 
 

@@ -10,8 +10,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from hsvar import (HProfile, InvalidParameterError, LemmaInstance,
                    ProblemParams, algebraic_inf, classify, critical_exponent,
-                   small_nu_threshold)
-from conftest import admissible_params, mp_power_root
+                   semitrivial_probe, small_nu_threshold)
+from hsvar.params import order
+from conftest import admissible_params, cached_grid, mp_power_root
 
 
 def make_params(alpha, beta, l1=0.3, l2=0.5, N=4, s=1.0, nu=0.1, h=None):
@@ -60,14 +61,14 @@ class TestClassify:
         assert rep2.critical and not rep2.thm_large_nu["applicable"]
 
     def test_sums_admitted_above_the_tie_are_critical(self):
-        # construction refuses alpha + beta > p (1 + 1e-12); the rounding of
-        # that bound admits sums up to 1.00009e-12 p above p, which count as
-        # critical, so no admitted tuple is neither critical nor subcritical
+        # construction refuses alpha + beta above p in params.order; the tie
+        # admits sums up to 1e-12 p above p, which count as critical, so no
+        # admitted tuple is neither critical nor subcritical
         for N, s in ((3, 0.0), (3, 0.5), (4, 1.0), (5, 0.3)):
             p = 2.0 * (N - s) / (N - 2)
             alpha = 1.3
             beta = p * (1 + 0.99e-12) - alpha
-            seen = 0
+            above = 0
             while True:
                 try:
                     pr = make_params(alpha, beta, l1=0.05, l2=0.1, N=N, s=s)
@@ -75,9 +76,67 @@ class TestClassify:
                     break
                 rep = classify(pr)
                 assert rep.critical and not rep.subcritical
-                seen += alpha + beta - p > 1e-12 * p
+                assert order(alpha + beta, p) <= 0
+                above += alpha + beta > p
                 beta = float(np.nextafter(beta, np.inf))
-            assert seen >= 1
+            assert above >= 1
+            # the first sum refused is the first above p in the order
+            assert order(alpha + beta, p) > 0
+
+    @pytest.mark.parametrize("overrides,cases", [
+        # 0.1 * 3 is 0.3 one rounding up: the levels coincide
+        (dict(lambda1=0.1 * 3, lambda2=0.3), ("boundary", "ii", "none")),
+        (dict(lambda1=0.3, lambda2=0.3), ("boundary", "ii", "none")),
+        (dict(alpha=math.nextafter(2.0, -math.inf), beta=1.2, lambda2=0.3),
+         ("i", "ii", "i")),
+        (dict(alpha=2.0, beta=1.2, lambda2=0.3), ("i", "ii", "i")),
+    ])
+    def test_a_value_one_rounding_off_a_boundary_sits_on_it(self, overrides, cases):
+        pr = replace(ProblemParams(4, 0.5, 0.1, 0.3, 1.2, 2.2, 0.5), **overrides)
+        rep = classify(pr)
+        assert (rep.thm_small_nu["case"], rep.thm_mixed["case"],
+                rep.thm_minmax["case"]) == cases
+
+
+@pytest.mark.parametrize("a,b,sign", [
+    (2.0, 2.0, 0), (math.nextafter(2.0, math.inf), 2.0, 0),
+    (2.0 + 1.9e-12, 2.0, 0), (2.0 + 2.1e-12, 2.0, 1), (2.0 - 3e-12, 2.0, -1),
+    (0.1 * 3, 0.3, 0), (0.1, 0.3, -1), (1e-13, 0.0, 0), (2e-12, 0.0, 1),
+    (math.inf, 2.0, 1), (math.inf, 1e308, 1)])
+def test_order_ties_within_1e_12_of_the_larger_magnitude(a, b, sign):
+    assert order(a, b) == sign
+    assert order(b, a) == -sign
+
+
+@pytest.mark.parametrize("alpha,beta", [(math.inf, 1.4), (1.4, math.inf),
+                                        (1e308, 1e308), (1e300, 1.4)])
+def test_an_infinite_sum_is_refused(alpha, beta):
+    # the tie 1e-12 max(1, |a|, |b|) is infinite at alpha + beta = inf
+    with pytest.raises(InvalidParameterError, match=r"alpha\+beta"):
+        make_params(alpha, beta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pr=admissible_params(),
+       to=st.lists(st.sampled_from([-math.inf, math.inf]), min_size=4, max_size=4))
+def test_a_rounding_does_not_change_the_answer(pr, to):
+    # the twin moves each of alpha, beta, lambda1 and lambda2 by one
+    # rounding; both sit on the same side of every boundary, or on it
+    names = ("alpha", "beta", "lambda1", "lambda2")
+    try:
+        twin = replace(pr, **{k: math.nextafter(getattr(pr, k), t)
+                              for k, t in zip(names, to)})
+    except InvalidParameterError:
+        assume(False)       # the sum moved above p, to where it is refused
+
+    def answer(pr):
+        rep = classify(pr).to_dict()
+        del rep["levels"]
+        grid = cached_grid(pr.N, 1e-6, 1e6, 256)
+        return rep, [semitrivial_probe(pr, which, grid).classification
+                     for which in ("first", "second")]
+
+    assert answer(twin) == answer(pr)
 
 
 @settings(max_examples=300, deadline=None)

@@ -17,7 +17,8 @@ from hsvar import (DegenerateInputError, DescentOptions, HProfile,
                    lambda_norm_sq, mountain_pass, nehari_residual,
                    pair_norm_sq, project, semitrivial_probe)
 from hsvar import solvers
-from hsvar.energy import Weights, _solve_scale, integrals, project_arrays
+from hsvar.closed_forms import power_root
+from hsvar.energy import Weights, integrals, project_arrays
 from hsvar.operators import LambdaOperator, PairMetric
 from conftest import (admissible_params, assembled_interior, cached_grid,
                       smooth_bump)
@@ -37,12 +38,14 @@ def perturbed_first(params, grid, rng, rel_amp=0.25):
 def _escalate_by_doubling(params, I):
     """Reference for escalate_nu: double nu from 1 until the coupling term
     of the projected couple (integrals I) exceeds half its pair norm, for at
-    most 60 root solves, and return the last nu."""
+    most 60 root solves, and return the last nu.  The test nu q t^q C >
+    t^2 A / 2 is made in x = ln t: with q near 2 and a large C the scale t
+    lies below the float range, where t^q and t^2 are both 0."""
     q = params.alpha + params.beta
     nu = 1.0
     for _ in range(60):
-        t = _solve_scale(I.A, I.B, I.C, params.crit_exp, q, nu)
-        if nu * q * t ** q * I.C > 0.5 * t * t * I.A:
+        x = power_root(I.A, ((params.crit_exp - 2.0, I.B), (q - 2.0, nu * q * I.C)))
+        if I.C > 0 and math.log(nu * q * I.C) + (q - 2.0) * x > math.log(0.5 * I.A):
             return nu
         nu *= 2.0
     return nu
@@ -95,6 +98,16 @@ class TestGroundState:
         assert rep.iterations <= 5
         assert rep.stop_reason == "max_iter"
 
+    def test_failed_search_stops_at_line_search(self):
+        # tol_grad = 0 is never met: near the minimizer no trial meets the
+        # Armijo test, and the descent stops there, unconverged
+        grid = cached_grid(5, 1e-6, 1e6, 512)
+        pr = ProblemParams(5, 1.0, 1.0, 0.5, 1.2, 1.2, 0.0)
+        rep = ground_state(pr, perturbed_first(pr, grid, np.random.default_rng(0)),
+                           DescentOptions(tol_grad=0.0))
+        assert rep.stop_reason == "line_search" and not rep.converged
+        assert rep.iterations < DescentOptions().max_iter
+
     @pytest.mark.parametrize("max_iter", [1, 3, 5])
     def test_max_iter_stop_reports_the_returned_gradient(self, max_iter):
         # the gradient of the profiles returned, not of the iterate before
@@ -115,6 +128,7 @@ class TestGroundState:
                                  q_exp=st.floats(0.5, 400.0))))
     @example(p=ProblemParams(4, 1.0, 0.3, 0.5, 1.4, 1.4), h=HProfile(c=1e-6))     # 2^20
     @example(p=ProblemParams(4, 1.0, 0.3, 0.5, 1.4, 1.4), h=HProfile(c=1e-30))    # 2^60
+    @example(p=ProblemParams(3, 0.0, 0.125, 0.125, 1.015625, 1.03125), h=HProfile())  # t < 1e-308
     def test_escalate_nu_matches_the_doubling_loop(self, p, h):
         # small weights put the threshold nu_c above 1 and beyond the 2^60 cap
         params = replace(p, h_profile=h)
@@ -619,6 +633,24 @@ class TestClassificationThreshold:
         labels = [semitrivial_probe(flip_params(f * nu_star), "second",
                                     grid).classification for f in (0.9, 1.1)]
         assert labels == ["local_min", "saddle"]
+
+    def test_an_exponent_one_rounding_off_2_is_2(self):
+        # np.arange(1.5, 2.6, 0.1)[5] is 2.0000000000000004, which used to
+        # count as above 2 (local_min, nu* = inf)
+        grid = cached_grid(3, 1e-6, 1e6, 512)
+        reps = [semitrivial_probe(replace(flip_params(1.0), alpha=a), "second", grid)
+                for a in (2.0, float(np.arange(1.5, 2.6, 0.1)[5]))]
+        assert [r.classification for r in reps] == ["saddle", "saddle"]
+        assert reps[1].extra["nu_star"] == reps[0].extra["nu_star"]
+
+    def test_iteration_cap_is_inconclusive(self, monkeypatch):
+        monkeypatch.setattr(solvers, "MODE_MAX_ITER", 1)
+        grid = small_grid(3)
+        rep = semitrivial_probe(flip_params(1.0), "second", grid)
+        assert rep.classification == "inconclusive" and not rep.converged
+        assert rep.stop_reason == "max_iter"
+        flip = classification_flip(flip_params, 1e-3, 100.0, "second", grid)
+        assert not flip["flip_found"]
 
     def test_flip_bracket_contains_nu_star(self):
         grid = small_grid(3)
