@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from contextlib import contextmanager
@@ -149,12 +150,12 @@ def _read_json(path: str) -> dict:
 
 def _load_config(args) -> RunConfig:
     doc = _read_json(args.config) if args.config else {}
-    doc.setdefault("params", {})
     with _parsing("config"):
+        params = json_object(doc.setdefault("params", {}), "params")
         for name in _FIELDS["classify"]:
             value = getattr(args, name)
             if value is not None:
-                doc["params"][name] = _parse_h(value) if name == "h_profile" else value
+                params[name] = _parse_h(value) if name == "h_profile" else value
     if args.grid:
         try:
             r_min, r_max, n = args.grid.split(",")
@@ -273,6 +274,13 @@ def _sweep_over(over, command: str) -> dict:
     return over
 
 
+def _csv_line(cells) -> str:
+    """The line csv.writer writes for ``cells``, without its line end."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()[:-1]
+
+
 def _cmd_sweep(args) -> int:
     doc = _read_json(args.config)
     sweep = doc.get("sweep")
@@ -285,18 +293,21 @@ def _cmd_sweep(args) -> int:
         if command not in ("classify", "lemma"):
             raise ConfigError(f"unknown sweep command: {command!r}")
         over = _sweep_over(sweep.get("over", {}), command)
-        section = doc["params"] if command == "classify" else doc.get("lemma", {})
+        what = "params" if command == "classify" else "lemma"
+        section = json_object(doc["params"] if command == "classify"
+                              else doc.get("lemma", {}), what)
     names = sorted(over)
 
-    # each row is its report columns; the swept values are added on writing
+    # each row is the CSV text of its report columns, made once per distinct
+    # report; the swept values are added on writing
     if command == "lemma":
-        cls, what, columns = LemmaInstance, "lemma", ["inf", "decoupled_inf"]
+        cls, columns = LemmaInstance, ["inf", "decoupled_inf"]
 
         def one(combo):
             inst = LemmaInstance(**base, **dict(zip(names, combo)))
-            return algebraic_inf(inst), inst.decoupled_inf
+            return _csv_line((algebraic_inf(inst), inst.decoupled_inf))
     else:
-        cls, what, small_nu = ProblemParams, "params", _small_nu(doc)
+        cls, small_nu = ProblemParams, _small_nu(doc)
         columns = ["subcritical", "critical", "thm_large_nu", "thm_mixed",
                    "thm_small_nu", "thm_minmax"]
 
@@ -317,10 +328,10 @@ def _cmd_sweep(args) -> int:
             if row is None:
                 rep = classify(params)
                 _check_weight(rep, small_nu)
-                row = reports[key] = (
+                row = reports[key] = _csv_line((
                     rep.subcritical, rep.critical, rep.thm_large_nu["applicable"],
                     rep.thm_mixed["case"], rep.thm_small_nu["case"],
-                    rep.thm_minmax["case"])
+                    rep.thm_minmax["case"]))
             return row
 
     # each value is read once, before the rows; a row puts its swept values over the base
@@ -330,15 +341,16 @@ def _cmd_sweep(args) -> int:
         swept = [[read_field(cls, n, x) for x in over[n]] for n in names]
         rows = [one(c) for c in product(*swept)]
 
-    # the text of each swept value is made once, and stepped through in the
-    # order of the rows; values that compare equal (0.0 and -0.0, 1 and 1.0)
-    # keep their own text
-    texts = product(*([str(x) for x in over[n]] for n in names))
+    # the CSV text of each swept value is made once, as given: values that
+    # compare equal (0.0 and -0.0, 1 and 1.0) keep their own text.  A line
+    # joins the texts of its swept values and its report, and the file is
+    # written in one call
+    texts = [[_csv_line((str(x),)) for x in over[n]] for n in names]
+    lines = [_csv_line(names + columns)]
+    lines += [",".join(cells + (row,)) for cells, row in zip(product(*texts), rows)]
     out = args.out or "sweep.csv"
     with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(names + columns)
-        writer.writerows(cells + row for cells, row in zip(texts, rows))
+        fh.write("\n".join(lines) + "\n")
     print(f"wrote {len(rows)} rows to {out}")
     return EXIT_OK
 

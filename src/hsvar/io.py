@@ -14,6 +14,7 @@ import math
 import os
 import re
 import time
+import warnings
 
 import numpy as np
 
@@ -34,10 +35,15 @@ def pair_to_csv(path: str, pair: StatePair) -> None:
 
 def pair_from_csv(path: str, grid: RadialGrid) -> StatePair:
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        with warnings.catch_warnings():
+            # a file with no data rows is refused below, not warned about
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:       # a cell that is not a number, a ragged row
         raise ConfigError(f"{path}: {exc}") from None
-    if data.ndim != 2 or data.shape[1] != 3:
+    if data.size == 0:
+        raise ConfigError(f"{path}: no data rows, grid has {grid.n}")
+    if data.shape[1] != 3:
         raise ConfigError(f"{path}: expected columns r,u,v")
     if data.shape[0] != grid.n:
         raise ConfigError(f"{path}: {data.shape[0]} rows, grid has {grid.n}")

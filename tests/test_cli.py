@@ -18,11 +18,12 @@ import hsvar
 from hsvar import (DescentOptions, PathOptions, StatePair, build_grid, classify,
                    energy, exact_solution)
 from hsvar import io as hio
-from hsvar.cli import RunConfig, _load_config, build_parser, run_command
+from hsvar.cli import RunConfig, _csv_line, _load_config, build_parser, run_command
 from hsvar.grid import RadialFunction
 from hsvar.io import pair_from_csv, pair_to_csv
 from hsvar.errors import ConfigError
-from hsvar.params import ProblemParams, real_number, text, whole_number
+from hsvar.params import ProblemParams, read_fields, real_number, text, whole_number
+from hsvar.regimes import LemmaInstance, algebraic_inf
 
 from conftest import admissible_params
 
@@ -94,8 +95,13 @@ def test_evaluate_and_project_roundtrip(tmp_path, capsys):
     (["abc,1,2"], "could not convert string 'abc'"),
     (["1,2", "3,4"], "expected columns r,u,v"),
     (["1,2,3", "4,5,6"], "2 rows, grid has 1024"),
+    # a header-only file let numpy's two-line warning reach stderr first, and
+    # one data row was refused as the wrong columns (a 1-D array)
+    ([], "no data rows, grid has 1024"),
+    (["1,2,3"], "1 rows, grid has 1024"),
     (None, "radii do not match the configured grid"),
 ])
+@pytest.mark.filterwarnings("error")        # a warning would print before the error line
 def test_malformed_profiles_csv_is_named(tmp_path, capsys, rows, message):
     path = tmp_path / "profiles.csv"
     if rows is None:        # the right shape on a grid with another r_min
@@ -331,6 +337,12 @@ _NAMED_MALFORMED = [
      "unknown sweep command: 'probe'"),
     (["sweep", "--config", "{cfg}", "--out", "{out}"],
      json.dumps({"params": PARAMS, "sweep": [1]}), "sweep must be an object, got [1]"),
+    # a section that is not an object was named by an AttributeError or the class
+    (["sweep", "--config", "{cfg}", "--out", "{out}"],
+     json.dumps({"lemma": [1], "sweep": {"command": "lemma", "over": {"nu": [0.1]}}}),
+     "lemma must be an object, got [1]"),
+    (["classify", "--config", "{cfg}"], json.dumps({"params": [1, 2]}),
+     "params must be an object, got [1, 2]"),
 ]
 
 
@@ -682,6 +694,8 @@ _SWEEP_VALUES = {
     "lambda1": [0.25, 0.5, 0.5],
     "alpha": [2, 2.0, 1.5, 1.25],
     "nu": [0, 0.0, -0.0, 1, 1.0, 0.1],
+    # a cell with commas, which the CSV quotes
+    "h_profile": [{"kind": "bump"}, {"kind": "bump", "p_exp": 1.0, "q_exp": 3.0}],
 }
 
 
@@ -710,6 +724,40 @@ def test_sweep_writes_the_rows_classify_gives(tmp_path_factory, over):
                            rep.thm_mixed["case"], rep.thm_small_nu["case"],
                            rep.thm_minmax["case"]])
     assert out_csv.read_bytes() == ref.getvalue().encode()
+
+
+def test_lemma_sweep_writes_the_rows_algebraic_inf_gives(tmp_path, capsys):
+    lemma = {"B": 1.0, "theta": 3.0, "N": 4, "s": 1.0}
+    over = {"nu": [0, 0.0, -0.0, 0.01, 1e-4], "A": [1, 1.0, 2.5]}
+    cfg = tmp_path / "lemma_sweep.json"
+    cfg.write_text(json.dumps({"lemma": lemma,
+                               "sweep": {"command": "lemma", "over": over}}))
+    out_csv = tmp_path / "lemma.csv"
+    assert run_command(["sweep", "--config", str(cfg), "--out", str(out_csv)]) == 0
+    capsys.readouterr()
+    ref = io.StringIO()
+    writer = csv.writer(ref, lineterminator="\n")
+    writer.writerow(["A", "nu", "inf", "decoupled_inf"])
+    for a, nu in itertools.product(over["A"], over["nu"]):
+        inst = read_fields(LemmaInstance, {**lemma, "A": a, "nu": nu})
+        writer.writerow([str(a), str(nu), algebraic_inf(inst), inst.decoupled_inf])
+    assert out_csv.read_bytes() == ref.getvalue().encode()
+
+
+_CELLS = st.one_of(
+    st.text(alphabet=st.sampled_from('ab ,"\r\n\'0.-'), max_size=6),
+    st.floats(), st.sampled_from([-0.0, math.inf, -math.inf, math.nan]),
+    st.integers(), st.booleans(),
+    st.dictionaries(st.sampled_from(["kind", "c"]),
+                    st.one_of(st.text(max_size=3), st.floats()), max_size=2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_CELLS, min_size=1, max_size=4))
+def test_csv_line_is_the_line_csv_writer_writes(cells):
+    ref = io.StringIO()
+    csv.writer(ref, lineterminator="\n").writerow(cells)
+    assert _csv_line(cells) + "\n" == ref.getvalue()
 
 
 def test_sweep_classifies_each_nu_free_tuple_once(tmp_path, capsys, monkeypatch):
