@@ -38,5 +38,5 @@ def params_at(nu):
 
 res = classification_flip(params_at, 1e-3, 100.0, "second", grid)
 lo, hi = res["bracket"]
-print(f"\nbisection brackets the flip at nu in [{lo:.6f}, {hi:.6f}]"
-      f"  (nu* = {res['nu_star']:.6f})")
+print(f"\nthe flip lies between nu = {lo!r} ({res['labels'][lo]}) and the next "
+      f"float, {hi!r} ({res['labels'][hi]})")

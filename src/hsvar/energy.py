@@ -106,9 +106,9 @@ class Weights:
     """Weight vectors of the integrals kernel for one (grid, params).
 
     ``wrs = w r^-s`` and ``whrs = w h r^-s`` weigh the critical and coupling
-    integrals, ``wr2 = w r^-2`` the Hardy integral, and ``cc = cell_w/dt^2``
-    the Dirichlet cells.  Callers build one per solver call and reuse it for
-    every state they evaluate; the public functions below build their own.
+    integrals, the grid's ``wr2`` the Hardy integral and ``cc`` the Dirichlet
+    cells.  Callers build one per solver call and reuse it for every state
+    they evaluate; the public functions below build their own.
     """
 
     __slots__ = ("grid", "params", "wrs", "whrs", "wr2", "cc", "_grad_w")
@@ -118,8 +118,8 @@ class Weights:
         self.params = params
         self.wrs = grid.w / grid.r ** params.s
         self.whrs = self.wrs * params.h_profile(grid.r)
-        self.wr2 = grid.w / grid.r ** 2
-        self.cc = grid.cell_w / grid.dt ** 2
+        self.wr2 = grid.wr2
+        self.cc = grid.cc
         self._grad_w = None
 
     def _gradient_weights(self):

@@ -53,9 +53,13 @@ class RadialGrid:
     cell_w : ndarray
         Kinetic cell weights ``omega * exp((N-2) t_mid) * dt`` used by the
         Dirichlet seminorm (one entry per cell, length ``n - 1``).
+    wr2, cc : ndarray
+        Hardy weights ``w / r**2`` and Dirichlet cell coefficients
+        ``cell_w / dt**2``: the band of the discrete quadratic form.
     """
 
-    __slots__ = ("N", "n", "r_min", "r_max", "r", "t", "dt", "w", "cell_w", "omega")
+    __slots__ = ("N", "n", "r_min", "r_max", "r", "t", "dt", "w", "cell_w", "wr2",
+                 "cc", "omega")
 
     def __init__(self, N: int, r_min: float, r_max: float, n_nodes: int):
         if not (isinstance(N, (int, np.integer)) and N >= 3):
@@ -80,13 +84,15 @@ class RadialGrid:
             self.w = self.omega * self.r ** self.N * tau
             t_mid = 0.5 * (self.t[1:] + self.t[:-1])
             self.cell_w = self.omega * np.exp((self.N - 2) * t_mid) * self.dt
+            self.wr2 = self.w / self.r ** 2
+            self.cc = self.cell_w / self.dt ** 2
             # min and max are nan when any entry is
             if not all(0 < a.min() and a.max() < math.inf
-                       for a in (self.r, self.w, self.cell_w, self.w / self.r ** 2)):
+                       for a in (self.r, self.w, self.cell_w, self.wr2, self.cc)):
                 raise InvalidGridError(
                     f"the window [{r_min}, {r_max}] in dimension N = {N} puts nodes or "
                     f"weights outside the positive floats")
-        for arr in (self.t, self.r, self.w, self.cell_w):
+        for arr in (self.t, self.r, self.w, self.cell_w, self.wr2, self.cc):
             arr.flags.writeable = False
 
     def compatible(self, other: "RadialGrid") -> bool:

@@ -43,8 +43,8 @@ the second variation in the directions (phi, 0), tangent to the constraint
 set: with foreign exponent 2 the couple is a saddle iff nu exceeds the
 lowest eigenvalue nu* of the foreign operator against the weight 2 h z^f
 r^-s, computed by inverse iteration; other exponents fix nu* at 0 or inf.
-Neither the weight nor z contains nu, so the bisection over nu computes nu*
-once and labels every step by comparing its nu with it.
+Neither the weight nor z contains nu, so nu* is where the label flips: the
+flip over a range of nu is read off one probe, with no search over nu.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from functools import partial
 import numpy as np
 
 from .closed_forms import critical_level, exact_solution
-from .energy import StatePair, Weights, integrals, pair_integrals, project_arrays
+from .energy import StatePair, Weights, integrals, project_arrays
 from .errors import (DegenerateInputError, DegeneratePathError, HsvarError,
                      InvalidParameterError, PreconditionError)
 from .grid import RadialFunction, RadialGrid, reference_grid
@@ -339,9 +339,9 @@ def _descend(params: ProblemParams, pair: StatePair, metric: PairMetric,
     test.  Every accepted trial is reprojected, so the iterates stay on the
     constraint set.
 
-    Returns (pair, energy, iterations, rel_grad, trace, stop_reason,
-    counts), where ``counts`` holds ``restarts``, the iterations that
-    stepped along m, and ``trials``, the projections of the line searches.
+    Returns (pair, t, I, iterations, rel_grad, trace, stop_reason,
+    counts), with pair = t x for the integrals I of x; ``counts`` holds
+    ``restarts``, the steps along m, and ``trials``, the search projections.
     The loop runs on node arrays; an accepted trial's energy, norm and
     gradient after projection come from its integrals before projection, by
     homogeneity, so a trial makes one grid pass.
@@ -400,7 +400,7 @@ def _descend(params: ProblemParams, pair: StatePair, metric: PairMetric,
         # the gradient of the iterate returned, not of the one before it
         it = opts.max_iter
         rel_g = _rel_grad(metric.direction(*g)[2], nsq)
-    return (_pair(grid, u, v), E, it, rel_g, trace, stop,
+    return (_pair(grid, u, v), t, I, it, rel_g, trace, stop,
             {"restarts": restarts, "trials": trials})
 
 
@@ -416,18 +416,19 @@ def ground_state(params: ProblemParams, init: StatePair,
     if init.is_zero():
         raise DegenerateInputError("ground_state requires a nonzero initial pair")
     metric = PairMetric(init.grid, params.lambda1, params.lambda2)
-    pair, E, iters, rel_g, trace, stop, counts = _descend(params, init,
-                                                          metric, opts)
-
-    I = pair_integrals(pair, params, positive=True)
+    pair, t, I, iters, rel_g, trace, stop, counts = _descend(params, init,
+                                                             metric, opts)
+    # the integrals of pair = t x, by homogeneity from those of x
+    E, tp = I.energy(t), t ** params.crit_exp
+    hs_u, hs_v = tp * I.hs_u, tp * I.hs_v
     levels = _levels(params)
     levels.update(below_min_semitrivial=bool(E < levels["min_level"]),
-                  crit_integral_u=I.hs_u, crit_integral_v=I.hs_v)
-    classification = ("coupled" if I.hs_u > 1e-6 and I.hs_v > 1e-6
+                  crit_integral_u=hs_u, crit_integral_v=hs_v)
+    classification = ("coupled" if hs_u > 1e-6 and hs_v > 1e-6
                       else "semitrivial_like")
     return SolverReport(
         kind="ground_state", params=params.to_dict(), energy=E,
-        gradient_norm=rel_g, nehari_residual=abs(I.residual()) / max(I.A, 1e-300),
+        gradient_norm=rel_g, nehari_residual=abs(I.residual(t)) / (t * t * I.A),
         iterations=iters, converged=stop == "tolerance", level_diagnostics=levels,
         profiles=pair, classification=classification, stop_reason=stop,
         trace=trace[-200:],
@@ -773,18 +774,19 @@ def semitrivial_probe(params: ProblemParams, which: str,
 def classification_flip(params_at, nu_lo: float, nu_hi: float, which: str,
                         grid: RadialGrid | None = None,
                         opts: ProbeOptions | None = None) -> dict:
-    """Bisect over nu, 12 times in log nu, for a change of probe classification.
+    """Where the probe classification flips from local_min to saddle in nu.
 
     ``params_at(nu)`` builds the parameter tuple and must vary only nu; one
     that changes anything else raises :class:`InvalidParameterError`.  The
-    threshold nu* depends on the weight W = 2 h z^f r^-s and the host
-    extremal z, neither of which contains nu, so one probe, at ``nu_lo``,
-    serves every step: each tested nu is labeled by comparing it with that
-    nu*, by the rule :func:`semitrivial_probe` applies.  The bounds must be
-    finite with ``0 < nu_lo < nu_hi``, else :class:`InvalidParameterError`;
-    the endpoints must classify as local_min (low) and saddle (high).
-    Returns the bracketing interval, the label at each tested nu, whether
-    the flip was found, and nu*.
+    bounds must be finite with ``0 < nu_lo < nu_hi``, else
+    :class:`InvalidParameterError`.  The threshold nu* depends on the weight
+    W = 2 h z^f r^-s and the host extremal z, neither of which contains nu,
+    so one probe, at ``nu_lo``, gives it, and every nu is labeled by
+    comparing it with that nu*, by the rule :func:`semitrivial_probe`
+    applies.  The flip is found when ``nu_lo`` labels local_min and
+    ``nu_hi`` saddle; the bracket is then nu* (local_min) and the next float
+    above it (saddle), else ``(nu_lo, nu_hi)``.  Returns the bracket, the
+    label at each labeled nu, whether the flip was found, and nu*.
     """
     if not 0.0 < nu_lo < nu_hi < math.inf:
         raise InvalidParameterError(
@@ -802,15 +804,9 @@ def classification_flip(params_at, nu_lo: float, nu_hi: float, which: str,
         labels[nu] = _label(params.nu, nu_star, stop)
         return labels[nu]
 
-    lab_lo, lab_hi = label(nu_lo), label(nu_hi)
-    if lab_lo != "local_min" or lab_hi != "saddle":
-        return {"bracket": (nu_lo, nu_hi), "labels": labels,
-                "flip_found": False, "nu_star": nu_star}
-    for _ in range(12):
-        mid = math.sqrt(nu_lo * nu_hi)
-        if label(mid) == "local_min":
-            nu_lo = mid
-        else:
-            nu_hi = mid
-    return {"bracket": (nu_lo, nu_hi), "labels": labels, "flip_found": True,
+    found = (label(nu_lo), label(nu_hi)) == ("local_min", "saddle")
+    bracket = (nu_star, math.nextafter(nu_star, math.inf)) if found else (nu_lo, nu_hi)
+    for nu in bracket:
+        label(nu)
+    return {"bracket": bracket, "labels": labels, "flip_found": found,
             "nu_star": nu_star}

@@ -40,11 +40,17 @@ def smooth_bump(grid, rng, amp_range=(0.3, 1.5), signed=True):
     return RadialFunction(grid, compact_bump(grid.t, center, halfwidth, amp))
 
 
+def interior_band(grid, lam):
+    """Main and off diagonal of the interior quadratic form Q - lam * Hardy,
+    assembled from the quadrature weights."""
+    cc = grid.cell_w / grid.dt ** 2
+    return cc[:-1] + cc[1:] - lam * grid.w[1:-1] / grid.r[1:-1] ** 2, -cc[1:-1]
+
+
 def assembled_interior(grid, lam):
     """Dense interior matrix of the quadratic form Q - lam * Hardy."""
-    cc = grid.cell_w / grid.dt ** 2
-    main = cc[:-1] + cc[1:] - lam * grid.w[1:-1] / grid.r[1:-1] ** 2
-    return np.diag(main) - np.diag(cc[1:-1], 1) - np.diag(cc[1:-1], -1)
+    main, off = interior_band(grid, lam)
+    return np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
 
 
 @st.composite

@@ -209,12 +209,21 @@ def test_lemma_command(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["--N", "3", "--s", "0", "--A", "1", "--B", "1", "--theta", "2.015625", "--nu", "10"],
-    ["--A", "1", "--B", "1e300", "--theta", "3", "--nu", "1e5"]])
+    ["--A", "1", "--B", "1e300", "--theta", "3", "--nu", "1e5"],
+    # the scaling set is the whole half-line at theta = 2 and B nu >= A
+    ["--A", "1", "--B", "1", "--theta", "2", "--nu", "2"]])
 def test_lemma_root_below_the_float_range_is_zero(capsys, argv):
     # B nu > A: just above theta = 2 the root is below the float range, which
     # used to be refused (2); at theta = 2 the infimum is 0.0 as well
     assert run_command(["lemma", *argv]) == 0
     assert json.loads(capsys.readouterr().out)["inf"] == 0.0
+
+
+def test_lemma_root_near_2e8_is_found_without_overflow(capsys):
+    assert run_command(["lemma", "--A", "1e100", "--B", "1", "--theta", "50",
+                        "--nu", "1"]) == 0
+    inf = json.loads(capsys.readouterr().out)["inf"]
+    assert inf == pytest.approx(2.1544346900319e8, rel=1e-12)
 
 
 def test_bump_weight_with_large_exponents_runs(tmp_path, capsys, monkeypatch):
@@ -414,6 +423,9 @@ def _run_malformed(tmp_path, capsys, monkeypatch, argv, content):
     *((["ground-state", "--nu", "1", "--grid", window,
         *(f"--{k}={v}" for k, v in PARAMS.items())], None)
       for window in ("1e-6,inf,256", "1e-300,1e300,256")),
+    # a negative seed flag used to end in numpy's traceback (1)
+    (["ground-state", "--nu", "1", "--grid", "1e-6,1e6,256", "--seed", "-1",
+      *(f"--{k}={v}" for k, v in PARAMS.items())], None),
 ])
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch,
                                               argv, content):
@@ -809,6 +821,42 @@ def test_mountain_pass_cli(tmp_path, capsys):
     assert (code == 0) == (report["stop_reason"] == "tolerance")
     lv = report["level_diagnostics"]
     assert lv["level_1"] < report["energy"] < 3 * lv["level_2"]
+
+
+# the bump-h tuple of the min-max path: at nu = 0.5 it reaches its crest
+# tolerance, at nu = 0.02 on 1024 nodes it stops at max_sweeps
+BUMP_PATH = ["--N", "4", "--s", "0.5", "--lambda1", "0.1", "--lambda2", "0.3",
+             "--alpha", "2.2", "--beta", "1.2", "--h", "bump:2,2"]
+
+
+@pytest.mark.parametrize("argv,code", [(["--nu", "0.5"], 0),
+                                       (["--nu", "0.02", "--grid", "1e-6,1e6,1024"], 3)])
+def test_mountain_pass_exit_code_follows_its_stop(tmp_path, capsys, argv, code):
+    assert run_command(["mountain-pass", *BUMP_PATH, *argv,
+                        "--output-dir", str(tmp_path / "runs")]) == code
+    out = json.loads(capsys.readouterr().out)
+    report = json.loads(open(os.path.join(out["run_dir"], "report.json")).read())
+    assert report["converged"] is (code == 0)
+    resamples = report["extra"]["resamples"]
+    assert type(resamples) is int and resamples < 2 * report["iterations"]
+    assert type(report["extra"]["trials"]) is int
+
+
+@pytest.mark.parametrize("lambda1", ["0.1", "0.3", "0.30000000000000004"])
+def test_mountain_pass_refuses_a_tuple_classify_calls_none(tmp_path, capsys,
+                                                          monkeypatch, lambda1):
+    # alpha < 2: at lambda1 = 0.1 window (i) holds but the matching exponent
+    # does not; 0.1 * 3 is lambda2 = 0.3 one rounding up, a tie in
+    # params.order, refused as at 0.3
+    monkeypatch.chdir(tmp_path)
+    argv = ["--N", "4", "--s", "0.5", "--lambda1", lambda1, "--lambda2", "0.3",
+            "--alpha", "1.2", "--beta", "2.2", "--nu", "0.5"]
+    assert run_command(["classify", *argv]) == 0
+    minmax = json.loads(capsys.readouterr().out)["thm_minmax"]
+    assert minmax["case"] == "none" and minmax["cond_i"] is (lambda1 == "0.1")
+    assert run_command(["mountain-pass", *argv, "--grid", "1e-6,1e6,512"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_collapsed_path_exits_3_with_one_line(tmp_path, capsys, monkeypatch):

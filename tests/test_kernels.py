@@ -15,7 +15,7 @@ from hsvar.energy import Weights, gradient_coefficients, integrals
 from hsvar.grid import gradient_seminorm, weighted_lp
 from hsvar.operators import LambdaOperator
 from hsvar.solvers import compact_bump
-from conftest import assembled_interior, cached_grid, smooth_bump
+from conftest import assembled_interior, cached_grid, interior_band, smooth_bump
 
 REL = 1e-13
 
@@ -247,11 +247,34 @@ def test_tridiagonal_solve_matches_dense(N, lam_frac):
     d = op.solve(rhs)
     assert np.linalg.norm(M @ d - rhs) <= 1e-10 * np.linalg.norm(rhs)
     # the unscaled dense solve loses digits to the coefficients' range, so
-    # the dense reference is solved with the same Jacobi scaling
+    # the dense reference is solved with Jacobi scaling
     s = 1.0 / np.sqrt(np.diag(M))
     dense = s * np.linalg.solve(M * s[:, None] * s[None, :], s * rhs)
     assert np.linalg.norm(d - dense) <= 1e-10 * np.linalg.norm(dense)
     assert not np.any(op.solve(np.zeros(grid.n - 2)))
+
+
+@pytest.mark.parametrize("N,r_max,n_nodes", [(3, 1e100, 512), (5, 1e50, 2048)])
+@pytest.mark.parametrize("lam_frac", [0.1, 0.99])
+def test_tridiagonal_solve_is_backward_stable_on_extreme_windows(N, r_max, n_nodes,
+                                                                 lam_frac):
+    # the band spans up to 1e-148..1e152 here and the right-hand side
+    # 1e-301..1e296, so normwise checks and the dense reference overflow;
+    # the unscaled LDL^T solve is componentwise backward stable
+    grid = cached_grid(N, 1.0 / r_max, r_max, n_nodes)
+    lam = lam_frac * hardy_constant(N)
+    main, off = interior_band(grid, lam)
+    rng = np.random.default_rng(N)
+    b = grid.w[1:-1] * (compact_bump(grid.t, rng.uniform(-2, 2), 2.0, 1.0)[1:-1]
+                        + 1e-3 * rng.normal(size=grid.n - 2))
+    x = LambdaOperator(grid, lam).solve(b)
+    assert np.all(np.isfinite(x))
+    ax, size = main * x, np.abs(main * x) + np.abs(b)
+    ax[:-1] += off * x[1:]
+    ax[1:] += off * x[:-1]
+    size[:-1] += np.abs(off * x[1:])
+    size[1:] += np.abs(off * x[:-1])
+    assert np.max(np.abs(ax - b) / size) <= 1e-15
 
 
 def test_operator_without_spd_regularization_raises():

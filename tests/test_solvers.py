@@ -18,7 +18,7 @@ from hsvar import (DegenerateInputError, DescentOptions, HProfile,
                    pair_norm_sq, project, semitrivial_probe)
 from hsvar import solvers
 from hsvar.closed_forms import power_root
-from hsvar.energy import Weights, integrals, project_arrays
+from hsvar.energy import Weights, integrals, pair_integrals, project_arrays
 from hsvar.operators import LambdaOperator, PairMetric
 from conftest import (admissible_params, assembled_interior, cached_grid,
                       smooth_bump)
@@ -120,6 +120,23 @@ class TestGroundState:
         assert rep.stop_reason == "max_iter"
         assert rep.gradient_norm == pytest.approx(
             gradient_dual_norm(rep.profiles, pr, positive=True)[1], rel=1e-12)
+
+    @pytest.mark.parametrize("nu,max_iter", [(0.0, 400), (1.0, 400), (1.0, 3)])
+    def test_reported_integrals_are_those_of_the_profiles(self, nu, max_iter):
+        # the report is algebra over the descent's last integrals, by
+        # homogeneity; a fresh pass over the returned profiles agrees
+        grid = cached_grid(4, 1e-6, 1e6, 1024)
+        pr = ProblemParams(4, 1.0, 0.3, 0.5, 1.4, 1.4, nu)
+        init = StatePair(extremal_pair(pr, grid, "first").u,
+                         extremal_pair(pr, grid, "second").v)
+        rep = ground_state(pr, init, DescentOptions(max_iter=max_iter))
+        I = pair_integrals(rep.profiles, pr, positive=True)
+        lv = rep.level_diagnostics
+        assert lv["crit_integral_u"] == pytest.approx(I.hs_u, rel=1e-12)
+        assert lv["crit_integral_v"] == pytest.approx(I.hs_v, rel=1e-12)
+        assert rep.energy == pytest.approx(I.energy(), rel=1e-12)
+        assert rep.nehari_residual <= 1e-12
+        assert abs(I.residual()) / I.A <= 1e-12
 
     @settings(max_examples=100, deadline=None)
     @given(p=admissible_params(),
@@ -318,7 +335,7 @@ class TestMountainPass:
         # the climb's floor probe changes the cost of the path, not the path:
         # the level is the one reached when every failing climb walked its
         # ladder down to the floor, at 632 trials
-        assert rep.energy == 32.65339129301263
+        assert rep.energy == 32.65339129301262
         assert rep.extra["trials"] == 152
 
     def test_no_node_is_measured_twice_in_the_same_state(self, monkeypatch):
@@ -338,7 +355,7 @@ class TestMountainPass:
         rep = mountain_pass(self.params(), cached_grid(4, 1e-6, 1e6, 1024),
                             PathOptions(n_path_nodes=7, max_sweeps=40))
         assert len(set(seen)) == len(seen)
-        assert rep.energy == 32.65339129301263
+        assert rep.energy == 32.65339129301262
         assert rep.extra["trials"] == 152
 
     def test_bump_h_crest_level_at_the_reference_grid(self):
@@ -658,7 +675,8 @@ class TestClassificationThreshold:
                                     grid).extra["nu_star"]
         flip = classification_flip(flip_params, 1e-3, 100.0, "second", grid)
         lo, hi = flip["bracket"]
-        assert flip["flip_found"] and lo < nu_star < hi
+        assert flip["flip_found"]
+        assert lo == nu_star and hi == math.nextafter(nu_star, math.inf)
 
     @pytest.mark.parametrize("alpha,beta,which", [
         (2.0, 2.2, "second"), (2.2, 2.0, "first"), (1.5, 2.0, "second"),
@@ -670,14 +688,16 @@ class TestClassificationThreshold:
             return ProblemParams(3, 0.5, 0.12, 0.1, alpha, beta, nu)
 
         flip = classification_flip(params_at, 1e-3, 100.0, which, grid)
-        assert len(flip["labels"]) == (14 if flip["flip_found"] else 2)
+        # nu_lo, nu_hi, and with a flip nu* and the next float above it
+        assert len(flip["labels"]) == (4 if flip["flip_found"] else 2)
         for nu, lab in flip["labels"].items():
             assert lab == semitrivial_probe(params_at(nu), which,
                                             grid).classification
         lo, hi = flip["bracket"]
         assert flip["flip_found"] == (alpha != 1.5)
         if flip["flip_found"]:
-            assert lo < flip["nu_star"] < hi
+            assert (flip["labels"][lo], flip["labels"][hi]) == ("local_min", "saddle")
+            assert lo == flip["nu_star"] < hi
 
     def test_flip_runs_one_inverse_iteration(self, monkeypatch):
         calls = []
@@ -690,7 +710,7 @@ class TestClassificationThreshold:
         monkeypatch.setattr(solvers, "_lowest_mode", counted)
         flip = classification_flip(flip_params, 1e-3, 100.0, "second",
                                    small_grid(3))
-        assert flip["flip_found"] and len(flip["labels"]) == 14
+        assert flip["flip_found"] and len(flip["labels"]) == 4
         assert len(calls) == 1
 
     def test_flip_rejects_params_that_vary_more_than_nu(self):
@@ -704,7 +724,8 @@ class TestClassificationThreshold:
     @pytest.mark.parametrize("bounds", [(0.0, 100.0), (100.0, 1e-3),
                                         (1e-3, math.inf), (math.nan, 1.0)])
     def test_flip_rejects_bounds_outside_a_log_bisection(self, bounds):
-        # the bisection halves log nu: at nu_lo = 0 every midpoint is 0
+        # the bounds are outside input: a finite, nonempty range of
+        # positive couplings
         with pytest.raises(InvalidParameterError, match="flip bounds"):
             classification_flip(flip_params, *bounds, "second", small_grid(3))
 
