@@ -4,11 +4,13 @@ The step direction is d = m + beta d_prev, where m is the gradient's Riesz
 representative in the operator metric and beta the Polak-Ribiere+
 coefficient, clipped at 0; the iteration restarts from d = m when d is not
 a descent direction or its line search fails.  The line search checks the
-slope as well as the decrease (strong Wolfe conditions): it doubles a step
-that decreases the energy while the slope is still steep, and bisects once a
-trial overshoots, which carries the iteration across the slow dilation mode
-of the truncated N=3 problem.  Each search starts at the previous step,
-capped at 4.
+slope as well as the decrease (strong Wolfe conditions), which carries the
+iteration across the slow dilation mode of the truncated N=3 problem, and
+each trial's slope places the next trial: a step that decreases the energy
+while the slope is still steep is lengthened to the zero of the secant of
+the slope, and once a trial overshoots, the next one lies at the minimizer
+of the cubic that matches energy and slope at both ends of the bracket.
+Each search starts at the previous step, capped at 4.
 
 First recovers the one-component level from perturbed data in the
 decoupled problem, then escalates the coupling strength until the

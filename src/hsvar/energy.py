@@ -217,24 +217,17 @@ def integrals(wt: Weights, u: np.ndarray, v: np.ndarray, positive: bool = False,
     nonlinear terms).  With ``grad`` the gradient of that functional is
     returned as well, split into its homogeneous parts (see
     :meth:`Integrals.gradient`); it reuses the power arrays, since
-    x^(a-1) x = x^a.
+    x^(a-1) x = x^a.  An identically zero component has every term 0.0 and
+    zero gradient rows, so it makes no pass over the grid: a one-component
+    state costs one component.
     """
     pr = wt.params
     p, a, b = pr.crit_exp, pr.alpha, pr.beta
-    du, dv = u[1:] - u[:-1], v[1:] - v[:-1]
-    kinetic_u, kinetic_v = float(wt.cc @ (du * du)), float(wt.cc @ (dv * dv))
-    hardy_u, hardy_v = float(wt.wr2 @ (u * u)), float(wt.wr2 @ (v * v))
-    if positive:
-        au, av = np.maximum(u, 0.0), np.maximum(v, 0.0)
-    else:
-        au, av = np.abs(u), np.abs(v)
-    nz_u, nz_v = bool(au.any()), bool(av.any())
+    du, kinetic_u, hardy_u, au, nz_u = _component(wt, u, positive)
+    dv, kinetic_v, hardy_v, av, nz_v = _component(wt, v, positive)
     coupled = _coupled(nz_u, nz_v)
-    if grad:
-        fu, fv = _power(au, p - 1, nz_u), _power(av, p - 1, nz_v)
-        up, vp = fu * au, fv * av
-    else:
-        up, vp = _power(au, p, nz_u), _power(av, p, nz_v)
+    hs_u, fu = _critical(wt, au, p, nz_u, grad)
+    hs_v, fv = _critical(wt, av, p, nz_v, grad)
     coupling = 0.0
     if coupled:
         if grad:
@@ -243,20 +236,33 @@ def integrals(wt: Weights, u: np.ndarray, v: np.ndarray, positive: bool = False,
         else:
             ua, vb = au ** a, av ** b
         coupling = float(wt.whrs @ (ua * vb))
-    hs_u, hs_v = float(wt.wrs @ up), float(wt.wrs @ vp)
     A = (kinetic_u - pr.lambda1 * hardy_u) + (kinetic_v - pr.lambda2 * hardy_v)
     L = F = G = None
     if grad:
         signs = None if positive else (u, v)
         hardy1, hardy2, crit, coup = wt._gradient_weights()
         L = np.empty((2, u.size))
-        _linear_part(wt.cc * du, u, hardy1, L[0])
-        _linear_part(wt.cc * dv, v, hardy2, L[1])
+        _linear_part(du, u, wt.cc, hardy1, L[0])
+        _linear_part(dv, v, wt.cc, hardy2, L[1])
         F = _nonlinear_part(crit, (fu, fv), signs)
         if coupled:
             G = _nonlinear_part(coup, (a * ua1 * vb, b * ua * vb1), signs)
     return Integrals(pr, A, hs_u + hs_v, coupling, kinetic_u, kinetic_v,
                      hardy_u, hardy_v, hs_u, hs_v, L, F, G)
+
+
+def _component(wt: Weights, x: np.ndarray, positive: bool):
+    """Differences, kinetic and Hardy integrals of one component, the base
+    of its nonlinear terms (|x|, or its positive part when truncated) and
+    whether that base is nonzero.  An identically zero component makes
+    none of these passes; its raw values decide, as a negative component
+    has no positive part but kinetic and Hardy terms."""
+    if not x.any():
+        return None, 0.0, 0.0, x, False
+    dx = x[1:] - x[:-1]
+    ax = np.maximum(x, 0.0) if positive else np.abs(x)
+    return (dx, float(wt.cc @ (dx * dx)), float(wt.wr2 @ (x * x)), ax,
+            bool(ax.any()))
 
 
 def _coupled(u_nonzero: bool, v_nonzero: bool) -> bool:
@@ -265,16 +271,26 @@ def _coupled(u_nonzero: bool, v_nonzero: bool) -> bool:
     return u_nonzero and v_nonzero
 
 
-def _power(x: np.ndarray, e: float, nonzero: bool) -> np.ndarray:
-    # pow() takes about four times longer on zeros than on other values, so
-    # an identically zero component (a one-component state) skips it
-    return x ** e if nonzero else np.zeros_like(x)
+def _critical(wt: Weights, x: np.ndarray, p: float, nonzero: bool, grad: bool):
+    """Critical integral of a nonnegative base x, with x^(p-1) for the
+    gradient; 0.0 and None when x is zero, as pow() takes about four times
+    longer on zeros than on other values."""
+    if not nonzero:
+        return 0.0, None
+    if grad:
+        f = x ** (p - 1)
+        return float(wt.wrs @ (f * x)), f
+    return float(wt.wrs @ x ** p), None
 
 
-def _linear_part(y, u, hardy, out: np.ndarray) -> None:
+def _linear_part(du, u, cc, hardy, out: np.ndarray) -> None:
     # first variation of 1/2 ||u||_lam^2 along node functions, from the
-    # Dirichlet cell terms y = cc du and the Hardy weights -lam wr2; boundary
-    # slots zeroed (Dirichlet collars)
+    # Dirichlet cell terms cc du and the Hardy weights -lam wr2; boundary
+    # slots zeroed (Dirichlet collars); du None is a zero component
+    if du is None:
+        out[:] = 0.0
+        return
+    y = cc * du
     np.multiply(hardy, u, out=out)
     out[:-1] -= y
     out[1:] += y
@@ -283,9 +299,13 @@ def _linear_part(y, u, hardy, out: np.ndarray) -> None:
 
 def _nonlinear_part(w: np.ndarray, factors, signs) -> np.ndarray:
     # w f for both components, f taking the sign of the component unless the
-    # functional is truncated; boundary slots zeroed
+    # functional is truncated (a factor None is a zero row); boundary slots
+    # zeroed
     g = np.empty((2, w.size))
     for k, f in enumerate(factors):
+        if f is None:
+            g[k] = 0.0
+            continue
         if signs is not None:
             f = np.copysign(f, signs[k], out=f)
         np.multiply(w, f, out=g[k])

@@ -8,12 +8,15 @@ with beta = max(0, <g, m - m_prev> / <g_prev, m_prev>).  The iteration
 restarts from d = m when d is not a descent direction or its search fails.
 The step must meet the strong Wolfe conditions on the projected energy: an
 Armijo decrease, and a slope at most c2 of the initial one in magnitude.
-The slope comes from the gradient each trial computes anyway.  A step that
-decreases the energy while its slope is still steep is lengthened, an
-overshooting one bisected, and a search that finds no such step takes its
-last Armijo step.  Every accepted iterate is reprojected.  Negative parts
-carry only quadratic energy under the truncated functional, so they decay
-along the iteration and the computed profiles come out nonnegative.
+The slope comes from the gradient each trial computes anyway, and so does
+the next trial: a step that decreases the energy while its slope is still
+steep is lengthened to the zero of the secant of the slope, and once a
+trial overshoots, the next lies at the minimizer of the cubic that matches
+energy and slope at both ends of the bracket.  A search that finds no
+such step takes its last Armijo step.  Every accepted iterate is
+reprojected.  Negative parts carry only quadratic energy under the
+truncated functional, so they decay along the iteration and the computed
+profiles come out nonnegative.
 
 Bound states between the two one-component solutions are bracketed by a
 discrete min-max path: nodes of the explicit interpolating path are
@@ -29,14 +32,14 @@ chain's maximum node, whose gradient was last measured; it is
 ``converged`` once that relative gradient is within ``crest_grad_tol``.
 
 The descent and the moving path nodes share one line search, at one grid
-pass per trial.  Its accept test may answer "too short"; the path's tests
-never do, so the path halves its step from trial to trial.  It stops once
-the bracket in the metric, relative to the state, falls to sqrt(eps).  The
-climbing node's test (its gradient shrinks) probes that floor right after a
-failed first trial and stops there if the floor fails too: at criterion 10,
-133 of 150 climbing searches fail, at 2 trials each, and the climb takes
-404 trials where walking every ladder down took 2388; the bump-h crest
-climbs at the first trial in 85 of 86 sweeps.
+pass per trial.  Its accept test may answer "too short" and report the
+slope; the path's tests do neither, so the path halves its step from trial
+to trial.  It stops once the bracket in the metric, relative to the state,
+falls to sqrt(eps).  The climbing node's test (its gradient shrinks) probes
+that floor right after a failed first trial and stops there if the floor
+fails too: at criterion 10, 133 of 150 climbing searches fail, at 2 trials
+each, and the climb takes 404 trials where walking every ladder down took
+2388; the bump-h crest climbs at the first trial in 85 of 86 sweeps.
 
 The variational character of a one-component couple (0, z) is read from
 the second variation in the directions (phi, 0), tangent to the constraint
@@ -71,10 +74,10 @@ SQRT_EPS = math.sqrt(np.finfo(float).eps)
 # strong-Wolfe slope constant of the descent, and the cap on trials per
 # search.  The descent starts each search at its previous step, capped at
 # STEP_MAX; lengthening may pass the cap.  Line-search projections on the
-# ground-state workload, seeds 1-12 / 13-24 / 25-36: 2790 / 2574 / 2381
-# with the cap, 2982 / 2985 / 2726 without it.  On seeds 1-12 with the cap,
-# c2 = 0.3, 0.4, 0.5 took 3131, 3101, 2790; without it c2 = 0.1, 0.3, 0.5,
-# 0.7 took 8559, 4091, 2982, 3464, and 0.9 left one start at max_iter.
+# ground-state workload, seeds 1-12 / 13-24 / 25-36: 1780 / 1968 / 1663
+# with the cap, 2057 / 1963 / 1752 without it.  On seeds 1-12 with the cap,
+# c2 = 0.3, 0.4, 0.5, 0.7 took 2511, 2111, 1780, 2281; without it c2 = 0.1,
+# 0.3, 0.5, 0.7, 0.9 took 6717, 2436, 2057, 2526, 3072.
 STEP0 = 1.0
 STEP_MAX = 4.0
 ARMIJO = 1e-4
@@ -88,9 +91,9 @@ MODE_TOL = 1e-12
 MODE_MAX_ITER = 500
 # min-max path: a side of the crest is resampled to equal arclength once its
 # longest segment exceeds RESAMPLE_RATIO times its shortest.  Criterion 10
-# (4096 nodes, K = 32, 150 sweeps) resamples 132 / 55 / 62 / 85 of its 298
-# sides at ratios 1.25 / 1.5 / 1.75 / 2.0, with 4653 / 3546 / 3663 / 3943
-# projections against 7202 when every side is resampled; the bump-h crest
+# (4096 nodes, K = 32, 150 sweeps) resamples 132 / 55 / 63 / 82 of its 298
+# sides at ratios 1.25 / 1.5 / 1.75 / 2.0, with 2734 / 1562 / 1678 / 1932
+# projections against 5155 when every side is resampled; the bump-h crest
 # to 1e-9 resamples 32 / 25 / 20 / 9 sides.
 RESAMPLE_RATIO = 1.5
 
@@ -240,13 +243,20 @@ def _line_search(wt: Weights, u, v, du, dv, slope: float, nsq: float,
     A trial is projected from its integrals I (with the gradient parts when
     ``grad``) and judged by ``accept(st, t, I)``, by default the Armijo
     decrease from ``E``: true accepts it, false (or a failed projection)
-    marks the step too long, and ``SHORT`` too short.  The next step doubles
-    while no trial was too long and otherwise bisects between the longest
-    short step (0 if none) and the shortest long one, so a boolean
-    ``accept`` tries st, st/2, st/4, ...  The search stops once that
-    bracket, times the metric gradient relative to the state,
-    ``sqrt(slope / nsq)``, is at most sqrt(eps), or after
-    ``MAX_BACKTRACKS`` trials.
+    marks the step too long, and ``SHORT`` too short.  A test may return
+    ``(verdict, phi'(st), g)`` instead, the slope of phi(st) = I.energy(t)
+    with the gradient it came from; phi(0) = ``E`` and phi'(0) = -``slope``.
+    The next step then comes from a model of phi: while no trial was too
+    long, the zero of the secant of phi' through the last short trial and
+    the one before it, or 0, within [2 st, 16 st] (:func:`_secant_step`);
+    after that, the minimizer of the cubic through the longest short step
+    (0 if none) and the shortest long one (:func:`_cubic_step`), or the
+    midpoint of that bracket when the last two steps together failed to
+    halve it.  Without slopes the step doubles, then bisects, so a boolean
+    ``accept`` tries st, st/2, st/4, ...  The search stops once the next
+    step lies within sqrt(eps) of the longest short one, in the metric
+    gradient relative to the state (the distance times ``sqrt(slope /
+    nsq)``), or after ``MAX_BACKTRACKS`` trials.
 
     With ``probe_floor`` (for a boolean ``accept``), a first trial that is
     too long is followed by the last rung of that halving ladder, the
@@ -260,31 +270,37 @@ def _line_search(wt: Weights, u, v, du, dv, slope: float, nsq: float,
     successful one fails at its floor; the 133 failures take 2 trials each
     instead of 17 or 18, and the climb 404 trials instead of 2388.
 
-    Returns ``(trials, found)``: ``found`` is ``(st, t, I, t cu, t cv)`` of
-    the accepted trial, else of the last short one, else None.
+    Returns ``(trials, found)``: ``found`` is ``(st, t, I, t cu, t cv, g)``
+    of the accepted trial, else of the last short one, else None; g is the
+    gradient its test reported, None from a boolean test.
     """
     if accept is None:
         accept = partial(_armijo, E, slope)
     rel = _rel_grad(slope, nsq)
 
     def judge(st):
+        """Verdict, (st, phi, phi') (None for what is unknown) and found."""
         cu, cv = u - st * du, v - st * dv
         try:
             t, I = project_arrays(wt, cu, cv, positive=True, grad=grad)
         except HsvarError:
-            return False, None
-        verdict = accept(st, t, I)
-        return verdict, (st, t, I, t * cu, t * cv) if verdict else None
+            return False, (st, None, None), None
+        verdict, end, g = accept(st, t, I), (st, None, None), None
+        if isinstance(verdict, tuple):
+            verdict, dphi, g = verdict
+            end = (st, I.energy(t), dphi)
+        return verdict, end, (st, t, I, t * cu, t * cv, g) if verdict else None
 
-    st, lo, hi, short, probes = step, 0.0, math.inf, None, 0
+    st, short, probes, widths = step, None, 0, (math.inf, math.inf)
+    lo, hi = (0.0, E, -slope), None
     for trial in range(1, MAX_BACKTRACKS + 1):
-        verdict, found = judge(st)
+        verdict, end, found = judge(st)
         if verdict is SHORT:
-            lo, short = st, found
+            prev, lo, short = lo, end, found
         elif verdict:
             return trial + probes, found
         else:
-            hi = st
+            hi = end
             if probe_floor and trial == 1:
                 # the last step the halving below tries, as lo stays 0
                 floor = st
@@ -296,10 +312,51 @@ def _line_search(wt: Weights, u, v, du, dv, slope: float, nsq: float,
                     probes = 1
                     if not judge(floor)[0]:
                         return 2, None
-        st = 2.0 * st if hi == math.inf else 0.5 * (lo + hi)
-        if (st - lo) * rel <= SQRT_EPS:
+        if hi is None:
+            st = _secant_step(prev, lo)
+        else:
+            # a bracket that the last two steps together failed to halve is
+            # bisected, so it halves at least every third trial
+            width = hi[0] - lo[0]
+            st = (0.5 * (lo[0] + hi[0]) if width > 0.5 * widths[0]
+                  else _cubic_step(lo, hi))
+            widths = (widths[1], width)
+        if (st - lo[0]) * rel <= SQRT_EPS:
             break
     return trial + probes, short
+
+
+def _secant_step(a, b) -> float:
+    """The next trial after the short trial b = (step, phi, phi') of a
+    search that has not overshot, with a the short trial before it (or 0):
+    the zero of the secant of phi' through both, within [2, 16] times b's
+    step; twice it when the slopes are equal or unknown."""
+    (x0, _, d0), (x1, _, d1) = a, b
+    if d0 is None or d1 is None or d0 == d1:
+        return 2.0 * x1
+    x = x1 - d1 * (x1 - x0) / (d1 - d0)
+    return min(x, 16.0 * x1) if x > 2.0 * x1 else 2.0 * x1
+
+
+def _cubic_step(lo, hi) -> float:
+    """The next trial in the bracket between the short end lo and the long
+    end hi, each (step, phi, phi'): the minimizer of the cubic through both
+    (Nocedal & Wright, eq. 3.59), at least a tenth of the bracket inside
+    it; the midpoint when an end has no slope or the cubic has no real
+    minimizer."""
+    (a, fa, da), (b, fb, db) = lo, hi
+    mid = 0.5 * (a + b)
+    if da is None or db is None or not a < b:
+        return mid
+    w = b - a
+    d1 = da + db - 3.0 * (fa - fb) / (a - b)
+    disc = d1 * d1 - da * db
+    if not disc >= 0.0:
+        return mid
+    d2 = math.sqrt(disc)
+    den = db - da + 2.0 * d2
+    x = b - w * (db + d2 - d1) / den if den else math.nan
+    return min(max(x, a + 0.1 * w), b - 0.1 * w) if x == x else mid
 
 
 def _strong_wolfe(E: float, gd: float, du, dv):
@@ -309,15 +366,19 @@ def _strong_wolfe(E: float, gd: float, du, dv):
     Nehari term drops out, as <g, x> = Psi = 0 on the constraint set.  A
     trial that meets the Armijo test is accepted when |phi'(st)| <=
     ``WOLFE_C2`` gd, and is too short while phi'(st) < -``WOLFE_C2`` gd.
+    The test reports phi'(st) and g(st) with its verdict, on every trial,
+    for the search's step model.
     """
     def accept(st, t, I):
+        g = I.gradient(t)
+        dphi = -t * float(g[0] @ du + g[1] @ dv)
         if not _armijo(E, gd, st, t, I):
-            return False
-        gu, gv = I.gradient(t)
-        dphi = -t * float(gu @ du + gv @ dv)
-        if dphi < -WOLFE_C2 * gd:
-            return SHORT
-        return dphi <= WOLFE_C2 * gd
+            verdict = False
+        elif dphi < -WOLFE_C2 * gd:
+            verdict = SHORT
+        else:
+            verdict = dphi <= WOLFE_C2 * gd
+        return verdict, dphi, g
     return accept
 
 
@@ -331,20 +392,21 @@ def _descend(params: ProblemParams, pair: StatePair, metric: PairMetric,
     steepest direction d = m when <g, d> <= 0 or when the search along d
     fails; only a failed search along m stops it.  The line search starts
     at the previous accepted step, at most ``STEP_MAX`` (``STEP0`` at
-    first), and looks for a strong-Wolfe step (:func:`_strong_wolfe`): it
-    lengthens a step that meets the Armijo test while the slope is still
-    steep, and bisects once a trial overshoots (Nocedal & Wright, Numerical
-    Optimization, 2nd ed., 3.1 and 5.2).  A search that reaches its floor
-    takes its last Armijo step; it fails only when no trial met the Armijo
-    test.  Every accepted trial is reprojected, so the iterates stay on the
+    first), and looks for a strong-Wolfe step (:func:`_strong_wolfe`,
+    Nocedal & Wright, Numerical Optimization, 2nd ed., 3.1 and 5.2); every
+    trial reports its slope, from which :func:`_line_search` picks the
+    next one (Alg. 3.5-3.6 there).  A search that reaches its floor takes
+    its last Armijo step; it fails only when no trial met the Armijo test.
+    Every accepted trial is reprojected, so the iterates stay on the
     constraint set.
 
     Returns (pair, t, I, iterations, rel_grad, trace, stop_reason,
     counts), with pair = t x for the integrals I of x; ``counts`` holds
     ``restarts``, the steps along m, and ``trials``, the search projections.
-    The loop runs on node arrays; an accepted trial's energy, norm and
-    gradient after projection come from its integrals before projection, by
-    homogeneity, so a trial makes one grid pass.
+    The loop runs on node arrays; an accepted trial's energy and norm after
+    projection come from its integrals before projection, by homogeneity,
+    and its gradient is the one its accept test assembled, so a trial makes
+    one grid pass.
     """
     grid = pair.grid
     wt = Weights(grid, params)
@@ -390,11 +452,11 @@ def _descend(params: ProblemParams, pair: StatePair, metric: PairMetric,
             if found is None:
                 stop = "line_search"
                 break
-        st, t, I, u, v = found
+        st, t, I, u, v, g = found
         step = min(st, STEP_MAX)
         if E - I.energy(t) > 1e-15 * (abs(E) + 1.0):
             last_drop = it
-        E, nsq, g = I.energy(t), t * t * I.A, I.gradient(t)
+        E, nsq = I.energy(t), t * t * I.A
         trace.append(E)
     else:
         # the gradient of the iterate returned, not of the one before it
@@ -654,7 +716,7 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
                                     probe_floor=climbing)
             trials += n
             if found is not None:
-                _, t, J, U[k], V[k] = found
+                _, t, J, U[k], V[k], _ = found
                 E[k] = J.energy(t)
                 if k == crest:
                     crest = -1

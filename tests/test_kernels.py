@@ -1,6 +1,7 @@
 """The fused integrals kernel and the tridiagonal metric solve against
 per-term and dense references."""
 
+import dataclasses
 import importlib
 import math
 
@@ -8,10 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hsvar import (HProfile, InvalidParameterError, ProblemParams,
-                   RadialFunction, StatePair, energy, energy_positive,
+from hsvar import (DescentOptions, HProfile, InvalidParameterError,
+                   ProblemParams, RadialFunction, StatePair, energy,
+                   energy_positive, extremal_pair, ground_state,
                    hardy_constant)
-from hsvar.energy import Weights, gradient_coefficients, integrals
+from hsvar.energy import Integrals, Weights, gradient_coefficients, integrals
 from hsvar.grid import gradient_seminorm, weighted_lp
 from hsvar.operators import LambdaOperator
 from hsvar.solvers import compact_bump
@@ -223,6 +225,123 @@ def test_one_component_skip_is_exact(monkeypatch, case, positive):
             for t in (1.0, 0.3, 2.5):
                 assert skipped.energy(t) == full.energy(t)
                 assert np.array_equal(skipped.gradient(t), full.gradient(t))
+
+
+def explicit_integrals(wt, u, v, positive=False, grad=False):
+    """The integrals kernel with every grid pass made, a zero component's
+    included, in the kernel's own arithmetic."""
+    pr = wt.params
+    p, a, b = pr.crit_exp, pr.alpha, pr.beta
+    du, dv = u[1:] - u[:-1], v[1:] - v[:-1]
+    kin = [float(wt.cc @ (d * d)) for d in (du, dv)]
+    hardy = [float(wt.wr2 @ (x * x)) for x in (u, v)]
+    au, av = (np.maximum(x, 0.0) if positive else np.abs(x) for x in (u, v))
+    f = [x ** (p - 1) for x in (au, av)]
+    hs = [float(wt.wrs @ (fx * x)) if grad else float(wt.wrs @ x ** p)
+          for fx, x in zip(f, (au, av))]
+    coupled = au.any() and av.any()
+    ua1, vb1 = au ** (a - 1), av ** (b - 1)
+    ua, vb = (ua1 * au, vb1 * av) if grad else (au ** a, av ** b)
+    C = float(wt.whrs @ (ua * vb)) if coupled else 0.0
+    A = (kin[0] - pr.lambda1 * hardy[0]) + (kin[1] - pr.lambda2 * hardy[1])
+    L = F = G = None
+    if grad:
+        def rows(w, factors):
+            out = np.stack([w * (fx if positive else np.copysign(fx, x))
+                            for fx, x in zip(factors, (u, v))])
+            out[:, 0] = out[:, -1] = 0.0
+            return out
+
+        lams = (pr.lambda1, pr.lambda2)
+        L = np.stack([-lam * wt.wr2 * x for lam, x in zip(lams, (u, v))])
+        for row, d in zip(L, (du, dv)):
+            row[:-1] -= wt.cc * d
+            row[1:] += wt.cc * d
+        L[:, 0] = L[:, -1] = 0.0
+        F = rows(-wt.wrs, f)
+        if coupled:
+            G = rows(-pr.nu * wt.whrs, (a * ua1 * vb, b * ua * vb1))
+    return Integrals(pr, A, hs[0] + hs[1], C, kin[0], kin[1], hardy[0],
+                     hardy[1], hs[0], hs[1], L, F, G)
+
+
+def assert_same_integrals(got, ref):
+    for f in dataclasses.fields(Integrals):
+        x, y = getattr(got, f.name), getattr(ref, f.name)
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            assert np.array_equal(x, y), f.name
+        else:
+            assert x == y, f.name
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("positive", [False, True])
+@pytest.mark.parametrize("grad", [False, True])
+def test_a_zero_component_is_exact_without_its_passes(case, positive, grad):
+    # the skipped passes of an identically zero component give 0.0 and zero
+    # rows; the swapped call, on swapped parameters, is the mirror image
+    params = CASES[case]
+    wt, wt_swapped = Weights(cached_grid(params.N), params), Weights(
+        cached_grid(params.N), params.swapped())
+    for seed in range(2):
+        for name, pair in states(params, seed).items():
+            u = pair.u.values
+            got = integrals(wt, u, 0 * u, positive, grad)
+            assert_same_integrals(got, explicit_integrals(wt, u, 0 * u,
+                                                          positive, grad))
+            mirror = integrals(wt_swapped, 0 * u, u, positive, grad)
+            assert_same_integrals(mirror, explicit_integrals(
+                wt_swapped, 0 * u, u, positive, grad))
+            for x, y in (("kinetic_u", "kinetic_v"), ("hardy_u", "hardy_v"),
+                         ("hs_u", "hs_v")):
+                assert getattr(got, x) == getattr(mirror, y), (name, x)
+                assert getattr(got, y) == getattr(mirror, x) == 0.0, (name, y)
+            assert (got.A, got.B, got.C) == (mirror.A, mirror.B, mirror.C)
+            if grad:
+                for part in ("L", "F"):
+                    assert np.array_equal(getattr(got, part)[::-1],
+                                          getattr(mirror, part)), (name, part)
+                assert np.array_equal(got.gradient(1.7)[::-1],
+                                      mirror.gradient(1.7))
+
+
+@pytest.mark.parametrize("grad", [False, True])
+def test_a_negative_component_keeps_its_quadratic_terms(grad):
+    # truncated, a negative component has no positive part, but its kinetic
+    # and Hardy terms, and their gradient row, are not skipped
+    params = CASES["decoupled"]
+    wt = Weights(cached_grid(4), params)
+    u = -np.abs(states(params, 0)["positive"].u.values)
+    got = integrals(wt, u, 0 * u, positive=True, grad=grad)
+    assert_same_integrals(got, explicit_integrals(wt, u, 0 * u, True, grad))
+    assert got.kinetic_u > 0.0 and got.hardy_u > 0.0 and got.A > 0.0
+    assert got.hs_u == got.B == 0.0
+    if grad:
+        assert np.any(got.L[0]) and not np.any(got.F)
+
+
+def test_descent_with_every_pass_made_is_bit_identical(monkeypatch):
+    # the criterion-6 N=4 start: energy, iterations and trials of a descent
+    # whose zero component skips its passes equal those of one that makes
+    # them
+    grid = cached_grid(4)
+    params = ProblemParams(4, 1.0, 0.3, 0.5 * hardy_constant(4), 1.3, 1.3, 0.0)
+    rng = np.random.default_rng(6)
+    base = extremal_pair(params, grid, "first")
+    scale = float(np.interp(1.0, grid.r, base.u.values))
+    u = np.abs(base.u.values + 0.25 * scale * smooth_bump(grid, rng).values
+               + 0.15 * scale * smooth_bump(grid, rng).values)
+    init = StatePair(RadialFunction(grid, u), RadialFunction.zero(grid))
+    opts = DescentOptions(tol_grad=1e-6, max_iter=6000)
+    skipped = ground_state(params, init, opts)
+    monkeypatch.setattr(importlib.import_module("hsvar.energy"), "integrals",
+                        explicit_integrals)
+    explicit = ground_state(params, init, opts)
+    assert skipped.stop_reason == explicit.stop_reason == "tolerance"
+    assert skipped.energy == explicit.energy
+    assert skipped.iterations == explicit.iterations
+    assert skipped.extra["trials"] == explicit.extra["trials"]
+    assert np.array_equal(skipped.profiles.u.values, explicit.profiles.u.values)
 
 
 # ---------------------------------------------------------------------------

@@ -517,7 +517,7 @@ class TestFloorProbe:
             monkeypatch, passes, probe_floor=True)
         assert floor * rel > solvers.SQRT_EPS >= 0.5 * floor * rel
         assert probed == trials + 1 and [first, *rest] == steps
-        (st, t, _, u, v), (st0, t0, _, u0, v0) = found, found0
+        (st, t, _, u, v, _), (st0, t0, _, u0, v0, _) = found, found0
         assert (st, t) == (st0, t0) and st < below <= 2 * st
         assert np.array_equal(u, u0) and np.array_equal(v, v0)
 
@@ -538,7 +538,7 @@ class TestFloorProbe:
 
 def slope_at(wt, found, du, dv):
     """phi'(st) = -t <g, d> at the returned state, from a fresh grid pass."""
-    _, t, _, u, v = found
+    _, t, _, u, v, _ = found
     gu, gv = integrals(wt, u, v, positive=True, grad=True).gradient()
     return -t * float(gu @ du + gv @ dv)
 
@@ -552,15 +552,17 @@ class TestStrongWolfe:
                                          (0.02, 1e-3), (0.1, 3.0)])
     def test_accepted_step_meets_the_strong_wolfe_conditions(self, monkeypatch,
                                                              c2, step):
-        # a short first trial is doubled and a long one halved; with the
-        # small c2 both end in a bisection between a short and a long step
+        # a short first trial is lengthened along the secant of phi' and a
+        # long one cut back to the cubic's minimizer; with the small c2 both
+        # end in steps between a short and a long trial
         monkeypatch.setattr(solvers, "WOLFE_C2", c2)
         wt, u, v, E, nsq, du, dv, slope = self.start()
         accept = solvers._strong_wolfe(E, slope, du, dv)
         trials, found = solvers._line_search(wt, u, v, du, dv, slope, nsq, E,
                                              accept, grad=True, step=step)
-        st, t, I, uu, vv = found
-        assert accept(st, t, I) is True
+        st, t, I, uu, vv, g = found
+        verdict, _, g_test = accept(st, t, I)
+        assert verdict is True and np.array_equal(g, g_test)
         fresh = integrals(wt, uu, vv, positive=True)
         assert fresh.energy() <= E - solvers.ARMIJO * st * slope
         assert abs(slope_at(wt, found, du, dv)) <= (c2 + 1e-9) * slope
@@ -577,8 +579,9 @@ class TestStrongWolfe:
         accept = solvers._strong_wolfe(E, slope, du, dv)
 
         def recorded(st, t, I):
-            verdicts.append((st, accept(st, t, I)))
-            return verdicts[-1][1]
+            report = accept(st, t, I)
+            verdicts.append((st, report[0]))
+            return report
 
         trials, found = solvers._line_search(wt, u, v, du, dv, slope, nsq, E,
                                              recorded, grad=True)
@@ -589,6 +592,77 @@ class TestStrongWolfe:
         assert integrals(wt, found[3], found[4], positive=True).energy() <= (
             E - solvers.ARMIJO * found[0] * slope)
         assert slope_at(wt, found, du, dv) < 0.0
+
+    def test_criterion_6_n4_start_takes_few_trials(self):
+        # the criterion-6 N=4 start (default_rng(6)) on 2048 nodes: 16 trials
+        # in 13 iterations, where doubling and bisecting took 48 in 29
+        grid = small_grid(4)
+        pr = ProblemParams(4, 1.0, 0.3, 0.5 * hardy_constant(4), 1.3, 1.3, 0.0)
+        rng = np.random.default_rng(6)
+        base = extremal_pair(pr, grid, "first")
+        scale = float(np.interp(1.0, grid.r, base.u.values))
+        u = np.abs(base.u.values + 0.25 * scale * smooth_bump(grid, rng).values
+                   + 0.15 * scale * smooth_bump(grid, rng).values)
+        rep = ground_state(pr, StatePair(RadialFunction(grid, u),
+                                         RadialFunction.zero(grid)),
+                           DescentOptions(tol_grad=1e-6, max_iter=6000))
+        assert rep.stop_reason == "tolerance"
+        assert rep.extra["trials"] <= 16
+
+    def test_secant_lands_on_the_minimizer_of_a_quadratic(self):
+        # phi'(st) = -gd + k st: the secant through (0, -gd) and the short
+        # first trial is phi' itself, so the second trial is its zero gd / k
+        wt, u, v, E, nsq, du, dv, slope = self.start()
+        k = slope / 0.37
+        steps = []
+
+        def quadratic(st, t, I):
+            steps.append(st)
+            dphi = -slope + k * st
+            verdict = (solvers.SHORT if dphi < -solvers.WOLFE_C2 * slope
+                       else abs(dphi) <= solvers.WOLFE_C2 * slope)
+            return verdict, dphi, None
+
+        trials, found = solvers._line_search(wt, u, v, du, dv, slope, nsq, E,
+                                             quadratic, step=0.05)
+        assert trials == 2 and found[0] == steps[1]
+        assert steps[1] == pytest.approx(0.37, rel=1e-12)
+
+
+finite = st.floats(-1e6, 1e6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x0=st.floats(0.0, 10.0), dx=st.floats(1e-6, 10.0), d0=finite,
+       d1=finite, known=st.booleans())
+def test_secant_step_is_finite_and_within_its_clamp(x0, dx, d0, d1, known):
+    x1 = x0 + dx
+    assume(x1 > x0)
+    a, b = (x0, 0.0, d0 if known else None), (x1, 0.0, d1)
+    nxt = solvers._secant_step(a, b)
+    assert math.isfinite(nxt) and 2.0 * x1 <= nxt <= 16.0 * x1
+    if d0 == d1 or not known:
+        assert nxt == 2.0 * x1
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.floats(0.0, 10.0), w=st.floats(1e-6, 10.0), fa=finite, fb=finite,
+       da=finite, db=finite, known=st.booleans())
+@example(a=0.0, w=1.0, fa=0.0, fb=-0.5, da=-1.0, db=-1.0, known=True)
+def test_cubic_step_is_finite_and_within_its_clamp(a, w, fa, fb, da, db, known):
+    b = a + w
+    assume(b > a)
+    lo, hi = (a, fa, da), (b, fb, db if known else None)
+    nxt = solvers._cubic_step(lo, hi)
+    w = b - a
+    assert math.isfinite(nxt) and a < nxt < b
+    mid = 0.5 * (a + b)
+    d1 = da + db - 3.0 * (fa - fb) / (a - b)
+    if not known or d1 * d1 - da * db < 0.0:
+        # no slope at hi, or a cubic without a real minimizer
+        assert nxt == mid
+    else:
+        assert a + 0.1 * w <= nxt <= b - 0.1 * w or nxt == mid
 
 
 class TestSemitrivialProbe:
