@@ -370,11 +370,19 @@ def _add_param_flags(sp):
     sp.add_argument("--small-nu", dest="small_nu", action="store_true")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose refusals raise ConfigError, so that they exit 2 with
+    one ``error:`` line; its subparsers are of the same class."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="hsvar",
         description="Variational toolkit for Hardy-potential coupled systems")
-    sub = ap.add_subparsers(dest="command")
+    sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("constants", help="closed-form constants")
     sp.add_argument("--N", default=4)
@@ -408,12 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    if not getattr(args, "fn", None):
-        ap.print_usage()
-        return EXIT_VALIDATION
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except DegeneratePathError as exc:
         # valid input on which the path found no crest: a solver outcome

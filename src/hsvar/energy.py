@@ -108,12 +108,17 @@ class Weights:
     ``wrs = w r^-s`` and ``whrs = w h r^-s`` weigh the critical and coupling
     integrals, the grid's ``wr2`` the Hardy integral and ``cc`` the Dirichlet
     cells.  Callers build one per solver call and reuse it for every state
-    they evaluate; the public functions below build their own.
+    they evaluate; the public functions below build their own.  A grid of
+    another dimension than ``params.N`` is refused: its weights would
+    integrate the profiles of one dimension in another.
     """
 
     __slots__ = ("grid", "params", "wrs", "whrs", "wr2", "cc", "_grad_w")
 
     def __init__(self, grid: RadialGrid, params: ProblemParams):
+        if grid.N != params.N:
+            raise GridMismatchError(f"grid dimension N = {grid.N} does not match "
+                                    f"the parameters' N = {params.N}")
         self.grid = grid
         self.params = params
         self.wrs = grid.w / grid.r ** params.s
@@ -445,7 +450,7 @@ def gradient_dual_norm(pair: StatePair, params: ProblemParams,
     the strong residual diverges near the origin for singular profiles.
     """
     I = pair_integrals(pair, params, positive, grad=True)
-    dual = PairMetric(pair.grid, params.lambda1, params.lambda2).dual_norm(*I.gradient())
+    dual = PairMetric(pair.grid, params.lambda1, params.lambda2).dual_norm(I.gradient())
     return dual, dual / np.sqrt(max(I.A, 1e-300))
 
 

@@ -1,5 +1,11 @@
 """Constrained solvers: ground-state descent, min-max path, semitrivial labels.
 
+Inside the solvers a state is one (2, n) array, rows u and v, as its
+gradient and metric direction are, and the min-max chain one (K+1, 2, n)
+array, node k in row k.  ``operators.pair_dot`` pairs two couples, one
+dot product per row; ``StatePair`` appears only where a solver takes or
+returns a state.
+
 Ground states are computed by projected Polak-Ribiere+ conjugate gradient
 on the constraint set of the truncated functional.  The metric M is the
 factorized interior operator of each component's quadratic form, so m =
@@ -25,8 +31,8 @@ the neighbors of the maximum node transversally and let the maximum node
 climb toward the barrier.  The chain keeps its segment lengths; a node
 move updates the two next to it, and a side of the crest is resampled to
 equal arclength only once its longest segment exceeds ``RESAMPLE_RATIO``
-times its shortest.  A resample rewrites one row at a time, and a crest
-row left in place keeps its measurement, so a failed climb does not measure
+times its shortest.  A resample rewrites one node at a time, and a crest
+node left in place keeps its measurement, so a failed climb does not measure
 the same crest again.  The reported level is the energy of the crest, the
 chain's maximum node, whose gradient was last measured; it is
 ``converged`` once that relative gradient is within ``crest_grad_tol``.
@@ -63,7 +69,7 @@ from .energy import StatePair, Weights, integrals, project_arrays
 from .errors import (DegenerateInputError, DegeneratePathError, HsvarError,
                      InvalidParameterError, PreconditionError)
 from .grid import RadialFunction, RadialGrid, reference_grid
-from .operators import LambdaOperator, PairMetric
+from .operators import LambdaOperator, PairMetric, pair_dot
 from .params import ProblemParams, order
 from .regimes import classify
 
@@ -198,9 +204,15 @@ def extremal_pair(params: ProblemParams, grid: RadialGrid,
     """
     if which not in ("first", "second"):
         raise InvalidParameterError(f"which must be 'first' or 'second', got {which!r}")
-    z, _ = _extremal(Weights(grid, params), which)
-    zero = np.zeros_like(z)
-    return _pair(grid, z, zero) if which == "first" else _pair(grid, zero, z)
+    return _pair(grid, _semitrivial(_extremal(Weights(grid, params), which)[0],
+                                    which))
+
+
+def _semitrivial(z: np.ndarray, which: str) -> np.ndarray:
+    """The couple (z, 0) for ``which="first"``, (0, z) for "second"."""
+    x = np.zeros((2, z.size))
+    x[0 if which == "first" else 1] = z
+    return x
 
 
 def _extremal(wt: Weights, which: str) -> tuple[np.ndarray, float]:
@@ -209,8 +221,7 @@ def _extremal(wt: Weights, which: str) -> tuple[np.ndarray, float]:
     pr = wt.params
     lam = pr.lambda1 if which == "first" else pr.lambda2
     z = exact_solution(pr.N, lam, pr.s, 1.0, wt.grid.r)
-    zero = np.zeros_like(z)
-    t, I = project_arrays(wt, *((z, zero) if which == "first" else (zero, z)))
+    t, I = project_arrays(wt, *_semitrivial(z, which))
     return t * z, I.energy(t)
 
 
@@ -235,12 +246,13 @@ def _armijo(E: float, slope: float, st: float, t: float, I) -> bool:
     return I.energy(t) <= E - ARMIJO * st * slope
 
 
-def _line_search(wt: Weights, u, v, du, dv, slope: float, nsq: float,
-                 E: float, accept=None, grad: bool = False, step: float = STEP0,
-                 *, probe_floor: bool = False):
-    """Line search along -(du, dv) from (u, v), one grid pass per trial.
+def _line_search(wt: Weights, x: np.ndarray, d: np.ndarray, slope: float,
+                 nsq: float, E: float, accept=None, grad: bool = False,
+                 step: float = STEP0, *, probe_floor: bool = False):
+    """Line search along -d from the couple x, one grid pass per trial.
 
-    A trial is projected from its integrals I (with the gradient parts when
+    The trial at step st is c = x - st d, both (2, n) arrays.  It is
+    projected from its integrals I (with the gradient parts when
     ``grad``) and judged by ``accept(st, t, I)``, by default the Armijo
     decrease from ``E``: true accepts it, false (or a failed projection)
     marks the step too long, and ``SHORT`` too short.  A test may return
@@ -270,8 +282,8 @@ def _line_search(wt: Weights, u, v, du, dv, slope: float, nsq: float,
     successful one fails at its floor; the 133 failures take 2 trials each
     instead of 17 or 18, and the climb 404 trials instead of 2388.
 
-    Returns ``(trials, found)``: ``found`` is ``(st, t, I, t cu, t cv, g)``
-    of the accepted trial, else of the last short one, else None; g is the
+    Returns ``(trials, found)``: ``found`` is ``(st, t, I, t c, g)`` of the
+    accepted trial, else of the last short one, else None; g is the
     gradient its test reported, None from a boolean test.
     """
     if accept is None:
@@ -280,16 +292,16 @@ def _line_search(wt: Weights, u, v, du, dv, slope: float, nsq: float,
 
     def judge(st):
         """Verdict, (st, phi, phi') (None for what is unknown) and found."""
-        cu, cv = u - st * du, v - st * dv
+        c = x - st * d
         try:
-            t, I = project_arrays(wt, cu, cv, positive=True, grad=grad)
+            t, I = project_arrays(wt, *c, positive=True, grad=grad)
         except HsvarError:
             return False, (st, None, None), None
         verdict, end, g = accept(st, t, I), (st, None, None), None
         if isinstance(verdict, tuple):
             verdict, dphi, g = verdict
             end = (st, I.energy(t), dphi)
-        return verdict, end, (st, t, I, t * cu, t * cv, g) if verdict else None
+        return verdict, end, (st, t, I, t * c, g) if verdict else None
 
     st, short, probes, widths = step, None, 0, (math.inf, math.inf)
     lo, hi = (0.0, E, -slope), None
@@ -359,8 +371,8 @@ def _cubic_step(lo, hi) -> float:
     return min(max(x, a + 0.1 * w), b - 0.1 * w) if x == x else mid
 
 
-def _strong_wolfe(E: float, gd: float, du, dv):
-    """The descent's accept test along -(du, dv), with gd = <g, d> > 0.
+def _strong_wolfe(E: float, gd: float, d: np.ndarray):
+    """The descent's accept test along -d, with gd = <g, d> > 0.
 
     The projected trial t (x - st d) has slope phi'(st) = -t <g(st), d>: the
     Nehari term drops out, as <g, x> = Psi = 0 on the constraint set.  A
@@ -371,7 +383,7 @@ def _strong_wolfe(E: float, gd: float, du, dv):
     """
     def accept(st, t, I):
         g = I.gradient(t)
-        dphi = -t * float(g[0] @ du + g[1] @ dv)
+        dphi = -t * pair_dot(g, d)
         if not _armijo(E, gd, st, t, I):
             verdict = False
         elif dphi < -WOLFE_C2 * gd:
@@ -382,7 +394,7 @@ def _strong_wolfe(E: float, gd: float, du, dv):
     return accept
 
 
-def _descend(params: ProblemParams, pair: StatePair, metric: PairMetric,
+def _descend(wt: Weights, pair: StatePair, metric: PairMetric,
              opts: DescentOptions):
     """Projected Polak-Ribiere+ conjugate gradient in the metric M.
 
@@ -403,56 +415,52 @@ def _descend(params: ProblemParams, pair: StatePair, metric: PairMetric,
     Returns (pair, t, I, iterations, rel_grad, trace, stop_reason,
     counts), with pair = t x for the integrals I of x; ``counts`` holds
     ``restarts``, the steps along m, and ``trials``, the search projections.
-    The loop runs on node arrays; an accepted trial's energy and norm after
-    projection come from its integrals before projection, by homogeneity,
-    and its gradient is the one its accept test assembled, so a trial makes
-    one grid pass.
+    The loop runs on (2, n) arrays, rows u and v: the iterate x, the
+    gradient g and the directions m and d.  An accepted trial's energy and
+    norm after projection come from its integrals before projection, by
+    homogeneity, and its gradient is the one its accept test assembled, so
+    a trial makes one grid pass.
     """
-    grid = pair.grid
-    wt = Weights(grid, params)
-    t, I = project_arrays(wt, pair.u.values, pair.v.values, positive=True,
-                          grad=True)
-    u, v = t * pair.u.values, t * pair.v.values
+    x = np.stack((pair.u.values, pair.v.values))
+    t, I = project_arrays(wt, *x, positive=True, grad=True)
+    x *= t
     E, nsq, g = I.energy(t), t * t * I.A, I.gradient(t)
     trace = [E]
     step, last_drop, restarts, trials = STEP0, 0, 0, 0
     stop = "max_iter"
-    mu = mv = du = dv = None
+    m = d = None
 
-    def search(du, dv, gd):
+    def search(d, gd):
         nonlocal trials
-        n, found = _line_search(wt, u, v, du, dv, gd, nsq, E,
-                                _strong_wolfe(E, gd, du, dv), grad=True,
-                                step=step)
+        n, found = _line_search(wt, x, d, gd, nsq, E, _strong_wolfe(E, gd, d),
+                                grad=True, step=step)
         trials += n
         return found
 
     for it in range(opts.max_iter):
-        gu, gv = g
-        mu_new, mv_new, slope = metric.direction(gu, gv)
+        m_new, slope = metric.direction(g)
         rel_g = _rel_grad(slope, nsq)
         if rel_g <= opts.tol_grad or it - last_drop > STALL_WINDOW:
             stop = "tolerance" if rel_g <= opts.tol_grad else "stall"
             break
         # m vanishes at the two end nodes, so these products run over the
         # interior; slope > 0 here, as the tolerance test passed
-        beta = 0.0 if mu is None else max(
-            0.0, (gu @ (mu_new - mu) + gv @ (mv_new - mv)) / slope_prev)
-        mu, mv, slope_prev = mu_new, mv_new, slope
+        beta = 0.0 if m is None else max(0.0, pair_dot(g, m_new - m) / slope_prev)
+        m, slope_prev = m_new, slope
         found = None
         if beta > 0.0:
-            du, dv = mu + beta * du, mv + beta * dv
-            gd = float(gu @ du + gv @ dv)
+            d = m + beta * d
+            gd = pair_dot(g, d)
             if gd > 0.0:
-                found = search(du, dv, gd)
+                found = search(d, gd)
         if found is None:
             restarts += 1
-            du, dv = mu, mv
-            found = search(du, dv, slope)
+            d = m
+            found = search(d, slope)
             if found is None:
                 stop = "line_search"
                 break
-        st, t, I, u, v, g = found
+        st, t, I, x, g = found
         step = min(st, STEP_MAX)
         if E - I.energy(t) > 1e-15 * (abs(E) + 1.0):
             last_drop = it
@@ -461,8 +469,8 @@ def _descend(params: ProblemParams, pair: StatePair, metric: PairMetric,
     else:
         # the gradient of the iterate returned, not of the one before it
         it = opts.max_iter
-        rel_g = _rel_grad(metric.direction(*g)[2], nsq)
-    return (_pair(grid, u, v), t, I, it, rel_g, trace, stop,
+        rel_g = _rel_grad(metric.direction(g)[1], nsq)
+    return (_pair(wt.grid, x), t, I, it, rel_g, trace, stop,
             {"restarts": restarts, "trials": trials})
 
 
@@ -477,9 +485,11 @@ def ground_state(params: ProblemParams, init: StatePair,
     opts = opts or DescentOptions()
     if init.is_zero():
         raise DegenerateInputError("ground_state requires a nonzero initial pair")
+    # the weights check the grid's dimension before the metric reads it
+    wt = Weights(init.grid, params)
     metric = PairMetric(init.grid, params.lambda1, params.lambda2)
-    pair, t, I, iters, rel_g, trace, stop, counts = _descend(params, init,
-                                                             metric, opts)
+    pair, t, I, iters, rel_g, trace, stop, counts = _descend(wt, init, metric,
+                                                             opts)
     # the integrals of pair = t x, by homogeneity from those of x
     E, tp = I.energy(t), t ** params.crit_exp
     hs_u, hs_v = tp * I.hs_u, tp * I.hs_v
@@ -527,65 +537,71 @@ def escalate_nu(params: ProblemParams, grid: RadialGrid) -> float:
 def _initial_path(wt: Weights, K: int):
     """Explicit interpolating path ((1-t)^(1/2) z1, t^(1/2) z2), rescaled.
 
-    Returns the node arrays U, V (row k is node k) and the node energies E.
+    Returns the chain P, of shape (K+1, 2, n) with node k in P[k], and the
+    node energies E.  P is allocated once and both halves are written in
+    place.
     """
     (z1, E1), (z2, E2) = _extremal(wt, "first"), _extremal(wt, "second")
     tk = np.arange(K + 1)[:, None] / K
-    U, V = np.sqrt(1.0 - tk) * z1, np.sqrt(tk) * z2
+    P = np.empty((K + 1, 2, z1.size))
+    np.multiply(np.sqrt(1.0 - tk), z1, out=P[:, 0])
+    np.multiply(np.sqrt(tk), z2, out=P[:, 1])
     E = np.empty(K + 1)
     E[0], E[K] = E1, E2
     for k in range(1, K):
-        _project_row(U, V, E, k, wt, U[k], V[k])
-    return U, V, E
+        _project_row(P, E, k, wt, P[k])
+    return P, E
 
 
-def _project_row(U, V, E, k: int, wt: Weights, u, v) -> None:
-    """Write the projection of (u, v) onto the constraint set to row k of a
-    chain, with its energy."""
-    t, I = project_arrays(wt, u, v, positive=True)
-    np.multiply(u, t, out=U[k])
-    np.multiply(v, t, out=V[k])
+def _project_row(P, E, k: int, wt: Weights, x: np.ndarray) -> None:
+    """Write the projection of the couple x onto the constraint set to row
+    k of a chain, with its energy."""
+    t, I = project_arrays(wt, *x, positive=True)
+    np.multiply(x, t, out=P[k])
     E[k] = I.energy(t)
 
 
-def _pair(grid: RadialGrid, u: np.ndarray, v: np.ndarray) -> StatePair:
-    return StatePair(RadialFunction(grid, u), RadialFunction(grid, v))
+def _pair(grid: RadialGrid, x: np.ndarray) -> StatePair:
+    return StatePair(RadialFunction(grid, x[0]), RadialFunction(grid, x[1]))
 
 
 def _pair_grad_norm(metric: PairMetric, I, t: float = 1.0) -> float:
-    """Relative dual-norm gradient at t (u, v), from the integrals I of (u, v)."""
-    _, _, slope = metric.direction(*I.gradient(t))
-    return _rel_grad(slope, t * t * I.A)
+    """Relative dual-norm gradient at t x, from the integrals I of x."""
+    return _rel_grad(metric.direction(I.gradient(t))[1], t * t * I.A)
 
 
-def _node_direction(wt: Weights, metric: PairMetric, u, v):
-    """Integrals, gradient and metric direction of a path node."""
-    I = integrals(wt, u, v, positive=True, grad=True)
+def _node_direction(wt: Weights, metric: PairMetric, x: np.ndarray):
+    """Integrals, gradient g, metric direction m and slope <g, m> of a path
+    node."""
+    I = integrals(wt, *x, positive=True, grad=True)
     g = I.gradient()
-    return (I, *g, *metric.direction(*g))
+    return (I, g, *metric.direction(g))
 
 
-def _segment(U, V, k: int, w: np.ndarray) -> float:
-    """Length sqrt(sum w (dU^2 + dV^2)) of the segment from row k of a chain
-    to row k + 1."""
-    du, dv = U[k + 1] - U[k], V[k + 1] - V[k]
-    return math.sqrt(((du ** 2 + dv ** 2) * w).sum())
+def _segment(P, k: int, w: np.ndarray) -> float:
+    """Length sqrt(sum w (du^2 + dv^2)) of the segment from node k of a
+    chain to node k + 1, with (du, dv) = P[k+1] - P[k]."""
+    dx = P[k + 1] - P[k]
+    return math.sqrt(((dx[0] ** 2 + dx[1] ** 2) * w).sum())
 
 
-def _segments(U, V, w: np.ndarray) -> np.ndarray:
-    """Lengths of the segments between consecutive rows of a chain."""
-    return np.array([_segment(U, V, k, w) for k in range(len(U) - 1)])
+def _segments(P, w: np.ndarray) -> np.ndarray:
+    """Lengths of the segments between consecutive nodes of a chain, one
+    :func:`_segment` each."""
+    return np.array([_segment(P, k, w) for k in range(len(P) - 1)])
 
 
-def _redistribute(U, V, E, wt: Weights, seg: np.ndarray) -> bool:
+def _redistribute(P, E, wt: Weights, seg: np.ndarray) -> bool:
     """Equal-arclength resampling of a sub-chain in place; endpoints kept exact.
 
-    ``seg`` holds the sub-chain's segment lengths.  It resamples only when
-    the longest segment exceeds ``RESAMPLE_RATIO`` times the shortest, and
-    then refreshes ``seg`` in place.  Each resampled node is a convex
-    combination of two nodes on the constraint set, so it is projected
-    again.  Rows are rewritten one at a time, with the arithmetic of a
-    resample of the whole side at once.  Returns whether it resampled.
+    ``P`` is a slice of the chain along its node axis, ``E`` the same slice
+    of the energies and ``seg`` the sub-chain's segment lengths.  It
+    resamples only when the longest segment exceeds ``RESAMPLE_RATIO``
+    times the shortest, and then refreshes ``seg`` in place.  Each
+    resampled node is a convex combination of two nodes on the constraint
+    set, so it is projected again.  Nodes are rewritten one at a time, from
+    a copy of the side, with the arithmetic of a resample of the whole side
+    at once.  Returns whether it resampled.
     """
     m = len(E) - 1
     if m < 2 or seg.max() <= RESAMPLE_RATIO * seg.min():
@@ -594,16 +610,15 @@ def _redistribute(U, V, E, wt: Weights, seg: np.ndarray) -> bool:
     targets = np.linspace(0.0, arc[-1], m + 1)[1:-1]
     j = np.minimum(np.searchsorted(arc, targets, side="right") - 1, m - 1)
     theta = (targets - arc[j]) / np.maximum(arc[j + 1] - arc[j], 1e-300)
-    # row by row, from the side as it was: row i is interpolated between old
-    # rows j[i-1] and j[i-1]+1, projected and written, and the segment it
-    # closes is measured
-    w, U0, V0 = wt.grid.w, U.copy(), V.copy()
+    # node by node, from the side as it was: node i is interpolated between
+    # old nodes j[i-1] and j[i-1]+1, projected and written, and the segment
+    # it closes is measured
+    w, P0 = wt.grid.w, P.copy()
     for i in range(1, m):
         r, th = j[i - 1], theta[i - 1]
-        _project_row(U, V, E, i, wt, (1 - th) * U0[r] + th * U0[r + 1],
-                     (1 - th) * V0[r] + th * V0[r + 1])
-        seg[i - 1] = _segment(U, V, i - 1, w)
-    seg[m - 1] = _segment(U, V, m - 1, w)
+        _project_row(P, E, i, wt, (1 - th) * P0[r] + th * P0[r + 1])
+        seg[i - 1] = _segment(P, i - 1, w)
+    seg[m - 1] = _segment(P, m - 1, w)
     return True
 
 
@@ -618,11 +633,12 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
     ``extra["orientation"]`` is the case.  Each sweep applies descent steps
     with reprojection to the current maximum node and its two neighbors;
     the along-path component of each move is removed so nodes relax
-    transversally instead of sliding off the barrier.  The K segment lengths
-    sqrt(sum w (dU^2 + dV^2)) are kept with the chain: a moved node k
-    updates segments k-1 and k only.  From the second sweep on, each side of
-    the crest is resampled to equal arclength when its longest segment
-    exceeds ``RESAMPLE_RATIO`` times its shortest (:func:`_redistribute`);
+    transversally instead of sliding off the barrier.  The chain is one
+    (K+1, 2, n) array, node k in row k; its K segment lengths sqrt(sum w
+    (du^2 + dv^2)) are kept with it: a moved node k updates segments k-1
+    and k only.  From the second sweep on, each side of the crest is
+    resampled to equal arclength when its longest segment exceeds
+    ``RESAMPLE_RATIO`` times its shortest (:func:`_redistribute`);
     ``extra["resamples"]`` counts those side resamplings, and
     ``extra["trials"]`` the projections of all its line searches.  A crest
     row that no move or resample rewrote since it was measured is not
@@ -641,8 +657,8 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
 
     K = opts.n_path_nodes
     wt = Weights(grid, params)
-    U, V, E = _initial_path(wt, K)
-    seg = _segments(U, V, wt.grid.w)
+    P, E = _initial_path(wt, K)
+    seg = _segments(P, wt.grid.w)
     metric = PairMetric(grid, params.lambda1, params.lambda2)
     trace, gnorm_trace = [float(E.max())], []
     resamples = trials = 0
@@ -659,8 +675,8 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
             # resample moves every interior node of its side and projects it
             # again, so it waits until the spacing has degraded.
             a = int(np.argmax(E))
-            left = _redistribute(U[:a + 1], V[:a + 1], E[:a + 1], wt, seg[:a])
-            right = _redistribute(U[a:], V[a:], E[a:], wt, seg[a:])
+            left = _redistribute(P[:a + 1], E[:a + 1], wt, seg[:a])
+            right = _redistribute(P[a:], E[a:], wt, seg[a:])
             resamples += left + right
             # a resample rewrites the interior rows of its side; row a is an
             # endpoint of both
@@ -672,7 +688,7 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
         # the crest's gradient and direction serve its climb below as well; a
         # crest row that no move or resample rewrote keeps its measurement
         if k_max != crest:
-            crest, top = k_max, _node_direction(wt, metric, U[k_max], V[k_max])
+            crest, top = k_max, _node_direction(wt, metric, P[k_max])
         gnorm = _rel_grad(top[-1], top[0].A)
         gnorm_trace.append(gnorm)
         if gnorm <= opts.crest_grad_tol:
@@ -690,38 +706,36 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
             if k in (0, K):
                 continue
             climbing = k == k_max
-            I, gu, gv, du, dv, slope = top if climbing else _node_direction(
-                wt, metric, U[k], V[k])
-            tau_u, tau_v = U[k + 1] - U[k - 1], V[k + 1] - V[k - 1]
-            tmt = (float(tau_u[1:-1] @ metric.op1.apply(tau_u[1:-1]))
-                   + float(tau_v[1:-1] @ metric.op2.apply(tau_v[1:-1])))
-            coef = (float(gu[1:-1] @ tau_u[1:-1])
-                    + float(gv[1:-1] @ tau_v[1:-1])) / tmt if tmt > 0 else 0.0
+            I, g, d, slope = top if climbing else _node_direction(wt, metric,
+                                                                  P[k])
+            # the path tangent at node k, on the interior
+            tau = (P[k + 1] - P[k - 1])[:, 1:-1]
+            tmt = pair_dot(tau, (metric.op1.apply(tau[0]),
+                                 metric.op2.apply(tau[1])))
+            coef = pair_dot(g[:, 1:-1], tau) / tmt if tmt > 0 else 0.0
             # the maximum node climbs: the along-path gradient component is
             # reversed so the node ascends the path direction while relaxing
             # transversally; neighbors relax transversally only
             factor = 2.0 if climbing else 1.0
-            # the move is built on copies: a measurement is not edited, as
+            # the move is built on a copy: a measurement is not edited, as
             # the crest's may serve the next sweep
-            du, dv = du.copy(), dv.copy()
-            du[1:-1] -= factor * coef * tau_u[1:-1]
-            dv[1:-1] -= factor * coef * tau_v[1:-1]
+            d = d.copy()
+            d[:, 1:-1] -= factor * coef * tau
             if not climbing:
-                slope = max(float(gu[1:-1] @ du[1:-1])
-                            + float(gv[1:-1] @ dv[1:-1]), 0.0)
+                slope = max(pair_dot(g[:, 1:-1], d[:, 1:-1]), 0.0)
             # neighbors take the Armijo test; the climbing node's step floor,
             # probed after a failed first trial, uses its unmodified slope
-            n, found = _line_search(wt, U[k], V[k], du, dv, slope, I.A, E[k],
+            n, found = _line_search(wt, P[k], d, slope, I.A, E[k],
                                     climbs if climbing else None, grad=climbing,
                                     probe_floor=climbing)
             trials += n
             if found is not None:
-                _, t, J, U[k], V[k], _ = found
+                _, t, J, P[k], _ = found
                 E[k] = J.energy(t)
                 if k == crest:
                     crest = -1
-                seg[k - 1] = _segment(U, V, k - 1, wt.grid.w)
-                seg[k] = _segment(U, V, k, wt.grid.w)
+                seg[k - 1] = _segment(P, k - 1, wt.grid.w)
+                seg[k] = _segment(P, k, wt.grid.w)
                 improved = True
         trace.append(float(E.max()))
         if not improved:
@@ -742,7 +756,7 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
         iterations=len(trace) - 1,
         converged=stop == "tolerance", stop_reason=stop,
         level_diagnostics=levels,
-        profiles=_pair(grid, U[k_max].copy(), V[k_max].copy()),
+        profiles=_pair(grid, P[k_max].copy()),
         trace=trace,
         extra={"gradient_norm_trace": gnorm_trace, "crest_index": k_max,
                "resamples": resamples, "trials": trials,
@@ -809,7 +823,6 @@ def semitrivial_probe(params: ProblemParams, which: str,
 
     wt = Weights(grid, work)
     z, base = _extremal(wt, "second")
-    zero = np.zeros_like(z)
 
     e, side, iters, stop = work.alpha, order(work.alpha, 2.0), 0, None
     if side:
@@ -828,7 +841,7 @@ def semitrivial_probe(params: ProblemParams, which: str,
         gradient_norm=0.0, nehari_residual=0.0,
         iterations=iters, converged=classification != "inconclusive",
         level_diagnostics=levels,
-        profiles=_pair(grid, z, zero) if swapped else _pair(grid, zero, z),
+        profiles=_pair(grid, _semitrivial(z, which)),
         classification=classification, stop_reason=stop,
         extra={"which": which, "nu_star": nu_star, "foreign_exponent": e})
 

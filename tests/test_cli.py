@@ -65,8 +65,11 @@ def test_constants_output(capsys):
 
 
 def test_unknown_command_usage(capsys):
-    with pytest.raises(SystemExit):
-        run_command(["frobnicate"])
+    # argparse's refusal used to raise SystemExit and print its usage block
+    assert run_command(["frobnicate"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "invalid choice: 'frobnicate'" in err
 
 
 def test_evaluate_and_project_roundtrip(tmp_path, capsys):
@@ -426,6 +429,15 @@ def _run_malformed(tmp_path, capsys, monkeypatch, argv, content):
     # a negative seed flag used to end in numpy's traceback (1)
     (["ground-state", "--nu", "1", "--grid", "1e-6,1e6,256", "--seed", "-1",
       *(f"--{k}={v}" for k, v in PARAMS.items())], None),
+    # what argparse refuses used to raise SystemExit out of run_command and
+    # print its usage block: 5, 4, 4, 2 and 2 lines on stderr; the bare
+    # command printed a 3-line usage to stdout
+    (["probe", "--N", "4", "--which", "third"], None),
+    (["classify", "--bogus", "1"], None),
+    (["frobnicate"], None),
+    (["lemma", "--B", "1", "--theta", "2"], None),
+    (["sweep"], None),
+    ([], None),
 ])
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch,
                                               argv, content):

@@ -1,4 +1,6 @@
-"""The closed-form modules reach nothing of the discrete layer."""
+"""The closed-form modules reach nothing of the discrete layer, and the
+discrete layer reaches only the modules below it: grid, operators, energy,
+solvers, then io and cli."""
 
 import ast
 from pathlib import Path
@@ -42,3 +44,17 @@ def _reached(module: str) -> set:
 @pytest.mark.parametrize("module", ["params", "closed_forms", "regimes"])
 def test_closed_form_module_reaches_no_discrete_module(module):
     assert _reached(module) & DISCRETE == set()
+
+
+def test_grid_reaches_only_errors():
+    assert _reached("grid") == {"errors"}
+
+
+@pytest.mark.parametrize("module,above", [
+    # pair_dot and PairMetric sit below the solvers that pair couples
+    ("operators", {"energy", "solvers", "io", "cli"}),
+    ("energy", {"solvers", "io", "cli"}),
+    ("solvers", {"io", "cli"}),
+])
+def test_discrete_module_reaches_nothing_above_it(module, above):
+    assert _reached(module) & above == set()

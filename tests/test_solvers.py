@@ -8,11 +8,11 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, example, given, settings, strategies as st
 
-from hsvar import (DegenerateInputError, DescentOptions, HProfile,
-                   InvalidParameterError, PathOptions, PreconditionError,
+from hsvar import (DegenerateInputError, DescentOptions, GridMismatchError,
+                   HProfile, InvalidParameterError, PathOptions, PreconditionError,
                    ProbeOptions, ProblemParams, RadialFunction, StatePair,
-                   classification_flip, classify, critical_level, energy,
-                   energy_positive, escalate_nu, extremal_pair,
+                   classification_flip, classify, compact_bump, critical_level,
+                   energy, energy_positive, escalate_nu, extremal_pair,
                    gradient_dual_norm, ground_state, hardy_constant,
                    lambda_norm_sq, mountain_pass, nehari_residual,
                    pair_norm_sq, project, semitrivial_probe)
@@ -195,6 +195,29 @@ class TestGroundState:
         # larger one here, so the below-minimum flag must be off
         assert not rep.level_diagnostics["below_min_semitrivial"]
 
+    @pytest.mark.parametrize("N,s,lam,alpha,nu", [(4, 0.5, 0.1, 1.75, 1.0),
+                                                  (5, 1.0, 0.5, 4 / 3, 2.0)])
+    def test_synchronized_level_to_1e_9(self, N, s, lam, alpha, nu):
+        # lambda1 = lambda2, alpha = beta, alpha + beta = p and constant h:
+        # the couple (cos th, sin th) z has the level E_h g(th)^(-2/(p-2)),
+        # g(th) = cos^p th + sin^p th + p nu cos^alpha th sin^beta th, with
+        # E_h the level of z on the same grid.  The descent reaches the
+        # synchronized couple, th = pi/4; measured errors -2.9e-11 (stop
+        # at the tolerance, 14 iterations) and -7.2e-11 (line_search, 18)
+        # on 4096 nodes, -5.6e-10 and -9.1e-9 for the first tuple on 2048
+        # and 1024
+        pr = ProblemParams(N, s, lam, lam, alpha, alpha, nu)
+        grid = cached_grid(N, 1e-6, 1e6, 4096)
+        z, E_h = solvers._extremal(Weights(grid, pr), "first")
+        p = pr.crit_exp
+        g = 2.0 ** (1.0 - p / 2.0) + p * nu * 2.0 ** (-p / 2.0)
+        level = E_h * g ** (-2.0 / (p - 2.0))
+        bump = compact_bump(grid.t, 0.3, 1.5, 0.2)
+        rep = ground_state(pr, StatePair(RadialFunction(grid, 0.8 * z),
+                                         RadialFunction(grid, 0.6 * z * (1 + bump))),
+                           DescentOptions(tol_grad=1e-9))
+        assert abs(rep.energy - level) <= 1e-9 * level
+
 
 class TestMountainPass:
     def params(self, nu=0.02):
@@ -271,12 +294,13 @@ class TestMountainPass:
     def test_redistribute_resamples_a_view_in_place(self):
         pr = self.params()
         wt = Weights(small_grid(4), pr)
-        U, V, E = solvers._initial_path(wt, 10)
+        P, E = solvers._initial_path(wt, 10)
+        U, V = P[:, 0], P[:, 1]
         # crowd the chain so that resampling moves the interior rows
         U[3:6], V[3:6], E[3:6] = U[2], V[2], E[2]
         U0, V0, E0 = U.copy(), V.copy(), E.copy()
-        assert solvers._redistribute(U[2:9], V[2:9], E[2:9], wt,
-                                     solvers._segments(U[2:9], V[2:9], wt.grid.w))
+        assert solvers._redistribute(P[2:9], E[2:9], wt,
+                                     solvers._segments(P[2:9], wt.grid.w))
         outside = [0, 1, 2, 8, 9, 10]
         assert np.array_equal(U[outside], U0[outside])
         assert np.array_equal(V[outside], V0[outside])
@@ -302,28 +326,31 @@ class TestMountainPass:
 
     def test_redistribute_keeps_a_chain_within_the_ratio(self):
         wt = Weights(small_grid(4), self.params())
-        U, V, E = solvers._initial_path(wt, 10)
-        seg = solvers._segments(U, V, wt.grid.w)
+        P, E = solvers._initial_path(wt, 10)
+        U, V = P[:, 0], P[:, 1]
+        seg = solvers._segments(P, wt.grid.w)
         # the initial path's longest segment is 5 times its shortest
-        assert solvers._redistribute(U, V, E, wt, seg)
+        assert solvers._redistribute(P, E, wt, seg)
         assert seg.max() <= solvers.RESAMPLE_RATIO * seg.min()
         U0, V0, E0, seg0 = U.copy(), V.copy(), E.copy(), seg.copy()
-        assert not solvers._redistribute(U, V, E, wt, seg)
+        assert not solvers._redistribute(P, E, wt, seg)
         for a, b in ((U, U0), (V, V0), (E, E0), (seg, seg0)):
             assert np.array_equal(a, b)
 
     def test_redistribute_refreshes_the_segments_it_resamples(self):
         wt = Weights(small_grid(4), self.params())
-        U, V, E = solvers._initial_path(wt, 10)
+        P, E = solvers._initial_path(wt, 10)
+        U, V = P[:, 0], P[:, 1]
         U[3:6], V[3:6], E[3:6] = U[2], V[2], E[2]
-        U1, V1, E1 = U.copy(), V.copy(), E.copy()
-        seg = solvers._segments(U, V, wt.grid.w)
-        assert solvers._redistribute(U[2:9], V[2:9], E[2:9], wt, seg[2:8])
+        P1, E1 = P.copy(), E.copy()
+        U1, V1 = P1[:, 0], P1[:, 1]
+        seg = solvers._segments(P, wt.grid.w)
+        assert solvers._redistribute(P[2:9], E[2:9], wt, seg[2:8])
         # the refresh is exact: each segment as a fresh computation gives it
-        assert np.array_equal(seg, solvers._segments(U, V, wt.grid.w))
+        assert np.array_equal(seg, solvers._segments(P, wt.grid.w))
         # a view of the chain's segments resamples as segments computed afresh
-        solvers._redistribute(U1[2:9], V1[2:9], E1[2:9], wt,
-                              solvers._segments(U1[2:9], V1[2:9], wt.grid.w))
+        solvers._redistribute(P1[2:9], E1[2:9], wt,
+                              solvers._segments(P1[2:9], wt.grid.w))
         for a, b in ((U, U1), (V, V1), (E, E1)):
             assert np.array_equal(a, b)
 
@@ -344,9 +371,9 @@ class TestMountainPass:
         seen = []
         measure = solvers._node_direction
 
-        def recorded(wt, metric, u, v):
-            seen.append(u.tobytes() + v.tobytes())
-            out = measure(wt, metric, u, v)
+        def recorded(wt, metric, x):
+            seen.append(x.tobytes())
+            out = measure(wt, metric, x)
             for a in out[1:-1]:
                 a.setflags(write=False)
             return out
@@ -405,16 +432,17 @@ class TestMountainPass:
 
 
 def descent_start(params, grid, rng):
-    """A perturbed start on the constraint set: weights, node arrays, energy,
-    squared norm, and the metric direction m = M^-1 g with slope <g, m>."""
+    """A perturbed start on the constraint set: weights, (2, n) couple,
+    energy, squared norm, and the metric direction m = M^-1 g with slope
+    <g, m>."""
     wt = Weights(grid, params)
     x = perturbed_first(params, grid, rng)
     t, I = project_arrays(wt, x.u.values, x.v.values, positive=True, grad=True)
     g = I.gradient(t)
     metric = PairMetric(grid, params.lambda1, params.lambda2)
-    du, dv, slope = metric.direction(*g)
-    return (wt, t * x.u.values, t * x.v.values, I.energy(t), t * t * I.A,
-            du, dv, slope)
+    m, slope = metric.direction(g)
+    return (wt, t * np.stack((x.u.values, x.v.values)), I.energy(t),
+            t * t * I.A, m, slope)
 
 
 def counting_projections(monkeypatch):
@@ -438,11 +466,11 @@ class TestLineSearch:
         z1 = extremal_pair(pr, grid, "first").u.values
         z2 = extremal_pair(pr, grid, "second").v.values
         t, I = project_arrays(wt, z1, z2, positive=True, grad=True)
-        u, v, E, nsq = t * z1, t * z2, I.energy(t), t * t * I.A
+        x, E, nsq = t * np.stack((z1, z2)), I.energy(t), t * t * I.A
         metric = PairMetric(grid, pr.lambda1, pr.lambda2)
-        du, dv, slope = metric.direction(*I.gradient(t))
+        m, slope = metric.direction(I.gradient(t))
         calls = counting_projections(monkeypatch)
-        trials, found = solvers._line_search(wt, u, v, -du, -dv, slope, nsq, E)
+        trials, found = solvers._line_search(wt, x, -m, slope, nsq, E)
         assert found is None
         assert trials == len(calls)
         rel = math.sqrt(slope / nsq)
@@ -454,7 +482,7 @@ class TestLineSearch:
         # the path's tests answer only yes or no: st, st/2, st/4, ... down
         # to the floor, one projection each
         pr = ProblemParams(3, 0.5, 0.1, 0.5 * hardy_constant(3), 1.3, 1.3, 0.0)
-        wt, u, v, E, nsq, du, dv, slope = descent_start(
+        wt, x, E, nsq, d, slope = descent_start(
             pr, small_grid(3), np.random.default_rng(0))
         steps = []
 
@@ -463,7 +491,7 @@ class TestLineSearch:
             return len(steps) - 1 == accept_at
 
         calls = counting_projections(monkeypatch)
-        trials, found = solvers._line_search(wt, u, v, du, dv, slope, nsq, E,
+        trials, found = solvers._line_search(wt, x, d, slope, nsq, E,
                                              accept, step=1.5)
         assert trials == len(calls) == len(steps)
         assert steps == [1.5 * 0.5 ** k for k in range(len(steps))]
@@ -483,7 +511,7 @@ class TestFloorProbe:
 
     def search(self, monkeypatch, passes, step=solvers.STEP0, **kw):
         """Trials, found and judged steps of a search with a boolean accept."""
-        wt, u, v, E, nsq, du, dv, slope = self.start()
+        wt, x, E, nsq, d, slope = self.start()
         steps = []
 
         def accept(st, t, I):
@@ -491,7 +519,7 @@ class TestFloorProbe:
             return passes(st)
 
         calls = counting_projections(monkeypatch)
-        trials, found = solvers._line_search(wt, u, v, du, dv, slope, nsq, E,
+        trials, found = solvers._line_search(wt, x, d, slope, nsq, E,
                                              accept, grad=True, step=step, **kw)
         assert trials == len(calls) == len(steps)
         return trials, found, steps, math.sqrt(slope / nsq)
@@ -517,7 +545,7 @@ class TestFloorProbe:
             monkeypatch, passes, probe_floor=True)
         assert floor * rel > solvers.SQRT_EPS >= 0.5 * floor * rel
         assert probed == trials + 1 and [first, *rest] == steps
-        (st, t, _, u, v, _), (st0, t0, _, u0, v0, _) = found, found0
+        (st, t, _, (u, v), _), (st0, t0, _, (u0, v0), _) = found, found0
         assert (st, t) == (st0, t0) and st < below <= 2 * st
         assert np.array_equal(u, u0) and np.array_equal(v, v0)
 
@@ -526,7 +554,7 @@ class TestFloorProbe:
                                                         rungs):
         # every step below the first passes, so a probe would show as a
         # repeated step
-        *_, nsq, _, _, slope = self.start()
+        *_, nsq, _, slope = self.start()
         step = (1.5 if rungs == 1 else 3.0) * solvers.SQRT_EPS / math.sqrt(
             slope / nsq)
         trials, found, steps, _ = self.search(monkeypatch, lambda st: st < step,
@@ -536,9 +564,10 @@ class TestFloorProbe:
         assert (found is None) == (rungs == 1)
 
 
-def slope_at(wt, found, du, dv):
+def slope_at(wt, found, d):
     """phi'(st) = -t <g, d> at the returned state, from a fresh grid pass."""
-    _, t, _, u, v, _ = found
+    _, t, _, (u, v), _ = found
+    du, dv = d
     gu, gv = integrals(wt, u, v, positive=True, grad=True).gradient()
     return -t * float(gu @ du + gv @ dv)
 
@@ -556,16 +585,16 @@ class TestStrongWolfe:
         # long one cut back to the cubic's minimizer; with the small c2 both
         # end in steps between a short and a long trial
         monkeypatch.setattr(solvers, "WOLFE_C2", c2)
-        wt, u, v, E, nsq, du, dv, slope = self.start()
-        accept = solvers._strong_wolfe(E, slope, du, dv)
-        trials, found = solvers._line_search(wt, u, v, du, dv, slope, nsq, E,
+        wt, x, E, nsq, d, slope = self.start()
+        accept = solvers._strong_wolfe(E, slope, d)
+        trials, found = solvers._line_search(wt, x, d, slope, nsq, E,
                                              accept, grad=True, step=step)
-        st, t, I, uu, vv, g = found
+        st, t, I, (uu, vv), g = found
         verdict, _, g_test = accept(st, t, I)
         assert verdict is True and np.array_equal(g, g_test)
         fresh = integrals(wt, uu, vv, positive=True)
         assert fresh.energy() <= E - solvers.ARMIJO * st * slope
-        assert abs(slope_at(wt, found, du, dv)) <= (c2 + 1e-9) * slope
+        assert abs(slope_at(wt, found, d)) <= (c2 + 1e-9) * slope
         assert 1 <= trials < solvers.MAX_BACKTRACKS
         if step == 1e-3:
             assert st > step
@@ -574,24 +603,24 @@ class TestStrongWolfe:
         # c2 = 0 accepts no trial of nonzero slope: the bracket closes at
         # the floor and the search returns its last trial that was too short
         monkeypatch.setattr(solvers, "WOLFE_C2", 0.0)
-        wt, u, v, E, nsq, du, dv, slope = self.start()
+        wt, x, E, nsq, d, slope = self.start()
         verdicts = []
-        accept = solvers._strong_wolfe(E, slope, du, dv)
+        accept = solvers._strong_wolfe(E, slope, d)
 
         def recorded(st, t, I):
             report = accept(st, t, I)
             verdicts.append((st, report[0]))
             return report
 
-        trials, found = solvers._line_search(wt, u, v, du, dv, slope, nsq, E,
+        trials, found = solvers._line_search(wt, x, d, slope, nsq, E,
                                              recorded, grad=True)
         shorts = [st for st, verdict in verdicts if verdict is solvers.SHORT]
         assert trials == len(verdicts) < solvers.MAX_BACKTRACKS
         assert shorts and found[0] == shorts[-1] == max(shorts)
         assert True not in [verdict for _, verdict in verdicts]
-        assert integrals(wt, found[3], found[4], positive=True).energy() <= (
+        assert integrals(wt, *found[3], positive=True).energy() <= (
             E - solvers.ARMIJO * found[0] * slope)
-        assert slope_at(wt, found, du, dv) < 0.0
+        assert slope_at(wt, found, d) < 0.0
 
     def test_criterion_6_n4_start_takes_few_trials(self):
         # the criterion-6 N=4 start (default_rng(6)) on 2048 nodes: 16 trials
@@ -612,7 +641,7 @@ class TestStrongWolfe:
     def test_secant_lands_on_the_minimizer_of_a_quadratic(self):
         # phi'(st) = -gd + k st: the secant through (0, -gd) and the short
         # first trial is phi' itself, so the second trial is its zero gd / k
-        wt, u, v, E, nsq, du, dv, slope = self.start()
+        wt, x, E, nsq, d, slope = self.start()
         k = slope / 0.37
         steps = []
 
@@ -623,7 +652,7 @@ class TestStrongWolfe:
                        else abs(dphi) <= solvers.WOLFE_C2 * slope)
             return verdict, dphi, None
 
-        trials, found = solvers._line_search(wt, u, v, du, dv, slope, nsq, E,
+        trials, found = solvers._line_search(wt, x, d, slope, nsq, E,
                                              quadratic, step=0.05)
         assert trials == 2 and found[0] == steps[1]
         assert steps[1] == pytest.approx(0.37, rel=1e-12)
@@ -901,3 +930,33 @@ def test_options_at_their_floors_are_valid():
     # the benchmark runs with a zero budget and a zero tolerance
     DescentOptions(tol_grad=0.0, max_iter=0)
     PathOptions(n_path_nodes=2, max_sweeps=0, crest_grad_tol=0.0)
+
+
+_ON_THE_GRID = {
+    "extremal_pair": lambda pr, grid, pair: extremal_pair(pr, grid, "first"),
+    "energy": lambda pr, grid, pair: energy(pair, pr),
+    "semitrivial_probe": lambda pr, grid, pair: semitrivial_probe(pr, "first", grid),
+    "escalate_nu": lambda pr, grid, pair: escalate_nu(pr, grid),
+    "mountain_pass": lambda pr, grid, pair: mountain_pass(pr, grid),
+    "ground_state": lambda pr, grid, pair: ground_state(pr, pair),
+    "project": lambda pr, grid, pair: project(pair, pr),
+    "nehari_residual": lambda pr, grid, pair: nehari_residual(pair, pr),
+    "gradient_dual_norm": lambda pr, grid, pair: gradient_dual_norm(pair, pr),
+    "classification_flip": lambda pr, grid, pair: classification_flip(
+        lambda nu: replace(pr, nu=nu), 1e-3, 1.0, "first", grid),
+}
+
+
+@pytest.mark.parametrize("N", [3, 5])
+@pytest.mark.parametrize("name", list(_ON_THE_GRID))
+def test_a_grid_of_another_dimension_is_refused(name, N):
+    # an N = 4 extremal integrated with N = 3 weights (4096 nodes) gave the
+    # level 2.0104 where it is 20.996; ground_state refused lambda2 for the
+    # grid instead
+    pr = ProblemParams(4, 0.5, 0.1, 0.3, 2.2, 1.2, 0.02)
+    grid = cached_grid(N, 1e-6, 1e6, 256)
+    z = RadialFunction(grid, np.exp(-grid.t ** 2))
+    with pytest.raises(GridMismatchError,
+                       match=rf"^grid dimension N = {N} does not match the "
+                             r"parameters' N = 4$"):
+        _ON_THE_GRID[name](pr, grid, StatePair(z, z))
