@@ -30,7 +30,8 @@ print(f"interpolating-path upper envelope peaks at "
 
 print(f"\nendpoints: {lv['endpoint_energies'][0]:.4f}, {lv['endpoint_energies'][1]:.4f}")
 print(f"initial chain max: {lv['initial_path_max']:.4f}")
-print(f"deformed estimate: {rep.energy:.4f} after {rep.iterations} sweeps")
+print(f"deformed estimate: {rep.energy:.4f} after {rep.iterations} sweeps "
+      f"(stop: {rep.stop_reason})")
 print(f"bracket: E1 = {E1:.4f} < {rep.energy:.4f} < 3 E2 = {3 * E2:.4f}")
 print(f"crest gradient: {gt[0]:.3e} -> {gt[-1]:.3e} (converged: {rep.converged})")
 print("chain maximum (start, then every 15 sweeps):",

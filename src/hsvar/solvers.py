@@ -36,6 +36,9 @@ node left in place keeps its measurement, so a failed climb does not measure
 the same crest again.  The reported level is the energy of the crest, the
 chain's maximum node, whose gradient was last measured; it is
 ``converged`` once that relative gradient is within ``crest_grad_tol``.
+The path stops unconverged, with "stall", once the least crest gradient has
+not fallen by ``PATH_STALL_DROP`` over the last half of its sweeps, and at
+least over the last ``PATH_STALL_WINDOW``.
 
 The descent and the moving path nodes share one line search, at one grid
 pass per trial.  Its accept test may answer "too short" and report the
@@ -43,9 +46,10 @@ slope; the path's tests do neither, so the path halves its step from trial
 to trial.  It stops once the bracket in the metric, relative to the state,
 falls to sqrt(eps).  The climbing node's test (its gradient shrinks) probes
 that floor right after a failed first trial and stops there if the floor
-fails too: at criterion 10, 133 of 150 climbing searches fail, at 2 trials
-each, and the climb takes 404 trials where walking every ladder down took
-2388; the bump-h crest climbs at the first trial in 85 of 86 sweeps.
+fails too: at criterion 10, which stalls at sweep 54, 47 of 54 climbing
+searches fail, at 2 trials each, and the climb takes 103 trials where
+walking every ladder down took 807; the bump-h crest climbs at the first
+trial in 85 of 86 sweeps.
 
 The variational character of a one-component couple (0, z) is read from
 the second variation in the directions (phi, 0), tangent to the constraint
@@ -97,11 +101,23 @@ MODE_TOL = 1e-12
 MODE_MAX_ITER = 500
 # min-max path: a side of the crest is resampled to equal arclength once its
 # longest segment exceeds RESAMPLE_RATIO times its shortest.  Criterion 10
-# (4096 nodes, K = 32, 150 sweeps) resamples 132 / 55 / 63 / 82 of its 298
-# sides at ratios 1.25 / 1.5 / 1.75 / 2.0, with 2734 / 1562 / 1678 / 1932
-# projections against 5155 when every side is resampled; the bump-h crest
-# to 1e-9 resamples 32 / 25 / 20 / 9 sides.
+# (4096 nodes, K = 32; it stalls at sweep 54 at each ratio) resamples 35 /
+# 24 / 23 / 36 of its 108 sides at ratios 1.25 / 1.5 / 1.75 / 2.0, with 774
+# / 604 / 679 / 799 projections against 1865 when every side is resampled;
+# the bump-h crest to 1e-9 resamples 32 / 25 / 20 / 9 sides.
 RESAMPLE_RATIO = 1.5
+# min-max path: it stops with "stall" once its least crest gradient has not
+# fallen by PATH_STALL_DROP over the last half of its sweeps, and at least
+# over the last PATH_STALL_WINDOW.  On 4096 nodes with K = 32, criterion 10
+# stops at sweep 54 of 150 and bump h at nu = 0.2 at 60 of 600, each at its
+# full run's crest gradient to 4 digits.  Bump h at nu = 0.05 falls by under
+# 1% from sweep 210 to 277 and reaches 1e-5 at 371; a window fixed at 50
+# sweeps stops it at 260.  The 10 of 60 random bump-h tuples (N = 3, 4; 1024
+# nodes, K = 16; 400 or 600 sweeps) that reach 1e-5 do so with either
+# window.  One run is cut short: nu = 0.05 on 1024 nodes with K = 32 falls
+# by under 1% from sweep 11 to 64, stops at 61 and would converge at 257.
+PATH_STALL_WINDOW = 50
+PATH_STALL_DROP = 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +294,9 @@ def _line_search(wt: Weights, x: np.ndarray, d: np.ndarray, slope: float,
     st/2 is not probed.  The path's climbing node uses it: its test asks
     the gradient to shrink, which a short enough step does whenever the
     direction lowers the gradient at all.  At criterion 10 (4096 nodes, K =
-    32, 150 sweeps) no failed climbing search passes on any rung, and no
-    successful one fails at its floor; the 133 failures take 2 trials each
-    instead of 17 or 18, and the climb 404 trials instead of 2388.
+    32; it stalls at sweep 54) no failed climbing search passes on any rung,
+    and no successful one fails at its floor; the 47 failures take 2 trials
+    each instead of 17, and the climb 103 trials instead of 807.
 
     Returns ``(trials, found)``: ``found`` is ``(st, t, I, t c, g)`` of the
     accepted trial, else of the last short one, else None; g is the
@@ -622,6 +638,53 @@ def _redistribute(P, E, wt: Weights, seg: np.ndarray) -> bool:
     return True
 
 
+def _move_node(wt: Weights, metric: PairMetric, P, E, seg: np.ndarray,
+               k: int, top=None) -> tuple[int, bool]:
+    """One line search that moves interior node k of a chain in place.
+
+    ``top`` is the crest's measurement ``(I, g, m, slope)`` when node k is
+    the crest, which climbs; a neighbor (``top`` None) is measured here and
+    relaxes.  An accepted trial rewrites row k of ``P``, its energy and the
+    two segments next to it.  Returns the trials and whether the node
+    moved.  The move's arrays are freed on return, before the next sweep
+    resamples the chain.
+    """
+    climbing = top is not None
+    I, g, d, slope = top if climbing else _node_direction(wt, metric, P[k])
+    # the path tangent at node k, on the interior
+    tau = (P[k + 1] - P[k - 1])[:, 1:-1]
+    tmt = pair_dot(tau, (metric.op1.apply(tau[0]), metric.op2.apply(tau[1])))
+    coef = pair_dot(g[:, 1:-1], tau) / tmt if tmt > 0 else 0.0
+    # the maximum node climbs: the along-path gradient component is
+    # reversed so the node ascends the path direction while relaxing
+    # transversally; neighbors relax transversally only
+    factor = 2.0 if climbing else 1.0
+    # the move is built on a copy: a measurement is not edited, as the
+    # crest's may serve the next sweep
+    d = d.copy()
+    d[:, 1:-1] -= factor * coef * tau
+    accept = None
+    if climbing:
+        gnorm = _rel_grad(slope, I.A)
+
+        def accept(st, t, J):
+            # the climbing node is accepted when its gradient shrinks
+            return _pair_grad_norm(metric, J, t) < gnorm
+    else:
+        slope = max(pair_dot(g[:, 1:-1], d[:, 1:-1]), 0.0)
+    # neighbors take the Armijo test; the climbing node's step floor,
+    # probed after a failed first trial, uses its unmodified slope
+    n, found = _line_search(wt, P[k], d, slope, I.A, E[k], accept,
+                            grad=climbing, probe_floor=climbing)
+    if found is None:
+        return n, False
+    _, t, J, P[k], _ = found
+    E[k] = J.energy(t)
+    seg[k - 1] = _segment(P, k - 1, wt.grid.w)
+    seg[k] = _segment(P, k, wt.grid.w)
+    return n, True
+
+
 def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
                   opts: PathOptions | None = None) -> SolverReport:
     """Estimate the min-max level between the two one-component couples.
@@ -642,8 +705,14 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
     ``extra["resamples"]`` counts those side resamplings, and
     ``extra["trials"]`` the projections of all its line searches.  A crest
     row that no move or resample rewrote since it was measured is not
-    measured again.  The report describes the last crest measured: its
-    energy, profiles, relative gradient, Nehari residual and index.
+    measured again.  The path stops with ``stop_reason`` "tolerance" once
+    the crest's relative gradient is within ``crest_grad_tol``, "stall"
+    once the least crest gradient has not fallen by ``PATH_STALL_DROP`` over
+    the last half of the sweeps and at least the last ``PATH_STALL_WINDOW``
+    (so a run of fewer sweeps never stalls), "no_improvement" when no node
+    moved, else "max_sweeps".  The report describes the last crest
+    measured: its energy, profiles, relative gradient, Nehari residual and
+    index.
     ``trace`` holds the chain maximum before the first sweep and after each
     one.
     """
@@ -694,48 +763,27 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
         if gnorm <= opts.crest_grad_tol:
             stop = "tolerance"
             break
+        # the least crest gradient fell by less than PATH_STALL_DROP over the
+        # last half of the run, and at least over its last PATH_STALL_WINDOW
+        # sweeps
+        lag = min(sweep - PATH_STALL_WINDOW, sweep - sweep // 2)
+        if lag >= 0 and (min(gnorm_trace) >
+                         (1.0 - PATH_STALL_DROP) * min(gnorm_trace[:lag + 1])):
+            stop = "stall"
+            break
         if sweep == opts.max_sweeps:
             break
-
-        def climbs(st, t, J):
-            # the climbing node is accepted when its gradient shrinks
-            return _pair_grad_norm(metric, J, t) < gnorm
 
         improved = False
         for k in (k_max - 1, k_max, k_max + 1):
             if k in (0, K):
                 continue
-            climbing = k == k_max
-            I, g, d, slope = top if climbing else _node_direction(wt, metric,
-                                                                  P[k])
-            # the path tangent at node k, on the interior
-            tau = (P[k + 1] - P[k - 1])[:, 1:-1]
-            tmt = pair_dot(tau, (metric.op1.apply(tau[0]),
-                                 metric.op2.apply(tau[1])))
-            coef = pair_dot(g[:, 1:-1], tau) / tmt if tmt > 0 else 0.0
-            # the maximum node climbs: the along-path gradient component is
-            # reversed so the node ascends the path direction while relaxing
-            # transversally; neighbors relax transversally only
-            factor = 2.0 if climbing else 1.0
-            # the move is built on a copy: a measurement is not edited, as
-            # the crest's may serve the next sweep
-            d = d.copy()
-            d[:, 1:-1] -= factor * coef * tau
-            if not climbing:
-                slope = max(pair_dot(g[:, 1:-1], d[:, 1:-1]), 0.0)
-            # neighbors take the Armijo test; the climbing node's step floor,
-            # probed after a failed first trial, uses its unmodified slope
-            n, found = _line_search(wt, P[k], d, slope, I.A, E[k],
-                                    climbs if climbing else None, grad=climbing,
-                                    probe_floor=climbing)
+            n, moved = _move_node(wt, metric, P, E, seg, k,
+                                  top if k == k_max else None)
             trials += n
-            if found is not None:
-                _, t, J, P[k], _ = found
-                E[k] = J.energy(t)
+            if moved:
                 if k == crest:
                     crest = -1
-                seg[k - 1] = _segment(P, k - 1, wt.grid.w)
-                seg[k] = _segment(P, k, wt.grid.w)
                 improved = True
         trace.append(float(E.max()))
         if not improved:

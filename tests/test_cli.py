@@ -854,6 +854,21 @@ def test_mountain_pass_exit_code_follows_its_stop(tmp_path, capsys, argv, code):
     assert type(report["extra"]["trials"]) is int
 
 
+def test_stalled_path_exits_3(tmp_path, capsys):
+    # criterion 10 has no interior crest: given 150 sweeps, its least crest
+    # gradient stops falling by 1% after sweep 4, and the path stops at 54
+    cfg = tmp_path / "stall.json"
+    cfg.write_text(json.dumps({"solver": {"n_path_nodes": 24, "max_sweeps": 150}}))
+    argv = [f"--{k}={v}" for k, v in PATH_PARAMS.items()]
+    assert run_command(["mountain-pass", *argv, "--grid", "1e-6,1e6,1024",
+                        "--config", str(cfg),
+                        "--output-dir", str(tmp_path / "runs")]) == 3
+    out = json.loads(capsys.readouterr().out)
+    report = json.loads(open(os.path.join(out["run_dir"], "report.json")).read())
+    assert out["stop_reason"] == report["stop_reason"] == "stall"
+    assert report["iterations"] == 54 and report["converged"] is False
+
+
 @pytest.mark.parametrize("lambda1", ["0.1", "0.3", "0.30000000000000004"])
 def test_mountain_pass_refuses_a_tuple_classify_calls_none(tmp_path, capsys,
                                                           monkeypatch, lambda1):

@@ -273,23 +273,70 @@ class TestMountainPass:
         assert (abs(nehari_residual(rep.profiles, pr, positive=True))
                 <= 1e-10 * pair_norm_sq(rep.profiles, pr))
 
-    @pytest.mark.parametrize("bump,K,sweeps", [
-        pytest.param(False, 7, 40, id="constant-h-K7"),
-        pytest.param(True, 16, 150, id="bump-h-K16"),
-        pytest.param(False, 8, 0, id="no-sweep-K8")])
-    def test_report_describes_its_crest(self, bump, K, sweeps):
+    @pytest.mark.parametrize("bump,K,sweeps,stop", [
+        pytest.param(False, 7, 40, "max_sweeps", id="constant-h-K7"),
+        pytest.param(True, 16, 150, "tolerance", id="bump-h-K16"),
+        pytest.param(False, 8, 0, "max_sweeps", id="no-sweep-K8"),
+        pytest.param(False, 24, 150, "stall", id="stall-K24")])
+    def test_report_describes_its_crest(self, bump, K, sweeps, stop):
         # energy, profiles and gradient norm describe one state: at K=7 the
         # chain maximum rises above its initial value, the bump h stops at
-        # the tolerance, and max_sweeps=0 measures the initial crest
+        # the tolerance, max_sweeps=0 measures the initial crest, and the
+        # constant-h crest, which has no critical point, stalls
         pr = (ProblemParams(4, 0.5, 0.1, 0.3, 2.2, 1.2, 0.5,
                             HProfile("bump", p_exp=2.0, q_exp=2.0))
               if bump else self.params())
         rep = mountain_pass(pr, cached_grid(4, 1e-6, 1e6, 1024),
                             PathOptions(n_path_nodes=K, max_sweeps=sweeps))
+        assert rep.stop_reason == stop
         assert (gradient_dual_norm(rep.profiles, pr, positive=True)[1]
                 == pytest.approx(rep.gradient_norm, rel=1e-12))
         assert energy_positive(rep.profiles, pr) == pytest.approx(rep.energy, rel=1e-12)
         assert rep.gradient_norm == rep.extra["gradient_norm_trace"][-1]
+        assert rep.iterations == len(rep.trace) - 1
+        if stop == "stall":
+            gtrace = rep.extra["gradient_norm_trace"]
+            assert rep.iterations == 54 and not rep.converged
+            assert gtrace[-1] < gtrace[0]
+
+    def test_stall_ends_the_path_it_does_not_change(self):
+        # the least crest gradient of this tuple stops falling by 1% after
+        # sweep 4: the path stops 50 sweeps later, and a run capped at that
+        # sweep is the same path
+        grid = cached_grid(4, 1e-6, 1e6, 1024)
+        rep = mountain_pass(self.params(), grid,
+                            PathOptions(n_path_nodes=24, max_sweeps=150))
+        assert rep.stop_reason == "stall"
+        gtrace = rep.extra["gradient_norm_trace"]
+        s, W = rep.iterations, solvers.PATH_STALL_WINDOW
+        assert min(gtrace) > (1 - solvers.PATH_STALL_DROP) * min(gtrace[:s - W + 1])
+        assert min(gtrace[:-1]) <= ((1 - solvers.PATH_STALL_DROP)
+                                    * min(gtrace[:s - W]))
+        capped = mountain_pass(self.params(), grid,
+                               PathOptions(n_path_nodes=24, max_sweeps=s))
+        assert capped.iterations == s
+        assert capped.energy == rep.energy
+        assert capped.extra["trials"] == rep.extra["trials"]
+        assert capped.extra["gradient_norm_trace"] == gtrace
+        for a, b in ((capped.profiles.u, rep.profiles.u),
+                     (capped.profiles.v, rep.profiles.v)):
+            assert np.array_equal(a.values, b.values)
+
+    def test_a_plateau_shorter_than_half_the_run_does_not_stall(self):
+        # the least crest gradient of this bump h falls by less than 1% from
+        # sweep 210 to 277, longer than the 50-sweep window, and then falls
+        # to the tolerance: the window grows with the run, to its last half
+        pr = ProblemParams(4, 0.5, 0.1, 0.3, 2.2, 1.2, 0.05,
+                           HProfile("bump", p_exp=2.0, q_exp=2.0))
+        rep = mountain_pass(pr, cached_grid(4, 1e-6, 1e6, 4096),
+                            PathOptions(n_path_nodes=32, max_sweeps=400))
+        assert rep.stop_reason == "tolerance" and rep.converged
+        assert rep.iterations == 371
+        # a window fixed at 50 sweeps would have stopped it, at sweep 260
+        g, W, D = (rep.extra["gradient_norm_trace"], solvers.PATH_STALL_WINDOW,
+                   solvers.PATH_STALL_DROP)
+        assert next(s for s in range(W, len(g))
+                    if min(g[:s + 1]) > (1 - D) * min(g[:s - W + 1])) == 260
 
     def test_redistribute_resamples_a_view_in_place(self):
         pr = self.params()
