@@ -14,7 +14,11 @@ Subcommands::
 
 Exit codes: 0 success, 2 validation error, 3 solver non-convergence.
 Configuration comes from a JSON document; command-line flags override
-individual fields.
+individual fields.  A run builds the argument parser of the command it
+names alone; no command, an unknown one or a top-level flag gets the
+parser of all nine, whose refusal or help lists them.  A sweep classifies
+each distinct nu-free tuple once and renders the CSV text of each distinct
+report once; ``closed_forms`` caches the separability test per lambda pair.
 """
 
 from __future__ import annotations
@@ -315,7 +319,8 @@ def _cmd_sweep(args) -> int:
         # alone: a row whose nu-free values and whose nu have each been built
         # before is valid, and its report is that of its nu-free values
         at = names.index("nu") if "nu" in names else len(names)
-        reports, nus = {}, set()
+        # the row text by nu-free values, and by the cells of a report
+        reports, nus, texts = {}, set(), {}
 
         def one(combo):
             # nu is the 1-tuple of the row's nu, or () when nu is not swept
@@ -328,10 +333,12 @@ def _cmd_sweep(args) -> int:
             if row is None:
                 rep = classify(params)
                 _check_weight(rep, small_nu)
-                row = reports[key] = _csv_line((
-                    rep.subcritical, rep.critical, rep.thm_large_nu["applicable"],
-                    rep.thm_mixed["case"], rep.thm_small_nu["case"],
-                    rep.thm_minmax["case"]))
+                cells = (rep.subcritical, rep.critical, rep.thm_large_nu["applicable"],
+                         rep.thm_mixed["case"], rep.thm_small_nu["case"],
+                         rep.thm_minmax["case"])
+                if cells not in texts:
+                    texts[cells] = _csv_line(cells)
+                row = reports[key] = texts[cells]
             return row
 
     # each value is read once, before the rows; a row puts its swept values over the base
@@ -378,21 +385,37 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = _Parser(
-        prog="hsvar",
-        description="Variational toolkit for Hardy-potential coupled systems")
-    sub = ap.add_subparsers(dest="command", required=True)
+# the handler of each command that loads a config and takes the param flags
+_CONFIG_COMMANDS = {"evaluate": _cmd_profiles, "project": _cmd_profiles,
+                    "ground-state": _cmd_solve, "mountain-pass": _cmd_solve,
+                    "probe": _cmd_solve, "classify": _cmd_classify}
 
-    sp = sub.add_parser("constants", help="closed-form constants")
-    sp.add_argument("--N", default=4)
-    sp.add_argument("--lambda", dest="lam", default=0.0)
-    sp.add_argument("--s", default=0.0)
-    sp.set_defaults(fn=_cmd_constants)
+# every command, in the order of the module docstring and of --help
+COMMANDS = ("constants", *_CONFIG_COMMANDS, "lemma", "sweep")
 
-    for name, fn in (("evaluate", _cmd_profiles), ("project", _cmd_profiles),
-                     ("ground-state", _cmd_solve), ("mountain-pass", _cmd_solve),
-                     ("probe", _cmd_solve), ("classify", _cmd_classify)):
+
+def _add_command(sub, name: str) -> None:
+    """Add the subparser of command ``name`` to ``sub``."""
+    if name == "constants":
+        sp = sub.add_parser(name, help="closed-form constants")
+        sp.add_argument("--N", default=4)
+        sp.add_argument("--lambda", dest="lam", default=0.0)
+        sp.add_argument("--s", default=0.0)
+        sp.set_defaults(fn=_cmd_constants)
+    elif name == "lemma":
+        # an absent flag sets no attribute, so the field keeps its default
+        sp = sub.add_parser(name, help="scaling-set infimum",
+                            argument_default=argparse.SUPPRESS)
+        for f in fields(LemmaInstance):
+            sp.add_argument(f"--{f.name}", required=is_required(f))
+        sp.set_defaults(fn=_cmd_lemma)
+    elif name == "sweep":
+        sp = sub.add_parser(name, help="parameter sweep to CSV")
+        sp.add_argument("--config", required=True)
+        sp.add_argument("--out")
+        sp.set_defaults(fn=_cmd_sweep)
+    else:
+        fn = _CONFIG_COMMANDS[name]
         sp = sub.add_parser(name)
         _add_param_flags(sp)
         if fn is _cmd_profiles:
@@ -401,23 +424,26 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--which", choices=("first", "second"), required=True)
         sp.set_defaults(fn=fn)
 
-    # an absent flag sets no attribute, so the field keeps its default
-    sp = sub.add_parser("lemma", help="scaling-set infimum",
-                        argument_default=argparse.SUPPRESS)
-    for f in fields(LemmaInstance):
-        sp.add_argument(f"--{f.name}", required=is_required(f))
-    sp.set_defaults(fn=_cmd_lemma)
 
-    sp = sub.add_parser("sweep", help="parameter sweep to CSV")
-    sp.add_argument("--config", required=True)
-    sp.add_argument("--out")
-    sp.set_defaults(fn=_cmd_sweep)
+def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
+    """The parser of ``commands``, by default of all of them."""
+    ap = _Parser(
+        prog="hsvar",
+        description="Variational toolkit for Hardy-potential coupled systems")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name in commands:
+        _add_command(sub, name)
     return ap
 
 
 def run_command(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # a run parses one command, so it builds that command's parser alone; no
+    # command, an unknown one or a top-level flag gets the whole tree, whose
+    # refusal or help lists every command
+    name = argv[0] if argv else None
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser((name,) if name in COMMANDS else COMMANDS).parse_args(argv)
         return args.fn(args)
     except DegeneratePathError as exc:
         # valid input on which the path found no crest: a solver outcome

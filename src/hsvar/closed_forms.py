@@ -153,6 +153,24 @@ def exact_solution(N: int, lam: float, s: float, mu: float, r) -> np.ndarray:
             / (rr ** a * (1.0 + rr ** inner) ** outer))
 
 
+@lru_cache(maxsize=1024, typed=True)
+def _separability(N: int, s: float, l1: float, l2: float) -> dict:
+    """The dict of ``separability_check``, cached like ``critical_level``: a
+    regime sweep tests the same few (N, s, lambda1, lambda2) in every row."""
+    L = hardy_constant(N)
+    threshold = 2.0 ** (-2.0 * (2.0 - s) / (2.0 * (N - 1) - s))
+    ratio_i = (L - l2) / (L - l1)
+    lam = order(l1, l2)
+    return {
+        "cond_i": bool(lam < 0 and ratio_i > threshold),
+        "cond_ii": bool(lam > 0 and (L - l1) / (L - l2) > threshold),
+        "ratio": ratio_i,
+        "threshold": threshold,
+        "level_1": critical_level(N, l1, s),
+        "level_2": critical_level(N, l2, s),
+    }
+
+
 def separability_check(params: ProblemParams) -> dict:
     """Test the level-separation window in both orientations.
 
@@ -167,24 +185,13 @@ def separability_check(params: ProblemParams) -> dict:
         (L - lambda2) / (L - lambda1) > 2^(-2(2-s) / (2(N-1)-s)).
 
     Orientation (ii) swaps the component indices.  The level form above is
-    the reference of the test suite's random-draw check.  Returns a dict
+    the reference of the test suite's random-draw check.  Returns a new dict
     with ``cond_i``, ``cond_ii``, the ratio and the threshold of orientation
-    (i), and the two levels ``level_1`` and ``level_2``.
+    (i), and the two levels ``level_1`` and ``level_2``.  The numbers are
+    computed once per (N, s, lambda1, lambda2) and cached, typed as
+    ``critical_level`` is; refusals are not cached.
     """
-    N, s = params.N, params.s
-    l1, l2 = params.lambda1, params.lambda2
-    L = hardy_constant(N)
-    threshold = 2.0 ** (-2.0 * (2.0 - s) / (2.0 * (N - 1) - s))
-    ratio_i = (L - l2) / (L - l1)
-    lam = order(l1, l2)
-    return {
-        "cond_i": bool(lam < 0 and ratio_i > threshold),
-        "cond_ii": bool(lam > 0 and (L - l1) / (L - l2) > threshold),
-        "ratio": ratio_i,
-        "threshold": threshold,
-        "level_1": critical_level(N, l1, s),
-        "level_2": critical_level(N, l2, s),
-    }
+    return _separability(params.N, params.s, params.lambda1, params.lambda2).copy()
 
 
 def _log_ratio(k: float, A: float) -> float:

@@ -1,5 +1,6 @@
 """Command dispatch, persistence, round trips, determinism, exit codes."""
 
+import contextlib
 import csv
 import io
 import itertools
@@ -18,7 +19,9 @@ import hsvar
 from hsvar import (DescentOptions, PathOptions, StatePair, build_grid, classify,
                    energy, exact_solution)
 from hsvar import io as hio
-from hsvar.cli import RunConfig, _csv_line, _load_config, build_parser, run_command
+from hsvar import closed_forms
+from hsvar.cli import (COMMANDS, RunConfig, _csv_line, _load_config, build_parser,
+                       run_command)
 from hsvar.grid import RadialFunction
 from hsvar.io import pair_from_csv, pair_to_csv
 from hsvar.errors import ConfigError
@@ -70,6 +73,60 @@ def test_unknown_command_usage(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "invalid choice: 'frobnicate'" in err
+    # the refusal is that of the whole tree, which names every command
+    listed = err.rsplit("(choose from ", 1)[1].rstrip(")\n")
+    assert [c.strip("'") for c in listed.split(", ")] == list(COMMANDS)
+    assert run_command([]) == 2
+    assert capsys.readouterr().err == "error: the following arguments are required: command\n"
+
+
+# one argv of each command
+_ARGVS = [
+    ["constants", "--N", "5", "--lambda", "0.3", "--s", "1"],
+    ["evaluate", "--config", "run.json", "--profiles", "p.csv", "--nu", "0.1"],
+    ["project", "--profiles", "p.csv", "--h", "bump:1,3", "--grid", "1e-6,1e6,512"],
+    ["ground-state", "--config", "run.json", "--seed", "3", "--output-dir", "runs",
+     "--small-nu"],
+    ["mountain-pass", "--N", "4", "--s", "0.5", "--lambda1", "0.1", "--lambda2", "0.3",
+     "--alpha", "2.2", "--beta", "1.2", "--nu", "0.02"],
+    ["probe", "--which", "second", "--alpha", "2"],
+    ["classify", "--N", "3", "--beta", "1.5", "--h", "constant:2"],
+    ["lemma", "--A", "1", "--B", "2", "--theta", "3"],
+    ["sweep", "--config", "sweep.json", "--out", "sweep.csv"],
+]
+
+
+def test_argvs_cover_every_command():
+    assert [argv[0] for argv in _ARGVS] == list(COMMANDS)
+
+
+@pytest.mark.parametrize("argv", _ARGVS, ids=lambda argv: argv[0])
+def test_one_command_parser_reads_what_the_whole_tree_reads(argv):
+    assert build_parser((argv[0],)).parse_args(argv) == build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("argv,built", [
+    (["constants"], ("constants",)), (["lemma", "--A", "1"], ("lemma",)),
+    ([], COMMANDS), (["frobnicate"], COMMANDS), (["classif"], COMMANDS),
+    (["--bogus", "constants"], COMMANDS)])
+def test_run_command_builds_the_parser_of_its_command(monkeypatch, capsys, argv, built):
+    seen = []
+
+    def recorded(commands=COMMANDS):
+        seen.append(tuple(commands))
+        return build_parser(commands)
+
+    monkeypatch.setattr("hsvar.cli.build_parser", recorded)
+    run_command(argv)
+    assert seen == [built]
+
+
+def test_top_level_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_command(["-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "{" + ",".join(COMMANDS) + "}" in out
 
 
 def test_evaluate_and_project_roundtrip(tmp_path, capsys):
@@ -716,6 +773,10 @@ _SWEEP_VALUES = {
     "N": [4, 4.0],
     "s": [0, 0.0, -0.0, 0.5],
     "lambda1": [0.25, 0.5, 0.5],
+    # a tie with lambda1 (boundary), and values below and above it: the
+    # separation window holds in orientation (ii) at (0.25, 0.1) and in (i)
+    # at (0.5, 0.6)
+    "lambda2": [0.5, 0.1, 0.6],
     "alpha": [2, 2.0, 1.5, 1.25],
     "nu": [0, 0.0, -0.0, 1, 1.0, 0.1],
     # a cell with commas, which the CSV quotes
@@ -799,6 +860,64 @@ def test_sweep_classifies_each_nu_free_tuple_once(tmp_path, capsys, monkeypatch)
     assert run_command(["sweep", "--config", str(cfg), "--out", str(out_csv)]) == 0
     assert capsys.readouterr().out == f"wrote 6 rows to {out_csv}\n"
     assert [p.lambda1 for p in calls] == [0.1, 0.2]
+
+
+def _report_cells(rep):
+    return (rep.subcritical, rep.critical, rep.thm_large_nu["applicable"],
+            rep.thm_mixed["case"], rep.thm_small_nu["case"], rep.thm_minmax["case"])
+
+
+def _counted_sweep(tmp_path, monkeypatch, params, over):
+    """Run a classify sweep; return the report cells each _csv_line call
+    rendered, in order, and the evaluations of the separability helper."""
+    rendered = []
+
+    def counted(cells):
+        # a report has 6 cells, a swept value 1 and the header more than 6
+        if len(cells) == 6:
+            rendered.append(tuple(cells))
+        return _csv_line(cells)
+
+    monkeypatch.setattr("hsvar.cli._csv_line", counted)
+    closed_forms._separability.cache_clear()
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"params": params, "sweep": {"over": over}}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_command(["sweep", "--config", str(cfg),
+                            "--out", str(tmp_path / "sweep.csv")]) == 0
+    return rendered, closed_forms._separability.cache_info().misses
+
+
+def test_sweep_renders_each_report_and_tests_each_lambda_pair_once(tmp_path,
+                                                                   monkeypatch):
+    # lambda1 = lambda2 = 0.3 is a tie; alpha makes 12 classified tuples of
+    # 6 lambda pairs, and nu repeats each tuple
+    over = {"lambda1": [0.1, 0.3], "lambda2": [0.3, 0.5, 0.6], "alpha": [1.2, 1.4],
+            "nu": [0.0, 0.1]}
+    rendered, evaluated = _counted_sweep(tmp_path, monkeypatch, PARAMS, over)
+    names = sorted(over)
+    reports = {_report_cells(classify(ProblemParams.from_dict(
+        {**PARAMS, **dict(zip(names, combo))})))
+        for combo in itertools.product(*(over[n] for n in names))}
+    assert len(reports) > 1 and sorted(rendered) == sorted(reports)
+    assert evaluated == 6
+
+
+def test_benchmark_grid_renders_27_reports_and_tests_64_lambda_pairs(tmp_path,
+                                                                     monkeypatch):
+    # the 6,400-row grid of the benchmark's sweep workload at seed 1
+    # (perfbench/workloads.py): 1,600 classified tuples
+    rng = np.random.default_rng(1)
+    lams = sorted(rng.uniform(0.005, 0.245, 8).tolist())
+    exps = sorted([2.0, 2.5] + rng.uniform(1.05, 2.5, 3).tolist())
+    nus = sorted((10.0 ** rng.uniform(-4.0, 1.0, 4)).tolist())
+    params = {"N": 3, "s": 0.5, "lambda1": 0.1, "lambda2": 0.2, "alpha": 1.5,
+              "beta": 1.5, "nu": 0.01,
+              "h_profile": {"kind": "bump", "p_exp": 2.0, "q_exp": 2.0}}
+    over = {"lambda1": lams, "lambda2": lams, "alpha": exps, "beta": exps, "nu": nus}
+    rendered, evaluated = _counted_sweep(tmp_path, monkeypatch, params, over)
+    assert len(rendered) == len(set(rendered)) == 27
+    assert evaluated == 64
 
 
 def test_empty_lemma_sweep_writes_the_full_header(tmp_path, capsys):

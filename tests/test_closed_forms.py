@@ -267,6 +267,13 @@ class TestSeparability:
         rep = separability_check(self.params(0.4, 0.4))
         assert rep["cond_i"] is False and rep["cond_ii"] is False
 
+    def test_each_call_returns_a_new_dict(self):
+        # the numbers are cached per lambda pair; what a caller does to one
+        # result does not reach the next
+        pr = self.params(0.1, 0.3)
+        separability_check(pr)["cond_i"] = None
+        assert separability_check(pr)["cond_i"] is True
+
     def test_level_and_ratio_forms_agree_on_random_draws(self):
         # the window is tested in its ratio form; the level form
         # 2 E2 > E1 > E2 is the reference away from the window boundary

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 from hypothesis import assume, example, given, settings, strategies as st
 
 from hsvar import (DegenerateInputError, DescentOptions, GridMismatchError,
@@ -195,23 +196,38 @@ class TestGroundState:
         # larger one here, so the below-minimum flag must be off
         assert not rep.level_diagnostics["below_min_semitrivial"]
 
-    @pytest.mark.parametrize("N,s,lam,alpha,nu", [(4, 0.5, 0.1, 1.75, 1.0),
-                                                  (5, 1.0, 0.5, 4 / 3, 2.0)])
-    def test_synchronized_level_to_1e_9(self, N, s, lam, alpha, nu):
-        # lambda1 = lambda2, alpha = beta, alpha + beta = p and constant h:
-        # the couple (cos th, sin th) z has the level E_h g(th)^(-2/(p-2)),
+    # an alpha = beta row is named without its beta
+    @pytest.mark.parametrize("N,s,lam,alpha,beta,nu", [
+        pytest.param(4, 0.5, 0.1, 1.75, 1.75, 1.0, id="4-0.5-0.1-1.75-1.0"),
+        (4, 0.5, 0.1, 2.3, 1.2, 1.0),
+        pytest.param(5, 1.0, 0.5, 4 / 3, 4 / 3, 2.0, id="5-1.0-0.5-1.3333333333333333-2.0")])
+    def test_synchronized_level_to_1e_9(self, N, s, lam, alpha, beta, nu):
+        # lambda1 = lambda2, alpha + beta = p and constant h: the couple
+        # (cos th, sin th) z has the level E_h g(th)^(-2/(p-2)),
         # g(th) = cos^p th + sin^p th + p nu cos^alpha th sin^beta th, with
         # E_h the level of z on the same grid.  The descent reaches the
-        # synchronized couple, th = pi/4; measured errors -2.9e-11 (stop
-        # at the tolerance, 14 iterations) and -7.2e-11 (line_search, 18)
-        # on 4096 nodes, -5.6e-10 and -9.1e-9 for the first tuple on 2048
-        # and 1024
-        pr = ProblemParams(N, s, lam, lam, alpha, alpha, nu)
+        # couple at th*, the maximum of g in the bracket (0.2, 1): pi/4 to
+        # rounding when alpha = beta, 0.54526 for (2.3, 1.2), where a
+        # 20,001-point grid of th misses the level by -3.2e-9.  Measured
+        # errors -2.9e-11 (stop at the tolerance, 14 iterations), -2.9e-11
+        # (line_search, 15) and -7.2e-11 (line_search, 18) on 4096 nodes;
+        # -5.6e-10 and -9.1e-9 for the first tuple on 2048 and 1024
+        pr = ProblemParams(N, s, lam, lam, alpha, beta, nu)
         grid = cached_grid(N, 1e-6, 1e6, 4096)
         z, E_h = solvers._extremal(Weights(grid, pr), "first")
         p = pr.crit_exp
-        g = 2.0 ** (1.0 - p / 2.0) + p * nu * 2.0 ** (-p / 2.0)
-        level = E_h * g ** (-2.0 / (p - 2.0))
+
+        def g(th):
+            c, s_ = math.cos(th), math.sin(th)
+            return c ** p + s_ ** p + p * nu * c ** alpha * s_ ** beta
+
+        def dg(th):
+            c, s_ = math.cos(th), math.sin(th)
+            return (p * (s_ ** (p - 1) * c - c ** (p - 1) * s_)
+                    + p * nu * (beta * c ** (alpha + 1) * s_ ** (beta - 1)
+                                - alpha * c ** (alpha - 1) * s_ ** (beta + 1)))
+
+        level = E_h * g(scipy.optimize.brentq(dg, 0.2, 1.0, xtol=1e-15)) ** (-2.0 / (p - 2.0))
         bump = compact_bump(grid.t, 0.3, 1.5, 0.2)
         rep = ground_state(pr, StatePair(RadialFunction(grid, 0.8 * z),
                                          RadialFunction(grid, 0.6 * z * (1 + bump))),
