@@ -13,16 +13,15 @@ from .closed_forms import (best_constant, critical_exponent, critical_level,
                            exact_solution, extremal_prefactor, hardy_constant,
                            separability_check, singular_exponent,
                            sobolev_constant)
-from .energy import (EnergyBreakdown, ProjectionResult, StatePair,
-                     constrained_energy, energy, energy_positive, gradient,
-                     gradient_dual_norm, lambda_norm_sq, nehari_residual,
-                     pair_norm_sq, project, second_variation_diag)
+from .energy import (EnergyBreakdown, ProjectionResult, StatePair, energy,
+                     energy_positive, gradient_dual_norm, lambda_norm_sq,
+                     nehari_residual, pair_norm_sq, project)
 from .errors import (ConfigError, DegenerateInputError, DegeneratePathError,
                      GridMismatchError, HsvarError, InvalidGridError,
                      InvalidParameterError, NoProjectionError,
                      PreconditionError)
-from .grid import (RadialFunction, RadialGrid, build_grid, gradient_seminorm,
-                   integrate, reference_grid, weighted_lp)
+from .grid import (RadialFunction, RadialGrid, build_grid, reference_grid,
+                   weighted_lp)
 from .params import HProfile, ProblemParams
 from .regimes import (LemmaInstance, RegimeReport, algebraic_inf, classify,
                       small_nu_threshold)

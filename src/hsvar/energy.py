@@ -22,7 +22,10 @@ critical points are free critical points.
 
 Every functional here is algebra over the integrals of a state, which
 :func:`integrals` computes in one pass over the grid (with the gradient when
-asked), given the weight vectors of a :class:`Weights`.
+asked), given the weight vectors of a :class:`Weights`.  On the constraint
+set they include the constrained energy and the second variation
+(:class:`Integrals` methods).  The quadratic part, like
+:func:`lambda_norm_sq`, reads the grid's band (see ``grid``).
 
 So is the projection onto the constraint set: with A the squared pair norm,
 B the sum of critical integrals and C the coupling integral, the scale t
@@ -42,7 +45,7 @@ import numpy as np
 from .closed_forms import _check_domain, power_root
 from .errors import (DegenerateInputError, GridMismatchError, NoProjectionError,
                      PreconditionError)
-from .grid import RadialFunction, RadialGrid, gradient_seminorm, weighted_lp
+from .grid import RadialFunction, RadialGrid
 from .operators import PairMetric
 from .params import ProblemParams
 
@@ -108,7 +111,7 @@ class Weights:
     ``wrs = w r^-s`` and ``whrs = w h r^-s`` weigh the critical and coupling
     integrals, the grid's ``wr2`` the Hardy integral and ``cc`` the Dirichlet
     cells.  Callers build one per solver call and reuse it for every state
-    they evaluate; the public functions below build their own.  A grid of
+    they evaluate; :func:`pair_integrals` builds one per call.  A grid of
     another dimension than ``params.N`` is refused: its weights would
     integrate the profiles of one dimension in another.
     """
@@ -197,6 +200,45 @@ class Integrals:
         if self.G is not None:
             g += t ** (pr.alpha + pr.beta - 1.0) * self.G
         return g
+
+    def constrained_energy(self, tol: float = 1e-6) -> float:
+        """Energy through the on-constraint identity.
+
+        On the constraint set the functional collapses to
+
+            (2-s)/(2(N-s)) * (critical integrals)
+            + nu (alpha+beta-2)/2 * coupling integral,
+
+        which must agree with :meth:`energy` to rounding accuracy.
+        """
+        self._on_constraint(tol)
+        pr = self.params
+        return ((2.0 - pr.s) / (2.0 * (pr.N - pr.s)) * self.B
+                + pr.nu * (pr.alpha + pr.beta - 2.0) / 2.0 * self.C)
+
+    def second_variation_diag(self, tol: float = 1e-6) -> float:
+        """Second variation along the state's own direction, on the constraint.
+
+        Equals ``(2 - a - b) ||(u,v)||^2 + (a + b - p) (critical integrals)``
+        with ``a + b`` the coupling exponent; strictly negative on the
+        constraint set, which makes it a natural constraint.
+        """
+        self._on_constraint(tol)
+        pr = self.params
+        q = pr.alpha + pr.beta
+        return (2.0 - q) * self.A + (q - pr.crit_exp) * self.B
+
+    def _on_constraint(self, tol: float) -> None:
+        """Refuse a state off the constraint set: one whose pair norm squared
+        is not positive and finite (the origin, as :meth:`scale` refuses it),
+        or with |Psi| > tol ||(u,v)||^2."""
+        if not 0.0 < self.A < math.inf:
+            raise DegenerateInputError(f"pair norm squared {self.A} is not positive "
+                                       f"and finite: not on the constraint set")
+        psi = self.residual()
+        if abs(psi) > tol * self.A:
+            raise PreconditionError(
+                f"pair is off the constraint set: |Psi|/||.||^2 = {abs(psi) / self.A:.3e}")
 
 
 def _solve_scale(A: float, B: float, C: float, p: float, q: float,
@@ -326,9 +368,12 @@ def pair_integrals(pair: StatePair, params: ProblemParams, positive: bool = Fals
 
 
 def lambda_norm_sq(u: RadialFunction, lam: float) -> float:
-    """Squared shifted norm  int |grad u|^2 - lam int u^2/r^2."""
+    """Squared shifted norm  int |grad u|^2 - lam int u^2/r^2: the ``A`` of
+    the pair (u, 0) at lambda1 = lam, bit for bit, by :func:`integrals`'
+    arithmetic on the band (``cc``, ``wr2``) the grid shares with Weights."""
     _check_domain(u.grid.N, lam, 0.0)
-    return gradient_seminorm(u.grid, u) - lam * weighted_lp(u.grid, u, 2.0, 2.0)
+    _, kinetic, hardy, _, _ = _component(u.grid, u.values, False)
+    return kinetic - lam * hardy
 
 
 def pair_norm_sq(pair: StatePair, params: ProblemParams) -> float:
@@ -386,32 +431,6 @@ def project(pair: StatePair, params: ProblemParams,
     return ProjectionResult(t_star=t, projected=pair.scaled(t), residual=I.residual(t))
 
 
-def _on_constraint(pair: StatePair, params: ProblemParams, tol: float) -> Integrals:
-    """Integrals of a pair, refused unless |Psi| <= tol ||(u,v)||^2."""
-    I = pair_integrals(pair, params)
-    psi = I.residual()
-    if abs(psi) > tol * max(I.A, 1e-300):
-        raise PreconditionError(
-            f"pair is off the constraint set: |Psi|/||.||^2 = {abs(psi) / I.A:.3e}")
-    return I
-
-
-def constrained_energy(pair: StatePair, params: ProblemParams,
-                       tol: float = 1e-6) -> float:
-    """Energy through the on-constraint identity.
-
-    On the constraint set the functional collapses to
-
-        (2-s)/(2(N-s)) * (critical integrals)
-        + nu (alpha+beta-2)/2 * coupling integral,
-
-    which must agree with the direct evaluation to rounding accuracy.
-    """
-    I = _on_constraint(pair, params, tol)
-    return ((2.0 - params.s) / (2.0 * (params.N - params.s)) * I.B
-            + params.nu * (params.alpha + params.beta - 2.0) / 2.0 * I.C)
-
-
 def gradient_coefficients(pair: StatePair, params: ProblemParams,
                           positive: bool = False):
     """Coefficient-space first variation (dJ/du_i, dJ/dv_i).
@@ -425,22 +444,6 @@ def gradient_coefficients(pair: StatePair, params: ProblemParams,
     return gu, gv
 
 
-def gradient(pair: StatePair, params: ProblemParams) -> StatePair:
-    """Weak-form gradient as a pair of node functions.
-
-    The quadrature pairing ``sum w * g * phi`` of the result against any
-    variation (phi, psi) vanishing at the boundary nodes reproduces the
-    directional derivative of :func:`energy` exactly.
-    """
-    gu, gv = gradient_coefficients(pair, params)
-    grid = pair.grid
-    vals_u = np.zeros(grid.n)
-    vals_v = np.zeros(grid.n)
-    vals_u[1:-1] = gu[1:-1] / grid.w[1:-1]
-    vals_v[1:-1] = gv[1:-1] / grid.w[1:-1]
-    return StatePair(RadialFunction(grid, vals_u), RadialFunction(grid, vals_v))
-
-
 def gradient_dual_norm(pair: StatePair, params: ProblemParams,
                        positive: bool = False) -> tuple[float, float]:
     """Gradient norm in the dual of the energy space.
@@ -451,17 +454,4 @@ def gradient_dual_norm(pair: StatePair, params: ProblemParams,
     """
     I = pair_integrals(pair, params, positive, grad=True)
     dual = PairMetric(pair.grid, params.lambda1, params.lambda2).dual_norm(I.gradient())
-    return dual, dual / np.sqrt(max(I.A, 1e-300))
-
-
-def second_variation_diag(pair: StatePair, params: ProblemParams,
-                          tol: float = 1e-6) -> float:
-    """Second variation along the state's own direction, on the constraint.
-
-    Equals ``(2 - a - b) ||(u,v)||^2 + (a + b - p) (critical integrals)``
-    with ``a + b`` the coupling exponent; strictly negative on the
-    constraint set, which makes it a natural constraint.
-    """
-    I = _on_constraint(pair, params, tol)
-    q = params.alpha + params.beta
-    return (2.0 - q) * I.A + (q - params.crit_exp) * I.B
+    return dual, dual / math.sqrt(max(I.A, 1e-300))

@@ -6,13 +6,16 @@ uniform.  Volume integrals use the trapezoid rule in ``t``:
     int f dx = omega * int f(r) r^N dt  ~  sum_i w_i f(r_i),
 
 with ``omega`` the surface measure of the unit sphere.  The Dirichlet
-seminorm uses first differences on cells, evaluated at cell midpoints:
+integral uses first differences on cells, evaluated at cell midpoints:
 
     int |grad u|^2 dx = omega * int (du/dt)^2 r^(N-2) dt
                       ~ omega * sum_cells (Du/dt)^2 exp((N-2) t_mid) dt.
 
 The cell form keeps the associated quadratic form free of mesh-scale
-oscillation modes, which node-centered differences would annihilate.
+oscillation modes, which node-centered differences would annihilate.  The
+grid carries that form as its band: the cell coefficients ``cc`` and the
+Hardy weights ``wr2``.  The band is the one discretization of the quadratic
+form; ``energy`` and ``operators`` read it and build no other.
 Integrals over (0, r_min) and (r_max, inf) are truncated, not extrapolated,
 so the truncation error depends on how fast a profile's tails decay.  On
 the reference window [1e-6, 1e6] with 4096 nodes it is not below quadrature
@@ -51,8 +54,8 @@ class RadialGrid:
         Quadrature weights such that ``sum(w * f(r))`` approximates the
         volume integral of ``f`` over R^N.
     cell_w : ndarray
-        Kinetic cell weights ``omega * exp((N-2) t_mid) * dt`` used by the
-        Dirichlet seminorm (one entry per cell, length ``n - 1``).
+        Kinetic cell weights ``omega * exp((N-2) t_mid) * dt`` (one entry
+        per cell, length ``n - 1``), from which ``cc`` is built.
     wr2, cc : ndarray
         Hardy weights ``w / r**2`` and Dirichlet cell coefficients
         ``cell_w / dt**2``: the band of the discrete quadratic form.
@@ -144,19 +147,6 @@ class RadialFunction:
 
     def scaled(self, factor: float) -> "RadialFunction":
         return RadialFunction(self.grid, factor * self.values)
-
-
-def integrate(grid: RadialGrid, f: RadialFunction) -> float:
-    """Discrete volume integral of f over R^N."""
-    grid.require_same(f.grid)
-    return float(np.dot(grid.w, f.values))
-
-
-def gradient_seminorm(grid: RadialGrid, u: RadialFunction) -> float:
-    """Discrete Dirichlet integral int |grad u|^2 dx."""
-    grid.require_same(u.grid)
-    du = np.diff(u.values) / grid.dt
-    return float(np.dot(grid.cell_w, du * du))
 
 
 def weighted_lp(grid: RadialGrid, u: RadialFunction, p: float, s: float) -> float:

@@ -1,6 +1,7 @@
-"""Shared fixtures: cached grids, compactly supported test profiles, the
-dense interior operator, a strategy of admissible parameter tuples and a
-40-digit reference root of a power sum."""
+"""Shared fixtures: cached grids, the u-space quadrature reference,
+compactly supported test profiles, the dense interior operator, a strategy
+of admissible parameter tuples and a 40-digit reference root of a power
+sum."""
 
 import math
 from functools import lru_cache
@@ -28,6 +29,24 @@ def grid4():
 @pytest.fixture(scope="session")
 def grid3():
     return cached_grid(3)
+
+
+# ---------------------------------------------------------------------------
+# u-space reference: the volume and Dirichlet integrals straight from the
+# grid's w, cell_w and dt, independent of the band (cc, wr2) that hsvar reads
+# ---------------------------------------------------------------------------
+
+def integrate(grid, f):
+    """Discrete volume integral of f over R^N."""
+    grid.require_same(f.grid)
+    return float(np.dot(grid.w, f.values))
+
+
+def gradient_seminorm(grid, u):
+    """Discrete Dirichlet integral int |grad u|^2 dx."""
+    grid.require_same(u.grid)
+    du = np.diff(u.values) / grid.dt
+    return float(np.dot(grid.cell_w, du * du))
 
 
 def smooth_bump(grid, rng, amp_range=(0.3, 1.5), signed=True):

@@ -16,9 +16,9 @@ from hsvar import (DescentOptions, PathOptions, ProbeOptions, ProblemParams,
                    classification_flip, critical_exponent, critical_level,
                    energy, escalate_nu, exact_solution, extremal_pair,
                    gradient_dual_norm, ground_state, hardy_constant,
-                   integrate, lambda_norm_sq, mountain_pass, project,
-                   second_variation_diag, semitrivial_probe, sobolev_constant,
-                   weighted_lp)
+                   lambda_norm_sq, mountain_pass, project, semitrivial_probe,
+                   sobolev_constant, weighted_lp)
+from hsvar.energy import pair_integrals
 from hsvar.regimes import LemmaInstance, algebraic_inf, small_nu_threshold
 from conftest import cached_grid, smooth_bump
 
@@ -88,18 +88,16 @@ def test_criterion_04_euler_lagrange_residual():
     z1 = RadialFunction(g3, exact_solution(3, 0.1, 0.5, 1.0, g3.r))
     scale = float(np.interp(1.0, g3.r, z1.values))
     worst_fd = 0.0
-    from hsvar import gradient
     for _ in range(5):
         pair = StatePair(
             RadialFunction(g3, z1.values + 0.3 * scale * smooth_bump(g3, rng).values),
             RadialFunction(g3, 0.6 * scale * np.abs(smooth_bump(g3, rng).values)))
-        gpair = gradient(pair, pr)
+        gu, gv = pair_integrals(pair, pr, grad=True).gradient()
         J0 = energy(pair, pr).total
         for _ in range(20):
             du = smooth_bump(g3, rng)
             dv = smooth_bump(g3, rng)
-            pairing = (integrate(g3, RadialFunction(g3, gpair.u.values * du.values))
-                       + integrate(g3, RadialFunction(g3, gpair.v.values * dv.values)))
+            pairing = float(gu @ du.values) + float(gv @ dv.values)
             best = math.inf
             for h in 10.0 ** np.arange(-3.0, -8.0, -1.0):
                 plus = StatePair(RadialFunction(g3, pair.u.values + h * du.values),
@@ -137,7 +135,7 @@ def test_criterion_05_nehari_projection():
         proj = project(cand, pr_nu).projected
         worst_idem = max(worst_idem,
                          abs(project(proj, pr_nu).t_star - 1.0))
-        neg_count += second_variation_diag(proj, pr_nu, tol=1e-8) < 0
+        neg_count += pair_integrals(proj, pr_nu).second_variation_diag(tol=1e-8) < 0
     ok = ok_t and worst_idem <= 1e-10 and neg_count == 50
     report(5, ok,
            f"t*={t1:.6f} (want 1), t*={t_half:.6f} (want 0.5), idempotence "

@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hsvar import (HProfile, InvalidParameterError, PreconditionError,
-                   ProblemParams, RadialFunction, StatePair, best_constant,
-                   critical_level, energy, energy_positive, exact_solution,
-                   gradient, gradient_dual_norm, hardy_constant, integrate,
+from hsvar import (DegenerateInputError, HProfile, InvalidParameterError,
+                   PreconditionError, ProblemParams, RadialFunction, StatePair,
+                   best_constant, critical_level, energy, energy_positive,
+                   exact_solution, gradient_dual_norm, hardy_constant,
                    lambda_norm_sq, nehari_residual, pair_norm_sq, project,
-                   second_variation_diag, weighted_lp)
-from hsvar.energy import Weights, gradient_coefficients, integrals
+                   weighted_lp)
+from hsvar.energy import (Weights, gradient_coefficients, integrals,
+                          pair_integrals)
 from hsvar.solvers import compact_bump
-from conftest import cached_grid, smooth_bump
+from conftest import cached_grid, gradient_seminorm, smooth_bump
 
 
 def params4(nu=0.0, alpha=1.4, beta=1.4, l1=0.3, l2=0.5, h=None):
@@ -30,10 +31,15 @@ def zpair(grid4):
 
 class TestLambdaNorm:
     def test_zero_lambda_equals_seminorm(self, grid4):
+        # exactly the band's kinetic term, and the u-space reference to
+        # rounding
         rng = np.random.default_rng(0)
         u = smooth_bump(grid4, rng)
-        from hsvar import gradient_seminorm
-        assert lambda_norm_sq(u, 0.0) == gradient_seminorm(grid4, u)
+        kinetic = pair_integrals(StatePair(u, RadialFunction.zero(grid4)),
+                                 params4()).kinetic_u
+        assert lambda_norm_sq(u, 0.0) == kinetic
+        assert lambda_norm_sq(u, 0.0) == pytest.approx(gradient_seminorm(grid4, u),
+                                                       rel=1e-13)
 
     def test_extremal_value(self, grid4):
         z = RadialFunction(grid4, exact_solution(4, 0.3, 1.0, 1.0, grid4.r))
@@ -46,6 +52,23 @@ class TestLambdaNorm:
     def test_rejects_lambda_at_threshold(self, grid4):
         with pytest.raises(InvalidParameterError):
             lambda_norm_sq(RadialFunction.zero(grid4), 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=st.integers(3, 6), frac=st.floats(0.01, 0.99),
+       center=st.floats(math.log(0.05), math.log(20.0)), hw=st.floats(1.0, 2.5),
+       amp=st.one_of(st.floats(-1.5, -0.3), st.floats(0.3, 1.5)))
+def test_lambda_norm_reads_the_band(N, frac, center, hw, amp):
+    # the pair norm of (u, 0) bit for bit, and the u-space quadrature of
+    # int |grad u|^2 - lam int u^2/r^2 to rounding
+    grid = cached_grid(N)
+    lam = frac * hardy_constant(N)
+    u = RadialFunction(grid, compact_bump(grid.t, center, hw, amp))
+    pr = ProblemParams(N, 0.5, lam, 0.5 * hardy_constant(N), 1.3, 1.3, 0.0)
+    got = lambda_norm_sq(u, lam)
+    assert got == pair_integrals(StatePair(u, RadialFunction.zero(grid)), pr).A
+    ref = gradient_seminorm(grid, u) - lam * weighted_lp(grid, u, 2.0, 2.0)
+    assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 class TestEnergy:
@@ -147,11 +170,12 @@ class TestNehariResidual:
 
 class TestGradient:
     def test_zero_pair_has_zero_gradient(self, grid4):
-        g = gradient(StatePair.zero(grid4), params4(nu=1.0))
-        assert not np.any(g.u.values) and not np.any(g.v.values)
+        g = pair_integrals(StatePair.zero(grid4), params4(nu=1.0), grad=True).gradient()
+        assert not np.any(g)
 
     def test_extremal_is_critical_point(self, zpair):
-        _, rel = gradient_dual_norm(zpair, params4(nu=0.0))
+        dual, rel = gradient_dual_norm(zpair, params4(nu=0.0))
+        assert type(dual) is float and type(rel) is float
         assert rel <= 1e-5
 
     def test_pairing_matches_directional_derivative(self, grid4):
@@ -165,13 +189,12 @@ class TestGradient:
             pair = StatePair(
                 RadialFunction(g3, z1.values + 0.3 * base_scale * smooth_bump(g3, rng).values),
                 RadialFunction(g3, 0.7 * base_scale * np.abs(smooth_bump(g3, rng).values)))
-            gpair = gradient(pair, pr)
+            gu, gv = pair_integrals(pair, pr, grad=True).gradient()
             J0 = energy(pair, pr).total
             for _ in range(4):
                 d_u = smooth_bump(g3, rng)
                 d_v = smooth_bump(g3, rng)
-                pairing = (integrate(g3, RadialFunction(g3, gpair.u.values * d_u.values))
-                           + integrate(g3, RadialFunction(g3, gpair.v.values * d_v.values)))
+                pairing = float(gu @ d_u.values) + float(gv @ d_v.values)
                 best = math.inf
                 for h in 10.0 ** np.arange(-3.0, -8.0, -1.0):
                     plus = StatePair(
@@ -189,7 +212,7 @@ class TestGradient:
 class TestSecondVariation:
     def test_extremal_value(self, zpair, grid4):
         pr = params4()
-        val = second_variation_diag(zpair, pr, tol=1e-3)
+        val = pair_integrals(zpair, pr).second_variation_diag(tol=1e-3)
         K = best_constant(4, 0.3, 1.0) ** 3
         p = pr.crit_exp
         assert val == pytest.approx((2 - p) * K, rel=1e-3)
@@ -202,7 +225,7 @@ class TestSecondVariation:
         rng = np.random.default_rng(4)
         pair = StatePair(smooth_bump(grid4, rng), smooth_bump(grid4, rng))
         proj = project(pair, pr).projected
-        val = second_variation_diag(proj, pr, tol=1e-8)
+        val = pair_integrals(proj, pr).second_variation_diag(tol=1e-8)
         assert val == pytest.approx((2 - pr.crit_exp) * pair_norm_sq(proj, pr), rel=1e-10)
 
     def test_negative_on_random_projected_pairs(self, grid4):
@@ -211,11 +234,16 @@ class TestSecondVariation:
         for _ in range(50):
             pair = StatePair(smooth_bump(grid4, rng), smooth_bump(grid4, rng))
             proj = project(pair, pr).projected
-            assert second_variation_diag(proj, pr, tol=1e-8) < 0
+            assert pair_integrals(proj, pr).second_variation_diag(tol=1e-8) < 0
 
     def test_precondition_enforced(self, zpair):
         with pytest.raises(PreconditionError):
-            second_variation_diag(zpair.scaled(2.0), params4(), tol=1e-8)
+            pair_integrals(zpair.scaled(2.0), params4()).second_variation_diag(tol=1e-8)
+
+    def test_zero_pair_rejected(self, grid4):
+        # Psi(0) = 0, but the origin is not on the constraint set
+        with pytest.raises(DegenerateInputError):
+            pair_integrals(StatePair.zero(grid4), params4()).second_variation_diag()
 
 
 class TestOnConstraintIdentities:

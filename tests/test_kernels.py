@@ -14,10 +14,11 @@ from hsvar import (DescentOptions, HProfile, InvalidParameterError,
                    energy_positive, extremal_pair, ground_state,
                    hardy_constant)
 from hsvar.energy import Integrals, Weights, gradient_coefficients, integrals
-from hsvar.grid import gradient_seminorm, weighted_lp
+from hsvar.grid import weighted_lp
 from hsvar.operators import LambdaOperator
 from hsvar.solvers import compact_bump
-from conftest import assembled_interior, cached_grid, interior_band, smooth_bump
+from conftest import (assembled_interior, cached_grid, gradient_seminorm,
+                      interior_band, smooth_bump)
 
 REL = 1e-13
 

@@ -58,3 +58,27 @@ def test_grid_reaches_only_errors():
 ])
 def test_discrete_module_reaches_nothing_above_it(module, above):
     assert _reached(module) & above == set()
+
+
+WEIGHTS = {"w", "cell_w", "wr2", "cc"}
+
+
+def _weight_reads(module: str) -> set:
+    """The grid weight arrays (``w``, ``cell_w``, ``wr2``, ``cc``) that
+    ``module``'s source reads as attributes, of a grid or of anything else."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in WEIGHTS
+            and isinstance(node.ctx, ast.Load)}
+
+
+def test_weight_arrays_are_read_only_where_the_discretization_lives():
+    # the places a change of the quadratic form or the quadrature must port:
+    # the grid builds the weights, operators and energy read the band, and
+    # solvers reads w for the chain's segment norm; only the grid reads the
+    # cell weights, which the band cc replaces everywhere else
+    modules = sorted(p.stem for p in PACKAGE.glob("*.py"))
+    reads = {m: _weight_reads(m) for m in modules}
+    assert {m for m, r in reads.items() if r} == {"grid", "operators", "energy",
+                                                 "solvers"}
+    assert {m for m, r in reads.items() if "cell_w" in r} == {"grid"}

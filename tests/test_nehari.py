@@ -9,9 +9,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from hsvar import (DegenerateInputError, HProfile, NoProjectionError,
                    PreconditionError, ProblemParams, RadialFunction, StatePair,
-                   constrained_energy, critical_level, energy, exact_solution,
-                   pair_norm_sq, project)
-from hsvar.energy import _solve_scale
+                   critical_level, energy, exact_solution, pair_norm_sq,
+                   project)
+from hsvar.energy import _solve_scale, pair_integrals
 from hsvar.solvers import compact_bump
 from conftest import cached_grid, mp_power_root, smooth_bump
 
@@ -161,7 +161,7 @@ class TestConstrainedEnergy:
     def test_extremal_gives_level(self, grid4, z1):
         pair = StatePair(z1, RadialFunction.zero(grid4))
         pr = params4(nu=0.8)
-        val = constrained_energy(pair, pr, tol=1e-3)
+        val = pair_integrals(pair, pr).constrained_energy(tol=1e-3)
         assert val == pytest.approx(critical_level(4, 0.3, 1.0), rel=1e-4)
 
     def test_matches_direct_energy_on_projections(self, grid4):
@@ -171,13 +171,18 @@ class TestConstrainedEnergy:
         for _ in range(10):
             pair = StatePair(smooth_bump(grid4, rng), smooth_bump(grid4, rng))
             proj = project(pair, pr).projected
-            assert constrained_energy(proj, pr) == pytest.approx(
+            assert pair_integrals(proj, pr).constrained_energy() == pytest.approx(
                 energy(proj, pr).total, rel=1e-8)
 
     def test_off_constraint_rejected(self, grid4, z1):
         pair = StatePair(z1.scaled(1.5), RadialFunction.zero(grid4))
         with pytest.raises(PreconditionError):
-            constrained_energy(pair, params4())
+            pair_integrals(pair, params4()).constrained_energy()
+
+    def test_zero_pair_rejected(self, grid4):
+        # the origin is not on the constraint set, though Psi(0) = 0 there
+        with pytest.raises(DegenerateInputError):
+            pair_integrals(StatePair.zero(grid4), params4(nu=0.8)).constrained_energy()
 
     def test_coupling_term_active_for_positive_nu(self, grid4):
         rng = np.random.default_rng(7)
@@ -189,7 +194,8 @@ class TestConstrainedEnergy:
         bd = energy(proj, pr)
         assert bd.coupling > 0
         without_coupling = (2 - pr.s) / (2 * (4 - pr.s)) * (bd.hs_u + bd.hs_v)
-        assert constrained_energy(proj, pr) != pytest.approx(without_coupling, rel=1e-6)
+        assert pair_integrals(proj, pr).constrained_energy() != pytest.approx(
+            without_coupling, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,8 @@ import pytest
 
 from hsvar import (GridMismatchError, InvalidGridError, InvalidParameterError,
                    RadialFunction, best_constant, build_grid, critical_exponent,
-                   exact_solution, gradient_seminorm, hardy_constant, integrate,
-                   weighted_lp)
-from conftest import cached_grid, smooth_bump
+                   exact_solution, hardy_constant, weighted_lp)
+from conftest import cached_grid, gradient_seminorm, integrate, smooth_bump
 
 
 def test_build_grid_geometric_nodes():

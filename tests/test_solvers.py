@@ -182,9 +182,8 @@ class TestGroundState:
         # gradient itself
         assert 1 <= rep.extra["restarts"] <= rep.iterations
         # reported energy agrees with the on-constraint identity
-        from hsvar import constrained_energy
-        assert constrained_energy(rep.profiles, pr, tol=1e-6) == pytest.approx(
-            rep.energy, rel=1e-8)
+        assert pair_integrals(rep.profiles, pr).constrained_energy(
+            tol=1e-6) == pytest.approx(rep.energy, rel=1e-8)
 
     def test_energy_threshold_flag_consistent(self):
         grid = small_grid(4)
