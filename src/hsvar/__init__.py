@@ -32,4 +32,6 @@ from .solvers import (DescentOptions, PathOptions, ProbeOptions, SolverReport,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names; the submodules that the imports above bind stay
+# attributes of the package, but ``from hsvar import *`` does not bind them
+__all__ = [n for n in dir() if n[0] != "_" and type(globals()[n]).__name__ != "module"]

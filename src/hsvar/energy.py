@@ -25,7 +25,12 @@ Every functional here is algebra over the integrals of a state, which
 asked), given the weight vectors of a :class:`Weights`.  On the constraint
 set they include the constrained energy and the second variation
 (:class:`Integrals` methods).  The quadratic part, like
-:func:`lambda_norm_sq`, reads the grid's band (see ``grid``).
+:func:`lambda_norm_sq`, reads the grid's band (see ``grid``).  The solvers'
+two other weighted quantities are :class:`Weights` methods too, so that
+``solvers`` reads no weight array: the volume distance of two states, the
+segment length of the min-max chain (:meth:`Weights.distance`), and the
+weight of the second variation at a one-component couple
+(:meth:`Weights.foreign_weight`).
 
 So is the projection onto the constraint set: with A the squared pair norm,
 B the sum of critical integrals and C the coupling integral, the scale t
@@ -109,14 +114,14 @@ class Weights:
     """Weight vectors of the integrals kernel for one (grid, params).
 
     ``wrs = w r^-s`` and ``whrs = w h r^-s`` weigh the critical and coupling
-    integrals, the grid's ``wr2`` the Hardy integral and ``cc`` the Dirichlet
-    cells.  Callers build one per solver call and reuse it for every state
-    they evaluate; :func:`pair_integrals` builds one per call.  A grid of
-    another dimension than ``params.N`` is refused: its weights would
-    integrate the profiles of one dimension in another.
+    integrals; the grid's own band (``wr2``, ``cc``) weighs the Hardy
+    integral and the Dirichlet cells.  Callers build one per solver call and
+    reuse it for every state they evaluate; :func:`pair_integrals` builds
+    one per call.  A grid of another dimension than ``params.N`` is refused:
+    its weights would integrate the profiles of one dimension in another.
     """
 
-    __slots__ = ("grid", "params", "wrs", "whrs", "wr2", "cc", "_grad_w")
+    __slots__ = ("grid", "params", "wrs", "whrs", "_grad_w")
 
     def __init__(self, grid: RadialGrid, params: ProblemParams):
         if grid.N != params.N:
@@ -126,9 +131,18 @@ class Weights:
         self.params = params
         self.wrs = grid.w / grid.r ** params.s
         self.whrs = self.wrs * params.h_profile(grid.r)
-        self.wr2 = grid.wr2
-        self.cc = grid.cc
         self._grad_w = None
+
+    def distance(self, dx: np.ndarray) -> float:
+        """Volume norm sqrt(sum w (du^2 + dv^2)) of a (2, n) difference of
+        states, the length of a segment of the min-max chain."""
+        return math.sqrt(((dx[0] ** 2 + dx[1] ** 2) * self.grid.w).sum())
+
+    def foreign_weight(self, z: np.ndarray, f: float) -> np.ndarray:
+        """Quadrature-weighted 2 h z^f r^-s: the weight of the second
+        variation at the one-component couple (0, z) in the directions
+        (phi, 0), with f the host exponent."""
+        return 2.0 * (self.whrs * z ** f)
 
     def _gradient_weights(self):
         """``(-lam1 wr2, -lam2 wr2, -wrs, -nu whrs)``, the weights of the
@@ -136,7 +150,7 @@ class Weights:
         which never ask for a gradient do not pay for them."""
         if self._grad_w is None:
             pr = self.params
-            self._grad_w = (-pr.lambda1 * self.wr2, -pr.lambda2 * self.wr2,
+            self._grad_w = (-pr.lambda1 * self.grid.wr2, -pr.lambda2 * self.grid.wr2,
                             -self.wrs, -pr.nu * self.whrs)
         return self._grad_w
 
@@ -270,8 +284,8 @@ def integrals(wt: Weights, u: np.ndarray, v: np.ndarray, positive: bool = False,
     """
     pr = wt.params
     p, a, b = pr.crit_exp, pr.alpha, pr.beta
-    du, kinetic_u, hardy_u, au, nz_u = _component(wt, u, positive)
-    dv, kinetic_v, hardy_v, av, nz_v = _component(wt, v, positive)
+    du, kinetic_u, hardy_u, au, nz_u = _component(wt.grid, u, positive)
+    dv, kinetic_v, hardy_v, av, nz_v = _component(wt.grid, v, positive)
     coupled = _coupled(nz_u, nz_v)
     hs_u, fu = _critical(wt, au, p, nz_u, grad)
     hs_v, fv = _critical(wt, av, p, nz_v, grad)
@@ -289,8 +303,8 @@ def integrals(wt: Weights, u: np.ndarray, v: np.ndarray, positive: bool = False,
         signs = None if positive else (u, v)
         hardy1, hardy2, crit, coup = wt._gradient_weights()
         L = np.empty((2, u.size))
-        _linear_part(du, u, wt.cc, hardy1, L[0])
-        _linear_part(dv, v, wt.cc, hardy2, L[1])
+        _linear_part(du, u, wt.grid.cc, hardy1, L[0])
+        _linear_part(dv, v, wt.grid.cc, hardy2, L[1])
         F = _nonlinear_part(crit, (fu, fv), signs)
         if coupled:
             G = _nonlinear_part(coup, (a * ua1 * vb, b * ua * vb1), signs)
@@ -298,7 +312,7 @@ def integrals(wt: Weights, u: np.ndarray, v: np.ndarray, positive: bool = False,
                      hardy_u, hardy_v, hs_u, hs_v, L, F, G)
 
 
-def _component(wt: Weights, x: np.ndarray, positive: bool):
+def _component(grid: RadialGrid, x: np.ndarray, positive: bool):
     """Differences, kinetic and Hardy integrals of one component, the base
     of its nonlinear terms (|x|, or its positive part when truncated) and
     whether that base is nonzero.  An identically zero component makes
@@ -308,7 +322,7 @@ def _component(wt: Weights, x: np.ndarray, positive: bool):
         return None, 0.0, 0.0, x, False
     dx = x[1:] - x[:-1]
     ax = np.maximum(x, 0.0) if positive else np.abs(x)
-    return (dx, float(wt.cc @ (dx * dx)), float(wt.wr2 @ (x * x)), ax,
+    return (dx, float(grid.cc @ (dx * dx)), float(grid.wr2 @ (x * x)), ax,
             bool(ax.any()))
 
 
@@ -370,7 +384,7 @@ def pair_integrals(pair: StatePair, params: ProblemParams, positive: bool = Fals
 def lambda_norm_sq(u: RadialFunction, lam: float) -> float:
     """Squared shifted norm  int |grad u|^2 - lam int u^2/r^2: the ``A`` of
     the pair (u, 0) at lambda1 = lam, bit for bit, by :func:`integrals`'
-    arithmetic on the band (``cc``, ``wr2``) the grid shares with Weights."""
+    arithmetic on the grid's band (``cc``, ``wr2``)."""
     _check_domain(u.grid.N, lam, 0.0)
     _, kinetic, hardy, _, _ = _component(u.grid, u.values, False)
     return kinetic - lam * hardy
@@ -453,5 +467,6 @@ def gradient_dual_norm(pair: StatePair, params: ProblemParams,
     the strong residual diverges near the origin for singular profiles.
     """
     I = pair_integrals(pair, params, positive, grad=True)
-    dual = PairMetric(pair.grid, params.lambda1, params.lambda2).dual_norm(I.gradient())
+    metric = PairMetric(pair.grid, params.lambda1, params.lambda2)
+    dual = math.sqrt(metric.direction(I.gradient())[1])
     return dual, dual / math.sqrt(max(I.A, 1e-300))

@@ -12,6 +12,12 @@ spans 1e-177..1e183.
 
 A state of the coupled problem, its gradient and its metric direction are
 each one ``(2, n)`` array, rows u and v; :func:`pair_dot` pairs two of them.
+Callers pass node-length arrays and the collar is taken here: the metric
+direction (:meth:`PairMetric.direction`), the removal of a direction's
+component along a path tangent (:meth:`PairMetric.transversal`) and the
+inverse iteration of a weighted eigenproblem
+(:meth:`LambdaOperator.lowest_mode`) each read only the interior of the
+arrays they are given.
 """
 
 from __future__ import annotations
@@ -22,6 +28,11 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 from .closed_forms import _check_domain
 from .errors import InvalidParameterError
 from .grid import RadialGrid
+
+# inverse iteration of lowest_mode: relative decrease of the Rayleigh
+# quotient that stops it, and the cap on iterations
+MODE_TOL = 1e-12
+MODE_MAX_ITER = 500
 
 
 class LambdaOperator:
@@ -55,6 +66,27 @@ class LambdaOperator:
             return np.zeros_like(rhs)     # a zero component stays zero
         return dpttrs(self._d, self._e, rhs)[0]
 
+    def lowest_mode(self, W: np.ndarray, x: np.ndarray):
+        """Lowest eigenpair of K phi = mu W phi by inverse iteration from x.
+
+        K is the interior matrix and W a nonnegative diagonal; ``W`` and
+        ``x`` are node-length and only their interior is read.  Each step
+        solves K y = W x; the Rayleigh quotient y'Wx / y'Wy bounds mu from
+        above and does not increase.  Returns (mu, phi, iterations,
+        converged), with phi on the interior nodes and phi'W phi = 1.
+        """
+        W, x, mu = W[1:-1], x[1:-1], np.inf
+        for it in range(1, MODE_MAX_ITER + 1):
+            Wx = W * x
+            y = self.solve(Wx)
+            yWy = float(y @ (W * y))
+            mu_next = float(y @ Wx) / yWy
+            x = y / np.sqrt(yWy)
+            if mu - mu_next <= MODE_TOL * mu_next:
+                return mu_next, x, it, True
+            mu = mu_next
+        return mu, x, MODE_MAX_ITER, False
+
 
 def pair_dot(a, b) -> float:
     """<a, b> of two couples, rows u and v: one dot product per row, summed
@@ -63,7 +95,8 @@ def pair_dot(a, b) -> float:
 
 
 class PairMetric:
-    """Descent metric and dual norm for a two-component state."""
+    """Descent metric of a two-component state: one interior operator per
+    component."""
 
     def __init__(self, grid: RadialGrid, lambda1: float, lambda2: float):
         self.op1 = LambdaOperator(grid, lambda1)
@@ -78,6 +111,15 @@ class PairMetric:
         m[1, 1:-1] = self.op2.solve(g[1, 1:-1])
         return m, max(pair_dot(g[:, 1:-1], m[:, 1:-1]), 0.0)
 
-    def dual_norm(self, g: np.ndarray) -> float:
-        """Norm of the gradient in the dual of the energy space."""
-        return float(np.sqrt(self.direction(g)[1]))
+    def transversal(self, d: np.ndarray, g: np.ndarray, tau: np.ndarray,
+                    factor: float):
+        """A copy of the direction d less ``factor`` times the component of
+        M^-1 g along the tangent tau in the metric, <g, tau> / <tau, M tau>
+        tau, and the copy's slope <g, d> (0 when negative), both over the
+        interior; d, g and tau are (2, n) arrays."""
+        tau = tau[:, 1:-1]
+        tmt = pair_dot(tau, (self.op1.apply(tau[0]), self.op2.apply(tau[1])))
+        coef = pair_dot(g[:, 1:-1], tau) / tmt if tmt > 0 else 0.0
+        d = d.copy()
+        d[:, 1:-1] -= factor * coef * tau
+        return d, max(pair_dot(g[:, 1:-1], d[:, 1:-1]), 0.0)

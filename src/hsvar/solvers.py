@@ -4,7 +4,10 @@ Inside the solvers a state is one (2, n) array, rows u and v, as its
 gradient and metric direction are, and the min-max chain one (K+1, 2, n)
 array, node k in row k.  ``operators.pair_dot`` pairs two couples, one
 dot product per row; ``StatePair`` appears only where a solver takes or
-returns a state.
+returns a state.  The solvers pass these node-length arrays on and know
+nothing of the discretization: the Dirichlet collar, the metric and the
+tangent removal are ``operators``' (``PairMetric``, ``LambdaOperator``),
+and every weighted sum is ``energy``'s (``Weights``, ``integrals``).
 
 Ground states are computed by projected Polak-Ribiere+ conjugate gradient
 on the constraint set of the truncated functional.  The metric M is the
@@ -95,10 +98,6 @@ WOLFE_C2 = 0.5
 MAX_BACKTRACKS = 60
 SHORT = "short"           # an accept answer: Armijo holds, step too short
 STALL_WINDOW = 80         # descent iterations without decrease before stopping
-# inverse iteration for the classification threshold nu*: relative decrease
-# of the Rayleigh quotient that stops it, and the cap on iterations
-MODE_TOL = 1e-12
-MODE_MAX_ITER = 500
 # min-max path: a side of the crest is resampled to equal arclength once its
 # longest segment exceeds RESAMPLE_RATIO times its shortest.  Criterion 10
 # (4096 nodes, K = 32; it stalls at sweep 54 at each ratio) resamples 35 /
@@ -594,17 +593,10 @@ def _node_direction(wt: Weights, metric: PairMetric, x: np.ndarray):
     return (I, g, *metric.direction(g))
 
 
-def _segment(P, k: int, w: np.ndarray) -> float:
-    """Length sqrt(sum w (du^2 + dv^2)) of the segment from node k of a
-    chain to node k + 1, with (du, dv) = P[k+1] - P[k]."""
-    dx = P[k + 1] - P[k]
-    return math.sqrt(((dx[0] ** 2 + dx[1] ** 2) * w).sum())
-
-
-def _segments(P, w: np.ndarray) -> np.ndarray:
+def _segments(P, wt: Weights) -> np.ndarray:
     """Lengths of the segments between consecutive nodes of a chain, one
-    :func:`_segment` each."""
-    return np.array([_segment(P, k, w) for k in range(len(P) - 1)])
+    :meth:`Weights.distance` each."""
+    return np.array([wt.distance(P[k + 1] - P[k]) for k in range(len(P) - 1)])
 
 
 def _redistribute(P, E, wt: Weights, seg: np.ndarray) -> bool:
@@ -629,12 +621,12 @@ def _redistribute(P, E, wt: Weights, seg: np.ndarray) -> bool:
     # node by node, from the side as it was: node i is interpolated between
     # old nodes j[i-1] and j[i-1]+1, projected and written, and the segment
     # it closes is measured
-    w, P0 = wt.grid.w, P.copy()
+    P0 = P.copy()
     for i in range(1, m):
         r, th = j[i - 1], theta[i - 1]
         _project_row(P, E, i, wt, (1 - th) * P0[r] + th * P0[r + 1])
-        seg[i - 1] = _segment(P, i - 1, w)
-    seg[m - 1] = _segment(P, m - 1, w)
+        seg[i - 1] = wt.distance(P[i] - P[i - 1])
+    seg[m - 1] = wt.distance(P[m] - P[m - 1])
     return True
 
 
@@ -650,20 +642,14 @@ def _move_node(wt: Weights, metric: PairMetric, P, E, seg: np.ndarray,
     resamples the chain.
     """
     climbing = top is not None
-    I, g, d, slope = top if climbing else _node_direction(wt, metric, P[k])
-    # the path tangent at node k, on the interior
-    tau = (P[k + 1] - P[k - 1])[:, 1:-1]
-    tmt = pair_dot(tau, (metric.op1.apply(tau[0]), metric.op2.apply(tau[1])))
-    coef = pair_dot(g[:, 1:-1], tau) / tmt if tmt > 0 else 0.0
-    # the maximum node climbs: the along-path gradient component is
-    # reversed so the node ascends the path direction while relaxing
-    # transversally; neighbors relax transversally only
-    factor = 2.0 if climbing else 1.0
-    # the move is built on a copy: a measurement is not edited, as the
-    # crest's may serve the next sweep
-    d = d.copy()
-    d[:, 1:-1] -= factor * coef * tau
-    accept = None
+    I, g, m, slope = top if climbing else _node_direction(wt, metric, P[k])
+    # the maximum node climbs: the gradient component along the path tangent
+    # P[k+1] - P[k-1] is reversed so the node ascends the path direction
+    # while relaxing transversally; neighbors relax transversally only.  The
+    # move is a copy: a measurement is not edited, as the crest's may serve
+    # the next sweep
+    d, d_slope = metric.transversal(m, g, P[k + 1] - P[k - 1],
+                                    2.0 if climbing else 1.0)
     if climbing:
         gnorm = _rel_grad(slope, I.A)
 
@@ -671,7 +657,7 @@ def _move_node(wt: Weights, metric: PairMetric, P, E, seg: np.ndarray,
             # the climbing node is accepted when its gradient shrinks
             return _pair_grad_norm(metric, J, t) < gnorm
     else:
-        slope = max(pair_dot(g[:, 1:-1], d[:, 1:-1]), 0.0)
+        accept, slope = None, d_slope
     # neighbors take the Armijo test; the climbing node's step floor,
     # probed after a failed first trial, uses its unmodified slope
     n, found = _line_search(wt, P[k], d, slope, I.A, E[k], accept,
@@ -680,8 +666,8 @@ def _move_node(wt: Weights, metric: PairMetric, P, E, seg: np.ndarray,
         return n, False
     _, t, J, P[k], _ = found
     E[k] = J.energy(t)
-    seg[k - 1] = _segment(P, k - 1, wt.grid.w)
-    seg[k] = _segment(P, k, wt.grid.w)
+    seg[k - 1] = wt.distance(P[k] - P[k - 1])
+    seg[k] = wt.distance(P[k + 1] - P[k])
     return n, True
 
 
@@ -727,7 +713,7 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
     K = opts.n_path_nodes
     wt = Weights(grid, params)
     P, E = _initial_path(wt, K)
-    seg = _segments(P, wt.grid.w)
+    seg = _segments(P, wt)
     metric = PairMetric(grid, params.lambda1, params.lambda2)
     trace, gnorm_trace = [float(E.max())], []
     resamples = trials = 0
@@ -815,27 +801,6 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
 # semitrivial classification
 # ---------------------------------------------------------------------------
 
-def _lowest_mode(op: LambdaOperator, W: np.ndarray, x: np.ndarray):
-    """Lowest eigenpair of K phi = mu W phi by inverse iteration from x.
-
-    K is the interior matrix of ``op`` and W a nonnegative diagonal.  Each
-    step solves K y = W x; the Rayleigh quotient y'Wx / y'Wy bounds mu from
-    above and does not increase.  Returns (mu, phi, iterations, converged),
-    with phi'W phi = 1.
-    """
-    mu = math.inf
-    for it in range(1, MODE_MAX_ITER + 1):
-        Wx = W * x
-        y = op.solve(Wx)
-        yWy = float(y @ (W * y))
-        mu_next = float(y @ Wx) / yWy
-        x = y / math.sqrt(yWy)
-        if mu - mu_next <= MODE_TOL * mu_next:
-            return mu_next, x, it, True
-        mu = mu_next
-    return mu, x, MODE_MAX_ITER, False
-
-
 def _label(nu: float, nu_star: float, stop: str | None) -> str:
     """Label of (0, z) at coupling nu, from its threshold nu* and the stop
     reason of the inverse iteration that computed it (None when nu* is
@@ -876,9 +841,8 @@ def semitrivial_probe(params: ProblemParams, which: str,
     if side:
         nu_star = 0.0 if side < 0 else math.inf
     else:
-        W = 2.0 * (wt.whrs * z ** work.beta)[1:-1]
-        nu_star, _, iters, done = _lowest_mode(
-            LambdaOperator(grid, work.lambda1), W, z[1:-1])
+        nu_star, _, iters, done = LambdaOperator(grid, work.lambda1).lowest_mode(
+            wt.foreign_weight(z, work.beta), z)
         stop = "tolerance" if done else "max_iter"
     classification = _label(work.nu, nu_star, stop)
 

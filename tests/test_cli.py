@@ -988,6 +988,21 @@ def test_stalled_path_exits_3(tmp_path, capsys):
     assert report["iterations"] == 54 and report["converged"] is False
 
 
+def test_path_without_improvement_exits_3(tmp_path, capsys):
+    # criterion 10 on two segments: the crest has no interior neighbor, its
+    # climb fails at sweep 6, and no node moves
+    cfg = tmp_path / "two.json"
+    cfg.write_text(json.dumps({"solver": {"n_path_nodes": 2}}))
+    argv = [f"--{k}={v}" for k, v in PATH_PARAMS.items()]
+    assert run_command(["mountain-pass", *argv, "--grid", "1e-6,1e6,512",
+                        "--config", str(cfg),
+                        "--output-dir", str(tmp_path / "runs")]) == 3
+    out = json.loads(capsys.readouterr().out)
+    report = json.loads(open(os.path.join(out["run_dir"], "report.json")).read())
+    assert out["stop_reason"] == report["stop_reason"] == "no_improvement"
+    assert report["iterations"] == 7 and report["converged"] is False
+
+
 @pytest.mark.parametrize("lambda1", ["0.1", "0.3", "0.30000000000000004"])
 def test_mountain_pass_refuses_a_tuple_classify_calls_none(tmp_path, capsys,
                                                           monkeypatch, lambda1):

@@ -234,8 +234,8 @@ def explicit_integrals(wt, u, v, positive=False, grad=False):
     pr = wt.params
     p, a, b = pr.crit_exp, pr.alpha, pr.beta
     du, dv = u[1:] - u[:-1], v[1:] - v[:-1]
-    kin = [float(wt.cc @ (d * d)) for d in (du, dv)]
-    hardy = [float(wt.wr2 @ (x * x)) for x in (u, v)]
+    kin = [float(wt.grid.cc @ (d * d)) for d in (du, dv)]
+    hardy = [float(wt.grid.wr2 @ (x * x)) for x in (u, v)]
     au, av = (np.maximum(x, 0.0) if positive else np.abs(x) for x in (u, v))
     f = [x ** (p - 1) for x in (au, av)]
     hs = [float(wt.wrs @ (fx * x)) if grad else float(wt.wrs @ x ** p)
@@ -254,10 +254,10 @@ def explicit_integrals(wt, u, v, positive=False, grad=False):
             return out
 
         lams = (pr.lambda1, pr.lambda2)
-        L = np.stack([-lam * wt.wr2 * x for lam, x in zip(lams, (u, v))])
+        L = np.stack([-lam * wt.grid.wr2 * x for lam, x in zip(lams, (u, v))])
         for row, d in zip(L, (du, dv)):
-            row[:-1] -= wt.cc * d
-            row[1:] += wt.cc * d
+            row[:-1] -= wt.grid.cc * d
+            row[1:] += wt.grid.cc * d
         L[:, 0] = L[:, -1] = 0.0
         F = rows(-wt.wrs, f)
         if coupled:

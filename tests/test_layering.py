@@ -1,8 +1,11 @@
 """The closed-form modules reach nothing of the discrete layer, and the
 discrete layer reaches only the modules below it: grid, operators, energy,
-solvers, then io and cli."""
+solvers, then io and cli.  The discretization's arrays are read only in
+grid, operators and energy, and the package's star import binds no
+module."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -60,25 +63,45 @@ def test_discrete_module_reaches_nothing_above_it(module, above):
     assert _reached(module) & above == set()
 
 
-WEIGHTS = {"w", "cell_w", "wr2", "cc"}
+WEIGHTS = {"w", "cell_w", "wr2", "cc", "wrs", "whrs"}
+
+
+def _tree(module: str):
+    return ast.parse((PACKAGE / f"{module}.py").read_text())
 
 
 def _weight_reads(module: str) -> set:
-    """The grid weight arrays (``w``, ``cell_w``, ``wr2``, ``cc``) that
-    ``module``'s source reads as attributes, of a grid or of anything else."""
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
-    return {node.attr for node in ast.walk(tree)
+    """The weight arrays (the grid's ``w``, ``cell_w``, ``wr2``, ``cc`` and
+    the ``Weights``' ``wrs``, ``whrs``) that ``module``'s source reads as
+    attributes, of a grid or of anything else."""
+    return {node.attr for node in ast.walk(_tree(module))
             if isinstance(node, ast.Attribute) and node.attr in WEIGHTS
             and isinstance(node.ctx, ast.Load)}
 
 
 def test_weight_arrays_are_read_only_where_the_discretization_lives():
     # the places a change of the quadratic form or the quadrature must port:
-    # the grid builds the weights, operators and energy read the band, and
-    # solvers reads w for the chain's segment norm; only the grid reads the
-    # cell weights, which the band cc replaces everywhere else
+    # the grid builds the weights, operators and energy read them; only the
+    # grid reads the cell weights, which the band cc replaces everywhere else
     modules = sorted(p.stem for p in PACKAGE.glob("*.py"))
     reads = {m: _weight_reads(m) for m in modules}
-    assert {m for m, r in reads.items() if r} == {"grid", "operators", "energy",
-                                                 "solvers"}
+    assert {m for m, r in reads.items() if r} == {"grid", "operators", "energy"}
     assert {m for m, r in reads.items() if "cell_w" in r} == {"grid"}
+
+
+def test_solvers_take_no_interior_slice():
+    # the Dirichlet collar is the operators' own: solvers pass node-length
+    # states, gradients, directions and weights, and slice none of them to
+    # the interior 1:-1.  A slice of a computed value, such as the arclength
+    # targets of a resample, is not one of these arrays
+    sliced = [ast.unparse(node) for node in ast.walk(_tree("solvers"))
+              if isinstance(node, ast.Subscript) and not isinstance(node.value, ast.Call)
+              and "1:-1" in ast.unparse(node.slice).split(", ")]
+    assert sliced == []
+
+
+def test_star_import_binds_no_module():
+    # ``from hsvar import *`` binds the public names only; the submodules
+    # that the package's own imports bind stay attributes of the package
+    assert [n for n in hsvar.__all__ if inspect.ismodule(getattr(hsvar, n))] == []
+    assert all(inspect.ismodule(getattr(hsvar, m)) for m in ("grid", "params", "solvers"))

@@ -116,18 +116,34 @@ def test_an_infinite_sum_is_refused(alpha, beta):
         make_params(alpha, beta)
 
 
+def _orders(pr):
+    """Every ``order`` that classify and the probe read: alpha and beta
+    against 2, alpha + beta against p, lambda1 against lambda2."""
+    return (order(pr.alpha, 2.0), order(pr.beta, 2.0),
+            order(pr.alpha + pr.beta, pr.crit_exp), order(pr.lambda1, pr.lambda2))
+
+
+def _twin(pr, to):
+    """pr with each of alpha, beta, lambda1 and lambda2 moved by one
+    rounding, toward the matching entry of ``to``."""
+    names = ("alpha", "beta", "lambda1", "lambda2")
+    return replace(pr, **{k: math.nextafter(getattr(pr, k), t)
+                          for k, t in zip(names, to)})
+
+
 @settings(max_examples=60, deadline=None)
 @given(pr=admissible_params(),
        to=st.lists(st.sampled_from([-math.inf, math.inf]), min_size=4, max_size=4))
 def test_a_rounding_does_not_change_the_answer(pr, to):
-    # the twin moves each of alpha, beta, lambda1 and lambda2 by one
-    # rounding; both sit on the same side of every boundary, or on it
-    names = ("alpha", "beta", "lambda1", "lambda2")
+    # a twin one rounding away that keeps every order of the tuple, inside
+    # a tie band or off it, has the same answer; one that crosses the edge
+    # of a tie band changes an order, and may change the answer (see
+    # test_a_rounding_across_the_edge_of_a_tie_band_changes_the_answer)
     try:
-        twin = replace(pr, **{k: math.nextafter(getattr(pr, k), t)
-                              for k, t in zip(names, to)})
+        twin = _twin(pr, to)
     except InvalidParameterError:
         assume(False)       # the sum moved above p, to where it is refused
+    assume(_orders(twin) == _orders(pr))
 
     def answer(pr):
         rep = classify(pr).to_dict()
@@ -137,6 +153,17 @@ def test_a_rounding_does_not_change_the_answer(pr, to):
                      for which in ("first", "second")]
 
     assert answer(twin) == answer(pr)
+
+
+def test_a_rounding_across_the_edge_of_a_tie_band_changes_the_answer():
+    # beta - 2 = -2.0002e-12 lies outside the tie band 1e-12 max(1, |beta|,
+    # 2) = 2e-12, and the twin's -1.99996e-12 inside it: any tie band has an
+    # edge, and the answer changes across it.  Hypothesis drew this twin
+    pr = ProblemParams(3, 1e-12, 0.125, 0.125, 4.0, 1.9999999999979998, 0.0)
+    twin = _twin(pr, [-math.inf, math.inf, -math.inf, -math.inf])
+    assert _orders(pr) == (1, -1, 0, 0) and _orders(twin) == (1, 0, 0, 0)
+    assert classify(pr).thm_mixed["branch"] == "beta<2"
+    assert classify(twin).thm_mixed["branch"] == "beta=2+large nu"
 
 
 @settings(max_examples=300, deadline=None)

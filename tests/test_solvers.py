@@ -17,7 +17,7 @@ from hsvar import (DegenerateInputError, DescentOptions, GridMismatchError,
                    gradient_dual_norm, ground_state, hardy_constant,
                    lambda_norm_sq, mountain_pass, nehari_residual,
                    pair_norm_sq, project, semitrivial_probe)
-from hsvar import solvers
+from hsvar import operators, solvers
 from hsvar.closed_forms import power_root
 from hsvar.energy import Weights, integrals, pair_integrals, project_arrays
 from hsvar.operators import LambdaOperator, PairMetric
@@ -199,7 +199,10 @@ class TestGroundState:
     @pytest.mark.parametrize("N,s,lam,alpha,beta,nu", [
         pytest.param(4, 0.5, 0.1, 1.75, 1.75, 1.0, id="4-0.5-0.1-1.75-1.0"),
         (4, 0.5, 0.1, 2.3, 1.2, 1.0),
-        pytest.param(5, 1.0, 0.5, 4 / 3, 4 / 3, 2.0, id="5-1.0-0.5-1.3333333333333333-2.0")])
+        pytest.param(5, 1.0, 0.5, 4 / 3, 4 / 3, 2.0, id="5-1.0-0.5-1.3333333333333333-2.0"),
+        pytest.param(6, 0.5, 1.0, 1.375, 1.375, 1.0, id="6-0.5-1.0-1.375-1.0"),
+        (4, 0.0, 0.2, 2.5, 1.5, 1.0),
+        pytest.param(4, 1.0, 0.3, 1.5, 1.5, 2.0, id="4-1.0-0.3-1.5-2.0")])
     def test_synchronized_level_to_1e_9(self, N, s, lam, alpha, beta, nu):
         # lambda1 = lambda2, alpha + beta = p and constant h: the couple
         # (cos th, sin th) z has the level E_h g(th)^(-2/(p-2)),
@@ -207,10 +210,15 @@ class TestGroundState:
         # E_h the level of z on the same grid.  The descent reaches the
         # couple at th*, the maximum of g in the bracket (0.2, 1): pi/4 to
         # rounding when alpha = beta, 0.54526 for (2.3, 1.2), where a
-        # 20,001-point grid of th misses the level by -3.2e-9.  Measured
-        # errors -2.9e-11 (stop at the tolerance, 14 iterations), -2.9e-11
-        # (line_search, 15) and -7.2e-11 (line_search, 18) on 4096 nodes;
-        # -5.6e-10 and -9.1e-9 for the first tuple on 2048 and 1024
+        # 20,001-point grid of th misses the level by -3.2e-9, and 0.57034
+        # for (2.5, 1.5).  Measured errors -2.9e-11 (stop at the tolerance, 14
+        # iterations), -2.9e-11 (line_search, 15), -7.2e-11 (line_search,
+        # 18), -2.5e-10 (line_search, 13), -3.3e-11 (tolerance, 13) and
+        # +4.2e-10 (line_search, 17) on 4096 nodes; -5.6e-10 and -9.1e-9 for
+        # the first tuple on 2048 and 1024.  At N = 3 the tails decay slowly
+        # and E_h, the projected sampled extremal, is not the discrete
+        # minimizer: the descent lands 5e-5 to 7e-3 below the level, so no
+        # row has N = 3
         pr = ProblemParams(N, s, lam, lam, alpha, beta, nu)
         grid = cached_grid(N, 1e-6, 1e6, 4096)
         z, E_h = solvers._extremal(Weights(grid, pr), "first")
@@ -337,6 +345,15 @@ class TestMountainPass:
                      (capped.profiles.v, rep.profiles.v)):
             assert np.array_equal(a.values, b.values)
 
+    def test_no_improvement_ends_a_path_whose_crest_cannot_move(self):
+        # with two segments the crest has no interior neighbor; its climb
+        # fails at sweep 6, after 8 trials in all, and the path stops there
+        rep = mountain_pass(self.params(), cached_grid(4, 1e-6, 1e6, 512),
+                            PathOptions(n_path_nodes=2))
+        assert rep.stop_reason == "no_improvement" and not rep.converged
+        assert rep.iterations == 7 and rep.extra["trials"] == 8
+        assert rep.energy == 32.665007228017984
+
     def test_a_plateau_shorter_than_half_the_run_does_not_stall(self):
         # the least crest gradient of this bump h falls by less than 1% from
         # sweep 210 to 277, longer than the 50-sweep window, and then falls
@@ -362,7 +379,7 @@ class TestMountainPass:
         U[3:6], V[3:6], E[3:6] = U[2], V[2], E[2]
         U0, V0, E0 = U.copy(), V.copy(), E.copy()
         assert solvers._redistribute(P[2:9], E[2:9], wt,
-                                     solvers._segments(P[2:9], wt.grid.w))
+                                     solvers._segments(P[2:9], wt))
         outside = [0, 1, 2, 8, 9, 10]
         assert np.array_equal(U[outside], U0[outside])
         assert np.array_equal(V[outside], V0[outside])
@@ -390,7 +407,7 @@ class TestMountainPass:
         wt = Weights(small_grid(4), self.params())
         P, E = solvers._initial_path(wt, 10)
         U, V = P[:, 0], P[:, 1]
-        seg = solvers._segments(P, wt.grid.w)
+        seg = solvers._segments(P, wt)
         # the initial path's longest segment is 5 times its shortest
         assert solvers._redistribute(P, E, wt, seg)
         assert seg.max() <= solvers.RESAMPLE_RATIO * seg.min()
@@ -406,13 +423,13 @@ class TestMountainPass:
         U[3:6], V[3:6], E[3:6] = U[2], V[2], E[2]
         P1, E1 = P.copy(), E.copy()
         U1, V1 = P1[:, 0], P1[:, 1]
-        seg = solvers._segments(P, wt.grid.w)
+        seg = solvers._segments(P, wt)
         assert solvers._redistribute(P[2:9], E[2:9], wt, seg[2:8])
         # the refresh is exact: each segment as a fresh computation gives it
-        assert np.array_equal(seg, solvers._segments(P, wt.grid.w))
+        assert np.array_equal(seg, solvers._segments(P, wt))
         # a view of the chain's segments resamples as segments computed afresh
         solvers._redistribute(P1[2:9], E1[2:9], wt,
-                              solvers._segments(P1[2:9], wt.grid.w))
+                              solvers._segments(P1[2:9], wt))
         for a, b in ((U, U1), (V, V1), (E, E1)):
             assert np.array_equal(a, b)
 
@@ -811,7 +828,7 @@ class TestClassificationThreshold:
         nu_star = rep.extra["nu_star"]
         assert nu_star == pytest.approx(0.24464, rel=1e-4)
         assert rep.stop_reason == "tolerance" and rep.converged
-        assert 0 < rep.iterations < solvers.MODE_MAX_ITER
+        assert 0 < rep.iterations < operators.MODE_MAX_ITER
         labels = [semitrivial_probe(flip_params(f * nu_star), "second",
                                     grid).classification for f in (0.9, 1.1)]
         assert labels == ["local_min", "saddle"]
@@ -826,7 +843,7 @@ class TestClassificationThreshold:
         assert reps[1].extra["nu_star"] == reps[0].extra["nu_star"]
 
     def test_iteration_cap_is_inconclusive(self, monkeypatch):
-        monkeypatch.setattr(solvers, "MODE_MAX_ITER", 1)
+        monkeypatch.setattr(operators, "MODE_MAX_ITER", 1)
         grid = small_grid(3)
         rep = semitrivial_probe(flip_params(1.0), "second", grid)
         assert rep.classification == "inconclusive" and not rep.converged
@@ -871,8 +888,8 @@ class TestClassificationThreshold:
             calls.append(args)
             return lowest_mode(*args)
 
-        lowest_mode = solvers._lowest_mode
-        monkeypatch.setattr(solvers, "_lowest_mode", counted)
+        lowest_mode = LambdaOperator.lowest_mode
+        monkeypatch.setattr(LambdaOperator, "lowest_mode", counted)
         flip = classification_flip(flip_params, 1e-3, 100.0, "second",
                                    small_grid(3))
         assert flip["flip_found"] and len(flip["labels"]) == 4
@@ -923,9 +940,9 @@ class TestClassificationThreshold:
         # variation t^2/2 ||phi||^2 (1 - nu/nu*): up below nu*, down above
         grid = small_grid(3)
         pr = flip_params(1.0)
-        z, W = foreign_weight(pr, grid)
-        nu_star, mode, _, done = solvers._lowest_mode(
-            LambdaOperator(grid, pr.lambda1), W, z.values[1:-1])
+        z = extremal_pair(pr, grid, "second").v
+        nu_star, mode, _, done = LambdaOperator(grid, pr.lambda1).lowest_mode(
+            Weights(grid, pr).foreign_weight(z.values, pr.beta), z.values)
         assert done
         phi = RadialFunction(grid, np.concatenate([[0.0], mode, [0.0]]))
         nz = lambda_norm_sq(z, pr.lambda2)
