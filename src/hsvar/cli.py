@@ -16,9 +16,12 @@ Exit codes: 0 success, 2 validation error, 3 solver non-convergence.
 Configuration comes from a JSON document; command-line flags override
 individual fields.  A run builds the argument parser of the command it
 names alone; no command, an unknown one or a top-level flag gets the
-parser of all nine, whose refusal or help lists them.  A sweep classifies
-each distinct nu-free tuple once and renders the CSV text of each distinct
-report once; ``closed_forms`` caches the separability test per lambda pair.
+parser of all nine, whose refusal or help lists them.  A classify sweep
+reads the cells of each distinct nu-free tuple once, from
+``regimes.sweep_cells`` (two cached parts and a cached case table; no
+report is built), renders the CSV text of each distinct cells tuple once,
+and lays its rows out by index over the nu-free product, nu at its sorted
+position.
 """
 
 from __future__ import annotations
@@ -27,10 +30,11 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from itertools import product
+from itertools import cycle, product
 
 import numpy as np
 
@@ -43,7 +47,7 @@ from .grid import (REFERENCE_N_NODES, REFERENCE_R_MAX, REFERENCE_R_MIN,
                    RadialFunction, build_grid)
 from .params import (HProfile, ProblemParams, is_required, read_field, read_fields,
                      json_object, real_number, whole_number)
-from .regimes import LemmaInstance, RegimeReport, algebraic_inf, classify
+from .regimes import LemmaInstance, algebraic_inf, classify, sweep_cells
 from .solvers import (DescentOptions, PathOptions, ground_state, mountain_pass,
                       random_bump, semitrivial_probe, extremal_pair)
 
@@ -99,11 +103,11 @@ def _small_nu(doc: dict) -> bool:
     return flag
 
 
-def _check_weight(report: RegimeReport, small_nu: bool) -> None:
+def _check_weight(large_nu_applicable: bool, small_nu: bool) -> None:
     """A tuple outside the large-coupling statement's compactness gate
     (critical coupling, a weight that does not vanish at 0 and infinity)
     runs only when explicitly flagged as small-coupling."""
-    if not (report.thm_large_nu["applicable"] or small_nu):
+    if not (large_nu_applicable or small_nu):
         raise ConfigError("critical coupling needs an h_profile that vanishes "
                           "at 0 and infinity, or small_nu: true")
 
@@ -133,7 +137,7 @@ class RunConfig:
                       small_nu=_small_nu(doc))
         if cfg.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
-        _check_weight(classify(cfg.params), cfg.small_nu)
+        _check_weight(classify(cfg.params).thm_large_nu["applicable"], cfg.small_nu)
         return cfg
 
     def build_grid(self):
@@ -285,6 +289,46 @@ def _csv_line(cells) -> str:
     return buf.getvalue()[:-1]
 
 
+def _classify_rows(base: dict, names: list, swept: list, at: int,
+                   small_nu: bool) -> list:
+    """The CSV text of the report cells of each nu-free tuple of a classify
+    sweep, in the order of the nu-free product: the axes ``swept`` of
+    ``names`` but nu, which is axis ``at`` (``len(names)`` when nu is not
+    swept).
+
+    classify does not read nu, and nu's rule (finite, >= 0) reads nu alone:
+    a row is valid when its nu-free values and its nu are, and its cells are
+    those of its nu-free values.  Each distinct nu-free tuple and each nu is
+    built, and so checked, where product order first meets it: the tuples
+    of the first block (the axes before nu at their first values) at the
+    first nu, then each later nu with the first tuple, then the other
+    tuples.  So the first failing row decides the error, as row by row.
+    """
+    free_names = names[:at] + names[at + 1:]
+    nus = [{"nu": x} for x in swept[at]] if at < len(names) else [{}]
+    free = list(product(*swept[:at], *swept[at + 1:])) if nus else []
+    first_block = math.prod(map(len, swept[at + 1:]))
+
+    def build(key, nu):
+        return ProblemParams(**base, **dict(zip(free_names, key)), **nu)
+
+    rows, by_key, by_cells = [], {}, {}
+    for i, key in enumerate(free):
+        row = by_key.get(key)
+        if row is None:
+            cells = sweep_cells(build(key, nus[0]))
+            _check_weight(cells[2], small_nu)
+            row = by_cells.get(cells)
+            if row is None:
+                row = by_cells[cells] = _csv_line(cells)
+            by_key[key] = row
+        rows.append(row)
+        if i + 1 == first_block:
+            for nu in nus[1:]:
+                build(free[0], nu)
+    return rows
+
+
 def _cmd_sweep(args) -> int:
     doc = _read_json(args.config)
     sweep = doc.get("sweep")
@@ -301,64 +345,49 @@ def _cmd_sweep(args) -> int:
         section = json_object(doc["params"] if command == "classify"
                               else doc.get("lemma", {}), what)
     names = sorted(over)
+    # a lemma row reads every swept value; a classify row does not read nu,
+    # so its report is that of its nu-free values: nu is axis ``at``
+    at = names.index("nu") if command == "classify" and "nu" in names else len(names)
 
-    # each row is the CSV text of its report columns, made once per distinct
-    # report; the swept values are added on writing
+    # each value is read once, before the rows; a row puts its swept values
+    # over the base.  ``reports`` is the CSV text of the report columns of
+    # each row (lemma) or of each nu-free tuple (classify), in product order
     if command == "lemma":
         cls, columns = LemmaInstance, ["inf", "decoupled_inf"]
-
-        def one(combo):
-            inst = LemmaInstance(**base, **dict(zip(names, combo)))
-            return _csv_line((algebraic_inf(inst), inst.decoupled_inf))
     else:
         cls, small_nu = ProblemParams, _small_nu(doc)
         columns = ["subcritical", "critical", "thm_large_nu", "thm_mixed",
                    "thm_small_nu", "thm_minmax"]
-
-        # classify does not read nu, and nu's rule (finite, >= 0) reads nu
-        # alone: a row whose nu-free values and whose nu have each been built
-        # before is valid, and its report is that of its nu-free values
-        at = names.index("nu") if "nu" in names else len(names)
-        # the row text by nu-free values, and by the cells of a report
-        reports, nus, texts = {}, set(), {}
-
-        def one(combo):
-            # nu is the 1-tuple of the row's nu, or () when nu is not swept
-            key, nu = combo[:at] + combo[at + 1:], combo[at:at + 1]
-            row = reports.get(key)
-            if row is not None and nu in nus:
-                return row
-            params = ProblemParams(**base, **dict(zip(names, combo)))
-            nus.add(nu)
-            if row is None:
-                rep = classify(params)
-                _check_weight(rep, small_nu)
-                cells = (rep.subcritical, rep.critical, rep.thm_large_nu["applicable"],
-                         rep.thm_mixed["case"], rep.thm_small_nu["case"],
-                         rep.thm_minmax["case"])
-                if cells not in texts:
-                    texts[cells] = _csv_line(cells)
-                row = reports[key] = texts[cells]
-            return row
-
-    # each value is read once, before the rows; a row puts its swept values over the base
     with _parsing(what):
         base = {k: read_field(cls, k, v) for k, v in section.items()
                 if k in _FIELDS[command] and k not in over}
         swept = [[read_field(cls, n, x) for x in over[n]] for n in names]
-        rows = [one(c) for c in product(*swept)]
+        if command == "lemma":
+            reports = []
+            for combo in product(*swept):
+                inst = LemmaInstance(**base, **dict(zip(names, combo)))
+                reports.append(_csv_line((algebraic_inf(inst), inst.decoupled_inf)))
+        else:
+            reports = _classify_rows(base, names, swept, at, small_nu)
 
     # the CSV text of each swept value is made once, as given: values that
-    # compare equal (0.0 and -0.0, 1 and 1.0) keep their own text.  A line
-    # joins the texts of its swept values and its report, and the file is
-    # written in one call
+    # compare equal (0.0 and -0.0, 1 and 1.0) keep their own text.  The rows
+    # are laid out by index: row (i, k, j) of the axes before nu, nu and the
+    # axes after it joins head i, nu k and tail i * n_inner + j, a tail being
+    # the text of the axes after nu and a report.  The file is written in
+    # one call
     texts = [[_csv_line((str(x),)) for x in over[n]] for n in names]
-    lines = [_csv_line(names + columns)]
-    lines += [",".join(cells + (row,)) for cells, row in zip(product(*texts), rows)]
+    heads = [",".join(c + ("",)) for c in product(*texts[:at])]
+    nu_cells = [t + "," for t in texts[at]] if at < len(names) else [""]
+    n_inner = math.prod(map(len, texts[at + 1:]))
+    tails = [",".join(c + (row,))
+             for c, row in zip(cycle(product(*texts[at + 1:])), reports)]
+    lines = [head + nu + tails[i * n_inner + j] for i, head in enumerate(heads)
+             for nu in nu_cells for j in range(n_inner)]
     out = args.out or "sweep.csv"
     with open(out, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print(f"wrote {len(rows)} rows to {out}")
+        fh.write("\n".join([_csv_line(names + columns), *lines]) + "\n")
+    print(f"wrote {len(lines)} rows to {out}")
     return EXIT_OK
 
 

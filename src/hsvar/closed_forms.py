@@ -154,14 +154,16 @@ def exact_solution(N: int, lam: float, s: float, mu: float, r) -> np.ndarray:
 
 
 @lru_cache(maxsize=1024, typed=True)
-def _separability(N: int, s: float, l1: float, l2: float) -> dict:
-    """The dict of ``separability_check``, cached like ``critical_level``: a
-    regime sweep tests the same few (N, s, lambda1, lambda2) in every row."""
+def _separability(N: int, s: float, l1: float, l2: float) -> tuple:
+    """The lambda part of a regime, (order(lambda1, lambda2), cond_i,
+    cond_ii), and the dict of ``separability_check``, cached like
+    ``critical_level``: a regime sweep tests the same few
+    (N, s, lambda1, lambda2) in every row."""
     L = hardy_constant(N)
     threshold = 2.0 ** (-2.0 * (2.0 - s) / (2.0 * (N - 1) - s))
     ratio_i = (L - l2) / (L - l1)
     lam = order(l1, l2)
-    return {
+    sep = {
         "cond_i": bool(lam < 0 and ratio_i > threshold),
         "cond_ii": bool(lam > 0 and (L - l1) / (L - l2) > threshold),
         "ratio": ratio_i,
@@ -169,6 +171,7 @@ def _separability(N: int, s: float, l1: float, l2: float) -> dict:
         "level_1": critical_level(N, l1, s),
         "level_2": critical_level(N, l2, s),
     }
+    return (lam, sep["cond_i"], sep["cond_ii"]), sep
 
 
 def separability_check(params: ProblemParams) -> dict:
@@ -191,7 +194,7 @@ def separability_check(params: ProblemParams) -> dict:
     computed once per (N, s, lambda1, lambda2) and cached, typed as
     ``critical_level`` is; refusals are not cached.
     """
-    return _separability(params.N, params.s, params.lambda1, params.lambda2).copy()
+    return _separability(params.N, params.s, params.lambda1, params.lambda2)[1].copy()
 
 
 def _log_ratio(k: float, A: float) -> float:

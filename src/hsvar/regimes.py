@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .closed_forms import critical_exponent, power_root, separability_check
+from .closed_forms import _separability, critical_exponent, power_root
 from .errors import InvalidParameterError
 from .params import ProblemParams, order
 
@@ -49,18 +50,21 @@ class RegimeReport:
         return asdict(self)
 
 
-def classify(params: ProblemParams) -> RegimeReport:
-    """Map a parameter tuple to the applicable existence statements.
+@lru_cache(maxsize=1024)
+def _exponent_part(alpha: float, beta: float, p: float) -> tuple:
+    """Whether alpha + beta is critical (at p in ``order``; construction
+    refuses sums above it), and order(alpha, 2) and order(beta, 2), once per
+    (alpha, beta, p)."""
+    return order(alpha + beta, p) >= 0, order(alpha, 2.0), order(beta, 2.0)
 
-    This is the one place that decides each statement's case; the solvers
-    that need one (``mountain_pass``) ask it here, by ``params.order``.
-    """
-    # construction refuses sums above p, so every other tuple is subcritical
-    critical = order(params.alpha + params.beta, params.crit_exp) >= 0
-    h_ok = params.h_profile.vanishes_at_origin_and_infinity
-    lam = order(params.lambda1, params.lambda2)
-    a2, b2 = order(params.alpha, 2.0), order(params.beta, 2.0)
 
+@lru_cache(maxsize=None)
+def _statements(lam: int, cond_i: bool, cond_ii: bool, critical: bool,
+                a2: int, b2: int, h_ok: bool) -> tuple:
+    """Each statement's dict and the six cells of a sweep row, from the seven
+    values that decide every case and branch: the lambda part, the exponent
+    part and whether h vanishes at 0 and infinity.  At most 432 inputs, each
+    decided once; the dicts are shared, so callers copy them."""
     # compactness gate: subcritical coupling, or critical coupling with a
     # weight vanishing at 0 and infinity.  Critical coupling with small nu is
     # the alternative of the other statements, so only this one is gated.
@@ -98,10 +102,9 @@ def classify(params: ProblemParams) -> RegimeReport:
         "requires": "small nu",
     }
 
-    sep = separability_check(params)
-    if a2 >= 0 and sep["cond_i"]:
+    if a2 >= 0 and cond_i:
         mm_case = "i"
-    elif b2 >= 0 and sep["cond_ii"]:
+    elif b2 >= 0 and cond_ii:
         mm_case = "ii"
     else:
         mm_case = "none"
@@ -109,15 +112,50 @@ def classify(params: ProblemParams) -> RegimeReport:
         "case": mm_case,
         "applicable": mm_case != "none",
         "requires": "small nu",
-        "cond_i": sep["cond_i"],
-        "cond_ii": sep["cond_ii"],
+        "cond_i": cond_i,
+        "cond_ii": cond_ii,
     }
 
+    cells = (not critical, critical, thm_large_nu["applicable"], thm_mixed["case"],
+             small_case, mm_case)
+    return (thm_large_nu, thm_mixed, thm_small_nu, thm_minmax), cells
+
+
+def _decided(params: ProblemParams) -> tuple:
+    """``_statements`` of ``params``, read from its two cached parts, and
+    the dict of its separability test."""
+    lambda_part, sep = _separability(params.N, params.s, params.lambda1, params.lambda2)
+    return _statements(*lambda_part,
+                       *_exponent_part(params.alpha, params.beta, params.crit_exp),
+                       params.h_profile.vanishes_at_origin_and_infinity), sep
+
+
+def sweep_cells(params: ProblemParams) -> tuple:
+    """The cells of a sweep row: ``subcritical``, ``critical``, whether the
+    large-nu statement applies, and the cases of the mixed, small-nu and
+    min-max statements, as in ``classify(params)``, which is not built."""
+    return _decided(params)[0][1]
+
+
+def classify(params: ProblemParams) -> RegimeReport:
+    """Map a parameter tuple to the applicable existence statements.
+
+    This is the one place that decides each statement's case; the solvers
+    that need one (``mountain_pass``) ask it here, by ``params.order``.  The
+    tuple is seen through two parts, each cached: the lambda part (the
+    order of lambda1 against lambda2 and the level-separation window, per
+    (N, s, lambda1, lambda2)) and the exponent part (the orders of alpha and
+    beta against 2 and of alpha + beta against p, per (alpha, beta, p)).
+    With whether h vanishes, these seven values decide every case, once per
+    combination; the report's dicts are fresh on each call.
+    """
+    (statements, cells), sep = _decided(params)
+    thm_large_nu, thm_mixed, thm_small_nu, thm_minmax = map(dict, statements)
     return RegimeReport(
-        subcritical=not critical, critical=critical,
+        subcritical=cells[0], critical=cells[1],
         thm_large_nu=thm_large_nu, thm_mixed=thm_mixed,
         thm_small_nu=thm_small_nu, thm_minmax=thm_minmax,
-        h_vanishes=h_ok,
+        h_vanishes=params.h_profile.vanishes_at_origin_and_infinity,
         levels={"level_1": sep["level_1"], "level_2": sep["level_2"]},
     )
 

@@ -20,13 +20,13 @@ from hsvar import (DescentOptions, PathOptions, StatePair, build_grid, classify,
                    energy, exact_solution)
 from hsvar import io as hio
 from hsvar import closed_forms
-from hsvar.cli import (COMMANDS, RunConfig, _csv_line, _load_config, build_parser,
-                       run_command)
+from hsvar.cli import (COMMANDS, RunConfig, _check_weight, _csv_line, _load_config,
+                       build_parser, run_command)
 from hsvar.grid import RadialFunction
 from hsvar.io import pair_from_csv, pair_to_csv
-from hsvar.errors import ConfigError
+from hsvar.errors import ConfigError, HsvarError
 from hsvar.params import ProblemParams, read_fields, real_number, text, whole_number
-from hsvar.regimes import LemmaInstance, algebraic_inf
+from hsvar.regimes import LemmaInstance, algebraic_inf, sweep_cells
 
 from conftest import admissible_params
 
@@ -768,6 +768,49 @@ def test_sweep_quotes_values_with_commas(tmp_path, capsys):
         assert row["h_profile"] == str(h)
 
 
+_SWEEP_COLUMNS = ["subcritical", "critical", "thm_large_nu", "thm_mixed",
+                  "thm_small_nu", "thm_minmax"]
+
+
+def _report_cells(rep):
+    return (rep.subcritical, rep.critical, rep.thm_large_nu["applicable"],
+            rep.thm_mixed["case"], rep.thm_small_nu["case"], rep.thm_minmax["case"])
+
+
+def _row_by_row(params: dict, over: dict, small_nu: bool = False) -> tuple:
+    """The exit code and the CSV text or the one error line of a classify
+    sweep made row by row: ProblemParams and classify for every row in
+    product order, the weight gate, and csv.writer."""
+    names = sorted(over)
+    ref = io.StringIO()
+    writer = csv.writer(ref, lineterminator="\n")
+    writer.writerow(names + _SWEEP_COLUMNS)
+    try:
+        for combo in itertools.product(*(over[n] for n in names)):
+            rep = classify(ProblemParams.from_dict({**params, **dict(zip(names, combo))}))
+            _check_weight(rep.thm_large_nu["applicable"], small_nu)
+            writer.writerow([str(x) for x in combo] + list(_report_cells(rep)))
+    except HsvarError as exc:
+        return 2, f"error: {exc}\n"
+    return 0, ref.getvalue()
+
+
+def _sweep_outcome(tmp, params: dict, over: dict, small_nu: bool = False) -> tuple:
+    """The exit code and the CSV text or the stderr of ``hsvar sweep``,
+    run in the directory ``tmp``."""
+    cfg = tmp / "sweep.json"
+    cfg.write_text(json.dumps({"params": params, "small_nu": small_nu,
+                               "sweep": {"over": over}}))
+    out_csv = tmp / "sweep.csv"
+    with contextlib.redirect_stderr(io.StringIO()) as err, \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = run_command(["sweep", "--config", str(cfg), "--out", str(out_csv)])
+    if code:
+        assert not out_csv.exists()
+        return code, err.getvalue()
+    return code, out_csv.read_bytes().decode()
+
+
 # values that compare equal but print differently, and repeats
 _SWEEP_VALUES = {
     "N": [4, 4.0],
@@ -792,23 +835,94 @@ def test_sweep_writes_the_rows_classify_gives(tmp_path_factory, over):
     # beta = 1.5 keeps every row admissible: alpha + beta <= 3.5 = p at s = 0.5
     base = {**PARAMS, "s": 0.5, "beta": 1.5, "nu": 0.1,
             "h_profile": {"kind": "bump"}}
-    tmp = tmp_path_factory.mktemp("sweep")
-    cfg = tmp / "sweep.json"
-    cfg.write_text(json.dumps({"params": base, "sweep": {"over": over}}))
-    out_csv = tmp / "sweep.csv"
-    assert run_command(["sweep", "--config", str(cfg), "--out", str(out_csv)]) == 0
-    names = sorted(over)
-    ref = io.StringIO()
-    writer = csv.writer(ref, lineterminator="\n")
-    writer.writerow(names + ["subcritical", "critical", "thm_large_nu", "thm_mixed",
-                             "thm_small_nu", "thm_minmax"])
-    for combo in itertools.product(*(over[n] for n in names)):
-        rep = classify(ProblemParams.from_dict({**base, **dict(zip(names, combo))}))
-        writer.writerow([str(x) for x in combo]
-                        + [rep.subcritical, rep.critical, rep.thm_large_nu["applicable"],
-                           rep.thm_mixed["case"], rep.thm_small_nu["case"],
-                           rep.thm_minmax["case"]])
-    assert out_csv.read_bytes() == ref.getvalue().encode()
+    want = _row_by_row(base, over)
+    assert want[0] == 0
+    assert _sweep_outcome(tmp_path_factory.mktemp("sweep"), base, over) == want
+
+
+_BUMP = {"kind": "bump"}
+_CONSTANT = {"kind": "constant", "c": 1.0}
+# at s = 0 and N = 4, p = 4: alpha = beta = 2 is critical, admissible with bump h
+_TIES = {"N": 4, "s": 0.0, "lambda1": 0.3, "lambda2": 0.3, "alpha": 2.0, "beta": 2.0,
+         "nu": 0.1, "h_profile": _BUMP}
+
+
+@pytest.mark.parametrize("params,over,small_nu", [
+    # s sorts after nu, so nu is not the innermost axis
+    ({**PARAMS, "s": 0.5}, {"s": [0.5, 0.0, 0.25], "nu": [0.1, 0.0, 1.0],
+                            "lambda2": [0.5, 0.3, 0.1], "alpha": [1.25, 2.0]}, False),
+    # at s = 0.5, p = 3.5: alpha = 2.1 is critical, where h decides the gate
+    ({**PARAMS, "s": 0.5}, {"h_profile": [_CONSTANT, _BUMP], "alpha": [1.25, 2.0, 2.1],
+                            "nu": [0.0, 0.5]}, True),
+    # ties: alpha = 2, beta = 2, lambda1 = lambda2, alpha + beta = p with bump h
+    (_TIES, {"alpha": [2.0, 1.5], "beta": [2.0, 1.5], "lambda1": [0.3, 0.1, 0.5],
+             "nu": [0.1, 1.0]}, False),
+    # critical coupling with constant h (alpha + beta = 3.5 = p at s = 0.5)
+    # runs only when flagged small_nu
+    ({**_TIES, "beta": 1.5, "h_profile": _CONSTANT},
+     {"alpha": [2.0, 1.5], "lambda2": [0.3, 0.6], "nu": [0.01, 0.1], "s": [0.0, 0.5]},
+     True),
+    # nu not swept
+    ({**PARAMS, "nu": 0.1}, {"alpha": [1.25, 1.5], "lambda1": [0.3, 0.5, 0.7]}, False),
+    # an empty axis before, at and after nu: no rows, and nothing is built
+    (PARAMS, {"alpha": [], "nu": [0.1, -1.0]}, False),
+    (PARAMS, {"alpha": [0.5], "nu": []}, False),
+    (PARAMS, {"lambda1": [0.3, 9.0], "nu": [-1.0], "s": []}, False),
+])
+def test_sweep_writes_the_bytes_of_a_row_by_row_sweep(tmp_path, params, over, small_nu):
+    want = _row_by_row(params, over, small_nu)
+    assert want[0] == 0
+    assert _sweep_outcome(tmp_path, params, over, small_nu) == want
+
+
+@pytest.mark.parametrize("params,over,error", [
+    # the sweep cases of test_malformed_field_is_named have nu innermost.
+    # With s swept after nu: a bad nu first met after a new nu-free tuple,
+    # before a bad tuple of a later block
+    ({**PARAMS, "s": 0.5}, {"lambda1": [0.1, 9.0], "nu": [0.1, -1.0],
+                            "s": [0.5, 0.25]}, "nu"),
+    # a bad tuple of the first block comes before the rows of the second nu
+    ({**PARAMS, "s": 0.5}, {"nu": [0.1, -1.0], "s": [0.5, 2.5]}, "s"),
+    # a bad tuple first met with a seen nu, in the first block and in a later one
+    ({**PARAMS, "s": 0.5}, {"lambda1": [0.1, 0.2], "nu": [0.1, 0.2],
+                            "s": [0.5, 2.5]}, "s"),
+    ({**PARAMS, "s": 0.5}, {"lambda1": [0.1, 9.0], "nu": [0.1, 0.2, -1.0],
+                            "s": [0.5]}, "nu"),
+    ({**PARAMS, "s": 0.5}, {"lambda1": [0.1, 9.0], "nu": [0.1, 0.2], "s": [0.5]},
+     "lambda1"),
+    # a row refused by the weight gate before an invalid row, and after one
+    ({**_TIES, "h_profile": _CONSTANT}, {"nu": [0.1, -1.0], "s": [0.0, 0.5]},
+     "small_nu"),
+    ({**_TIES, "h_profile": _CONSTANT}, {"nu": [0.1, -1.0], "s": [0.5, 0.0]},
+     "alpha+beta"),
+    # a bad tuple and a bad nu on the first row are named together
+    (PARAMS, {"alpha": [0.5], "nu": [-1.0, 0.1], "s": [0.5]}, "alpha, nu"),
+])
+def test_sweep_reports_the_error_of_a_row_by_row_sweep(tmp_path, params, over, error):
+    code, err = _sweep_outcome(tmp_path, params, over)
+    assert (code, err) == _row_by_row(params, over)
+    assert code == 2 and error in err and err.count("\n") == 1
+
+
+# valid and invalid values of each axis; at s = 1, p = 3 and alpha = 2 makes
+# alpha + beta = 3.4 > p
+_MIXED_VALUES = {
+    "s": [0.5, 0.0, 2.5, 1.0],
+    "nu": [0.1, 0.0, -1.0],
+    "lambda1": [0.3, 0.5, 9.0],
+    "alpha": [1.4, 2.0, 0.5],
+    "h_profile": [_BUMP, _CONSTANT],
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fixed_dictionaries({}, optional={
+    k: st.lists(st.sampled_from(v), min_size=0, max_size=3)
+    for k, v in _MIXED_VALUES.items()}), st.booleans())
+def test_sweep_is_a_row_by_row_sweep(tmp_path_factory, over, small_nu):
+    params = {**PARAMS, "s": 0.5, "nu": 0.1}
+    assert (_sweep_outcome(tmp_path_factory.mktemp("sweep"), params, over, small_nu)
+            == _row_by_row(params, over, small_nu))
 
 
 def test_lemma_sweep_writes_the_rows_algebraic_inf_gives(tmp_path, capsys):
@@ -846,13 +960,14 @@ def test_csv_line_is_the_line_csv_writer_writes(cells):
 
 
 def test_sweep_classifies_each_nu_free_tuple_once(tmp_path, capsys, monkeypatch):
+    # a sweep reads a row's cells from regimes.sweep_cells, not from a report
     calls = []
 
     def counted(params):
         calls.append(params)
-        return classify(params)
+        return sweep_cells(params)
 
-    monkeypatch.setattr("hsvar.cli.classify", counted)
+    monkeypatch.setattr("hsvar.cli.sweep_cells", counted)
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({"params": PARAMS, "sweep": {"over": {
         "lambda1": [0.1, 0.2], "nu": [0.0, 0.1, 1.0]}}}))
@@ -860,11 +975,6 @@ def test_sweep_classifies_each_nu_free_tuple_once(tmp_path, capsys, monkeypatch)
     assert run_command(["sweep", "--config", str(cfg), "--out", str(out_csv)]) == 0
     assert capsys.readouterr().out == f"wrote 6 rows to {out_csv}\n"
     assert [p.lambda1 for p in calls] == [0.1, 0.2]
-
-
-def _report_cells(rep):
-    return (rep.subcritical, rep.critical, rep.thm_large_nu["applicable"],
-            rep.thm_mixed["case"], rep.thm_small_nu["case"], rep.thm_minmax["case"])
 
 
 def _counted_sweep(tmp_path, monkeypatch, params, over):
