@@ -30,7 +30,10 @@ two other weighted quantities are :class:`Weights` methods too, so that
 ``solvers`` reads no weight array: the volume distance of two states, the
 segment length of the min-max chain (:meth:`Weights.distance`), and the
 weight of the second variation at a one-component couple
-(:meth:`Weights.foreign_weight`).
+(:meth:`Weights.foreign_weight`).  On the plane of two nonnegative
+profiles, where the chain is only resampled, :class:`Plane` gives both the
+integrals and the segment length of a state from its two coordinates,
+without a grid pass.
 
 So is the projection onto the constraint set: with A the squared pair norm,
 B the sum of critical integrals and C the coupling integral, the scale t
@@ -432,6 +435,47 @@ def project_arrays(wt: Weights, u: np.ndarray, v: np.ndarray, positive: bool = F
     """
     I = integrals(wt, u, v, positive, grad)
     return I.scale(), I
+
+
+class Plane:
+    """The plane {(a z1, b z2) : a, b >= 0} of two nonnegative profiles.
+
+    The min-max chain starts on the plane of the two one-component profiles
+    and stays on it where it is only resampled.  On that plane every
+    integral is a monomial in (a, b): positive parts are the identity, and
+    each integral is homogeneous in each component, so A = a^2 A1 + b^2 A2,
+    B = a^p B1 + b^p B2 and C = a^alpha b^beta C12.  One :func:`integrals`
+    pass over (z1, z2) and the volume norms W = sum w z^2 of both profiles
+    are all that a state of the plane is measured from.  ``z`` is the
+    (2, n) stack of the two profiles.
+    """
+
+    __slots__ = ("z", "_I", "_W")
+
+    def __init__(self, wt: Weights, z1: np.ndarray, z2: np.ndarray):
+        self.z = np.stack((z1, z2))
+        self._I = integrals(wt, z1, z2, positive=True)
+        self._W = ((self.z * self.z) @ wt.grid.w).tolist()
+
+    def integrals(self, a: float, b: float) -> Integrals:
+        """The integrals of (a z1, b z2), a, b >= 0, as
+        ``integrals(wt, a z1, b z2, positive=True)`` gives them to rounding
+        (without the gradient)."""
+        I, pr = self._I, self._I.params
+        a2, b2 = a * a, b * b
+        ku, hu = a2 * I.kinetic_u, a2 * I.hardy_u
+        kv, hv = b2 * I.kinetic_v, b2 * I.hardy_v
+        su, sv = a ** pr.crit_exp * I.hs_u, b ** pr.crit_exp * I.hs_v
+        A = (ku - pr.lambda1 * hu) + (kv - pr.lambda2 * hv)
+        return Integrals(pr, A, su + sv, a ** pr.alpha * b ** pr.beta * I.C,
+                         ku, kv, hu, hv, su, sv)
+
+    def distance(self, dq: np.ndarray) -> float:
+        """Volume norm sqrt(da^2 W1 + db^2 W2) of the difference (da z1,
+        db z2) of two states of the plane, dq = (da, db): the
+        :meth:`Weights.distance` of that difference, to rounding."""
+        da, db = dq
+        return math.sqrt(da * da * self._W[0] + db * db * self._W[1])
 
 
 def project(pair: StatePair, params: ProblemParams,

@@ -36,7 +36,12 @@ move updates the two next to it, and a side of the crest is resampled to
 equal arclength only once its longest segment exceeds ``RESAMPLE_RATIO``
 times its shortest.  A resample rewrites one node at a time, and a crest
 node left in place keeps its measurement, so a failed climb does not measure
-the same crest again.  The reported level is the energy of the crest, the
+the same crest again.  The chain also keeps, per node, its coordinates
+(a, b) in the plane of the two one-component profiles, (a z1, b z2), until a
+move takes the node off it.  A node resampled between two plane nodes is
+projected, and its segments measured, by the scalar algebra of
+``energy.Plane``; only the crest and its neighbors move, so at criterion 10
+267 of the 391 chain projections make no grid pass.  The reported level is the energy of the crest, the
 chain's maximum node, whose gradient was last measured; it is
 ``converged`` once that relative gradient is within ``crest_grad_tol``.
 The path stops unconverged, with "stall", once the least crest gradient has
@@ -72,7 +77,7 @@ from functools import partial
 import numpy as np
 
 from .closed_forms import critical_level, exact_solution
-from .energy import StatePair, Weights, integrals, project_arrays
+from .energy import Plane, StatePair, Weights, integrals, project_arrays
 from .errors import (DegenerateInputError, DegeneratePathError, HsvarError,
                      InvalidParameterError, PreconditionError)
 from .grid import RadialFunction, RadialGrid, reference_grid
@@ -103,7 +108,11 @@ STALL_WINDOW = 80         # descent iterations without decrease before stopping
 # (4096 nodes, K = 32; it stalls at sweep 54 at each ratio) resamples 35 /
 # 24 / 23 / 36 of its 108 sides at ratios 1.25 / 1.5 / 1.75 / 2.0, with 774
 # / 604 / 679 / 799 projections against 1865 when every side is resampled;
-# the bump-h crest to 1e-9 resamples 32 / 25 / 20 / 9 sides.
+# the bump-h crest to 1e-9 resamples 32 / 25 / 20 / 9 sides.  Of the 604
+# at 1.5, 337 are grid passes and 267 plane projections, 267 of its 391
+# chain projections (431 + 343, 418 + 261 and 447 + 352 at the other
+# ratios); the plane path took mountain-pass wall_ref from 226.7 to 188.2
+# (-16.9%, 10 alternating pairs, 2-vCPU host).
 RESAMPLE_RATIO = 1.5
 # min-max path: it stops with "stall" once its least crest gradient has not
 # fallen by PATH_STALL_DROP over the last half of its sweeps, and at least
@@ -552,27 +561,44 @@ def escalate_nu(params: ProblemParams, grid: RadialGrid) -> float:
 def _initial_path(wt: Weights, K: int):
     """Explicit interpolating path ((1-t)^(1/2) z1, t^(1/2) z2), rescaled.
 
-    Returns the chain P, of shape (K+1, 2, n) with node k in P[k], and the
-    node energies E.  P is allocated once and both halves are written in
-    place.
+    Returns the chain P, of shape (K+1, 2, n) with node k in P[k], the node
+    energies E, the (K+1, 2) plane coordinates Q and the :class:`Plane` of
+    the two one-component profiles (z1, z2).  Node k is (Q[k, 0] z1,
+    Q[k, 1] z2) while it lies in that plane, and Q[k] is NaN once it has
+    left it.  Every node starts in the plane, so the interior nodes are
+    projected from their coordinates, without a grid pass.  P is allocated
+    once and its interior rows are rewritten in place.
     """
     (z1, E1), (z2, E2) = _extremal(wt, "first"), _extremal(wt, "second")
-    tk = np.arange(K + 1)[:, None] / K
-    P = np.empty((K + 1, 2, z1.size))
-    np.multiply(np.sqrt(1.0 - tk), z1, out=P[:, 0])
-    np.multiply(np.sqrt(tk), z2, out=P[:, 1])
+    plane = Plane(wt, z1, z2)
+    tk = np.arange(K + 1) / K
+    Q = np.stack((np.sqrt(1.0 - tk), np.sqrt(tk)), axis=1)
+    P = Q[:, :, None] * plane.z
     E = np.empty(K + 1)
     E[0], E[K] = E1, E2
     for k in range(1, K):
-        _project_row(P, E, k, wt, P[k])
-    return P, E
+        _project_plane_row(P, E, Q, k, plane, Q[k].tolist())
+    return P, E, Q, plane
 
 
-def _project_row(P, E, k: int, wt: Weights, x: np.ndarray) -> None:
+def _project_row(P, E, Q, k: int, wt: Weights, x: np.ndarray) -> None:
     """Write the projection of the couple x onto the constraint set to row
-    k of a chain, with its energy."""
+    k of a chain, with its energy; the row is off the plane."""
     t, I = project_arrays(wt, *x, positive=True)
     np.multiply(x, t, out=P[k])
+    E[k] = I.energy(t)
+    Q[k] = np.nan
+
+
+def _project_plane_row(P, E, Q, k: int, plane: Plane, q) -> None:
+    """Write the projection of the plane state (a z1, b z2), q = (a, b),
+    to row k of a chain, with its energy and its plane coordinates t q:
+    scalar algebra and one pass that writes the row."""
+    a, b = q
+    I = plane.integrals(a, b)
+    t = I.scale()
+    Q[k] = t * a, t * b
+    np.multiply(Q[k, :, None], plane.z, out=P[k])
     E[k] = I.energy(t)
 
 
@@ -593,23 +619,33 @@ def _node_direction(wt: Weights, metric: PairMetric, x: np.ndarray):
     return (I, g, *metric.direction(g))
 
 
-def _segments(P, wt: Weights) -> np.ndarray:
-    """Lengths of the segments between consecutive nodes of a chain, one
-    :meth:`Weights.distance` each."""
-    return np.array([wt.distance(P[k + 1] - P[k]) for k in range(len(P) - 1)])
+def _segment(P, Q, k: int, wt: Weights, plane: Plane) -> float:
+    """Length of the segment from node k to node k+1 of a chain: by the
+    plane's algebra when both nodes lie in it, else one
+    :meth:`Weights.distance`."""
+    dq = Q[k + 1] - Q[k]
+    return wt.distance(P[k + 1] - P[k]) if np.isnan(dq[0]) else plane.distance(dq)
 
 
-def _redistribute(P, E, wt: Weights, seg: np.ndarray) -> bool:
+def _segments(P, Q, wt: Weights, plane: Plane) -> np.ndarray:
+    """Lengths of the segments between consecutive nodes of a chain."""
+    return np.array([_segment(P, Q, k, wt, plane) for k in range(len(P) - 1)])
+
+
+def _redistribute(P, E, Q, seg: np.ndarray, wt: Weights, plane: Plane) -> bool:
     """Equal-arclength resampling of a sub-chain in place; endpoints kept exact.
 
-    ``P`` is a slice of the chain along its node axis, ``E`` the same slice
-    of the energies and ``seg`` the sub-chain's segment lengths.  It
-    resamples only when the longest segment exceeds ``RESAMPLE_RATIO``
-    times the shortest, and then refreshes ``seg`` in place.  Each
-    resampled node is a convex combination of two nodes on the constraint
-    set, so it is projected again.  Nodes are rewritten one at a time, from
-    a copy of the side, with the arithmetic of a resample of the whole side
-    at once.  Returns whether it resampled.
+    ``P`` is a slice of the chain along its node axis, ``E`` and ``Q`` the
+    same slices of the energies and plane coordinates and ``seg`` the
+    sub-chain's segment lengths.  It resamples only when the longest
+    segment exceeds ``RESAMPLE_RATIO`` times the shortest, and then
+    refreshes ``seg`` in place.  Each resampled node is a convex
+    combination of two nodes on the constraint set, so it is projected
+    again: from its interpolated plane coordinates when both nodes lie in
+    the plane (:func:`_project_plane_row`), else by a grid pass over the
+    interpolated couple.  Nodes are rewritten one at a time, from a copy of
+    the side, with the arithmetic of a resample of the whole side at once.
+    Returns whether it resampled.
     """
     m = len(E) - 1
     if m < 2 or seg.max() <= RESAMPLE_RATIO * seg.min():
@@ -618,28 +654,35 @@ def _redistribute(P, E, wt: Weights, seg: np.ndarray) -> bool:
     targets = np.linspace(0.0, arc[-1], m + 1)[1:-1]
     j = np.minimum(np.searchsorted(arc, targets, side="right") - 1, m - 1)
     theta = (targets - arc[j]) / np.maximum(arc[j + 1] - arc[j], 1e-300)
+    # the targets' plane coordinates, NaN where a source is off the plane;
+    # only such a target reads the side's nodes themselves
+    Qt = (1 - theta)[:, None] * Q[j] + theta[:, None] * Q[j + 1]
+    P0 = P.copy() if np.isnan(Qt[:, 0]).any() else None
     # node by node, from the side as it was: node i is interpolated between
     # old nodes j[i-1] and j[i-1]+1, projected and written, and the segment
     # it closes is measured
-    P0 = P.copy()
     for i in range(1, m):
-        r, th = j[i - 1], theta[i - 1]
-        _project_row(P, E, i, wt, (1 - th) * P0[r] + th * P0[r + 1])
-        seg[i - 1] = wt.distance(P[i] - P[i - 1])
-    seg[m - 1] = wt.distance(P[m] - P[m - 1])
+        r, th, q = j[i - 1], theta[i - 1], Qt[i - 1].tolist()
+        if math.isnan(q[0]):
+            _project_row(P, E, Q, i, wt, (1 - th) * P0[r] + th * P0[r + 1])
+        else:
+            _project_plane_row(P, E, Q, i, plane, q)
+        seg[i - 1] = _segment(P, Q, i - 1, wt, plane)
+    seg[m - 1] = _segment(P, Q, m - 1, wt, plane)
     return True
 
 
-def _move_node(wt: Weights, metric: PairMetric, P, E, seg: np.ndarray,
+def _move_node(wt: Weights, metric: PairMetric, P, E, Q, seg: np.ndarray,
                k: int, top=None) -> tuple[int, bool]:
     """One line search that moves interior node k of a chain in place.
 
     ``top`` is the crest's measurement ``(I, g, m, slope)`` when node k is
     the crest, which climbs; a neighbor (``top`` None) is measured here and
     relaxes.  An accepted trial rewrites row k of ``P``, its energy and the
-    two segments next to it.  Returns the trials and whether the node
-    moved.  The move's arrays are freed on return, before the next sweep
-    resamples the chain.
+    two segments next to it, and takes the node off the plane (its row of
+    ``Q`` is NaN).  Returns the trials and whether the node moved.  The
+    move's arrays are freed on return, before the next sweep resamples the
+    chain.
     """
     climbing = top is not None
     I, g, m, slope = top if climbing else _node_direction(wt, metric, P[k])
@@ -665,7 +708,7 @@ def _move_node(wt: Weights, metric: PairMetric, P, E, seg: np.ndarray,
     if found is None:
         return n, False
     _, t, J, P[k], _ = found
-    E[k] = J.energy(t)
+    E[k], Q[k] = J.energy(t), np.nan
     seg[k - 1] = wt.distance(P[k] - P[k - 1])
     seg[k] = wt.distance(P[k + 1] - P[k])
     return n, True
@@ -688,8 +731,10 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
     and k only.  From the second sweep on, each side of the crest is
     resampled to equal arclength when its longest segment exceeds
     ``RESAMPLE_RATIO`` times its shortest (:func:`_redistribute`);
-    ``extra["resamples"]`` counts those side resamplings, and
-    ``extra["trials"]`` the projections of all its line searches.  A crest
+    ``extra["resamples"]`` counts those side resamplings,
+    ``extra["trials"]`` the projections of all its line searches, and
+    ``extra["plane_projections"]`` the chain projections made in the plane
+    of the two one-component profiles, without a grid pass.  A crest
     row that no move or resample rewrote since it was measured is not
     measured again.  The path stops with ``stop_reason`` "tolerance" once
     the crest's relative gradient is within ``crest_grad_tol``, "stall"
@@ -712,11 +757,12 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
 
     K = opts.n_path_nodes
     wt = Weights(grid, params)
-    P, E = _initial_path(wt, K)
-    seg = _segments(P, wt)
+    P, E, Q, plane = _initial_path(wt, K)
+    seg = _segments(P, Q, wt, plane)
     metric = PairMetric(grid, params.lambda1, params.lambda2)
     trace, gnorm_trace = [float(E.max())], []
     resamples = trials = 0
+    plane_projections = K - 1       # the initial path's interior nodes
     crest = -1          # the row that ``top`` measured, while it holds that state
     stop = "max_sweeps"
     # sweeps 0 .. max_sweeps-1 move the chain; the extra pass only measures
@@ -730,9 +776,13 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
             # resample moves every interior node of its side and projects it
             # again, so it waits until the spacing has degraded.
             a = int(np.argmax(E))
-            left = _redistribute(P[:a + 1], E[:a + 1], wt, seg[:a])
-            right = _redistribute(P[a:], E[a:], wt, seg[a:])
+            left = _redistribute(P[:a + 1], E[:a + 1], Q[:a + 1], seg[:a], wt, plane)
+            right = _redistribute(P[a:], E[a:], Q[a:], seg[a:], wt, plane)
             resamples += left + right
+            # a resample projects every interior row of its side again, in
+            # the plane where the row is still in it
+            plane_projections += (left * int(np.isfinite(Q[1:a, 0]).sum())
+                                  + right * int(np.isfinite(Q[a + 1:K, 0]).sum()))
             # a resample rewrites the interior rows of its side; row a is an
             # endpoint of both
             if (left and crest < a) or (right and crest > a):
@@ -764,7 +814,7 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
         for k in (k_max - 1, k_max, k_max + 1):
             if k in (0, K):
                 continue
-            n, moved = _move_node(wt, metric, P, E, seg, k,
+            n, moved = _move_node(wt, metric, P, E, Q, seg, k,
                                   top if k == k_max else None)
             trials += n
             if moved:
@@ -794,6 +844,7 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
         trace=trace,
         extra={"gradient_norm_trace": gnorm_trace, "crest_index": k_max,
                "resamples": resamples, "trials": trials,
+               "plane_projections": plane_projections,
                "orientation": orientation})
 
 

@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 from hsvar import (DegenerateInputError, HProfile, InvalidParameterError,
                    PreconditionError, ProblemParams, RadialFunction, StatePair,
                    best_constant, critical_level, energy, energy_positive,
-                   exact_solution, gradient_dual_norm, hardy_constant,
+                   exact_solution, extremal_pair, gradient_dual_norm,
+                   hardy_constant,
                    lambda_norm_sq, nehari_residual, pair_norm_sq, project,
                    weighted_lp)
-from hsvar.energy import (Weights, gradient_coefficients, integrals,
+from hsvar.energy import (Plane, Weights, gradient_coefficients, integrals,
                           pair_integrals)
 from hsvar.solvers import compact_bump
 from conftest import cached_grid, gradient_seminorm, smooth_bump
@@ -307,3 +308,43 @@ def test_integrals_are_equivariant_under_grid_shifts(N, k, s, f1, f2, fa, fb,
     assert J.B == pytest.approx(I.B, rel=1e-12)
     assert J.C == pytest.approx(
         I.C * math.exp(k * grid.dt * (N - s - (N - 2) * q / 2.0)), rel=1e-12)
+
+
+# a coordinate is 0 or at least 1e-3, so that no square underflows
+COORD = st.one_of(st.just(0.0), st.floats(1e-3, 3.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.sampled_from([3, 4, 5]), s=st.floats(0.0, 1.5), f1=FRAC, f2=FRAC,
+       fa=FRAC, fb=FRAC, nu=st.floats(0.0, 2.0), bump=st.booleans(),
+       a=COORD, b=COORD, a2=COORD, b2=COORD)
+def test_plane_integrals_are_monomials_of_the_profiles(N, s, f1, f2, fa, fb, nu,
+                                                       bump, a, b, a2, b2):
+    # on the plane of two nonnegative profiles the truncated integrals of
+    # (a z1, b z2) are a^2 A1 + b^2 A2, a^p B1 + b^p B2 and a^alpha b^beta
+    # C12; the segment between two plane states is sqrt(da^2 W1 + db^2 W2)
+    grid = cached_grid(N, n_nodes=2048)
+    H = hardy_constant(N)
+    p = 2.0 * (N - s) / (N - 2)
+    pr = ProblemParams(N, s, f1 * H, f2 * H, 1.0 + fa * (p / 2 - 1),
+                       1.0 + fb * (p / 2 - 1), nu,
+                       HProfile("bump", p_exp=2.0, q_exp=2.0) if bump else HProfile())
+    z1 = extremal_pair(pr, grid, "first").u.values
+    z2 = extremal_pair(pr, grid, "second").v.values
+    wt = Weights(grid, pr)
+    plane = Plane(wt, z1, z2)
+    I, J = plane.integrals(a, b), integrals(wt, a * z1, b * z2, positive=True)
+    close = dict(rel=1e-13, abs=0.0)
+    for name in ("A", "B", "C", "kinetic_u", "kinetic_v", "hardy_u", "hardy_v",
+                 "hs_u", "hs_v"):
+        assert getattr(I, name) == pytest.approx(getattr(J, name), **close), name
+    if a or b:
+        assert I.scale() == pytest.approx(J.scale(), **close)
+        assert I.energy(I.scale()) == pytest.approx(J.energy(J.scale()), **close)
+    else:
+        for K in (I, J):
+            with pytest.raises(DegenerateInputError):
+                K.scale()
+    da, db = a2 - a, b2 - b
+    assert plane.distance(np.array([da, db])) == pytest.approx(
+        wt.distance(np.stack((da * z1, db * z2))), **close)

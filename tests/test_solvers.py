@@ -29,6 +29,12 @@ def small_grid(N):
     return cached_grid(N, 1e-6, 1e6, 2048)
 
 
+def assert_rows_close(x, y, rel=1e-13):
+    """Two (2, n) couples agree to ``rel`` of each row's largest value."""
+    for a, b in zip(x, y):
+        assert np.max(np.abs(a - b)) <= rel * np.max(np.abs(b))
+
+
 def perturbed_first(params, grid, rng, rel_amp=0.25):
     base = extremal_pair(params, grid, "first")
     scale = float(np.interp(1.0, grid.r, base.u.values))
@@ -352,7 +358,7 @@ class TestMountainPass:
                             PathOptions(n_path_nodes=2))
         assert rep.stop_reason == "no_improvement" and not rep.converged
         assert rep.iterations == 7 and rep.extra["trials"] == 8
-        assert rep.energy == 32.665007228017984
+        assert rep.energy == 32.66500722801798
 
     def test_a_plateau_shorter_than_half_the_run_does_not_stall(self):
         # the least crest gradient of this bump h falls by less than 1% from
@@ -373,65 +379,137 @@ class TestMountainPass:
     def test_redistribute_resamples_a_view_in_place(self):
         pr = self.params()
         wt = Weights(small_grid(4), pr)
-        P, E = solvers._initial_path(wt, 10)
+        P, E, Q, plane = solvers._initial_path(wt, 10)
         U, V = P[:, 0], P[:, 1]
-        # crowd the chain so that resampling moves the interior rows
-        U[3:6], V[3:6], E[3:6] = U[2], V[2], E[2]
-        U0, V0, E0 = U.copy(), V.copy(), E.copy()
-        assert solvers._redistribute(P[2:9], E[2:9], wt,
-                                     solvers._segments(P[2:9], wt))
+        # crowd the chain so that resampling moves the interior rows; the
+        # crowded rows are marked off the plane, so a target between them is
+        # projected by a grid pass
+        U[3:6], V[3:6], E[3:6], Q[3:6] = U[2], V[2], E[2], np.nan
+        U0, V0, E0, Q0 = U.copy(), V.copy(), E.copy(), Q.copy()
+        seg = solvers._segments(P[2:9], Q[2:9], wt, plane)
+        # a segment with an end off the plane is the volume norm of the
+        # difference, bit for bit; one between plane nodes is, to rounding
+        us, vs = U0[2:9], V0[2:9]
+        ref = np.sqrt(((np.diff(us, axis=0) ** 2 + np.diff(vs, axis=0) ** 2)
+                       * wt.grid.w).sum(axis=1))
+        assert np.array_equal(seg[:4], ref[:4])
+        assert seg[4:] == pytest.approx(ref[4:], rel=1e-13)
+        assert solvers._redistribute(P[2:9], E[2:9], Q[2:9], seg.copy(), wt, plane)
         outside = [0, 1, 2, 8, 9, 10]
         assert np.array_equal(U[outside], U0[outside])
         assert np.array_equal(V[outside], V0[outside])
         assert np.array_equal(E[outside], E0[outside])
+        assert np.array_equal(Q[outside], Q0[outside])
         assert not np.array_equal(U[3:8], U0[3:8])
         for k in range(3, 8):
             I = integrals(wt, U[k], V[k], positive=True)
             assert abs(I.residual()) <= 1e-10 * I.A
             assert E[k] == pytest.approx(I.energy(), rel=1e-12)
         # the same arithmetic as a loop over the targets gives the same bits
-        us, vs = U0[2:9], V0[2:9]
-        seg = np.sqrt(((np.diff(us, axis=0) ** 2 + np.diff(vs, axis=0) ** 2)
-                       * wt.grid.w).sum(axis=1))
+        # on the grid path; the one target between plane nodes is a plane row
         arc = np.concatenate([[0.0], np.cumsum(seg)])
+        on_grid = []
         for k, s_t in enumerate(np.linspace(0.0, arc[-1], 7)[1:-1], start=3):
             j = min(int(np.searchsorted(arc, s_t, side="right")) - 1, 5)
             theta = (s_t - arc[j]) / max(arc[j + 1] - arc[j], 1e-300)
             u = (1 - theta) * us[j] + theta * us[j + 1]
             v = (1 - theta) * vs[j] + theta * vs[j + 1]
             t, I = project_arrays(wt, u, v, positive=True)
-            assert np.array_equal(U[k], t * u) and np.array_equal(V[k], t * v)
+            if np.isnan(Q0[2 + j, 0] + Q0[3 + j, 0]):
+                on_grid.append(k)
+                assert np.array_equal(U[k], t * u) and np.array_equal(V[k], t * v)
+                assert E[k] == I.energy(t)
+                assert np.isnan(Q[k]).all()
+            else:
+                assert np.array_equal(P[k], Q[k][:, None] * plane.z)
+                assert_rows_close(P[k], t * np.stack((u, v)))
+                assert E[k] == pytest.approx(I.energy(t), rel=1e-13)
+        assert on_grid == [3, 4, 5, 6]
+
+    def test_redistribute_projects_between_plane_nodes_in_the_plane(self):
+        # every node of the initial path lies in the plane of (z1, z2): a
+        # resampled node is t (a z1, b z2), with (a, b) the interpolated
+        # coordinates and t its plane projection, and agrees with a grid
+        # projection of the interpolated couple to rounding
+        wt = Weights(small_grid(4), self.params())
+        P, E, Q, plane = solvers._initial_path(wt, 10)
+        z1, z2 = P[0, 0].copy(), P[-1, 1].copy()
+        assert not P[0, 1].any() and not P[-1, 0].any()
+        for k in range(11):
+            assert np.array_equal(P[k], Q[k][:, None] * np.stack((z1, z2)))
+        P0, Q0 = P.copy(), Q.copy()
+        seg = solvers._segments(P, Q, wt, plane)
+        assert seg == pytest.approx(
+            [wt.distance(P[k + 1] - P[k]) for k in range(10)], rel=1e-13)
+        arc = np.concatenate([[0.0], np.cumsum(seg)])
+        assert solvers._redistribute(P, E, Q, seg, wt, plane)
+        for k, s_t in enumerate(np.linspace(0.0, arc[-1], 11)[1:-1], start=1):
+            j = min(int(np.searchsorted(arc, s_t, side="right")) - 1, 9)
+            theta = (s_t - arc[j]) / max(arc[j + 1] - arc[j], 1e-300)
+            a, b = (1 - theta) * Q0[j] + theta * Q0[j + 1]
+            I = plane.integrals(a, b)
+            t = I.scale()
+            assert Q[k].tolist() == [t * a, t * b]
+            assert np.array_equal(P[k, 0], (t * a) * z1)
+            assert np.array_equal(P[k, 1], (t * b) * z2)
             assert E[k] == I.energy(t)
+            x = (1 - theta) * P0[j] + theta * P0[j + 1]
+            tg, Ig = project_arrays(wt, *x, positive=True)
+            assert_rows_close(P[k], tg * x)
+            assert E[k] == pytest.approx(Ig.energy(tg), rel=1e-13)
+        assert np.array_equal(seg, solvers._segments(P, Q, wt, plane))
+        assert seg == pytest.approx(
+            [wt.distance(P[k + 1] - P[k]) for k in range(10)], rel=1e-13)
+
+    def test_a_moved_node_leaves_the_plane(self):
+        pr = self.params()
+        grid = small_grid(4)
+        wt = Weights(grid, pr)
+        P, E, Q, plane = solvers._initial_path(wt, 8)
+        seg = solvers._segments(P, Q, wt, plane)
+        k = int(np.argmax(E)) - 1
+        Q0 = Q.copy()
+        n, moved = solvers._move_node(wt, PairMetric(grid, pr.lambda1, pr.lambda2),
+                                      P, E, Q, seg, k)
+        assert moved and n >= 1
+        assert np.isnan(Q[k]).all()
+        others = [i for i in range(9) if i != k]
+        assert np.array_equal(Q[others], Q0[others])
+        # the two segments at the moved node are volume norms of differences
+        assert seg[k - 1] == wt.distance(P[k] - P[k - 1])
+        assert seg[k] == wt.distance(P[k + 1] - P[k])
+        assert np.array_equal(seg, solvers._segments(P, Q, wt, plane))
 
     def test_redistribute_keeps_a_chain_within_the_ratio(self):
         wt = Weights(small_grid(4), self.params())
-        P, E = solvers._initial_path(wt, 10)
+        P, E, Q, plane = solvers._initial_path(wt, 10)
         U, V = P[:, 0], P[:, 1]
-        seg = solvers._segments(P, wt)
+        seg = solvers._segments(P, Q, wt, plane)
         # the initial path's longest segment is 5 times its shortest
-        assert solvers._redistribute(P, E, wt, seg)
+        assert solvers._redistribute(P, E, Q, seg, wt, plane)
         assert seg.max() <= solvers.RESAMPLE_RATIO * seg.min()
-        U0, V0, E0, seg0 = U.copy(), V.copy(), E.copy(), seg.copy()
-        assert not solvers._redistribute(P, E, wt, seg)
-        for a, b in ((U, U0), (V, V0), (E, E0), (seg, seg0)):
+        U0, V0, E0, Q0, seg0 = U.copy(), V.copy(), E.copy(), Q.copy(), seg.copy()
+        assert not solvers._redistribute(P, E, Q, seg, wt, plane)
+        for a, b in ((U, U0), (V, V0), (E, E0), (Q, Q0), (seg, seg0)):
             assert np.array_equal(a, b)
 
     def test_redistribute_refreshes_the_segments_it_resamples(self):
         wt = Weights(small_grid(4), self.params())
-        P, E = solvers._initial_path(wt, 10)
+        P, E, Q, plane = solvers._initial_path(wt, 10)
         U, V = P[:, 0], P[:, 1]
-        U[3:6], V[3:6], E[3:6] = U[2], V[2], E[2]
-        P1, E1 = P.copy(), E.copy()
+        U[3:6], V[3:6], E[3:6], Q[3:6] = U[2], V[2], E[2], np.nan
+        P1, E1, Q1 = P.copy(), E.copy(), Q.copy()
         U1, V1 = P1[:, 0], P1[:, 1]
-        seg = solvers._segments(P, wt)
-        assert solvers._redistribute(P[2:9], E[2:9], wt, seg[2:8])
+        seg = solvers._segments(P, Q, wt, plane)
+        assert solvers._redistribute(P[2:9], E[2:9], Q[2:9], seg[2:8], wt, plane)
         # the refresh is exact: each segment as a fresh computation gives it
-        assert np.array_equal(seg, solvers._segments(P, wt))
+        assert np.array_equal(seg, solvers._segments(P, Q, wt, plane))
         # a view of the chain's segments resamples as segments computed afresh
-        solvers._redistribute(P1[2:9], E1[2:9], wt,
-                              solvers._segments(P1[2:9], wt))
+        solvers._redistribute(P1[2:9], E1[2:9], Q1[2:9],
+                              solvers._segments(P1[2:9], Q1[2:9], wt, plane), wt, plane)
         for a, b in ((U, U1), (V, V1), (E, E1)):
             assert np.array_equal(a, b)
+        assert np.array_equal(Q, Q1, equal_nan=True)
 
     def test_counts_its_side_resamplings(self):
         rep = mountain_pass(self.params(), cached_grid(4, 1e-6, 1e6, 1024),
@@ -441,8 +519,11 @@ class TestMountainPass:
         # the climb's floor probe changes the cost of the path, not the path:
         # the level is the one reached when every failing climb walked its
         # ladder down to the floor, at 632 trials
-        assert rep.energy == 32.65339129301262
+        assert rep.energy == 32.653391293012625
         assert rep.extra["trials"] == 152
+        # the initial path's 6 interior nodes and 6 resampled nodes between
+        # nodes still in the plane are projected without a grid pass
+        assert rep.extra["plane_projections"] == 12
 
     def test_no_node_is_measured_twice_in_the_same_state(self, monkeypatch):
         # a crest whose climb failed keeps its measurement for the next
@@ -461,7 +542,7 @@ class TestMountainPass:
         rep = mountain_pass(self.params(), cached_grid(4, 1e-6, 1e6, 1024),
                             PathOptions(n_path_nodes=7, max_sweeps=40))
         assert len(set(seen)) == len(seen)
-        assert rep.energy == 32.65339129301262
+        assert rep.energy == 32.653391293012625
         assert rep.extra["trials"] == 152
 
     def test_bump_h_crest_level_at_the_reference_grid(self):

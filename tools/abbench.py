@@ -5,11 +5,11 @@ Usage, from anywhere inside an hsvar git checkout::
     python3 tools/abbench.py PARENT [CHANGE] [--pairs 5] [--seconds 8]
         [--seed 21] [--workload NAME ...] [--trace] [--out BENCH.json]
 
-``PARENT`` and ``CHANGE`` are git revisions.  Each is checked out with
-``git worktree add --detach`` into a temporary directory, and the worktree
-is removed on exit.  Without ``CHANGE`` the change side is the working tree
-that holds this script, uncommitted edits included.  Nothing under either
-tree's ``perfbench/`` is edited.
+``PARENT`` and ``CHANGE`` are git revisions.  Each is exported with ``git
+archive`` into a temporary directory, which is removed on exit; the
+repository's own git metadata is not touched.  Without ``CHANGE`` the change
+side is the working tree that holds this script, uncommitted edits
+included.  Nothing under either tree's ``perfbench/`` is edited.
 
 For each workload of the change's ``BENCHMARK.json`` (or each ``--workload``):
 
@@ -25,8 +25,11 @@ For each workload of the change's ``BENCHMARK.json`` (or each ``--workload``):
 It prints every run, then, per workload, the median and the quartiles of
 each end-to-end metric and of each ``#`` value line of ``run.py`` on both
 sides, the change of the medians, and in how many pairs the change read
-lower.  Values that are equal in every run (counts, level errors) come
-first.  It then runs ``fingerprint.py``, the one beside this script, on
+lower.  A run that reports ``"correct": false``, and a change run with more
+``failed`` operations than the parent run of its seed, is flagged on its
+line and in the JSON; the summary leaves out each pair with a flagged run,
+and the tool exits 1.  Values that are equal in every run (counts, level
+errors) come first.  It then runs ``fingerprint.py``, the one beside this script, on
 both trees and prints the diff of their lines.  ``--trace`` adds, per
 workload and tree, one row per ``perfbench.tracing.TARGETS`` entry (calls,
 self and inclusive milliseconds of one set-up and one repetition) from a
@@ -150,12 +153,11 @@ class Trees:
 
 @contextmanager
 def checkouts(parent: str, change: str | None):
-    """The two trees: each revision in a detached worktree of a temporary
-    directory, or this working tree for an absent ``change``.  The worktrees
-    and the directory are removed on exit."""
+    """The two trees: each revision exported by ``git archive`` into a
+    temporary directory, or this working tree for an absent ``change``.
+    The directory is removed on exit."""
     root = Path(git("rev-parse", "--show-toplevel"))
     tmp = Path(tempfile.mkdtemp(prefix="abbench-"))
-    added = []
     try:
         paths, revs = {}, {}
         for side, rev in (("parent", parent), ("change", change)):
@@ -164,14 +166,13 @@ def checkouts(parent: str, change: str | None):
                 continue
             revs[side] = git("rev-parse", "--verify", rev + "^{commit}")
             paths[side] = tmp / side
-            git("worktree", "add", "--detach", str(paths[side]), revs[side], cwd=root)
-            added.append(paths[side])
+            paths[side].mkdir()
+            archive = subprocess.run(["git", "archive", revs[side]], cwd=root,
+                                     check=True, capture_output=True).stdout
+            subprocess.run(["tar", "-x", "-C", str(paths[side])], input=archive,
+                           check=True)
         yield Trees(paths, revs, tmp)
     finally:
-        for path in added:
-            subprocess.run(["git", "worktree", "remove", "--force", str(path)],
-                           cwd=root, capture_output=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=root, capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
 
 
@@ -202,6 +203,17 @@ def bench_run(trees: Trees, side: str, workload: str, seed: int, seconds: float,
             "environment": environment}
 
 
+def flag_pair(pair: dict) -> None:
+    """Write each run's ``flags``: "incorrect" for a run that reported
+    ``"correct": false``, and the counts for a change run with more
+    ``failed`` operations than the parent run of its seed."""
+    for run in pair.values():
+        run["flags"] = [] if run["correct"] else ["incorrect"]
+    p, c = pair["parent"], pair["change"]
+    if c["failed"] > p["failed"]:
+        c["flags"].append(f"failed {c['failed']} > parent {p['failed']}")
+
+
 def quartiles(xs: list) -> list:
     """[q1, median, q3] of ``xs`` (inclusive method)."""
     if len(xs) < 2:
@@ -211,7 +223,10 @@ def quartiles(xs: list) -> list:
 
 def summarize(runs: list, names: list, key: str) -> list:
     """Per name: the quartiles of each side, the change of the medians and
-    how many pairs the change read lower; names equal in every run first."""
+    how many pairs the change read lower; names equal in every run first.
+    Empty without a run."""
+    if not runs:
+        return []
     pairs = {}
     for run in runs:
         pairs.setdefault(run["seed"], {})[run["side"]] = run
@@ -283,7 +298,7 @@ def print_trace(workload: str, rows: dict) -> None:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    doc = {"args": vars(args), "workloads": {}}
+    doc = {"args": vars(args), "workloads": {}, "flagged": []}
     with checkouts(args.parent, args.change) as trees:
         doc["revisions"] = trees.revs
         spec = json.loads((trees.paths["change"] / "BENCHMARK.json").read_text())
@@ -305,15 +320,28 @@ def main(argv=None) -> int:
             for k in range(args.pairs):
                 seed = args.seed + k
                 order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+                pair = {side: bench_run(trees, side, workload, seed, args.seconds)
+                        for side in order}
+                flag_pair(pair)
                 for side in order:
-                    run = bench_run(trees, side, workload, seed, args.seconds)
+                    run = pair[side]
                     runs.append(run)
                     shown = "  ".join(f"{n} = {run['metrics'][n]:.6g}" for n in end_to_end)
+                    flags = f"  FLAGGED: {', '.join(run['flags'])}" if run["flags"] else ""
                     print(f"  seed {seed} {side:<6} {shown}  attempted {run['attempted']} "
-                          f"failed {run['failed']}  exit {run['exit']}", flush=True)
-            value_names = sorted(set.intersection(*(set(r["values"]) for r in runs)))
-            summary = {"end_to_end": summarize(runs, end_to_end, "metrics"),
-                       "values": summarize(runs, value_names, "values")}
+                          f"failed {run['failed']}  exit {run['exit']}{flags}", flush=True)
+                    if run["flags"]:
+                        doc["flagged"].append({"workload": workload, "seed": seed,
+                                               "side": side, "flags": run["flags"]})
+            # a pair with a flagged run is left out of the summary
+            flagged = {r["seed"] for r in runs if r["flags"]}
+            clean = [r for r in runs if r["seed"] not in flagged]
+            if flagged:
+                print(f"  {len(flagged)} of {args.pairs} pairs left out: a run is flagged")
+            value_names = (sorted(set.intersection(*(set(r["values"]) for r in clean)))
+                           if clean else [])
+            summary = {"end_to_end": summarize(clean, end_to_end, "metrics"),
+                       "values": summarize(clean, value_names, "values")}
             print_summary("end-to-end", summary["end_to_end"])
             print_summary("'#' values", summary["values"])
             entry = {"cold_setup_s": cold, "summary": summary,
@@ -337,6 +365,10 @@ def main(argv=None) -> int:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"\nwrote {args.out}")
+    if doc["flagged"]:
+        print(f"{len(doc['flagged'])} runs flagged: incorrect, or more failed "
+              "operations than the parent", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -11,7 +11,8 @@ at seed 1 and the bump-h crest of ``tests/test_solvers.py`` at
 ``crest_grad_tol=1e-9`` on 4096 nodes, and prints one line per solver
 result: ``float.hex`` of the energy and of the gradient norm, the counts
 (iterations, restarts, trials, resamples), the crest index, the stop reason
-and short hashes of the profiles and of the traces; a probe line adds the
+and short hashes of the profiles and of the traces; a min-max line adds the
+chain projections made in the plane of the two extremals, a probe line the
 label and nu*, a flip line the labels and the bracket, and the sweep one
 hash per CSV.  Two checkouts that compute the same bits print the same
 lines, so a refactor that claims to move no value is checked by diffing::
@@ -67,6 +68,8 @@ def report_line(name: str, rep) -> str:
               f"crest={ex.get('crest_index')}", f"stop={rep.stop_reason}",
               f"profiles={_hash(pair.u.values.tobytes(), pair.v.values.tobytes())}",
               f"traces={_hash(traces)}"]
+    if "plane_projections" in ex:
+        fields.append(f"plane={ex['plane_projections']}")
     if rep.kind == "semitrivial_probe":
         fields += [f"label={rep.classification}", f"nu*={_hex(ex['nu_star'])}"]
     return " ".join(fields)
