@@ -54,10 +54,12 @@ slope; the path's tests do neither, so the path halves its step from trial
 to trial.  It stops once the bracket in the metric, relative to the state,
 falls to sqrt(eps).  The climbing node's test (its gradient shrinks) probes
 that floor right after a failed first trial and stops there if the floor
-fails too: at criterion 10, which stalls at sweep 54, 47 of 54 climbing
-searches fail, at 2 trials each, and the climb takes 103 trials where
-walking every ladder down took 807; the bump-h crest climbs at the first
-trial in 85 of 86 sweeps.
+fails too; a failed climb makes the next one probe its floor first, so a
+climb that fails again costs one trial.  At criterion 10, which stalls at
+sweep 54, 47 of 54 climbing searches fail, 44 of them at 1 trial and 3 at
+2, and the climb takes 61 trials where walking every ladder down took 807
+(103 when each failure took 2); the bump-h crest climbs at the first trial
+in 85 of 86 sweeps.
 
 The variational character of a one-component couple (0, z) is read from
 the second variation in the directions (phi, 0), tangent to the constraint
@@ -106,11 +108,11 @@ STALL_WINDOW = 80         # descent iterations without decrease before stopping
 # min-max path: a side of the crest is resampled to equal arclength once its
 # longest segment exceeds RESAMPLE_RATIO times its shortest.  Criterion 10
 # (4096 nodes, K = 32; it stalls at sweep 54 at each ratio) resamples 35 /
-# 24 / 23 / 36 of its 108 sides at ratios 1.25 / 1.5 / 1.75 / 2.0, with 774
-# / 604 / 679 / 799 projections against 1865 when every side is resampled;
-# the bump-h crest to 1e-9 resamples 32 / 25 / 20 / 9 sides.  Of the 604
-# at 1.5, 337 are grid passes and 267 plane projections, 267 of its 391
-# chain projections (431 + 343, 418 + 261 and 447 + 352 at the other
+# 24 / 23 / 36 of its 108 sides at ratios 1.25 / 1.5 / 1.75 / 2.0, with 726
+# / 562 / 645 / 760 projections against 1816 when every side is resampled;
+# the bump-h crest to 1e-9 resamples 32 / 25 / 20 / 9 sides.  Of the 562
+# at 1.5, 295 are grid passes and 267 plane projections, 267 of its 391
+# chain projections (383 + 343, 384 + 261 and 408 + 352 at the other
 # ratios); the plane path took mountain-pass wall_ref from 226.7 to 188.2
 # (-16.9%, 10 alternating pairs, 2-vCPU host).
 RESAMPLE_RATIO = 1.5
@@ -272,7 +274,8 @@ def _armijo(E: float, slope: float, st: float, t: float, I) -> bool:
 
 def _line_search(wt: Weights, x: np.ndarray, d: np.ndarray, slope: float,
                  nsq: float, E: float, accept=None, grad: bool = False,
-                 step: float = STEP0, *, probe_floor: bool = False):
+                 step: float = STEP0, *, probe_floor: bool = False,
+                 floor_first: bool = False):
     """Line search along -d from the couple x, one grid pass per trial.
 
     The trial at step st is c = x - st d, both (2, n) arrays.  It is
@@ -296,15 +299,19 @@ def _line_search(wt: Weights, x: np.ndarray, d: np.ndarray, slope: float,
 
     With ``probe_floor`` (for a boolean ``accept``), a first trial that is
     too long is followed by the last rung of that halving ladder, the
-    floor.  A floor that fails ends the search after these two trials; one
-    that passes is not taken, and the ladder goes on from st/2 as without
-    the probe, so the accepted step is the ladder's own.  A floor at st or
-    st/2 is not probed.  The path's climbing node uses it: its test asks
-    the gradient to shrink, which a short enough step does whenever the
-    direction lowers the gradient at all.  At criterion 10 (4096 nodes, K =
-    32; it stalls at sweep 54) no failed climbing search passes on any rung,
-    and no successful one fails at its floor; the 47 failures take 2 trials
-    each instead of 17, and the climb 103 trials instead of 807.
+    floor; with ``floor_first`` as well, the floor is judged before the
+    first trial.  A floor that fails ends the search, after two trials or
+    after one; one that passes is not taken, and the ladder st, st/2, ...
+    goes on as without the probe, so the accepted step is the ladder's own.
+    A floor at st or st/2 is not probed.  The path's climbing node uses it:
+    its test asks the gradient to shrink, which a short enough step does
+    whenever the direction lowers the gradient at all, and a climb that
+    failed makes the next one probe its floor first.  At criterion 10 (4096
+    nodes, K = 32; it stalls at sweep 54) no failed climbing search passes
+    on any rung, and no successful one fails at its floor; of its 47
+    failures the 44 that follow a failed climb take 1 trial and the other 3
+    take 2, instead of 17 each, and the climb takes 61 trials where walking
+    every ladder down took 807.
 
     Returns ``(trials, found)``: ``found`` is ``(st, t, I, t c, g)`` of the
     accepted trial, else of the last short one, else None; g is the
@@ -329,6 +336,20 @@ def _line_search(wt: Weights, x: np.ndarray, d: np.ndarray, slope: float,
 
     st, short, probes, widths = step, None, 0, (math.inf, math.inf)
     lo, hi = (0.0, E, -slope), None
+    if probe_floor:
+        # the last step the halving below tries, as lo stays 0
+        floor = st
+        for _ in range(MAX_BACKTRACKS - 1):
+            if 0.5 * floor * rel <= SQRT_EPS:
+                break
+            floor *= 0.5
+        # a floor at st or st/2 is a rung the ladder tries next anyway
+        probe_floor = floor < 0.5 * st
+    if probe_floor and floor_first:
+        # judged once, before the ladder; one that passes is not taken
+        probe_floor, probes = False, 1
+        if not judge(floor)[0]:
+            return 1, None
     for trial in range(1, MAX_BACKTRACKS + 1):
         verdict, end, found = judge(st)
         if verdict is SHORT:
@@ -338,16 +359,9 @@ def _line_search(wt: Weights, x: np.ndarray, d: np.ndarray, slope: float,
         else:
             hi = end
             if probe_floor and trial == 1:
-                # the last step the halving below tries, as lo stays 0
-                floor = st
-                for _ in range(MAX_BACKTRACKS - 1):
-                    if 0.5 * floor * rel <= SQRT_EPS:
-                        break
-                    floor *= 0.5
-                if floor < 0.5 * st:
-                    probes = 1
-                    if not judge(floor)[0]:
-                        return 2, None
+                probes = 1
+                if not judge(floor)[0]:
+                    return 2, None
         if hi is None:
             st = _secant_step(prev, lo)
         else:
@@ -673,16 +687,17 @@ def _redistribute(P, E, Q, seg: np.ndarray, wt: Weights, plane: Plane) -> bool:
 
 
 def _move_node(wt: Weights, metric: PairMetric, P, E, Q, seg: np.ndarray,
-               k: int, top=None) -> tuple[int, bool]:
+               k: int, top=None, floor_first: bool = False) -> tuple[int, bool]:
     """One line search that moves interior node k of a chain in place.
 
     ``top`` is the crest's measurement ``(I, g, m, slope)`` when node k is
     the crest, which climbs; a neighbor (``top`` None) is measured here and
-    relaxes.  An accepted trial rewrites row k of ``P``, its energy and the
-    two segments next to it, and takes the node off the plane (its row of
-    ``Q`` is NaN).  Returns the trials and whether the node moved.  The
-    move's arrays are freed on return, before the next sweep resamples the
-    chain.
+    relaxes.  A climb with ``floor_first`` (the last climb failed) judges
+    the floor of its step ladder before its first step.  An accepted trial
+    rewrites row k of ``P``, its energy and the two segments next to it,
+    and takes the node off the plane (its row of ``Q`` is NaN).  Returns
+    the trials and whether the node moved.  The move's arrays are freed on
+    return, before the next sweep resamples the chain.
     """
     climbing = top is not None
     I, g, m, slope = top if climbing else _node_direction(wt, metric, P[k])
@@ -702,9 +717,11 @@ def _move_node(wt: Weights, metric: PairMetric, P, E, Q, seg: np.ndarray,
     else:
         accept, slope = None, d_slope
     # neighbors take the Armijo test; the climbing node's step floor,
-    # probed after a failed first trial, uses its unmodified slope
+    # probed after a failed first trial or before it, uses its unmodified
+    # slope
     n, found = _line_search(wt, P[k], d, slope, I.A, E[k], accept,
-                            grad=climbing, probe_floor=climbing)
+                            grad=climbing, probe_floor=climbing,
+                            floor_first=floor_first)
     if found is None:
         return n, False
     _, t, J, P[k], _ = found
@@ -732,11 +749,14 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
     resampled to equal arclength when its longest segment exceeds
     ``RESAMPLE_RATIO`` times its shortest (:func:`_redistribute`);
     ``extra["resamples"]`` counts those side resamplings,
-    ``extra["trials"]`` the projections of all its line searches, and
+    ``extra["trials"]`` the projections of all its line searches,
     ``extra["plane_projections"]`` the chain projections made in the plane
-    of the two one-component profiles, without a grid pass.  A crest
-    row that no move or resample rewrote since it was measured is not
-    measured again.  The path stops with ``stop_reason`` "tolerance" once
+    of the two one-component profiles, without a grid pass, and
+    ``extra["climbs"]`` and ``extra["failed_climbs"]`` the crest's climbing
+    searches, one per sweep that moves the chain, and those that left it
+    in place; a failed climb makes the next one judge its step floor first.
+    A crest row that no move or resample rewrote since it was measured is
+    not measured again.  The path stops with ``stop_reason`` "tolerance" once
     the crest's relative gradient is within ``crest_grad_tol``, "stall"
     once the least crest gradient has not fallen by ``PATH_STALL_DROP`` over
     the last half of the sweeps and at least the last ``PATH_STALL_WINDOW``
@@ -761,9 +781,10 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
     seg = _segments(P, Q, wt, plane)
     metric = PairMetric(grid, params.lambda1, params.lambda2)
     trace, gnorm_trace = [float(E.max())], []
-    resamples = trials = 0
+    resamples = trials = climbs = failed_climbs = 0
     plane_projections = K - 1       # the initial path's interior nodes
     crest = -1          # the row that ``top`` measured, while it holds that state
+    climbed = True      # whether the last climb moved the crest
     stop = "max_sweeps"
     # sweeps 0 .. max_sweeps-1 move the chain; the extra pass only measures
     # the crest of the chain that the last sweep left
@@ -814,9 +835,16 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
         for k in (k_max - 1, k_max, k_max + 1):
             if k in (0, K):
                 continue
+            climbing = k == k_max
+            # a climb that failed makes the next one probe its floor first
             n, moved = _move_node(wt, metric, P, E, Q, seg, k,
-                                  top if k == k_max else None)
+                                  top if climbing else None,
+                                  floor_first=climbing and not climbed)
             trials += n
+            if climbing:
+                climbs += 1
+                failed_climbs += not moved
+                climbed = moved
             if moved:
                 if k == crest:
                     crest = -1
@@ -844,8 +872,8 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
         trace=trace,
         extra={"gradient_norm_trace": gnorm_trace, "crest_index": k_max,
                "resamples": resamples, "trials": trials,
-               "plane_projections": plane_projections,
-               "orientation": orientation})
+               "plane_projections": plane_projections, "climbs": climbs,
+               "failed_climbs": failed_climbs, "orientation": orientation})
 
 
 # ---------------------------------------------------------------------------

@@ -518,9 +518,10 @@ class TestMountainPass:
         assert 0 < rep.extra["resamples"] < 2 * (rep.iterations - 1)
         # the climb's floor probe changes the cost of the path, not the path:
         # the level is the one reached when every failing climb walked its
-        # ladder down to the floor, at 632 trials
+        # ladder down to the floor, at 632 trials, and when each failure
+        # probed its floor after its first trial, at 152
         assert rep.energy == 32.653391293012625
-        assert rep.extra["trials"] == 152
+        assert rep.extra["trials"] == 121
         # the initial path's 6 interior nodes and 6 resampled nodes between
         # nodes still in the plane are projected without a grid pass
         assert rep.extra["plane_projections"] == 12
@@ -543,7 +544,34 @@ class TestMountainPass:
                             PathOptions(n_path_nodes=7, max_sweeps=40))
         assert len(set(seen)) == len(seen)
         assert rep.energy == 32.653391293012625
-        assert rep.extra["trials"] == 152
+        assert rep.extra["trials"] == 121
+
+    def test_climb_counts_agree_with_the_trials(self, monkeypatch):
+        # one climb per sweep that moves the chain; a climb that failed makes
+        # the next one judge its floor first, which at this tuple ends each
+        # failure that follows a failure after 1 trial
+        moves = []
+        move = solvers._move_node
+
+        def recorded(*args, **kwargs):
+            n, moved = move(*args, **kwargs)
+            climbing = args[7] is not None
+            moves.append((climbing, kwargs["floor_first"], n, moved))
+            return n, moved
+
+        monkeypatch.setattr(solvers, "_move_node", recorded)
+        rep = mountain_pass(self.params(), cached_grid(4, 1e-6, 1e6, 1024),
+                            PathOptions(n_path_nodes=7, max_sweeps=40))
+        climbs = [(first, n, moved) for climbing, first, n, moved in moves
+                  if climbing]
+        assert rep.extra["trials"] == sum(n for *_, n, _ in moves)
+        assert rep.extra["climbs"] == len(climbs) == rep.iterations == 40
+        assert rep.extra["failed_climbs"] == sum(not m for *_, m in climbs) == 32
+        # only a climb after a failed climb probes its floor first
+        assert [first for first, *_ in climbs] == [
+            False] + [not moved for *_, moved in climbs[:-1]]
+        assert not any(first for climbing, first, *_ in moves if not climbing)
+        assert all(n == 1 for first, n, moved in climbs if first and not moved)
 
     def test_bump_h_crest_level_at_the_reference_grid(self):
         # the yardstick of the path's cost: the level at 1e-9 is the one
@@ -709,16 +737,43 @@ class TestFloorProbe:
         assert (st, t) == (st0, t0) and st < below <= 2 * st
         assert np.array_equal(u, u0) and np.array_equal(v, v0)
 
-    @pytest.mark.parametrize("rungs", [1, 2])
+    def test_a_failing_floor_judged_first_ends_the_search_after_one_trial(
+            self, monkeypatch):
+        *_, ladder, _ = self.search(monkeypatch, lambda st: False)
+        trials, found, steps, _ = self.search(monkeypatch, lambda st: False,
+                                              probe_floor=True, floor_first=True)
+        assert (trials, found, steps) == (1, None, [ladder[-1]])
+
+    @pytest.mark.parametrize("below", [2.0, 0.3, 1e-3, 1e-6])
+    def test_a_passing_floor_judged_first_leads_into_the_ladder(
+            self, monkeypatch, below):
+        # the floor is judged and not taken: the ladder st, st/2, ... follows
+        # as without the probe, and accepts the same step one trial later
+        def passes(st):
+            return st < below
+
+        trials, found0, steps, rel = self.search(monkeypatch, passes)
+        probed, found, (floor, *rest), _ = self.search(
+            monkeypatch, passes, probe_floor=True, floor_first=True)
+        assert floor * rel > solvers.SQRT_EPS >= 0.5 * floor * rel
+        assert probed == trials + 1 and rest == steps
+        (st, t, _, (u, v), _), (st0, t0, _, (u0, v0), _) = found, found0
+        assert (st, t) == (st0, t0) and st < below
+        assert np.array_equal(u, u0) and np.array_equal(v, v0)
+
+    @pytest.mark.parametrize("rungs,floor_first",
+                             [(1, False), (2, False), (1, True), (2, True)],
+                             ids=["1", "2", "1-first", "2-first"])
     def test_a_ladder_of_one_or_two_rungs_is_not_probed(self, monkeypatch,
-                                                        rungs):
+                                                        rungs, floor_first):
         # every step below the first passes, so a probe would show as a
         # repeated step
         *_, nsq, _, slope = self.start()
         step = (1.5 if rungs == 1 else 3.0) * solvers.SQRT_EPS / math.sqrt(
             slope / nsq)
         trials, found, steps, _ = self.search(monkeypatch, lambda st: st < step,
-                                              step=step, probe_floor=True)
+                                              step=step, probe_floor=True,
+                                              floor_first=floor_first)
         assert trials == rungs and steps == [step * 0.5 ** k
                                              for k in range(rungs)]
         assert (found is None) == (rungs == 1)

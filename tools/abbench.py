@@ -31,7 +31,8 @@ line and in the JSON; the summary leaves out each pair with a flagged run,
 and the tool exits 1.  Values that are equal in every run (counts, level
 errors) come first.  It then runs ``fingerprint.py``, the one beside this script, on
 both trees and prints the diff of their lines.  ``--trace`` adds, per
-workload and tree, one row per ``perfbench.tracing.TARGETS`` entry (calls,
+workload and tree, one row per ``perfbench.tracing.TARGETS`` entry and per
+``EXTRA_TARGETS`` entry, the solver kernels that list does not name (calls,
 self and inclusive milliseconds of one set-up and one repetition) from a
 ``Tracer`` installed in-process, rows that ``run.py --trace 1`` does not
 print.
@@ -63,6 +64,12 @@ BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 VALUE_LINE = re.compile(r"^# ([\w.\-]+) = (\S+)")
 COLD_SECONDS = 1.0      # a cold run reports setup_s only
+# what ``--trace`` traces beyond ``perfbench.tracing.TARGETS``, as
+# "<module>.<attribute path>": the integrals pass and the projection that
+# the solvers call, and the min-max chain's own steps
+EXTRA_TARGETS = ("energy.integrals", "energy.project_arrays", "solvers._line_search",
+                 "solvers._move_node", "solvers._node_direction",
+                 "solvers._initial_path", "operators.PairMetric.transversal")
 
 # what the warm-up imports, so that the first warm run compiles nothing
 WARM_UP = ("import sys; sys.path[:0] = [sys.argv[1] + '/src', sys.argv[1] + '/perfbench']; "
@@ -75,12 +82,16 @@ TRACE_CHILD = r"""
 import json, os, sys, tempfile
 from pathlib import Path
 root, workload, seed = Path(sys.argv[1]), sys.argv[2], int(sys.argv[3])
-for var in sys.argv[4:]:
+for var in sys.argv[5:]:
     os.environ[var] = "1"
 sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
 import hsvar, hsvar.cli
 import tracing
 from workloads import WORKLOADS
+# the solver's own kernels, which perfbench's list does not name; a tree
+# that lacks one reports it missing
+tracing.TARGETS += tuple((name.partition(".")[0], name.partition(".")[2], name)
+                         for name in sys.argv[4].split(","))
 wl = WORKLOADS[workload]
 tracer = tracing.Tracer(hsvar)
 with tempfile.TemporaryDirectory() as tmp:
@@ -276,7 +287,7 @@ def trace_rows(trees: Trees, side: str, workload: str, seed: int) -> dict:
     """The trace rows of one set-up and one repetition of ``workload`` on
     ``side``; none, with the error printed, when the tree cannot be traced."""
     proc = subprocess.run([sys.executable, "-c", TRACE_CHILD, str(trees.paths[side]),
-                           workload, str(seed), *BLAS_VARS],
+                           workload, str(seed), ",".join(EXTRA_TARGETS), *BLAS_VARS],
                           env=trees.env(side, False), capture_output=True, text=True)
     if proc.returncode:
         print(f"  trace of {side} exited {proc.returncode}: "
