@@ -17,11 +17,11 @@ Configuration comes from a JSON document; command-line flags override
 individual fields.  A run builds the argument parser of the command it
 names alone; no command, an unknown one or a top-level flag gets the
 parser of all nine, whose refusal or help lists them.  A classify sweep
-reads the cells of each distinct nu-free tuple once, from
-``regimes.sweep_cells`` (two cached parts and a cached case table; no
-report is built), renders the CSV text of each distinct cells tuple once,
-and lays its rows out by index over the nu-free product, nu at its sorted
-position.
+reads the cells of each nu-free tuple from ``regimes.sweep_cells`` (two
+cached parts and a cached case table; no report is built), under the names
+``regimes.SWEEP_COLUMNS``, renders the CSV text of each distinct cells
+tuple once, and lays its rows out by index over the nu-free product, nu at
+its sorted position.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ from .grid import (REFERENCE_N_NODES, REFERENCE_R_MAX, REFERENCE_R_MIN,
                    RadialFunction, build_grid)
 from .params import (HProfile, ProblemParams, is_required, read_field, read_fields,
                      json_object, real_number, whole_number)
-from .regimes import LemmaInstance, algebraic_inf, classify, sweep_cells
+from .regimes import (SWEEP_COLUMNS, LemmaInstance, algebraic_inf, classify,
+                      sweep_cells)
 from .solvers import (DescentOptions, PathOptions, ground_state, mountain_pass,
                       random_bump, semitrivial_probe, extremal_pair)
 
@@ -298,11 +299,11 @@ def _classify_rows(base: dict, names: list, swept: list, at: int,
 
     classify does not read nu, and nu's rule (finite, >= 0) reads nu alone:
     a row is valid when its nu-free values and its nu are, and its cells are
-    those of its nu-free values.  Each distinct nu-free tuple and each nu is
-    built, and so checked, where product order first meets it: the tuples
-    of the first block (the axes before nu at their first values) at the
-    first nu, then each later nu with the first tuple, then the other
-    tuples.  So the first failing row decides the error, as row by row.
+    those of its nu-free values.  Each nu-free tuple and each nu is built,
+    and so checked, where product order first meets it: the tuples of the
+    first block (the axes before nu at their first values) at the first nu,
+    then each later nu with the first tuple, then the other tuples.  So the
+    first failing row decides the error, as row by row.
     """
     free_names = names[:at] + names[at + 1:]
     nus = [{"nu": x} for x in swept[at]] if at < len(names) else [{}]
@@ -312,16 +313,13 @@ def _classify_rows(base: dict, names: list, swept: list, at: int,
     def build(key, nu):
         return ProblemParams(**base, **dict(zip(free_names, key)), **nu)
 
-    rows, by_key, by_cells = [], {}, {}
+    rows, by_cells = [], {}
     for i, key in enumerate(free):
-        row = by_key.get(key)
+        cells = sweep_cells(build(key, nus[0]))
+        _check_weight(cells[2], small_nu)
+        row = by_cells.get(cells)
         if row is None:
-            cells = sweep_cells(build(key, nus[0]))
-            _check_weight(cells[2], small_nu)
-            row = by_cells.get(cells)
-            if row is None:
-                row = by_cells[cells] = _csv_line(cells)
-            by_key[key] = row
+            row = by_cells[cells] = _csv_line(cells)
         rows.append(row)
         if i + 1 == first_block:
             for nu in nus[1:]:
@@ -356,8 +354,7 @@ def _cmd_sweep(args) -> int:
         cls, columns = LemmaInstance, ["inf", "decoupled_inf"]
     else:
         cls, small_nu = ProblemParams, _small_nu(doc)
-        columns = ["subcritical", "critical", "thm_large_nu", "thm_mixed",
-                   "thm_small_nu", "thm_minmax"]
+        columns = list(SWEEP_COLUMNS)
     with _parsing(what):
         base = {k: read_field(cls, k, v) for k, v in section.items()
                 if k in _FIELDS[command] and k not in over}

@@ -130,10 +130,16 @@ def _decided(params: ProblemParams) -> tuple:
                        params.h_profile.vanishes_at_origin_and_infinity), sep
 
 
+# the names of the cells of a sweep row, in the order sweep_cells gives them
+SWEEP_COLUMNS = ("subcritical", "critical", "thm_large_nu", "thm_mixed",
+                 "thm_small_nu", "thm_minmax")
+
+
 def sweep_cells(params: ProblemParams) -> tuple:
-    """The cells of a sweep row: ``subcritical``, ``critical``, whether the
-    large-nu statement applies, and the cases of the mixed, small-nu and
-    min-max statements, as in ``classify(params)``, which is not built."""
+    """The cells of a sweep row, named by ``SWEEP_COLUMNS``: ``subcritical``,
+    ``critical``, whether the large-nu statement applies, and the cases of
+    the mixed, small-nu and min-max statements, as in ``classify(params)``,
+    which is not built."""
     return _decided(params)[0][1]
 
 

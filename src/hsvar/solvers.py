@@ -31,35 +31,31 @@ Bound states between the two one-component solutions are bracketed by a
 discrete min-max path: nodes of the explicit interpolating path are
 rescaled onto the truncated constraint set, and deformation sweeps relax
 the neighbors of the maximum node transversally and let the maximum node
-climb toward the barrier.  The chain keeps its segment lengths; a node
-move updates the two next to it, and a side of the crest is resampled to
-equal arclength only once its longest segment exceeds ``RESAMPLE_RATIO``
-times its shortest.  A resample rewrites one node at a time, and a crest
-node left in place keeps its measurement, so a failed climb does not measure
-the same crest again.  The chain also keeps, per node, its coordinates
-(a, b) in the plane of the two one-component profiles, (a z1, b z2), until a
-move takes the node off it.  A node resampled between two plane nodes is
-projected, and its segments measured, by the scalar algebra of
-``energy.Plane``; only the crest and its neighbors move, so at criterion 10
-267 of the 391 chain projections make no grid pass.  The reported level is the energy of the crest, the
-chain's maximum node, whose gradient was last measured; it is
-``converged`` once that relative gradient is within ``crest_grad_tol``.
-The path stops unconverged, with "stall", once the least crest gradient has
-not fallen by ``PATH_STALL_DROP`` over the last half of its sweeps, and at
-least over the last ``PATH_STALL_WINDOW``.
+climb toward the barrier.  The chain is one object, ``_Chain``: its rows,
+energies, plane coordinates, segment lengths, the crest's measurement and
+the path's counts, kept current by two writers, one that projects a state
+into a row and one that writes an accepted move.  A node move updates the
+two segments next to it, and a side of the crest is resampled to equal
+arclength only once its longest segment exceeds ``RESAMPLE_RATIO`` times
+its shortest.  A crest row that no writer rewrote keeps its measurement, so
+a failed climb does not measure the same crest again.  Each row keeps its
+coordinates (a, b) in the plane of the two one-component profiles, (a z1, b
+z2), until a move takes it off that plane; a node resampled between two
+plane nodes is projected, and its segments measured, by the scalar algebra
+of ``energy.Plane``, without a grid pass.  The reported level is the energy
+of the crest, the chain's maximum node, whose gradient was last measured;
+it is ``converged`` once that relative gradient is within
+``crest_grad_tol``.  The path stops unconverged, with "stall", once the
+least crest gradient has not fallen by ``PATH_STALL_DROP`` over the last
+half of its sweeps, and at least over the last ``PATH_STALL_WINDOW``.
 
 The descent and the moving path nodes share one line search, at one grid
 pass per trial.  Its accept test may answer "too short" and report the
 slope; the path's tests do neither, so the path halves its step from trial
 to trial.  It stops once the bracket in the metric, relative to the state,
-falls to sqrt(eps).  The climbing node's test (its gradient shrinks) probes
-that floor right after a failed first trial and stops there if the floor
-fails too; a failed climb makes the next one probe its floor first, so a
-climb that fails again costs one trial.  At criterion 10, which stalls at
-sweep 54, 47 of 54 climbing searches fail, 44 of them at 1 trial and 3 at
-2, and the climb takes 61 trials where walking every ladder down took 807
-(103 when each failure took 2); the bump-h crest climbs at the first trial
-in 85 of 86 sweeps.
+falls to sqrt(eps).  The climbing node's test (its gradient shrinks) judges
+that floor after a failed first trial, and before its first trial when the
+last climb failed, and stops there if the floor fails too.
 
 The variational character of a one-component couple (0, z) is read from
 the second variation in the directions (phi, 0), tangent to the constraint
@@ -110,11 +106,7 @@ STALL_WINDOW = 80         # descent iterations without decrease before stopping
 # (4096 nodes, K = 32; it stalls at sweep 54 at each ratio) resamples 35 /
 # 24 / 23 / 36 of its 108 sides at ratios 1.25 / 1.5 / 1.75 / 2.0, with 726
 # / 562 / 645 / 760 projections against 1816 when every side is resampled;
-# the bump-h crest to 1e-9 resamples 32 / 25 / 20 / 9 sides.  Of the 562
-# at 1.5, 295 are grid passes and 267 plane projections, 267 of its 391
-# chain projections (383 + 343, 384 + 261 and 408 + 352 at the other
-# ratios); the plane path took mountain-pass wall_ref from 226.7 to 188.2
-# (-16.9%, 10 alternating pairs, 2-vCPU host).
+# the bump-h crest to 1e-9 resamples 32 / 25 / 20 / 9 sides.
 RESAMPLE_RATIO = 1.5
 # min-max path: it stops with "stall" once its least crest gradient has not
 # fallen by PATH_STALL_DROP over the last half of its sweeps, and at least
@@ -274,8 +266,7 @@ def _armijo(E: float, slope: float, st: float, t: float, I) -> bool:
 
 def _line_search(wt: Weights, x: np.ndarray, d: np.ndarray, slope: float,
                  nsq: float, E: float, accept=None, grad: bool = False,
-                 step: float = STEP0, *, probe_floor: bool = False,
-                 floor_first: bool = False):
+                 step: float = STEP0, *, floor_after: int | None = None):
     """Line search along -d from the couple x, one grid pass per trial.
 
     The trial at step st is c = x - st d, both (2, n) arrays.  It is
@@ -297,21 +288,15 @@ def _line_search(wt: Weights, x: np.ndarray, d: np.ndarray, slope: float,
     gradient relative to the state (the distance times ``sqrt(slope /
     nsq)``), or after ``MAX_BACKTRACKS`` trials.
 
-    With ``probe_floor`` (for a boolean ``accept``), a first trial that is
-    too long is followed by the last rung of that halving ladder, the
-    floor; with ``floor_first`` as well, the floor is judged before the
-    first trial.  A floor that fails ends the search, after two trials or
-    after one; one that passes is not taken, and the ladder st, st/2, ...
-    goes on as without the probe, so the accepted step is the ladder's own.
-    A floor at st or st/2 is not probed.  The path's climbing node uses it:
-    its test asks the gradient to shrink, which a short enough step does
-    whenever the direction lowers the gradient at all, and a climb that
-    failed makes the next one probe its floor first.  At criterion 10 (4096
-    nodes, K = 32; it stalls at sweep 54) no failed climbing search passes
-    on any rung, and no successful one fails at its floor; of its 47
-    failures the 44 that follow a failed climb take 1 trial and the other 3
-    take 2, instead of 17 each, and the climb takes 61 trials where walking
-    every ladder down took 807.
+    With ``floor_after`` (for a boolean ``accept``) the search judges the
+    last rung of that halving ladder, the floor, once ``floor_after``
+    trials have failed: 1 judges it after a failed first trial, 0 before
+    the first trial.  A floor that fails ends the search; one that passes
+    is not taken, and the ladder st, st/2, ... goes on as without it, so
+    the accepted step is the ladder's own.  A floor at st or st/2 is not
+    judged apart.  The path's climbing node uses it: its test asks the
+    gradient to shrink, which a short enough step does whenever the
+    direction lowers the gradient at all.
 
     Returns ``(trials, found)``: ``found`` is ``(st, t, I, t c, g)`` of the
     accepted trial, else of the last short one, else None; g is the
@@ -336,7 +321,7 @@ def _line_search(wt: Weights, x: np.ndarray, d: np.ndarray, slope: float,
 
     st, short, probes, widths = step, None, 0, (math.inf, math.inf)
     lo, hi = (0.0, E, -slope), None
-    if probe_floor:
+    if floor_after is not None:
         # the last step the halving below tries, as lo stays 0
         floor = st
         for _ in range(MAX_BACKTRACKS - 1):
@@ -344,13 +329,14 @@ def _line_search(wt: Weights, x: np.ndarray, d: np.ndarray, slope: float,
                 break
             floor *= 0.5
         # a floor at st or st/2 is a rung the ladder tries next anyway
-        probe_floor = floor < 0.5 * st
-    if probe_floor and floor_first:
-        # judged once, before the ladder; one that passes is not taken
-        probe_floor, probes = False, 1
-        if not judge(floor)[0]:
-            return 1, None
+        floor_after = floor_after if floor < 0.5 * st else None
     for trial in range(1, MAX_BACKTRACKS + 1):
+        if trial - 1 == floor_after:
+            # judged once, after floor_after failed trials; one that passes
+            # is not taken
+            probes = 1
+            if not judge(floor)[0]:
+                return trial, None
         verdict, end, found = judge(st)
         if verdict is SHORT:
             prev, lo, short = lo, end, found
@@ -358,10 +344,6 @@ def _line_search(wt: Weights, x: np.ndarray, d: np.ndarray, slope: float,
             return trial + probes, found
         else:
             hi = end
-            if probe_floor and trial == 1:
-                probes = 1
-                if not judge(floor)[0]:
-                    return 2, None
         if hi is None:
             st = _secant_step(prev, lo)
         else:
@@ -572,48 +554,104 @@ def escalate_nu(params: ProblemParams, grid: RadialGrid) -> float:
 # min-max path
 # ---------------------------------------------------------------------------
 
-def _initial_path(wt: Weights, K: int):
+class _Chain:
+    """The min-max chain and what is known of it, kept current by its two
+    writers.
+
+    ``P`` is the (K+1, 2, n) chain, node k in P[k]; ``E`` the node
+    energies; ``Q`` the (K+1, 2) coordinates of the nodes in the plane of
+    the two one-component profiles (z1, z2) of ``plane``: node k is (Q[k, 0]
+    z1, Q[k, 1] z2) while it lies in that plane, and Q[k] is NaN once it
+    has left it; ``seg`` the K segment lengths.  ``crest`` is the row that
+    ``top``, the crest's measurement ``(I, g, m, slope)``, was taken of,
+    -1 once that row is rewritten; ``climbed`` is whether the last climb
+    moved the crest.  The counts are the path's: side resamplings, line-
+    search trials, projections made in the plane and failed climbs.
+
+    :meth:`project` writes a projected state to a row, and :meth:`move` an
+    accepted line-search trial and the two segments next to it; each drops
+    the crest's measurement when it rewrites the crest row.  A resample
+    projects its rows and then measures its segments (:meth:`measure`).
+    """
+
+    def __init__(self, wt: Weights, plane: Plane, Q: np.ndarray):
+        self.wt, self.plane, self.Q = wt, plane, Q
+        self.P = Q[:, :, None] * plane.z
+        self.E = np.empty(len(Q))
+        self.seg = np.empty(len(Q) - 1)
+        self.crest, self.top, self.climbed = -1, None, True
+        self.resamples = self.trials = self.plane_projections = self.failed_climbs = 0
+
+    def project(self, k: int, x) -> None:
+        """Write the projection of x onto the constraint set to row k, with
+        its energy.  A plane state x = (a, b), the couple (a z1, b z2), is
+        projected by scalar algebra and its row stays in the plane, at t
+        (a, b); a (2, n) couple x is projected by a grid pass and its row is
+        off the plane."""
+        if isinstance(x, np.ndarray):
+            t, I = project_arrays(self.wt, *x, positive=True)
+            np.multiply(x, t, out=self.P[k])
+            self.Q[k] = np.nan
+        else:
+            a, b = x
+            I = self.plane.integrals(a, b)
+            t = I.scale()
+            self.Q[k] = t * a, t * b
+            np.multiply(self.Q[k, :, None], self.plane.z, out=self.P[k])
+            self.plane_projections += 1
+        self.E[k] = I.energy(t)
+        if k == self.crest:
+            self.crest = -1
+
+    def move(self, k: int, t: float, J, x: np.ndarray) -> None:
+        """Write the accepted trial x = t c of a line search, whose
+        integrals before projection are J, to row k, which leaves the plane,
+        and measure the two segments next to it."""
+        self.P[k] = x
+        self.E[k], self.Q[k] = J.energy(t), np.nan
+        if k == self.crest:
+            self.crest = -1
+        self.measure(k - 1, k + 1)
+
+    def measure(self, lo: int, hi: int) -> None:
+        """Measure segments lo .. hi-1, segment k joining nodes k and k+1:
+        by the plane's algebra when both nodes lie in it, else one
+        :meth:`Weights.distance`."""
+        P, Q = self.P, self.Q
+        for k in range(lo, hi):
+            dq = Q[k + 1] - Q[k]
+            self.seg[k] = (self.wt.distance(P[k + 1] - P[k]) if np.isnan(dq[0])
+                           else self.plane.distance(dq))
+
+    def measure_crest(self, metric: PairMetric):
+        """The crest, the chain's maximum node, and its measurement; a crest
+        row that no writer rewrote since it was measured is not measured
+        again."""
+        k = int(np.argmax(self.E))
+        if k in (0, len(self.E) - 1):
+            raise DegeneratePathError("path maximum collapsed onto an endpoint")
+        if k != self.crest:
+            self.crest, self.top = k, _node_direction(self.wt, metric, self.P[k])
+        return k, self.top
+
+
+def _initial_path(wt: Weights, K: int) -> _Chain:
     """Explicit interpolating path ((1-t)^(1/2) z1, t^(1/2) z2), rescaled.
 
-    Returns the chain P, of shape (K+1, 2, n) with node k in P[k], the node
-    energies E, the (K+1, 2) plane coordinates Q and the :class:`Plane` of
-    the two one-component profiles (z1, z2).  Node k is (Q[k, 0] z1,
-    Q[k, 1] z2) while it lies in that plane, and Q[k] is NaN once it has
-    left it.  Every node starts in the plane, so the interior nodes are
-    projected from their coordinates, without a grid pass.  P is allocated
-    once and its interior rows are rewritten in place.
+    Returns the :class:`_Chain` of K segments in the plane of the two
+    one-component profiles (z1, z2).  Every node starts in the plane, so
+    the interior nodes are projected from their coordinates, without a grid
+    pass, and the segments by the plane's algebra.
     """
     (z1, E1), (z2, E2) = _extremal(wt, "first"), _extremal(wt, "second")
-    plane = Plane(wt, z1, z2)
     tk = np.arange(K + 1) / K
-    Q = np.stack((np.sqrt(1.0 - tk), np.sqrt(tk)), axis=1)
-    P = Q[:, :, None] * plane.z
-    E = np.empty(K + 1)
-    E[0], E[K] = E1, E2
+    chain = _Chain(wt, Plane(wt, z1, z2),
+                   np.stack((np.sqrt(1.0 - tk), np.sqrt(tk)), axis=1))
+    chain.E[0], chain.E[K] = E1, E2
     for k in range(1, K):
-        _project_plane_row(P, E, Q, k, plane, Q[k].tolist())
-    return P, E, Q, plane
-
-
-def _project_row(P, E, Q, k: int, wt: Weights, x: np.ndarray) -> None:
-    """Write the projection of the couple x onto the constraint set to row
-    k of a chain, with its energy; the row is off the plane."""
-    t, I = project_arrays(wt, *x, positive=True)
-    np.multiply(x, t, out=P[k])
-    E[k] = I.energy(t)
-    Q[k] = np.nan
-
-
-def _project_plane_row(P, E, Q, k: int, plane: Plane, q) -> None:
-    """Write the projection of the plane state (a z1, b z2), q = (a, b),
-    to row k of a chain, with its energy and its plane coordinates t q:
-    scalar algebra and one pass that writes the row."""
-    a, b = q
-    I = plane.integrals(a, b)
-    t = I.scale()
-    Q[k] = t * a, t * b
-    np.multiply(Q[k, :, None], plane.z, out=P[k])
-    E[k] = I.energy(t)
+        chain.project(k, chain.Q[k].tolist())
+    chain.measure(0, K)
+    return chain
 
 
 def _pair(grid: RadialGrid, x: np.ndarray) -> StatePair:
@@ -633,74 +671,54 @@ def _node_direction(wt: Weights, metric: PairMetric, x: np.ndarray):
     return (I, g, *metric.direction(g))
 
 
-def _segment(P, Q, k: int, wt: Weights, plane: Plane) -> float:
-    """Length of the segment from node k to node k+1 of a chain: by the
-    plane's algebra when both nodes lie in it, else one
-    :meth:`Weights.distance`."""
-    dq = Q[k + 1] - Q[k]
-    return wt.distance(P[k + 1] - P[k]) if np.isnan(dq[0]) else plane.distance(dq)
+def _redistribute(chain: _Chain, lo: int, hi: int) -> bool:
+    """Equal-arclength resampling in place of the side lo .. hi of a chain,
+    its end nodes kept exact.
 
-
-def _segments(P, Q, wt: Weights, plane: Plane) -> np.ndarray:
-    """Lengths of the segments between consecutive nodes of a chain."""
-    return np.array([_segment(P, Q, k, wt, plane) for k in range(len(P) - 1)])
-
-
-def _redistribute(P, E, Q, seg: np.ndarray, wt: Weights, plane: Plane) -> bool:
-    """Equal-arclength resampling of a sub-chain in place; endpoints kept exact.
-
-    ``P`` is a slice of the chain along its node axis, ``E`` and ``Q`` the
-    same slices of the energies and plane coordinates and ``seg`` the
-    sub-chain's segment lengths.  It resamples only when the longest
-    segment exceeds ``RESAMPLE_RATIO`` times the shortest, and then
-    refreshes ``seg`` in place.  Each resampled node is a convex
+    It resamples only when the side's longest segment exceeds
+    ``RESAMPLE_RATIO`` times its shortest.  Each resampled node is a convex
     combination of two nodes on the constraint set, so it is projected
-    again: from its interpolated plane coordinates when both nodes lie in
-    the plane (:func:`_project_plane_row`), else by a grid pass over the
-    interpolated couple.  Nodes are rewritten one at a time, from a copy of
-    the side, with the arithmetic of a resample of the whole side at once.
-    Returns whether it resampled.
+    again (:meth:`_Chain.project`): from its interpolated plane coordinates
+    when both nodes lie in the plane, else by a grid pass over the
+    interpolated couple.  Every target is interpolated from the side as it
+    was before any row is written, so the side is not copied; then the
+    side's segments are measured afresh.  Returns whether it resampled.
     """
-    m = len(E) - 1
+    m, seg = hi - lo, chain.seg[lo:hi]
     if m < 2 or seg.max() <= RESAMPLE_RATIO * seg.min():
         return False
     arc = np.concatenate([[0.0], np.cumsum(seg)])
     targets = np.linspace(0.0, arc[-1], m + 1)[1:-1]
     j = np.minimum(np.searchsorted(arc, targets, side="right") - 1, m - 1)
     theta = (targets - arc[j]) / np.maximum(arc[j + 1] - arc[j], 1e-300)
-    # the targets' plane coordinates, NaN where a source is off the plane;
-    # only such a target reads the side's nodes themselves
+    # target i lies between old nodes j[i-1] and j[i-1]+1: its plane
+    # coordinates, NaN where a node is off the plane, and then the couple
+    P, Q = chain.P[lo:hi + 1], chain.Q[lo:hi + 1]
     Qt = (1 - theta)[:, None] * Q[j] + theta[:, None] * Q[j + 1]
-    P0 = P.copy() if np.isnan(Qt[:, 0]).any() else None
-    # node by node, from the side as it was: node i is interpolated between
-    # old nodes j[i-1] and j[i-1]+1, projected and written, and the segment
-    # it closes is measured
-    for i in range(1, m):
-        r, th, q = j[i - 1], theta[i - 1], Qt[i - 1].tolist()
-        if math.isnan(q[0]):
-            _project_row(P, E, Q, i, wt, (1 - th) * P0[r] + th * P0[r + 1])
-        else:
-            _project_plane_row(P, E, Q, i, plane, q)
-        seg[i - 1] = _segment(P, Q, i - 1, wt, plane)
-    seg[m - 1] = _segment(P, Q, m - 1, wt, plane)
+    xs = [(1 - th) * P[r] + th * P[r + 1] if math.isnan(q[0]) else q
+          for r, th, q in zip(j, theta, Qt.tolist())]
+    for i, x in enumerate(xs, start=lo + 1):
+        chain.project(i, x)
+    chain.measure(lo, hi)
+    chain.resamples += 1
     return True
 
 
-def _move_node(wt: Weights, metric: PairMetric, P, E, Q, seg: np.ndarray,
-               k: int, top=None, floor_first: bool = False) -> tuple[int, bool]:
+def _move_node(chain: _Chain, metric: PairMetric, k: int) -> bool:
     """One line search that moves interior node k of a chain in place.
 
-    ``top`` is the crest's measurement ``(I, g, m, slope)`` when node k is
-    the crest, which climbs; a neighbor (``top`` None) is measured here and
-    relaxes.  A climb with ``floor_first`` (the last climb failed) judges
-    the floor of its step ladder before its first step.  An accepted trial
-    rewrites row k of ``P``, its energy and the two segments next to it,
-    and takes the node off the plane (its row of ``Q`` is NaN).  Returns
-    the trials and whether the node moved.  The move's arrays are freed on
-    return, before the next sweep resamples the chain.
+    The chain's measured crest climbs, from its measurement; any other node
+    is measured here and relaxes.  A climb judges the floor of its step
+    ladder after a failed first step, or before its first step when the
+    last climb failed.  An accepted trial is written to the chain
+    (:meth:`_Chain.move`), which takes the node off the plane.  The trials,
+    and a failed climb, are counted on the chain.  Returns whether the node
+    moved.  The move's arrays are freed on return, before the next sweep
+    resamples the chain.
     """
-    climbing = top is not None
-    I, g, m, slope = top if climbing else _node_direction(wt, metric, P[k])
+    P, wt = chain.P, chain.wt
+    climbing = k == chain.crest
+    I, g, m, slope = chain.top if climbing else _node_direction(wt, metric, P[k])
     # the maximum node climbs: the gradient component along the path tangent
     # P[k+1] - P[k-1] is reversed so the node ascends the path direction
     # while relaxing transversally; neighbors relax transversally only.  The
@@ -714,21 +732,22 @@ def _move_node(wt: Weights, metric: PairMetric, P, E, Q, seg: np.ndarray,
         def accept(st, t, J):
             # the climbing node is accepted when its gradient shrinks
             return _pair_grad_norm(metric, J, t) < gnorm
+        floor_after = 1 if chain.climbed else 0
     else:
-        accept, slope = None, d_slope
-    # neighbors take the Armijo test; the climbing node's step floor,
-    # probed after a failed first trial or before it, uses its unmodified
-    # slope
-    n, found = _line_search(wt, P[k], d, slope, I.A, E[k], accept,
-                            grad=climbing, probe_floor=climbing,
-                            floor_first=floor_first)
+        accept, slope, floor_after = None, d_slope, None
+    # neighbors take the Armijo test; the climbing node's step floor uses
+    # its unmodified slope
+    n, found = _line_search(wt, P[k], d, slope, I.A, chain.E[k], accept,
+                            grad=climbing, floor_after=floor_after)
+    chain.trials += n
+    if climbing:
+        chain.climbed = found is not None
+        chain.failed_climbs += not chain.climbed
     if found is None:
-        return n, False
-    _, t, J, P[k], _ = found
-    E[k], Q[k] = J.energy(t), np.nan
-    seg[k - 1] = wt.distance(P[k] - P[k - 1])
-    seg[k] = wt.distance(P[k + 1] - P[k])
-    return n, True
+        return False
+    _, t, J, x, _ = found
+    chain.move(k, t, J, x)
+    return True
 
 
 def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
@@ -742,10 +761,10 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
     ``extra["orientation"]`` is the case.  Each sweep applies descent steps
     with reprojection to the current maximum node and its two neighbors;
     the along-path component of each move is removed so nodes relax
-    transversally instead of sliding off the barrier.  The chain is one
-    (K+1, 2, n) array, node k in row k; its K segment lengths sqrt(sum w
-    (du^2 + dv^2)) are kept with it: a moved node k updates segments k-1
-    and k only.  From the second sweep on, each side of the crest is
+    transversally instead of sliding off the barrier.  The chain
+    (:class:`_Chain`) keeps its K segment lengths sqrt(sum w (du^2 +
+    dv^2)): a moved node k updates segments k-1 and k only.  From the
+    second sweep on, each side of the crest is
     resampled to equal arclength when its longest segment exceeds
     ``RESAMPLE_RATIO`` times its shortest (:func:`_redistribute`);
     ``extra["resamples"]`` counts those side resamplings,
@@ -753,10 +772,9 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
     ``extra["plane_projections"]`` the chain projections made in the plane
     of the two one-component profiles, without a grid pass, and
     ``extra["climbs"]`` and ``extra["failed_climbs"]`` the crest's climbing
-    searches, one per sweep that moves the chain, and those that left it
-    in place; a failed climb makes the next one judge its step floor first.
-    A crest row that no move or resample rewrote since it was measured is
-    not measured again.  The path stops with ``stop_reason`` "tolerance" once
+    searches, one per sweep that moves the chain (so as many as
+    ``iterations``), and those that left it in place; a failed climb makes
+    the next one judge its step floor first.  The path stops with ``stop_reason`` "tolerance" once
     the crest's relative gradient is within ``crest_grad_tol``, "stall"
     once the least crest gradient has not fallen by ``PATH_STALL_DROP`` over
     the last half of the sweeps and at least the last ``PATH_STALL_WINDOW``
@@ -776,15 +794,9 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
             "matching exponent >= 2 in the same orientation")
 
     K = opts.n_path_nodes
-    wt = Weights(grid, params)
-    P, E, Q, plane = _initial_path(wt, K)
-    seg = _segments(P, Q, wt, plane)
+    chain = _initial_path(Weights(grid, params), K)
     metric = PairMetric(grid, params.lambda1, params.lambda2)
-    trace, gnorm_trace = [float(E.max())], []
-    resamples = trials = climbs = failed_climbs = 0
-    plane_projections = K - 1       # the initial path's interior nodes
-    crest = -1          # the row that ``top`` measured, while it holds that state
-    climbed = True      # whether the last climb moved the crest
+    trace, gnorm_trace = [float(chain.E.max())], []
     stop = "max_sweeps"
     # sweeps 0 .. max_sweeps-1 move the chain; the extra pass only measures
     # the crest of the chain that the last sweep left
@@ -796,26 +808,12 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
             # spacing grow and the discrete maximum dodge the barrier.  A
             # resample moves every interior node of its side and projects it
             # again, so it waits until the spacing has degraded.
-            a = int(np.argmax(E))
-            left = _redistribute(P[:a + 1], E[:a + 1], Q[:a + 1], seg[:a], wt, plane)
-            right = _redistribute(P[a:], E[a:], Q[a:], seg[a:], wt, plane)
-            resamples += left + right
-            # a resample projects every interior row of its side again, in
-            # the plane where the row is still in it
-            plane_projections += (left * int(np.isfinite(Q[1:a, 0]).sum())
-                                  + right * int(np.isfinite(Q[a + 1:K, 0]).sum()))
-            # a resample rewrites the interior rows of its side; row a is an
-            # endpoint of both
-            if (left and crest < a) or (right and crest > a):
-                crest = -1
-        k_max = int(np.argmax(E))
-        if k_max in (0, K):
-            raise DegeneratePathError("path maximum collapsed onto an endpoint")
-        # the crest's gradient and direction serve its climb below as well; a
-        # crest row that no move or resample rewrote keeps its measurement
-        if k_max != crest:
-            crest, top = k_max, _node_direction(wt, metric, P[k_max])
-        gnorm = _rel_grad(top[-1], top[0].A)
+            a = int(np.argmax(chain.E))
+            _redistribute(chain, 0, a)
+            _redistribute(chain, a, K)
+        # the crest's gradient and direction serve its climb below as well
+        k_max, (I, _, _, slope) = chain.measure_crest(metric)
+        gnorm = _rel_grad(slope, I.A)
         gnorm_trace.append(gnorm)
         if gnorm <= opts.crest_grad_tol:
             stop = "tolerance"
@@ -833,47 +831,34 @@ def mountain_pass(params: ProblemParams, grid: RadialGrid | None = None,
 
         improved = False
         for k in (k_max - 1, k_max, k_max + 1):
-            if k in (0, K):
-                continue
-            climbing = k == k_max
-            # a climb that failed makes the next one probe its floor first
-            n, moved = _move_node(wt, metric, P, E, Q, seg, k,
-                                  top if climbing else None,
-                                  floor_first=climbing and not climbed)
-            trials += n
-            if climbing:
-                climbs += 1
-                failed_climbs += not moved
-                climbed = moved
-            if moved:
-                if k == crest:
-                    crest = -1
-                improved = True
-        trace.append(float(E.max()))
+            if 0 < k < K:
+                improved |= _move_node(chain, metric, k)
+        trace.append(float(chain.E.max()))
         if not improved:
             stop = "no_improvement"
             break
 
-    I = top[0]
     levels = _levels(params)
-    levels["endpoint_energies"] = [float(E[0]), float(E[-1])]
+    levels["endpoint_energies"] = [float(chain.E[0]), float(chain.E[-1])]
     levels["initial_path_max"] = trace[0]
     # by Hoelder, the upper envelope of the interpolating path peaks at
     # t = 1/2, at E1 + E2
-    levels["interpolation_bound_max"] = float(E[0] + E[-1])
+    levels["interpolation_bound_max"] = float(chain.E[0] + chain.E[-1])
     return SolverReport(
         kind="mountain_pass", params=params.to_dict(),
-        energy=float(E[k_max]), gradient_norm=gnorm,
+        energy=float(chain.E[k_max]), gradient_norm=gnorm,
         nehari_residual=abs(I.residual()) / max(I.A, 1e-300),
         iterations=len(trace) - 1,
         converged=stop == "tolerance", stop_reason=stop,
         level_diagnostics=levels,
-        profiles=_pair(grid, P[k_max].copy()),
+        profiles=_pair(grid, chain.P[k_max].copy()),
         trace=trace,
+        # one climb per sweep that moves the chain
         extra={"gradient_norm_trace": gnorm_trace, "crest_index": k_max,
-               "resamples": resamples, "trials": trials,
-               "plane_projections": plane_projections, "climbs": climbs,
-               "failed_climbs": failed_climbs, "orientation": orientation})
+               "resamples": chain.resamples, "trials": chain.trials,
+               "plane_projections": chain.plane_projections,
+               "climbs": len(trace) - 1, "failed_climbs": chain.failed_climbs,
+               "orientation": orientation})
 
 
 # ---------------------------------------------------------------------------

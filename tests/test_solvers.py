@@ -379,14 +379,16 @@ class TestMountainPass:
     def test_redistribute_resamples_a_view_in_place(self):
         pr = self.params()
         wt = Weights(small_grid(4), pr)
-        P, E, Q, plane = solvers._initial_path(wt, 10)
+        chain = solvers._initial_path(wt, 10)
+        P, E, Q, plane = chain.P, chain.E, chain.Q, chain.plane
         U, V = P[:, 0], P[:, 1]
         # crowd the chain so that resampling moves the interior rows; the
         # crowded rows are marked off the plane, so a target between them is
         # projected by a grid pass
         U[3:6], V[3:6], E[3:6], Q[3:6] = U[2], V[2], E[2], np.nan
-        U0, V0, E0, Q0 = U.copy(), V.copy(), E.copy(), Q.copy()
-        seg = solvers._segments(P[2:9], Q[2:9], wt, plane)
+        chain.measure(0, 10)
+        U0, V0, E0, Q0, seg0 = U.copy(), V.copy(), E.copy(), Q.copy(), chain.seg.copy()
+        seg = seg0[2:8]
         # a segment with an end off the plane is the volume norm of the
         # difference, bit for bit; one between plane nodes is, to rounding
         us, vs = U0[2:9], V0[2:9]
@@ -394,12 +396,13 @@ class TestMountainPass:
                        * wt.grid.w).sum(axis=1))
         assert np.array_equal(seg[:4], ref[:4])
         assert seg[4:] == pytest.approx(ref[4:], rel=1e-13)
-        assert solvers._redistribute(P[2:9], E[2:9], Q[2:9], seg.copy(), wt, plane)
+        assert solvers._redistribute(chain, 2, 8)
         outside = [0, 1, 2, 8, 9, 10]
         assert np.array_equal(U[outside], U0[outside])
         assert np.array_equal(V[outside], V0[outside])
         assert np.array_equal(E[outside], E0[outside])
         assert np.array_equal(Q[outside], Q0[outside])
+        assert np.array_equal(chain.seg[[0, 1, 8, 9]], seg0[[0, 1, 8, 9]])
         assert not np.array_equal(U[3:8], U0[3:8])
         for k in range(3, 8):
             I = integrals(wt, U[k], V[k], positive=True)
@@ -426,23 +429,48 @@ class TestMountainPass:
                 assert E[k] == pytest.approx(I.energy(t), rel=1e-13)
         assert on_grid == [3, 4, 5, 6]
 
+    def test_a_resample_interpolates_every_target_from_the_old_side(self):
+        # every interior row off the plane, crowded toward the end node, so
+        # that most targets lie between nodes that precede them: rows the
+        # resample writes before it reaches those targets
+        wt = Weights(small_grid(4), self.params())
+        chain = solvers._initial_path(wt, 10)
+        P, E = chain.P, chain.E
+        ends = P[[0, 10]].copy()
+        for k in range(1, 10):
+            s_k = 1.0 - 0.5 ** k
+            chain.project(k, (1.0 - s_k) * ends[0] + s_k * ends[1])
+        assert np.isnan(chain.Q[1:10]).all()
+        chain.measure(0, 10)
+        P0, arc = P.copy(), np.concatenate([[0.0], np.cumsum(chain.seg)])
+        assert solvers._redistribute(chain, 0, 10)
+        rewritten = 0
+        for i, s_t in enumerate(np.linspace(0.0, arc[-1], 11)[1:-1], start=1):
+            j = min(int(np.searchsorted(arc, s_t, side="right")) - 1, 9)
+            theta = (s_t - arc[j]) / max(arc[j + 1] - arc[j], 1e-300)
+            x = (1 - theta) * P0[j] + theta * P0[j + 1]
+            t, I = project_arrays(wt, *x, positive=True)
+            assert np.array_equal(P[i], t * x) and E[i] == I.energy(t)
+            rewritten += 0 < j < i or j + 1 < i
+        assert rewritten >= 5
+
     def test_redistribute_projects_between_plane_nodes_in_the_plane(self):
         # every node of the initial path lies in the plane of (z1, z2): a
         # resampled node is t (a z1, b z2), with (a, b) the interpolated
         # coordinates and t its plane projection, and agrees with a grid
         # projection of the interpolated couple to rounding
         wt = Weights(small_grid(4), self.params())
-        P, E, Q, plane = solvers._initial_path(wt, 10)
+        chain = solvers._initial_path(wt, 10)
+        P, E, Q, plane, seg = chain.P, chain.E, chain.Q, chain.plane, chain.seg
         z1, z2 = P[0, 0].copy(), P[-1, 1].copy()
         assert not P[0, 1].any() and not P[-1, 0].any()
         for k in range(11):
             assert np.array_equal(P[k], Q[k][:, None] * np.stack((z1, z2)))
         P0, Q0 = P.copy(), Q.copy()
-        seg = solvers._segments(P, Q, wt, plane)
         assert seg == pytest.approx(
             [wt.distance(P[k + 1] - P[k]) for k in range(10)], rel=1e-13)
         arc = np.concatenate([[0.0], np.cumsum(seg)])
-        assert solvers._redistribute(P, E, Q, seg, wt, plane)
+        assert solvers._redistribute(chain, 0, 10)
         for k, s_t in enumerate(np.linspace(0.0, arc[-1], 11)[1:-1], start=1):
             j = min(int(np.searchsorted(arc, s_t, side="right")) - 1, 9)
             theta = (s_t - arc[j]) / max(arc[j + 1] - arc[j], 1e-300)
@@ -457,7 +485,11 @@ class TestMountainPass:
             tg, Ig = project_arrays(wt, *x, positive=True)
             assert_rows_close(P[k], tg * x)
             assert E[k] == pytest.approx(Ig.energy(tg), rel=1e-13)
-        assert np.array_equal(seg, solvers._segments(P, Q, wt, plane))
+        # the initial path's 9 interior nodes and the 9 resampled ones
+        assert chain.plane_projections == 18
+        seg0 = seg.copy()
+        chain.measure(0, 10)
+        assert np.array_equal(seg, seg0)
         assert seg == pytest.approx(
             [wt.distance(P[k + 1] - P[k]) for k in range(10)], rel=1e-13)
 
@@ -465,51 +497,57 @@ class TestMountainPass:
         pr = self.params()
         grid = small_grid(4)
         wt = Weights(grid, pr)
-        P, E, Q, plane = solvers._initial_path(wt, 8)
-        seg = solvers._segments(P, Q, wt, plane)
+        chain = solvers._initial_path(wt, 8)
+        P, E, Q, seg = chain.P, chain.E, chain.Q, chain.seg
         k = int(np.argmax(E)) - 1
         Q0 = Q.copy()
-        n, moved = solvers._move_node(wt, PairMetric(grid, pr.lambda1, pr.lambda2),
-                                      P, E, Q, seg, k)
-        assert moved and n >= 1
+        moved = solvers._move_node(chain, PairMetric(grid, pr.lambda1, pr.lambda2), k)
+        assert moved and chain.trials >= 1
         assert np.isnan(Q[k]).all()
         others = [i for i in range(9) if i != k]
         assert np.array_equal(Q[others], Q0[others])
         # the two segments at the moved node are volume norms of differences
         assert seg[k - 1] == wt.distance(P[k] - P[k - 1])
         assert seg[k] == wt.distance(P[k + 1] - P[k])
-        assert np.array_equal(seg, solvers._segments(P, Q, wt, plane))
+        seg0 = seg.copy()
+        chain.measure(0, 8)
+        assert np.array_equal(seg, seg0)
 
     def test_redistribute_keeps_a_chain_within_the_ratio(self):
         wt = Weights(small_grid(4), self.params())
-        P, E, Q, plane = solvers._initial_path(wt, 10)
+        chain = solvers._initial_path(wt, 10)
+        P, E, Q, seg = chain.P, chain.E, chain.Q, chain.seg
         U, V = P[:, 0], P[:, 1]
-        seg = solvers._segments(P, Q, wt, plane)
         # the initial path's longest segment is 5 times its shortest
-        assert solvers._redistribute(P, E, Q, seg, wt, plane)
+        assert solvers._redistribute(chain, 0, 10)
         assert seg.max() <= solvers.RESAMPLE_RATIO * seg.min()
         U0, V0, E0, Q0, seg0 = U.copy(), V.copy(), E.copy(), Q.copy(), seg.copy()
-        assert not solvers._redistribute(P, E, Q, seg, wt, plane)
+        assert not solvers._redistribute(chain, 0, 10)
         for a, b in ((U, U0), (V, V0), (E, E0), (Q, Q0), (seg, seg0)):
             assert np.array_equal(a, b)
+        assert chain.resamples == 1
 
     def test_redistribute_refreshes_the_segments_it_resamples(self):
         wt = Weights(small_grid(4), self.params())
-        P, E, Q, plane = solvers._initial_path(wt, 10)
-        U, V = P[:, 0], P[:, 1]
-        U[3:6], V[3:6], E[3:6], Q[3:6] = U[2], V[2], E[2], np.nan
-        P1, E1, Q1 = P.copy(), E.copy(), Q.copy()
-        U1, V1 = P1[:, 0], P1[:, 1]
-        seg = solvers._segments(P, Q, wt, plane)
-        assert solvers._redistribute(P[2:9], E[2:9], Q[2:9], seg[2:8], wt, plane)
+        chain, chain1 = solvers._initial_path(wt, 10), solvers._initial_path(wt, 10)
+        for c in (chain, chain1):
+            U, V = c.P[:, 0], c.P[:, 1]
+            U[3:6], V[3:6], c.E[3:6], c.Q[3:6] = U[2], V[2], c.E[2], np.nan
+        chain.measure(0, 10)
+        assert solvers._redistribute(chain, 2, 8)
         # the refresh is exact: each segment as a fresh computation gives it
-        assert np.array_equal(seg, solvers._segments(P, Q, wt, plane))
-        # a view of the chain's segments resamples as segments computed afresh
-        solvers._redistribute(P1[2:9], E1[2:9], Q1[2:9],
-                              solvers._segments(P1[2:9], Q1[2:9], wt, plane), wt, plane)
-        for a, b in ((U, U1), (V, V1), (E, E1)):
+        seg = chain.seg.copy()
+        chain.measure(0, 10)
+        assert np.array_equal(seg, chain.seg)
+        # a side reads its own segments alone: those of the rest of the
+        # chain may be unknown
+        chain1.seg[:] = np.nan
+        chain1.measure(2, 8)
+        assert solvers._redistribute(chain1, 2, 8)
+        for a, b in ((chain.P, chain1.P), (chain.E, chain1.E),
+                     (chain.seg[2:8], chain1.seg[2:8])):
             assert np.array_equal(a, b)
-        assert np.array_equal(Q, Q1, equal_nan=True)
+        assert np.array_equal(chain.Q, chain1.Q, equal_nan=True)
 
     def test_counts_its_side_resamplings(self):
         rep = mountain_pass(self.params(), cached_grid(4, 1e-6, 1e6, 1024),
@@ -550,28 +588,40 @@ class TestMountainPass:
         # one climb per sweep that moves the chain; a climb that failed makes
         # the next one judge its floor first, which at this tuple ends each
         # failure that follows a failure after 1 trial
-        moves = []
-        move = solvers._move_node
+        moves, searches = [], []
+        move, search = solvers._move_node, solvers._line_search
 
-        def recorded(*args, **kwargs):
-            n, moved = move(*args, **kwargs)
-            climbing = args[7] is not None
-            moves.append((climbing, kwargs["floor_first"], n, moved))
-            return n, moved
+        def recorded_search(*args, **kwargs):
+            n, found = search(*args, **kwargs)
+            searches.append((kwargs["floor_after"], n))
+            return n, found
 
-        monkeypatch.setattr(solvers, "_move_node", recorded)
+        def recorded_move(chain, metric, k):
+            # the climbing node is the chain's maximum
+            climbing = k == int(np.argmax(chain.E))
+            moved = move(chain, metric, k)
+            # one search per move
+            (floor_after, n), = searches
+            searches.clear()
+            moves.append((climbing, floor_after, n, moved))
+            return moved
+
+        monkeypatch.setattr(solvers, "_line_search", recorded_search)
+        monkeypatch.setattr(solvers, "_move_node", recorded_move)
         rep = mountain_pass(self.params(), cached_grid(4, 1e-6, 1e6, 1024),
                             PathOptions(n_path_nodes=7, max_sweeps=40))
-        climbs = [(first, n, moved) for climbing, first, n, moved in moves
+        climbs = [(after, n, moved) for climbing, after, n, moved in moves
                   if climbing]
         assert rep.extra["trials"] == sum(n for *_, n, _ in moves)
-        assert rep.extra["climbs"] == len(climbs) == rep.iterations == 40
+        # the climbs are read off the iterations: one per sweep that moves
+        assert rep.extra["climbs"] == rep.iterations == len(climbs) == 40
         assert rep.extra["failed_climbs"] == sum(not m for *_, m in climbs) == 32
-        # only a climb after a failed climb probes its floor first
-        assert [first for first, *_ in climbs] == [
-            False] + [not moved for *_, moved in climbs[:-1]]
-        assert not any(first for climbing, first, *_ in moves if not climbing)
-        assert all(n == 1 for first, n, moved in climbs if first and not moved)
+        # a climb judges its floor after a failed first trial, and before its
+        # first trial when the last climb failed; a neighbor never does
+        assert [after for after, *_ in climbs] == [
+            1] + [1 if moved else 0 for *_, moved in climbs[:-1]]
+        assert all(after is None for climbing, after, *_ in moves if not climbing)
+        assert all(n == 1 for after, n, moved in climbs if after == 0 and not moved)
 
     def test_bump_h_crest_level_at_the_reference_grid(self):
         # the yardstick of the path's cost: the level at 1e-9 is the one
@@ -716,7 +766,7 @@ class TestFloorProbe:
         trials, found, ladder, rel = self.search(monkeypatch, lambda st: False)
         assert found is None and trials > 2
         trials, found, steps, _ = self.search(monkeypatch, lambda st: False,
-                                              probe_floor=True)
+                                              floor_after=1)
         assert (trials, found) == (2, None)
         assert steps == [ladder[0], ladder[-1]]
         assert ladder[-1] * rel > solvers.SQRT_EPS >= 0.5 * ladder[-1] * rel
@@ -730,7 +780,7 @@ class TestFloorProbe:
 
         trials, found0, steps, rel = self.search(monkeypatch, passes)
         probed, found, (first, floor, *rest), _ = self.search(
-            monkeypatch, passes, probe_floor=True)
+            monkeypatch, passes, floor_after=1)
         assert floor * rel > solvers.SQRT_EPS >= 0.5 * floor * rel
         assert probed == trials + 1 and [first, *rest] == steps
         (st, t, _, (u, v), _), (st0, t0, _, (u0, v0), _) = found, found0
@@ -741,7 +791,7 @@ class TestFloorProbe:
             self, monkeypatch):
         *_, ladder, _ = self.search(monkeypatch, lambda st: False)
         trials, found, steps, _ = self.search(monkeypatch, lambda st: False,
-                                              probe_floor=True, floor_first=True)
+                                              floor_after=0)
         assert (trials, found, steps) == (1, None, [ladder[-1]])
 
     @pytest.mark.parametrize("below", [2.0, 0.3, 1e-3, 1e-6])
@@ -754,26 +804,26 @@ class TestFloorProbe:
 
         trials, found0, steps, rel = self.search(monkeypatch, passes)
         probed, found, (floor, *rest), _ = self.search(
-            monkeypatch, passes, probe_floor=True, floor_first=True)
+            monkeypatch, passes, floor_after=0)
         assert floor * rel > solvers.SQRT_EPS >= 0.5 * floor * rel
         assert probed == trials + 1 and rest == steps
         (st, t, _, (u, v), _), (st0, t0, _, (u0, v0), _) = found, found0
         assert (st, t) == (st0, t0) and st < below
         assert np.array_equal(u, u0) and np.array_equal(v, v0)
 
-    @pytest.mark.parametrize("rungs,floor_first",
-                             [(1, False), (2, False), (1, True), (2, True)],
+    @pytest.mark.parametrize("rungs,floor_after",
+                             [(1, 1), (2, 1), (1, 0), (2, 0)],
                              ids=["1", "2", "1-first", "2-first"])
     def test_a_ladder_of_one_or_two_rungs_is_not_probed(self, monkeypatch,
-                                                        rungs, floor_first):
+                                                        rungs, floor_after):
         # every step below the first passes, so a probe would show as a
         # repeated step
         *_, nsq, _, slope = self.start()
         step = (1.5 if rungs == 1 else 3.0) * solvers.SQRT_EPS / math.sqrt(
             slope / nsq)
         trials, found, steps, _ = self.search(monkeypatch, lambda st: st < step,
-                                              step=step, probe_floor=True,
-                                              floor_first=floor_first)
+                                              step=step,
+                                              floor_after=floor_after)
         assert trials == rungs and steps == [step * 0.5 ** k
                                              for k in range(rungs)]
         assert (found is None) == (rungs == 1)

@@ -66,9 +66,10 @@ VALUE_LINE = re.compile(r"^# ([\w.\-]+) = (\S+)")
 COLD_SECONDS = 1.0      # a cold run reports setup_s only
 # what ``--trace`` traces beyond ``perfbench.tracing.TARGETS``, as
 # "<module>.<attribute path>": the integrals pass and the projection that
-# the solvers call, and the min-max chain's own steps
-EXTRA_TARGETS = ("energy.integrals", "energy.project_arrays", "solvers._line_search",
-                 "solvers._move_node", "solvers._node_direction",
+# the solvers call, the plane's scalar integrals, and the min-max chain's
+# own steps
+EXTRA_TARGETS = ("energy.integrals", "energy.project_arrays", "energy.Plane.integrals",
+                 "solvers._line_search", "solvers._move_node", "solvers._node_direction",
                  "solvers._initial_path", "operators.PairMetric.transversal")
 
 # what the warm-up imports, so that the first warm run compiles nothing
