@@ -37,6 +37,9 @@ from .errors import GridMismatchError, InvalidGridError, InvalidParameterError
 REFERENCE_R_MIN = 1e-6
 REFERENCE_R_MAX = 1e6
 REFERENCE_N_NODES = 4096
+# the most nodes a grid takes: each of its arrays is then 8 MiB.  A larger
+# count is refused before any array is built
+MAX_NODES = 2 ** 20
 
 
 class RadialGrid:
@@ -72,6 +75,8 @@ class RadialGrid:
                 f"radii must satisfy 0 < r_min < 1 < r_max, got ({r_min}, {r_max})")
         if n_nodes < 64:
             raise InvalidGridError(f"need at least 64 nodes, got {n_nodes}")
+        if n_nodes > MAX_NODES:
+            raise InvalidGridError(f"need at most {MAX_NODES} nodes, got {n_nodes}")
         self.N = int(N)
         self.n = int(n_nodes)
         self.r_min = float(r_min)

@@ -120,6 +120,10 @@ RESAMPLE_RATIO = 1.5
 # by under 1% from sweep 11 to 64, stops at 61 and would converge at 257.
 PATH_STALL_WINDOW = 50
 PATH_STALL_DROP = 0.01
+# the most segments a min-max chain takes: its K + 1 states hold 64 MiB on
+# the reference grid of 4096 nodes.  A larger count is refused before any
+# state is built
+MAX_PATH_NODES = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +156,9 @@ class PathOptions:
 
     def __post_init__(self):
         _check_floors(self, n_path_nodes=2, max_sweeps=0, crest_grad_tol=0)
+        if self.n_path_nodes > MAX_PATH_NODES:
+            raise InvalidParameterError(f"invalid PathOptions: n_path_nodes="
+                                        f"{self.n_path_nodes!r} (must be <= {MAX_PATH_NODES})")
 
 
 @dataclass

@@ -22,11 +22,12 @@ from hsvar import io as hio
 from hsvar import closed_forms
 from hsvar.cli import (COMMANDS, RunConfig, _check_weight, _csv_line, _load_config,
                        build_parser, run_command)
-from hsvar.grid import RadialFunction
+from hsvar.grid import MAX_NODES, RadialFunction
 from hsvar.io import pair_from_csv, pair_to_csv
 from hsvar.errors import ConfigError, HsvarError
 from hsvar.params import ProblemParams, read_fields, real_number, text, whole_number
 from hsvar.regimes import LemmaInstance, algebraic_inf, sweep_cells
+from hsvar.solvers import MAX_PATH_NODES
 
 from conftest import admissible_params
 
@@ -495,6 +496,16 @@ def _run_malformed(tmp_path, capsys, monkeypatch, argv, content):
     (["lemma", "--B", "1", "--theta", "2"], None),
     (["sweep"], None),
     ([], None),
+    # a grid or a chain above its cap used to reach numpy's allocation and
+    # end in a ValueError traceback (1); each is refused before any array
+    *((["ground-state", "--config", "{cfg}"],
+       json.dumps({"params": {"N": 4, "s": 0.5, "lambda1": 0.1, "lambda2": 0.2,
+                              "alpha": 1.5, "beta": 1.5}, "grid": {"n_nodes": n}}))
+      for n in (1e30, MAX_NODES + 1)),
+    *((["mountain-pass", "--grid", "1e-6,1e6,512", "--config", "{cfg}",
+        *(f"--{k}={v}" for k, v in PATH_PARAMS.items())],
+       json.dumps({"solver": {"n_path_nodes": k, "max_sweeps": 1}}))
+      for k in (1e30, MAX_PATH_NODES + 1)),
 ])
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch,
                                               argv, content):

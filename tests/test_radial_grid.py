@@ -8,6 +8,7 @@ import pytest
 from hsvar import (GridMismatchError, InvalidGridError, InvalidParameterError,
                    RadialFunction, best_constant, build_grid, critical_exponent,
                    exact_solution, hardy_constant, weighted_lp)
+from hsvar.grid import MAX_NODES
 from conftest import cached_grid, gradient_seminorm, integrate, smooth_bump
 
 
@@ -33,6 +34,13 @@ def test_build_grid_rejects_malformed_bounds():
     for r_min, r_max in ((1e-6, math.inf), (1e-300, 1e300)):
         with pytest.raises(InvalidGridError, match=r"window \[.*\] in dimension N = 4"):
             build_grid(4, r_min, r_max, 256)
+
+
+@pytest.mark.parametrize("n_nodes", [1e30, MAX_NODES + 1])
+def test_build_grid_refuses_more_than_max_nodes(n_nodes):
+    # refused before any array is built
+    with pytest.raises(InvalidGridError, match=f"at most {MAX_NODES} nodes"):
+        build_grid(4, 1e-6, 1e6, n_nodes)
 
 
 def test_unit_ball_volume(grid4):

@@ -1185,6 +1185,9 @@ def test_nu_star_scales_inversely_with_a_constant_weight(N, s, f1, f2, frac, c):
     (PathOptions, {"n_path_nodes": 1}),
     (PathOptions, {"max_sweeps": -1}),
     (PathOptions, {"crest_grad_tol": -1.0}),
+    # above the cap, refused before any state is built
+    (PathOptions, {"n_path_nodes": 1e30}),
+    (PathOptions, {"n_path_nodes": solvers.MAX_PATH_NODES + 1}),
 ])
 def test_out_of_range_options_are_rejected(cls, kw):
     with pytest.raises(InvalidParameterError, match=next(iter(kw))):

@@ -8,8 +8,11 @@ Usage, from anywhere inside an hsvar git checkout::
 ``PARENT`` and ``CHANGE`` are git revisions.  Each is exported with ``git
 archive`` into a temporary directory, which is removed on exit; the
 repository's own git metadata is not touched.  Without ``CHANGE`` the change
-side is the working tree that holds this script, uncommitted edits
-included.  Nothing under either tree's ``perfbench/`` is edited.
+side is a snapshot of the working tree that holds this script, taken at
+start: tracked edits and untracked files that are not ignored, written as a
+git tree in that directory and exported like a revision, so an edit saved
+later reaches neither side.  Nothing under either tree's ``perfbench/`` is
+edited.
 
 For each workload of the change's ``BENCHMARK.json`` (or each ``--workload``):
 
@@ -58,8 +61,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-HERE = Path(__file__).resolve().parent
-FINGERPRINT = HERE / "fingerprint.py"
+ROOT = Path(__file__).resolve().parents[1]      # the checkout that holds this script
+FINGERPRINT = ROOT / "tools" / "fingerprint.py"
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 VALUE_LINE = re.compile(r"^# ([\w.\-]+) = (\S+)")
@@ -83,8 +86,6 @@ TRACE_CHILD = r"""
 import json, os, sys, tempfile
 from pathlib import Path
 root, workload, seed = Path(sys.argv[1]), sys.argv[2], int(sys.argv[3])
-for var in sys.argv[5:]:
-    os.environ[var] = "1"
 sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
 import hsvar, hsvar.cli
 import tracing
@@ -117,16 +118,18 @@ print(json.dumps(rows))
 """
 
 
-def git(*args, cwd=HERE) -> str:
-    return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True,
-                          text=True).stdout.strip()
+def git(*args, env=None) -> str:
+    """The output of a git command run at ``ROOT``."""
+    return subprocess.run(["git", *args], cwd=ROOT, env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
 
 
 def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", help="git revision of the parent side")
     ap.add_argument("change", nargs="?",
-                    help="git revision of the change side (default: this working tree)")
+                    help="git revision of the change side (default: a snapshot of this "
+                         "working tree taken at start)")
     ap.add_argument("--pairs", type=int, default=5)
     ap.add_argument("--seconds", type=float, default=8.0, help="run.py --seconds")
     ap.add_argument("--seed", type=int, default=21, help="seed of the first pair")
@@ -143,17 +146,18 @@ def parse_args(argv=None):
 
 @dataclass
 class Trees:
-    """The root of each side and the scratch directory of the run."""
+    """The scratch directory of the run, which holds each side's tree in
+    the directory named after the side, and the object each side exports."""
 
-    paths: dict         # side -> tree root
-    revs: dict          # side -> commit; the working tree is HEAD + "+working-tree"
+    revs: dict          # side -> commit or tree
     tmp: Path
 
     def env(self, side: str, cold: bool) -> dict:
-        """The environment of a run of ``side``.  A cold run compiles every
-        import (its cache directory stays empty); a warm one reads the
-        side's own bytecode cache, outside both trees."""
-        env = dict(os.environ)
+        """The environment of a child that runs ``side``, with BLAS pinned to
+        one thread.  A cold run compiles every import (its cache directory
+        stays empty); a warm one reads the side's own bytecode cache,
+        outside both trees."""
+        env = {**os.environ, **dict.fromkeys(BLAS_VARS, "1")}
         if cold:
             env["PYTHONDONTWRITEBYTECODE"] = "1"
             env["PYTHONPYCACHEPREFIX"] = str(self.tmp / "pycache-cold")
@@ -165,25 +169,30 @@ class Trees:
 
 @contextmanager
 def checkouts(parent: str, change: str | None):
-    """The two trees: each revision exported by ``git archive`` into a
-    temporary directory, or this working tree for an absent ``change``.
-    The directory is removed on exit."""
-    root = Path(git("rev-parse", "--show-toplevel"))
+    """The two trees, each exported by ``git archive`` into a temporary
+    directory that is removed on exit.  An absent ``change`` is a snapshot
+    of the working tree taken now: ``HEAD`` updated by ``git add -A`` and
+    written by ``git write-tree``, with an index and an object directory of
+    its own in that directory and the repository's objects as an alternate,
+    so nothing under ``.git`` changes."""
     tmp = Path(tempfile.mkdtemp(prefix="abbench-"))
     try:
-        paths, revs = {}, {}
-        for side, rev in (("parent", parent), ("change", change)):
-            if rev is None:
-                paths[side], revs[side] = root, git("rev-parse", "HEAD") + "+working-tree"
-                continue
-            revs[side] = git("rev-parse", "--verify", rev + "^{commit}")
-            paths[side] = tmp / side
-            paths[side].mkdir()
-            archive = subprocess.run(["git", "archive", revs[side]], cwd=root,
-                                     check=True, capture_output=True).stdout
-            subprocess.run(["tar", "-x", "-C", str(paths[side])], input=archive,
-                           check=True)
-        yield Trees(paths, revs, tmp)
+        (tmp / "objects").mkdir()
+        env = {**os.environ, "GIT_INDEX_FILE": str(tmp / "index"),
+               "GIT_OBJECT_DIRECTORY": str(tmp / "objects"),
+               "GIT_ALTERNATE_OBJECT_DIRECTORIES":
+                   git("rev-parse", "--path-format=absolute", "--git-path", "objects")}
+        if change is None:
+            git("read-tree", "HEAD", env=env)   # keeps tracked files that are ignored
+            git("add", "-A", env=env)
+            change = git("write-tree", env=env)
+        # a commit, a tag's commit, or the snapshot's tree
+        revs = {side: git("rev-parse", "--verify", rev + "^{}", env=env)
+                for side, rev in (("parent", parent), ("change", change))}
+        for side, rev in revs.items():
+            git("archive", f"--prefix={side}/", "-o", f"{tmp / side}.tar", rev, env=env)
+            subprocess.run(["tar", "-xf", f"{tmp / side}.tar", "-C", str(tmp)], check=True)
+        yield Trees(revs, tmp)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
@@ -195,7 +204,7 @@ def bench_run(trees: Trees, side: str, workload: str, seed: int, seconds: float,
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds)],
-        cwd=trees.paths[side], env=trees.env(side, cold), capture_output=True, text=True)
+        cwd=trees.tmp / side, env=trees.env(side, cold), capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     try:
         last = json.loads(lines[-1])
@@ -270,8 +279,8 @@ def fingerprints(trees: Trees) -> dict:
     """The fingerprint.py beside this script on both trees, and the diff; a
     tree it cannot fingerprint gets its exit code and last error line."""
     out = {}
-    for side, path in trees.paths.items():
-        proc = subprocess.run([sys.executable, str(FINGERPRINT), str(path)],
+    for side in trees.revs:
+        proc = subprocess.run([sys.executable, str(FINGERPRINT), str(trees.tmp / side)],
                               env=trees.env(side, False), capture_output=True, text=True)
         out[side] = proc.stdout
         if proc.returncode:
@@ -287,8 +296,8 @@ def fingerprints(trees: Trees) -> dict:
 def trace_rows(trees: Trees, side: str, workload: str, seed: int) -> dict:
     """The trace rows of one set-up and one repetition of ``workload`` on
     ``side``; none, with the error printed, when the tree cannot be traced."""
-    proc = subprocess.run([sys.executable, "-c", TRACE_CHILD, str(trees.paths[side]),
-                           workload, str(seed), ",".join(EXTRA_TARGETS), *BLAS_VARS],
+    proc = subprocess.run([sys.executable, "-c", TRACE_CHILD, str(trees.tmp / side),
+                           workload, str(seed), ",".join(EXTRA_TARGETS)],
                           env=trees.env(side, False), capture_output=True, text=True)
     if proc.returncode:
         print(f"  trace of {side} exited {proc.returncode}: "
@@ -313,12 +322,12 @@ def main(argv=None) -> int:
     doc = {"args": vars(args), "workloads": {}, "flagged": []}
     with checkouts(args.parent, args.change) as trees:
         doc["revisions"] = trees.revs
-        spec = json.loads((trees.paths["change"] / "BENCHMARK.json").read_text())
+        spec = json.loads((trees.tmp / "change" / "BENCHMARK.json").read_text())
         end_to_end = [m["name"] for m in spec["end_to_end"]]
         workloads = args.workload or [w["name"] for w in spec["workloads"]]
-        for side, path in trees.paths.items():
-            print(f"{side}: {doc['revisions'][side]} at {path}", flush=True)
-            subprocess.run([sys.executable, "-c", WARM_UP, str(path)],
+        for side, rev in trees.revs.items():
+            print(f"{side}: {rev} at {trees.tmp / side}", flush=True)
+            subprocess.run([sys.executable, "-c", WARM_UP, str(trees.tmp / side)],
                            env=trees.env(side, False), check=True)
 
         for workload in workloads:
