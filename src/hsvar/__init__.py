@@ -11,8 +11,8 @@ regimes against the known existence statements.
 
 from .closed_forms import (best_constant, critical_exponent, critical_level,
                            exact_solution, extremal_prefactor, hardy_constant,
-                           separability_check, singular_exponent,
-                           sobolev_constant)
+                           nu_star_closed_form, separability_check,
+                           singular_exponent, sobolev_constant)
 from .energy import (EnergyBreakdown, ProjectionResult, StatePair, energy,
                      energy_positive, gradient_dual_norm, lambda_norm_sq,
                      nehari_residual, pair_norm_sq, project)

@@ -21,6 +21,8 @@ function; no quadrature is involved.  The key quantities, for dimension
 * ``exact_solution``: the explicit one-parameter family of radial
   minimizers, singular like ``r^{-a}`` at the origin with
   ``a = sqrt(L) - sqrt(L - lam)``.
+* ``nu_star_closed_form(params)``: the semitrivial threshold nu* of the
+  host couple (0, z2) where its eigenproblem is a Poschl-Teller well.
 * ``power_root(A, terms)``: the log x = ln t of the root of a power sum
   ``sum_k k t^e = A``, the equation of both the projection scale
   (``energy``) and the scaling-set infimum (``regimes``).
@@ -151,6 +153,34 @@ def exact_solution(N: int, lam: float, s: float, mu: float, r) -> np.ndarray:
     outer = (N - 2) / (2.0 - s)
     return (mu ** (-(N - 2) / 2.0) * A ** ((N - 2) / (2.0 * (2.0 - s)))
             / (rr ** a * (1.0 + rr ** inner) ** outer))
+
+
+def nu_star_closed_form(params: ProblemParams) -> float | None:
+    """Semitrivial threshold nu* of the host couple (0, z2) in closed form,
+    or None outside its family: alpha = 2, beta = p - 2 and constant h = c,
+    with alpha and beta compared in ``order``.
+
+    In the Emden-Fowler variable t = ln r the probe's weight 2 c z2^(p-2)
+    r^(2-s) is (c p kh^2 / 4) sech^2(b t), b = (p - 2) kh / 4, so the
+    eigenproblem is the Poschl-Teller well (Z. Phys. 83:143, 1933)
+
+        -psi'' + (kf^2 / 4) psi = mu (c p kh^2 / 4) sech^2(b t) psi,
+
+    whose ground state sech^(kf / (2b)) gives
+
+        nu* = kf (kf + 2b) / (c p kh^2),
+
+    with k = sqrt((N-2)^2 - 4 lam) of the foreign (lambda1, f) and host
+    (lambda2, h) component.  At lambda1 = lambda2 it is 1/(2c), and the mode
+    is z2 itself.
+    """
+    p, h = params.crit_exp, params.h_profile
+    if order(params.alpha, 2.0) or order(params.beta, p - 2.0) or h.kind != "constant":
+        return None
+    kf = math.sqrt((params.N - 2) ** 2 - 4.0 * params.lambda1)
+    kh = math.sqrt((params.N - 2) ** 2 - 4.0 * params.lambda2)
+    b = (p - 2.0) * kh / 4.0
+    return kf * (kf + 2.0 * b) / (h.c * p * kh * kh)
 
 
 @lru_cache(maxsize=1024, typed=True)

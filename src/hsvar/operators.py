@@ -15,12 +15,18 @@ each one ``(2, n)`` array, rows u and v; :func:`pair_dot` pairs two of them.
 Callers pass node-length arrays and the collar is taken here: the metric
 direction (:meth:`PairMetric.direction`), the removal of a direction's
 component along a path tangent (:meth:`PairMetric.transversal`) and the
-inverse iteration of a weighted eigenproblem
+shifted inverse iteration of a weighted eigenproblem
 (:meth:`LambdaOperator.lowest_mode`) each read only the interior of the
-arrays they are given.
+arrays they are given.  The same factorization certifies that iteration's
+shift: K - sigma W factorizes as SPD exactly when sigma lies below the
+lowest eigenvalue of K phi = mu W phi (Sylvester's law of inertia; Parlett,
+The Symmetric Eigenvalue Problem, 1998, ch. 4), so a shift that
+:meth:`LambdaOperator.shifted` factorizes cannot skip past the lowest mode.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
@@ -29,10 +35,12 @@ from .closed_forms import _check_domain
 from .errors import InvalidParameterError
 from .grid import RadialGrid
 
-# inverse iteration of lowest_mode: relative decrease of the Rayleigh
-# quotient that stops it, and the cap on iterations
+# shifted inverse iteration of lowest_mode: relative decrease of the
+# Rayleigh quotient that stops it, the cap on solves (plain and shifted
+# alike), and the shifts tried before it keeps the unshifted factor
 MODE_TOL = 1e-12
 MODE_MAX_ITER = 500
+MODE_SHIFTS = 4
 
 
 class LambdaOperator:
@@ -46,13 +54,25 @@ class LambdaOperator:
 
     def __init__(self, grid: RadialGrid, lam: float):
         _check_domain(grid.N, lam, 0.0)
-        self._main = grid.cc[:-1] + grid.cc[1:] - lam * grid.wr2[1:-1]
         self._off = -grid.cc[1:-1]
-        # info > 0 names the first pivot that is not positive
-        self._d, self._e, info = dpttrf(self._main, self._off)
-        if info != 0:
+        if not self._factor(grid.cc[:-1] + grid.cc[1:] - lam * grid.wr2[1:-1]):
             raise InvalidParameterError(
                 f"interior operator for lambda={lam} is not positive definite")
+
+    def _factor(self, main: np.ndarray) -> bool:
+        """Factorize the band with diagonal ``main``; False when it is not
+        positive definite."""
+        self._main = main
+        # info > 0 names the first pivot that is not positive
+        self._d, self._e, info = dpttrf(main, self._off)
+        return info == 0
+
+    def shifted(self, W: np.ndarray, sigma: float) -> LambdaOperator | None:
+        """The factorized K - sigma W, W an interior diagonal, or None when
+        it is not positive definite.  By Sylvester's law of inertia that
+        certifies sigma below the lowest eigenvalue of K phi = mu W phi."""
+        op = copy.copy(self)
+        return op if op._factor(self._main - sigma * W) else None
 
     def apply(self, d: np.ndarray) -> np.ndarray:
         out = self._main * d
@@ -61,31 +81,56 @@ class LambdaOperator:
         return out
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve (Q - lam*H) d = rhs on the interior."""
+        """Solve (Q - lam*H) d = rhs on the interior, less sigma W on the
+        left for a :meth:`shifted` operator."""
         if not rhs.any():
             return np.zeros_like(rhs)     # a zero component stays zero
         return dpttrs(self._d, self._e, rhs)[0]
 
     def lowest_mode(self, W: np.ndarray, x: np.ndarray):
-        """Lowest eigenpair of K phi = mu W phi by inverse iteration from x.
+        """Lowest eigenpair of K phi = mu W phi by shifted inverse iteration
+        from x.
 
         K is the interior matrix and W a nonnegative diagonal; ``W`` and
         ``x`` are node-length and only their interior is read.  Each step
-        solves K y = W x; the Rayleigh quotient y'Wx / y'Wy bounds mu from
-        above and does not increase.  Returns (mu, phi, iterations,
-        converged), with phi on the interior nodes and phi'W phi = 1.
+        solves (K - sigma W) y = W x, and sigma + y'Wx / y'Wy is the
+        Rayleigh quotient of y: it bounds mu from above and does not
+        increase.  The first two steps take sigma = 0; from their quotients
+        r1 >= r2, :meth:`_shift` sets a sigma that the factorization puts
+        below mu, or keeps 0.  K - sigma W is then a positive definite
+        M-matrix, so a positive x keeps its overlap with the positive lowest
+        mode, and the rate falls from mu1/mu2 to (mu1 - sigma)/(mu2 - sigma).
+        Returns (mu, phi, iterations, converged), with phi on the interior
+        nodes, phi'W phi = 1 and ``iterations`` the solves taken.
         """
         W, x, mu = W[1:-1], x[1:-1], np.inf
+        op, sigma = self, 0.0
         for it in range(1, MODE_MAX_ITER + 1):
             Wx = W * x
-            y = self.solve(Wx)
+            y = op.solve(Wx)
             yWy = float(y @ (W * y))
-            mu_next = float(y @ Wx) / yWy
+            mu_next = sigma + float(y @ Wx) / yWy
             x = y / np.sqrt(yWy)
             if mu - mu_next <= MODE_TOL * mu_next:
                 return mu_next, x, it, True
+            if it == 2:
+                op, sigma = self._shift(W, mu_next, mu - mu_next)
             mu = mu_next
         return mu, x, MODE_MAX_ITER, False
+
+    def _shift(self, W: np.ndarray, r2: float, drop: float):
+        """The shifted operator of :meth:`lowest_mode` and its sigma: the
+        first of r2 - drop, r2 - 2 drop, r2 - 4 drop, ... (``MODE_SHIFTS``
+        tries, drop = r1 - r2) that is positive and factorizes, or this
+        operator and 0."""
+        for k in range(MODE_SHIFTS):
+            sigma = r2 - 2.0 ** k * drop
+            if sigma <= 0.0:
+                break
+            op = self.shifted(W, sigma)
+            if op is not None:
+                return op, sigma
+        return self, 0.0
 
 
 def pair_dot(a, b) -> float:

@@ -61,9 +61,13 @@ The variational character of a one-component couple (0, z) is read from
 the second variation in the directions (phi, 0), tangent to the constraint
 set: with foreign exponent 2 the couple is a saddle iff nu exceeds the
 lowest eigenvalue nu* of the foreign operator against the weight 2 h z^f
-r^-s, computed by inverse iteration; other exponents fix nu* at 0 or inf.
-Neither the weight nor z contains nu, so nu* is where the label flips: the
-flip over a range of nu is read off one probe, with no search over nu.
+r^-s, computed by shifted inverse iteration (``LambdaOperator.lowest_mode``:
+two plain solves set a shift that its factorization certifies below nu*);
+other exponents fix nu* at 0 or inf.  Neither the weight nor z contains nu,
+so nu* is where the label flips: the flip over a range of nu is read off
+one probe, with no search over nu.  With host exponent p - 2 and constant
+h the eigenproblem is a Poschl-Teller well, and the probe reports nu* in
+closed form beside the computed one (``closed_forms.nu_star_closed_form``).
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ from functools import partial
 
 import numpy as np
 
-from .closed_forms import critical_level, exact_solution
+from .closed_forms import critical_level, exact_solution, nu_star_closed_form
 from .energy import Plane, StatePair, Weights, integrals, project_arrays
 from .errors import (DegenerateInputError, DegeneratePathError, HsvarError,
                      InvalidParameterError, PreconditionError)
@@ -893,9 +897,13 @@ def semitrivial_probe(params: ProblemParams, which: str,
     nu* = 0 for e < 2 and nu* = inf for e > 2 in ``params.order``.  For e = 2,
     nu* is the lowest eigenvalue of K phi = mu W phi, where K is the foreign
     component's interior operator and W = 2 h z^f r^-s, quadrature-weighted,
-    with f the host exponent; inverse iteration computes it, and the
-    classification is ``inconclusive`` only when the iteration cap is hit.
-    ``opts`` is not read: nothing here is random.
+    with f the host exponent; shifted inverse iteration computes it, the
+    report's ``iterations`` counts its solves, and the classification is
+    ``inconclusive`` only when the cap on solves is hit.  For e = 2 only,
+    ``extra["nu_star_closed_form"]`` holds
+    :func:`~hsvar.closed_forms.nu_star_closed_form` of the oriented tuple:
+    nu* in closed form, or None outside its family.  ``opts`` is not read:
+    nothing here is random.
     """
     grid = grid or reference_grid(params.N)
     if which not in ("first", "second"):
@@ -908,13 +916,14 @@ def semitrivial_probe(params: ProblemParams, which: str,
     wt = Weights(grid, work)
     z, base = _extremal(wt, "second")
 
-    e, side, iters, stop = work.alpha, order(work.alpha, 2.0), 0, None
+    e, side, iters, stop, closed = work.alpha, order(work.alpha, 2.0), 0, None, {}
     if side:
         nu_star = 0.0 if side < 0 else math.inf
     else:
         nu_star, _, iters, done = LambdaOperator(grid, work.lambda1).lowest_mode(
             wt.foreign_weight(z, work.beta), z)
         stop = "tolerance" if done else "max_iter"
+        closed = {"nu_star_closed_form": nu_star_closed_form(work)}
     classification = _label(work.nu, nu_star, stop)
 
     levels = _levels(params)
@@ -926,7 +935,7 @@ def semitrivial_probe(params: ProblemParams, which: str,
         level_diagnostics=levels,
         profiles=_pair(grid, _semitrivial(z, which)),
         classification=classification, stop_reason=stop,
-        extra={"which": which, "nu_star": nu_star, "foreign_exponent": e})
+        extra={"which": which, "nu_star": nu_star, "foreign_exponent": e, **closed})
 
 
 def classification_flip(params_at, nu_lo: float, nu_hi: float, which: str,

@@ -644,6 +644,24 @@ def test_probe_command(tmp_path, capsys):
     assert out["classification"] == "local_min"
 
 
+def test_probe_reports_nu_star_beside_its_closed_form(tmp_path, capsys):
+    # the CI console-script case: alpha = 2, beta = p - 2 at critical
+    # coupling, so constant h needs small_nu
+    cfg = tmp_path / "small_nu.json"
+    cfg.write_text(json.dumps({"small_nu": True}))
+    code = run_command(["probe", "--N", "4", "--s", "0.5", "--lambda1", "0.1",
+                        "--lambda2", "0.3", "--alpha", "2", "--beta", "1.5",
+                        "--nu", "0.1", "--which", "second", "--config", str(cfg),
+                        "--output-dir", str(tmp_path / "runs")])
+    assert code == 0
+    run_dir = json.loads(capsys.readouterr().out)["run_dir"]
+    with open(os.path.join(run_dir, "report.json")) as fh:
+        rep = json.load(fh)
+    x = rep["extra"]
+    assert abs(x["nu_star"] / x["nu_star_closed_form"] - 1) <= 1e-5
+    assert rep["iterations"] <= 6
+
+
 def test_sweep_command(tmp_path, capsys):
     doc = {
         "params": {"N": 4, "s": 1.0, "lambda1": 0.3, "lambda2": 0.5,

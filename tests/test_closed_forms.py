@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from mpmath import mpf
 
-from hsvar import (InvalidParameterError, ProblemParams, best_constant,
+from hsvar import (HProfile, InvalidParameterError, ProblemParams, best_constant,
                    critical_exponent, critical_level, exact_solution,
-                   hardy_constant, separability_check, singular_exponent,
-                   sobolev_constant)
+                   hardy_constant, nu_star_closed_form, separability_check,
+                   singular_exponent, sobolev_constant)
 
 # Oracles in 40-digit arithmetic.  The package evaluates the constants in
 # double precision through log-Gamma; here Gamma itself is used, and the
@@ -314,3 +314,60 @@ class TestCriticalLevelCache:
         for _ in range(2):
             with pytest.raises(InvalidParameterError):
                 critical_level(4, math.nan, 0.5)
+
+
+def pt_params(N, s, f1, f2, c=1.0, alpha=2.0, beta_drop=0.0):
+    """Host-couple tuple of the Poschl-Teller family: alpha = 2, beta =
+    p - 2 (less ``beta_drop``), lambdas as fractions of the Hardy constant,
+    constant h = c."""
+    p, H = critical_exponent(N, s), hardy_constant(N)
+    return ProblemParams(N, s, f1 * H, f2 * H, alpha, p - 2.0 - beta_drop, 0.1,
+                         HProfile("constant", c))
+
+
+class TestNuStarClosedForm:
+    @pytest.mark.parametrize("N,s", [(3, 0.5), (4, 0.0), (5, 0.25)])
+    @pytest.mark.parametrize("c", [0.5, 1.0, 7.0])
+    def test_equal_lambdas_give_one_over_2c(self, N, s, c):
+        assert nu_star_closed_form(pt_params(N, s, 0.3, 0.3, c)) == pytest.approx(
+            0.5 / c, rel=1e-15)
+
+    @pytest.mark.parametrize("params", [
+        pt_params(4, 0.5, 0.1, 0.3, alpha=1.9),
+        pt_params(4, 0.5, 0.1, 0.3, beta_drop=0.2),
+        ProblemParams(4, 0.5, 0.1, 0.3, 2.0, 1.5, 0.1, HProfile("bump")),
+    ], ids=["alpha", "beta", "bump"])
+    def test_outside_the_family_is_none(self, params):
+        assert nu_star_closed_form(params) is None
+
+    def test_exponents_are_compared_in_order(self):
+        # one rounding off alpha = 2 and beta = p - 2 is still the family,
+        # as the probe reads an exponent one rounding off 2 as 2
+        near = pt_params(4, 0.5, 0.1, 0.3, alpha=2.0 + 2e-13, beta_drop=2e-13)
+        assert nu_star_closed_form(near) == nu_star_closed_form(pt_params(4, 0.5, 0.1, 0.3))
+
+    @pytest.mark.parametrize("N,s,f1,f2", [(3, 0.5, 0.3, 0.2), (4, 0.5, 0.1, 0.6),
+                                           (5, 0.0, 0.2, 0.8), (4, 0.9, 0.7, 0.05)])
+    def test_weight_is_a_poschl_teller_well_with_ground_state_at_nu_star(
+            self, N, s, f1, f2):
+        # in t = ln r the probe's weight 2 c z2^(p-2) r^(2-s) is V0 sech^2(b t),
+        # V0 = c p kh^2 / 4, and sech^(kf / 2b)(b t), positive, solves
+        # -psi'' + kf^2/4 psi = nu* V0 sech^2(b t) psi: residual in 40 digits
+        c = 3.0
+        pr = pt_params(N, s, f1, f2, c)
+        p = critical_exponent(N, s)
+        kf, kh = (math.sqrt((N - 2) ** 2 - 4.0 * lam) for lam in (pr.lambda1, pr.lambda2))
+        b = (p - 2.0) * kh / 4.0
+        V0 = c * p * kh * kh / 4.0
+        r = np.logspace(-4, 4, 17)
+        weight = 2.0 * c * exact_solution(N, pr.lambda2, s, 1.0, r) ** (p - 2.0) * r ** (2.0 - s)
+        assert np.max(np.abs(weight * np.cosh(b * np.log(r)) ** 2 / V0 - 1)) <= 1e-14
+        mu = mpf(nu_star_closed_form(pr))
+        with mpmath.workdps(DIGITS):
+            def psi(t):
+                return mpmath.sech(b * t) ** (kf / (2 * b))
+
+            for t in (-6.0, -1.0, 0.0, 0.5, 3.0):
+                resid = (-mpmath.diff(psi, t, 2) + kf ** 2 / 4 * psi(t)
+                         - mu * V0 * mpmath.sech(b * t) ** 2 * psi(t))
+                assert abs(resid) <= 1e-14 * kf ** 2 * psi(t)

@@ -1007,6 +1007,23 @@ def foreign_weight(params, grid):
     return z, 2.0 * (Weights(grid, params).whrs * z.values ** params.beta)[1:-1]
 
 
+def plain_inverse_iteration(op, W, x):
+    """LambdaOperator.lowest_mode without its shift: every step solves K y =
+    W x with the stored factor, by the same stop rule and cap.  Returns mu
+    and the solves taken."""
+    W, x, mu = W[1:-1], x[1:-1], math.inf
+    for it in range(1, operators.MODE_MAX_ITER + 1):
+        Wx = W * x
+        y = op.solve(Wx)
+        yWy = float(y @ (W * y))
+        mu_next = float(y @ Wx) / yWy
+        x = y / np.sqrt(yWy)
+        if mu - mu_next <= operators.MODE_TOL * mu_next:
+            return mu_next, it
+        mu = mu_next
+    return mu, operators.MODE_MAX_ITER
+
+
 class TestClassificationThreshold:
     def test_flip_parameters_label_by_nu_star(self):
         grid = small_grid(3)
@@ -1036,6 +1053,47 @@ class TestClassificationThreshold:
         assert rep.stop_reason == "max_iter"
         flip = classification_flip(flip_params, 1e-3, 100.0, "second", grid)
         assert not flip["flip_found"]
+
+    def test_flip_parameters_take_few_solves(self):
+        # two plain steps, then shifted ones: 5 solves, 13 without the shift
+        rep = semitrivial_probe(flip_params(1.0), "second", small_grid(3))
+        assert rep.converged and rep.iterations <= 6
+
+    @pytest.mark.parametrize("cap", [2, 3])
+    def test_a_cap_around_the_shift_is_inconclusive(self, monkeypatch, cap):
+        # cap 2 ends at the shift, cap 3 after the first shifted solve
+        monkeypatch.setattr(operators, "MODE_MAX_ITER", cap)
+        rep = semitrivial_probe(flip_params(1.0), "second", small_grid(3))
+        assert rep.classification == "inconclusive" and not rep.converged
+        assert rep.stop_reason == "max_iter" and rep.iterations == cap
+
+    def test_a_refused_shift_is_lowered(self, monkeypatch):
+        shifts = []
+
+        def refuse_first(op, W, sigma):
+            shifts.append(sigma)
+            return None if len(shifts) == 1 else shifted(op, W, sigma)
+
+        shifted = LambdaOperator.shifted
+        monkeypatch.setattr(LambdaOperator, "shifted", refuse_first)
+        grid = cached_grid(3, n_nodes=512)
+        pr = flip_params(1.0)
+        _, W = foreign_weight(pr, grid)
+        K = assembled_interior(grid, pr.lambda1)
+        mu = scipy.linalg.eigh(K, np.diag(W), eigvals_only=True)[0]
+        rep = semitrivial_probe(pr, "second", grid)
+        assert len(shifts) == 2 and 0 < shifts[1] < shifts[0]
+        assert rep.converged and rep.extra["nu_star"] == pytest.approx(mu, rel=1e-8)
+
+    def test_with_every_shift_refused_the_iteration_is_the_plain_one(self, monkeypatch):
+        monkeypatch.setattr(LambdaOperator, "shifted", lambda op, W, sigma: None)
+        grid = small_grid(3)
+        pr = flip_params(1.0)
+        z = extremal_pair(pr, grid, "second").v.values
+        W = Weights(grid, pr).foreign_weight(z, pr.beta)
+        op = LambdaOperator(grid, pr.lambda1)
+        mu, _, solves, done = op.lowest_mode(W, z)
+        assert done and (mu, solves) == plain_inverse_iteration(op, W, z)
 
     def test_flip_bracket_contains_nu_star(self):
         grid = small_grid(3)
@@ -1162,6 +1220,24 @@ def test_probe_commutes_with_component_swap(N, s, f1, f2, e, frac, nu):
 
 
 @settings(max_examples=30, deadline=None)
+@given(N=st.sampled_from([3, 4, 5]), s=st.floats(0.0, 0.9), f1=LAM_FRAC,
+       f2=LAM_FRAC, frac=st.floats(0.01, 1.0))
+def test_shifted_iteration_matches_the_plain_one(N, s, f1, f2, frac):
+    p = 2.0 * (N - s) / (N - 2)
+    assume(p - 3.0 > 0.01)
+    H = hardy_constant(N)
+    pr = ProblemParams(N, s, f1 * H, f2 * H, 2.0, 1.0 + frac * (p - 3.0), 1.0)
+    grid = cached_grid(N, n_nodes=512)
+    z = extremal_pair(pr, grid, "second").v.values
+    W = Weights(grid, pr).foreign_weight(z, pr.beta)
+    op = LambdaOperator(grid, pr.lambda1)
+    mu, _, solves, done = op.lowest_mode(W, z)
+    mu_plain, solves_plain = plain_inverse_iteration(op, W, z)
+    assert done and mu == pytest.approx(mu_plain, rel=1e-10)
+    assert solves <= solves_plain
+
+
+@settings(max_examples=30, deadline=None)
 @given(N=st.sampled_from([3, 4]), s=st.floats(0.0, 0.9), f1=LAM_FRAC,
        f2=LAM_FRAC, frac=st.floats(0.01, 1.0), c=st.floats(1e-3, 1e3))
 def test_nu_star_scales_inversely_with_a_constant_weight(N, s, f1, f2, frac, c):
@@ -1176,6 +1252,53 @@ def test_nu_star_scales_inversely_with_a_constant_weight(N, s, f1, f2, frac, c):
         return rep.extra["nu_star"]
 
     assert nu_star(c) * c == pytest.approx(nu_star(1.0), rel=1e-9)
+
+
+def closed_form_gap(N, s, f1, f2, n):
+    """nu* of the probe over closed_forms.nu_star_closed_form, less 1, at
+    (N, s, lambda1, lambda2) = (N, s, f1 H, f2 H) with alpha = 2, beta = p -
+    2 and h = 1, on n nodes over [1e-6, 1e6]; and the grid's dt^2."""
+    H, p = hardy_constant(N), 2.0 * (N - s) / (N - 2)
+    pr = ProblemParams(N, s, f1 * H, f2 * H, 2.0, p - 2.0, 0.1)
+    rep = semitrivial_probe(pr, "second", cached_grid(N, n_nodes=n))
+    assert rep.converged
+    x = rep.extra
+    return x["nu_star"] / x["nu_star_closed_form"] - 1.0, (math.log(1e12) / (n - 1)) ** 2
+
+
+# On the Poschl-Teller family at N >= 4 the gap is C dt^2, with C the same
+# to 3 digits from 1,024 to 8,192 nodes; each row allows half of C dt^2
+# either way.  The gaps measured are in the comments.
+@pytest.mark.parametrize("N,s,lambda1,lambda2,n,C", [
+    (4, 0.5, 0.1, 0.3, 2048, -0.0201),    # -3.67e-6
+    (4, 0.5, 0.1, 0.3, 4096, -0.0201),    # -9.16e-7
+    (5, 0.0, 0.5, 1.2, 4096, -0.1232)])   # -5.61e-6
+def test_nu_star_meets_its_closed_form_at_order_dt2(N, s, lambda1, lambda2, n, C):
+    H = hardy_constant(N)
+    gap, dt2 = closed_form_gap(N, s, lambda1 / H, lambda2 / H, n)
+    assert abs(gap - C * dt2) <= 0.5 * abs(C) * dt2
+
+
+def test_nu_star_meets_its_closed_form_where_the_mode_is_the_host():
+    # lambda1 = lambda2: the mode is z2 and nu* = 1/2, with no dt^2 term;
+    # the gap measures +8.1e-10 at 4,096 nodes and stays within 2.6e-9 from
+    # 1,024 to 8,192, so 1e-8 allows about four times that
+    gap, _ = closed_form_gap(4, 0.0, 0.3 / hardy_constant(4), 0.3 / hardy_constant(4), 4096)
+    assert abs(gap) <= 1e-8
+
+
+# |C| over the family with both lambdas in [0.05, 0.8] H peaks at 0.60 on
+# its corners (N = 5, lambda1 = 0.05 H, lambda2 = 0.8 H), so the bound dt^2
+# leaves a margin of 1.7; above 0.8 H the host decays too slowly for the
+# window and the gap stops falling with dt.
+@settings(max_examples=25, deadline=None)
+@given(N=st.sampled_from([4, 5]), frac=st.floats(0.0, 0.98),
+       f1=st.floats(0.05, 0.8), f2=st.floats(0.05, 0.8))
+def test_nu_star_meets_its_closed_form_across_the_family(N, frac, f1, f2):
+    # beta = p - 2 > 1 holds for s < 1 at N = 4 and s < 1/2 at N = 5
+    s = frac * (1.0 if N == 4 else 0.5)
+    gap, dt2 = closed_form_gap(N, s, f1, f2, 1024)
+    assert abs(gap) <= dt2
 
 
 @pytest.mark.parametrize("cls,kw", [
